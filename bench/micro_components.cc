@@ -16,7 +16,7 @@
 #include "memory/dram.hh"
 #include "memory/tilelink.hh"
 #include "quantum/ansatz.hh"
-#include "quantum/sampler.hh"
+#include "quantum/backend.hh"
 #include "quantum/statevector.hh"
 #include "sim/random.hh"
 #include "tests/reference_statevector.hh"
@@ -150,10 +150,12 @@ BM_MeanFieldEvolve(benchmark::State &state)
 {
     const auto n = static_cast<std::uint32_t>(state.range(0));
     auto c = quantum::ansatz::hardwareEfficient(n, 3, false);
-    quantum::MeanFieldSampler mf;
+    quantum::BackendConfig cfg;
+    cfg.kind = quantum::BackendKind::MeanField;
+    auto mf = quantum::makeBackend(n, cfg);
     for (auto _ : state) {
-        auto bloch = mf.evolve(c);
-        benchmark::DoNotOptimize(bloch.data());
+        mf->run(c);
+        benchmark::DoNotOptimize(mf->marginalOne(0));
     }
     state.SetItemsProcessed(state.iterations() * c.numGates());
 }

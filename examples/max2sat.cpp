@@ -12,8 +12,8 @@
 #include <cstdio>
 
 #include "core/experiment.hh"
+#include "quantum/backend.hh"
 #include "quantum/sat.hh"
-#include "quantum/sampler.hh"
 #include "vqa/cost.hh"
 #include "vqa/optimizer.hh"
 
@@ -36,13 +36,15 @@ main()
     vqa::HamiltonianCost cost(ising);
 
     // SPSA over the sampled Ising energy (violated-clause count).
-    quantum::StatevectorSampler sampler(20);
+    quantum::BackendConfig bcfg;
+    bcfg.kind = quantum::BackendKind::Statevector;
+    auto backend = quantum::makeBackend(vars, bcfg);
     vqa::Spsa spsa(0.35, 0.2, 42);
     std::vector<double> params(circuit.numParameters(), 0.1);
     auto oracle = [&](const std::vector<double> &p) {
         circuit.setParameters(p);
-        auto shots = sampler.sample(circuit, 500, rng);
-        return cost.fromShots(shots);
+        backend->run(circuit);
+        return cost.fromShots(backend->sample(500, rng));
     };
 
     std::printf("\noptimizing (energy = expected violated clauses):\n");
@@ -54,7 +56,8 @@ main()
 
     // Sample assignments from the trained circuit.
     circuit.setParameters(params);
-    auto shots = sampler.sample(circuit, 4000, rng);
+    backend->run(circuit);
+    auto shots = backend->sample(4000, rng);
     std::uint64_t best = 0;
     double mean = 0;
     for (auto a : shots) {

@@ -9,7 +9,7 @@
 #include <cstdio>
 
 #include "core/qtenon_system.hh"
-#include "quantum/sampler.hh"
+#include "quantum/backend.hh"
 
 int
 main()
@@ -48,9 +48,12 @@ main()
     }
 
     // Sample the trained circuit and report the best observed cut.
-    quantum::StatevectorSampler sampler(20);
+    quantum::BackendConfig bcfg;
+    bcfg.kind = quantum::BackendKind::Statevector;
+    auto backend = quantum::makeBackend(n, bcfg);
+    backend->run(workload.circuit);
     sim::Rng rng(123);
-    auto shots = sampler.sample(workload.circuit, 2000, rng);
+    auto shots = backend->sample(2000, rng);
     std::uint64_t best = 0;
     double mean = 0.0;
     for (auto s : shots) {

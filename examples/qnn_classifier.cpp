@@ -14,7 +14,7 @@
 
 #include "core/qtenon_system.hh"
 #include "quantum/ansatz.hh"
-#include "quantum/sampler.hh"
+#include "quantum/backend.hh"
 
 using namespace qtenon;
 
@@ -51,8 +51,11 @@ predict(const Sample &s, const std::vector<double> &weights)
 {
     auto c = quantum::ansatz::qnn(4, s.features, 2, false);
     c.setParameters(weights);
-    quantum::StatevectorSampler sampler;
-    return sampler.marginalOne(c, 0);
+    quantum::BackendConfig cfg;
+    cfg.kind = quantum::BackendKind::Statevector;
+    auto backend = quantum::makeBackend(4, cfg);
+    backend->run(c);
+    return backend->marginalOne(0);
 }
 
 /** Mean squared loss over the dataset. */

@@ -1,10 +1,10 @@
 #include "backend.hh"
 
 #include <algorithm>
-#include <utility>
+#include <array>
+#include <cmath>
 
 #include "density_matrix.hh"
-#include "sampler.hh"
 #include "sim/logging.hh"
 #include "stabilizer.hh"
 
@@ -111,13 +111,92 @@ class StatevectorBackend : public Backend
     std::uint32_t _maxQubits;
 };
 
-/** Product-state engine: per-qubit Bloch vectors, any size. */
+using Bloch = std::array<double, 3>;
+
+/** Rotate a Bloch vector by @p angle around the given axis. */
+void
+rotateBloch(Bloch &b, int axis, double angle)
+{
+    const double c = std::cos(angle);
+    const double s = std::sin(angle);
+    double x = b[0], y = b[1], z = b[2];
+    switch (axis) {
+      case 0: // X axis
+        b[1] = c * y - s * z;
+        b[2] = s * y + c * z;
+        break;
+      case 1: // Y axis
+        b[0] = c * x + s * z;
+        b[2] = -s * x + c * z;
+        break;
+      case 2: // Z axis
+        b[0] = c * x - s * y;
+        b[1] = s * x + c * y;
+        break;
+      default:
+        sim::panic("bad Bloch axis");
+    }
+}
+
+/** H on a Bloch vector: (x, y, z) -> (z, -y, x). */
+void
+hadamardBloch(Bloch &b)
+{
+    Bloch nb{b[2], -b[1], b[0]};
+    b = nb;
+}
+
+/**
+ * Exact single-qubit reduced-state update for RZZ(angle) against a
+ * product-state partner with <Z> = z_partner: the transverse
+ * component (x - iy) is multiplied by cos(angle) - i sin(angle) *
+ * z_partner, which both rotates it and shrinks it (the shrink is the
+ * physically correct loss of local coherence to entanglement).
+ */
+void
+rzzReduced(Bloch &b, double z_partner, double angle)
+{
+    const double c = std::cos(angle);
+    const double s = std::sin(angle) * z_partner;
+    const double x = b[0];
+    const double y = b[1];
+    b[0] = c * x - s * y;
+    b[1] = c * y + s * x;
+}
+
+/** RZZ on a product pair: each side sees the other's <Z>. */
+void
+rzzBloch(Bloch &a, Bloch &b, double angle)
+{
+    const double za = a[2];
+    const double zb = b[2];
+    rzzReduced(a, zb, angle);
+    rzzReduced(b, za, angle);
+}
+
+/** CZ = (global phase) RZZ(-pi/2) . RZ(pi/2) x RZ(pi/2). */
+void
+czBloch(Bloch &a, Bloch &b)
+{
+    rzzBloch(a, b, -M_PI / 2.0);
+    rotateBloch(a, 2, M_PI / 2.0);
+    rotateBloch(b, 2, M_PI / 2.0);
+}
+
+/**
+ * Product-state engine: each qubit carries a Bloch vector.
+ * Single-qubit rotations are exact, and two-qubit entanglers apply
+ * the exact single-qubit reduced-state map for product inputs (the
+ * transverse component is rotated by the partner's <Z> and shrunk by
+ * the coherence lost to entanglement). Correlations across repeated
+ * interactions are dropped: the documented substitution for dense
+ * simulation beyond the statevector cap (DESIGN.md §5).
+ */
 class MeanFieldBackend : public Backend
 {
   public:
     explicit MeanFieldBackend(std::uint32_t n)
-        : _n(n),
-          _bloch(n, std::array<double, 3>{0.0, 0.0, 1.0})
+        : _n(n), _bloch(n, Bloch{0.0, 0.0, 1.0})
     {}
 
     BackendKind kind() const override { return BackendKind::MeanField; }
@@ -128,7 +207,65 @@ class MeanFieldBackend : public Backend
     void
     run(const QuantumCircuit &c) override
     {
-        _bloch = _evolver.evolve(c);
+        if (c.numQubits() != _n) {
+            sim::panic("circuit qubit count ", c.numQubits(),
+                       " != mean-field register ", _n);
+        }
+        // Bloch convention: |0> = (0, 0, 1); P(read 1) = (1 - z) / 2.
+        std::fill(_bloch.begin(), _bloch.end(), Bloch{0.0, 0.0, 1.0});
+        for (const auto &g : c.gates()) {
+            const double angle = c.resolveAngle(g);
+            auto &b0 = _bloch[g.qubit0];
+            switch (g.type) {
+              case GateType::I:
+              case GateType::Measure:
+                break;
+              case GateType::X:
+                rotateBloch(b0, 0, M_PI);
+                break;
+              case GateType::Y:
+                rotateBloch(b0, 1, M_PI);
+                break;
+              case GateType::Z:
+                rotateBloch(b0, 2, M_PI);
+                break;
+              case GateType::H:
+                hadamardBloch(b0);
+                break;
+              case GateType::S:
+                rotateBloch(b0, 2, M_PI / 2.0);
+                break;
+              case GateType::Sdg:
+                rotateBloch(b0, 2, -M_PI / 2.0);
+                break;
+              case GateType::T:
+                rotateBloch(b0, 2, M_PI / 4.0);
+                break;
+              case GateType::RX:
+                rotateBloch(b0, 0, angle);
+                break;
+              case GateType::RY:
+                rotateBloch(b0, 1, angle);
+                break;
+              case GateType::RZ:
+                rotateBloch(b0, 2, angle);
+                break;
+              case GateType::RZZ:
+                rzzBloch(b0, _bloch[g.qubit1], angle);
+                break;
+              case GateType::CZ:
+                czBloch(b0, _bloch[g.qubit1]);
+                break;
+              case GateType::CNOT: {
+                // CNOT = H_t . CZ . H_t.
+                auto &b1 = _bloch[g.qubit1];
+                hadamardBloch(b1);
+                czBloch(b0, b1);
+                hadamardBloch(b1);
+                break;
+              }
+            }
+        }
     }
 
     std::vector<std::uint64_t>
@@ -137,8 +274,6 @@ class MeanFieldBackend : public Backend
         if (_n > 64)
             sim::fatal("64-bit sample words cap the register at 64 "
                        "qubits");
-        // Identical draw order to MeanFieldSampler::sample, so the
-        // two paths consume the same RNG stream.
         std::vector<double> p1(_n);
         for (std::uint32_t q = 0; q < _n; ++q)
             p1[q] = (1.0 - _bloch[q][2]) / 2.0;
@@ -215,8 +350,7 @@ class MeanFieldBackend : public Backend
     }
 
     std::uint32_t _n;
-    MeanFieldSampler _evolver;
-    std::vector<std::array<double, 3>> _bloch;
+    std::vector<Bloch> _bloch;
 };
 
 /** CHP tableau engine: Clifford circuits only, exact. */
@@ -307,33 +441,12 @@ class DensityMatrixBackend : public Backend
     std::vector<std::uint64_t>
     sample(std::size_t shots, sim::Rng &rng) override
     {
-        // Same sorted-draws CDF walk (and zero-weight tail rule) as
-        // StateVector::sampleFromUniforms, over the diagonal.
-        std::vector<std::pair<double, std::size_t>> draws(shots);
+        std::vector<double> uniforms(shots);
         for (std::size_t s = 0; s < shots; ++s)
-            draws[s] = {rng.uniform(), s};
-        std::sort(draws.begin(), draws.end());
-
-        const std::uint64_t dim = _dm.dim();
-        std::vector<std::uint64_t> outcomes(shots, 0);
-        double cum = 0.0;
-        std::size_t next = 0;
-        for (std::uint64_t basis = 0;
-             basis < dim && next < shots; ++basis) {
-            cum += _dm.probability(basis);
-            while (next < shots && draws[next].first < cum) {
-                outcomes[draws[next].second] = basis;
-                ++next;
-            }
-        }
-        if (next < shots) {
-            std::uint64_t last = dim - 1;
-            while (last > 0 && _dm.probability(last) <= 0.0)
-                --last;
-            for (; next < shots; ++next)
-                outcomes[draws[next].second] = last;
-        }
-        return outcomes;
+            uniforms[s] = rng.uniform();
+        return sampleFromCdf(uniforms, _dm.dim(), [this](std::uint64_t b) {
+            return _dm.probability(b);
+        });
     }
 
     double marginalOne(std::uint32_t q) override
@@ -406,6 +519,15 @@ makeBackend(std::uint32_t num_qubits, const BackendConfig &cfg)
         break; // resolved above
     }
     sim::panic("unresolved backend kind");
+}
+
+void
+applyReadoutError(std::vector<std::uint64_t> &words, std::uint32_t n,
+                  double e, sim::Rng &rng)
+{
+    if (e == 0.0)
+        return;
+    flipReadoutBits(words, n, [&] { return rng.coin(e); });
 }
 
 } // namespace qtenon::quantum

@@ -3,10 +3,8 @@
  * The pluggable functional-simulation backend layer.
  *
  * Every layer that needs a circuit's functional output (the VQA cost
- * evaluator, the measurement samplers, the service's jobs) used to
- * hand-pick an engine — dense statevector here, mean-field there,
- * stabilizer/density-matrix in tests — each with its own ad-hoc
- * construction. quantum::Backend puts the four engines behind one
+ * evaluator, grouped estimation, the service's jobs, the examples)
+ * gets it here: quantum::Backend puts the four engines behind one
  * prepare/run/measure interface with a single selection policy:
  *
  *   - BackendKind::Auto picks the dense statevector while the
@@ -19,6 +17,9 @@
  * A Backend instance owns its state buffer; run() resets it in place
  * and replays the circuit, so a cost evaluator can hold one backend
  * per job and never pay the per-evaluation 2^n allocation again.
+ *
+ * The readout-error model (independent per-qubit assignment flips)
+ * lives here too, next to the engines whose shots it corrupts.
  */
 
 #ifndef QTENON_QUANTUM_BACKEND_HH
@@ -134,6 +135,52 @@ BackendKind resolveBackendKind(BackendKind requested,
 /** Build the backend selected by cfg's policy for @p num_qubits. */
 std::unique_ptr<Backend> makeBackend(std::uint32_t num_qubits,
                                      const BackendConfig &cfg = {});
+
+/*
+ * Readout-error model: dispersive readout misassigns each measured
+ * bit independently with flip probability e.
+ */
+
+/** Largest flip probability: above 0.5 a misread beats a true read. */
+constexpr double maxReadoutError = 0.5;
+
+/** Whether @p e is a valid flip probability, in [0, maxReadoutError]. */
+constexpr bool
+validReadoutError(double e)
+{
+    return e >= 0.0 && e <= maxReadoutError;
+}
+
+/**
+ * Flip bit q (q < @p n) of each word wherever @p flip() returns true,
+ * asking per word, then per qubit. The draw source is the caller's.
+ */
+template <typename Flip>
+void
+flipReadoutBits(std::vector<std::uint64_t> &words, std::uint32_t n,
+                Flip &&flip)
+{
+    for (auto &word : words) {
+        for (std::uint32_t q = 0; q < n; ++q) {
+            if (flip())
+                word ^= std::uint64_t(1) << q;
+        }
+    }
+}
+
+/**
+ * Apply readout error @p e to @p n-qubit shot words, one coin per bit
+ * from @p rng. Draws nothing when e is 0.
+ */
+void applyReadoutError(std::vector<std::uint64_t> &words,
+                       std::uint32_t n, double e, sim::Rng &rng);
+
+/** Measured P(read 1) for true P(1) = @p p under readout error e. */
+constexpr double
+readoutMarginal(double p, double e)
+{
+    return p * (1.0 - e) + (1.0 - p) * e;
+}
 
 } // namespace qtenon::quantum
 

@@ -535,35 +535,9 @@ std::vector<std::uint64_t>
 StateVector::sampleFromUniforms(
     const std::vector<double> &uniforms) const
 {
-    // Sort the uniforms and walk the CDF once: O(2^n + S logS).
-    const std::size_t shots = uniforms.size();
-    std::vector<std::pair<double, std::size_t>> draws(shots);
-    for (std::size_t s = 0; s < shots; ++s)
-        draws[s] = {uniforms[s], s};
-    std::sort(draws.begin(), draws.end());
-
-    std::vector<std::uint64_t> outcomes(shots, 0);
-    double cum = 0.0;
-    std::size_t next = 0;
-    for (std::uint64_t basis = 0;
-         basis < _amps.size() && next < shots; ++basis) {
-        cum += std::norm(_amps[basis]);
-        while (next < shots && draws[next].first < cum) {
-            outcomes[draws[next].second] = basis;
-            ++next;
-        }
-    }
-    if (next < shots) {
-        // Rounding can leave a tail (cum < 1 by an ulp or two);
-        // assign it the last basis state that actually has weight,
-        // never an unreachable zero-amplitude state.
-        std::uint64_t last = _amps.size() - 1;
-        while (last > 0 && std::norm(_amps[last]) == 0.0)
-            --last;
-        for (; next < shots; ++next)
-            outcomes[draws[next].second] = last;
-    }
-    return outcomes;
+    return sampleFromCdf(uniforms, _amps.size(), [this](std::uint64_t b) {
+        return std::norm(_amps[b]);
+    });
 }
 
 bool

@@ -5,7 +5,8 @@
  * Plays the role Qiskit plays in the paper's methodology: it provides
  * the quantum chip's functional input/output. Exact up to a
  * configurable qubit cap (memory is 16 bytes x 2^n); larger circuits
- * must use the mean-field sampler (see sampler.hh).
+ * must use the mean-field engine (BackendKind::MeanField, see
+ * backend.hh).
  *
  * The gate kernels iterate the 2^(n-1) amplitude *pairs* directly via
  * low/high-bit index decomposition (instead of branch-skipping all
@@ -27,9 +28,11 @@
 #ifndef QTENON_QUANTUM_STATEVECTOR_HH
 #define QTENON_QUANTUM_STATEVECTOR_HH
 
+#include <algorithm>
 #include <complex>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "circuit.hh"
@@ -220,6 +223,46 @@ class StateVector
     /** Persistent worker team; null until a pass first goes wide. */
     std::unique_ptr<KernelPool> _pool;
 };
+
+/**
+ * Inverse-CDF sampling over the basis states [0, @p dim) with
+ * probabilities @p prob(basis): one outcome per uniform in [0, 1).
+ * Sorts the uniforms and walks the CDF once, O(dim + S log S). A
+ * rounding tail (cumulative weight short of 1 by an ulp or two) goes
+ * to the last basis state that has weight, never to an unreachable
+ * zero-weight state.
+ */
+template <typename Prob>
+std::vector<std::uint64_t>
+sampleFromCdf(const std::vector<double> &uniforms, std::uint64_t dim,
+              Prob &&prob)
+{
+    const std::size_t shots = uniforms.size();
+    std::vector<std::pair<double, std::size_t>> draws(shots);
+    for (std::size_t s = 0; s < shots; ++s)
+        draws[s] = {uniforms[s], s};
+    std::sort(draws.begin(), draws.end());
+
+    std::vector<std::uint64_t> outcomes(shots, 0);
+    double cum = 0.0;
+    std::size_t next = 0;
+    for (std::uint64_t basis = 0; basis < dim && next < shots;
+         ++basis) {
+        cum += prob(basis);
+        while (next < shots && draws[next].first < cum) {
+            outcomes[draws[next].second] = basis;
+            ++next;
+        }
+    }
+    if (next < shots) {
+        std::uint64_t last = dim - 1;
+        while (last > 0 && prob(last) <= 0.0)
+            --last;
+        for (; next < shots; ++next)
+            outcomes[draws[next].second] = last;
+    }
+    return outcomes;
+}
 
 } // namespace qtenon::quantum
 

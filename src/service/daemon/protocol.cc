@@ -6,6 +6,7 @@
 
 #include <unistd.h>
 
+#include "quantum/backend.hh"
 #include "quantum/density_matrix.hh"
 #include "runtime/host_core.hh"
 #include "vqa/workload.hh"
@@ -215,9 +216,15 @@ validate(const JobRequest &r)
             std::to_string(
                 quantum::DensityMatrix::defaultMaxQubits) +
             " qubits");
-    if (r.readoutError < 0.0 || r.readoutError > 1.0)
+    // Every daemon workload (qaoa/vqe/qnn) has continuous rotation
+    // angles, which the Clifford-only tableau cannot run.
+    if (kind == quantum::BackendKind::Stabilizer)
         throw std::invalid_argument(
-            "readout_error out of range [0, 1]");
+            "stabilizer backend runs Clifford circuits only; qaoa, "
+            "vqe and qnn use continuous rotations");
+    if (!quantum::validReadoutError(r.readoutError))
+        throw std::invalid_argument(
+            "readout_error out of range [0, 0.5]");
     if (r.shots == 0)
         throw std::invalid_argument("shots must be positive");
     if (r.iterations == 0)

@@ -97,7 +97,8 @@ struct JobRequest {
     /** "gd" or "spsa". */
     std::string optimizer = "gd";
     std::uint64_t seed = 7;
-    /** Functional engine name ("auto", "statevector", ...). */
+    /** Functional engine name ("auto", "statevector", ...); not
+     *  "stabilizer", which cannot run the workloads' rotations. */
     std::string backend = "auto";
     /** Statevector kernel instruction set ("auto" or "scalar"). */
     std::string svSimd = "auto";
@@ -106,6 +107,7 @@ struct JobRequest {
      *  (`--isa-vector`); off keeps the byte-stable scalar path. */
     bool isaVector = false;
     bool exactCost = false;
+    /** Readout flip probability, in [0, 0.5]. */
     double readoutError = 0.0;
     /** fault::FaultSpec textual form; empty = perfect links. */
     std::string faultSpec;

@@ -40,7 +40,8 @@ struct DriverConfig {
      * still drawn for the timing trace.
      */
     bool useExactCost = false;
-    /** Per-qubit readout bit-flip probability (0 = ideal). */
+    /** Per-qubit readout bit-flip probability in
+     *  [0, quantum::maxReadoutError] (0 = ideal). */
     double readoutError = 0.0;
     /**
      * Optional fault injection (not owned). Site "eval" makes whole

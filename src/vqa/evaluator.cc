@@ -11,9 +11,10 @@ CostEvaluator::CostEvaluator(std::uint32_t num_qubits,
       _backend(quantum::makeBackend(num_qubits, cfg.backend)),
       _rng(seed)
 {
-    if (cfg.readoutError < 0.0 || cfg.readoutError > 0.5)
-        sim::fatal("readout flip probability must be in [0, 0.5], "
-                   "got ", cfg.readoutError);
+    if (!quantum::validReadoutError(cfg.readoutError))
+        sim::fatal("readout flip probability must be in [0, ",
+                   quantum::maxReadoutError, "], got ",
+                   cfg.readoutError);
     if (cfg.injector) {
         _inj = cfg.injector;
         _readoutSite = _inj->site("readout");
@@ -26,24 +27,13 @@ CostEvaluator::sampleWithReadout()
 {
     auto out = _backend->sample(_cfg.shots, _rng);
     const auto n = _backend->numQubits();
-    if (_cfg.readoutError > 0.0) {
-        // Same flip order as NoisyReadoutSampler: per word, per qubit.
-        for (auto &word : out) {
-            for (std::uint32_t q = 0; q < n; ++q) {
-                if (_rng.coin(_cfg.readoutError))
-                    word ^= std::uint64_t(1) << q;
-            }
-        }
-    }
+    quantum::applyReadoutError(out, n, _cfg.readoutError, _rng);
     if (_flipRate > 0.0) {
         // Injected flips draw from the injector's "readout" stream,
         // so each one is counted and traced.
-        for (auto &word : out) {
-            for (std::uint32_t q = 0; q < n; ++q) {
-                if (_inj->shouldFlipBit(_readoutSite))
-                    word ^= std::uint64_t(1) << q;
-            }
-        }
+        quantum::flipReadoutBits(out, n, [this] {
+            return _inj->shouldFlipBit(_readoutSite);
+        });
     }
     return out;
 }
@@ -70,7 +60,7 @@ CostEvaluator::evaluate(const quantum::QuantumCircuit &c,
         return cost.fromShots(shots);
     }
     // Wide registers: evaluate from per-qubit marginals, with the
-    // analytic readout-error adjustment p' = p(1-e) + (1-p)e.
+    // analytic readout-error adjustment.
     auto p1 = _backend->marginals();
     if (_cfg.readoutError > 0.0 || _flipRate > 0.0) {
         // Independent flip sources compose: 1-2e' = (1-2a)(1-2b).
@@ -78,7 +68,7 @@ CostEvaluator::evaluate(const quantum::QuantumCircuit &c,
         const double b = _flipRate;
         const double e = a + b - 2.0 * a * b;
         for (auto &p : p1)
-            p = p * (1.0 - e) + (1.0 - p) * e;
+            p = quantum::readoutMarginal(p, e);
     }
     return cost.fromMarginals(p1);
 }

@@ -34,7 +34,8 @@ struct EvaluatorConfig {
      * exact engines within the exact cap.
      */
     bool useExactCost = false;
-    /** Per-qubit readout bit-flip probability (0 = ideal). */
+    /** Per-qubit readout bit-flip probability in
+     *  [0, quantum::maxReadoutError] (0 = ideal). */
     double readoutError = 0.0;
     /** Optional fault injection (not owned): site "readout" adds
      *  injector-driven measurement bit flips on top of readoutError,

@@ -65,7 +65,7 @@ GroupedEstimator::GroupedEstimator(const quantum::Hamiltonian &h)
 
 double
 GroupedEstimator::estimate(const quantum::QuantumCircuit &ansatz,
-                           quantum::MeasurementSampler &sampler,
+                           quantum::Backend &backend,
                            std::size_t shots_per_group,
                            sim::Rng &rng) const
 {
@@ -79,8 +79,8 @@ GroupedEstimator::estimate(const quantum::QuantumCircuit &ansatz,
     for (const auto &group : _groups) {
         auto circuit = ansatz;
         group.appendReadout(circuit);
-        const auto shots =
-            sampler.sample(circuit, shots_per_group, rng);
+        backend.run(circuit);
+        const auto shots = backend.sample(shots_per_group, rng);
 
         for (auto t : group.terms) {
             const auto &term = _h.terms()[t];

@@ -16,9 +16,9 @@
 #include <cstddef>
 #include <vector>
 
+#include "quantum/backend.hh"
 #include "quantum/circuit.hh"
 #include "quantum/pauli.hh"
-#include "quantum/sampler.hh"
 #include "sim/random.hh"
 
 namespace qtenon::vqa {
@@ -49,10 +49,11 @@ class GroupedEstimator
     /**
      * Estimate <H> on the state prepared by @p ansatz (which must
      * not contain measurements): one sampled execution of the
-     * rotated circuit per group, @p shots_per_group each.
+     * rotated circuit per group on @p backend (sized for the
+     * ansatz's register), @p shots_per_group each.
      */
     double estimate(const quantum::QuantumCircuit &ansatz,
-                    quantum::MeasurementSampler &sampler,
+                    quantum::Backend &backend,
                     std::size_t shots_per_group,
                     sim::Rng &rng) const;
 

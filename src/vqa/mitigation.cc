@@ -1,39 +1,32 @@
 #include "mitigation.hh"
 
-#include "quantum/circuit.hh"
 #include "sim/logging.hh"
 
 namespace qtenon::vqa {
 
 std::vector<ConfusionMatrix>
-ReadoutMitigator::calibrate(quantum::MeasurementSampler &sampler,
-                            std::uint32_t num_qubits,
-                            std::size_t shots, sim::Rng &rng)
+ReadoutMitigator::calibrate(const std::vector<std::uint64_t> &zero_shots,
+                            const std::vector<std::uint64_t> &one_shots,
+                            std::uint32_t num_qubits)
 {
     if (num_qubits > 64)
         sim::fatal("calibration capped at 64 qubits (shot words)");
-
-    // Prepare |0...0>: every observed 1 is a 0->1 misread.
-    quantum::QuantumCircuit zeros(num_qubits);
-    auto zero_shots = sampler.sample(zeros, shots, rng);
-
-    // Prepare |1...1>: every observed 0 is a 1->0 misread.
-    quantum::QuantumCircuit ones(num_qubits);
-    for (std::uint32_t q = 0; q < num_qubits; ++q)
-        ones.x(q);
-    auto one_shots = sampler.sample(ones, shots, rng);
+    if (zero_shots.empty() || one_shots.empty())
+        sim::fatal("calibration needs shots of both prepared states");
 
     std::vector<ConfusionMatrix> out(num_qubits);
     for (std::uint32_t q = 0; q < num_qubits; ++q) {
         const std::uint64_t bit = std::uint64_t(1) << q;
+        // Every 1 read from |0...0> is a 0->1 misread.
         double mis0 = 0.0;
         for (auto s : zero_shots)
             mis0 += (s & bit) ? 1.0 : 0.0;
+        // Every 0 read from |1...1> is a 1->0 misread.
         double mis1 = 0.0;
         for (auto s : one_shots)
             mis1 += (s & bit) ? 0.0 : 1.0;
-        out[q].p01 = mis0 / static_cast<double>(shots);
-        out[q].p10 = mis1 / static_cast<double>(shots);
+        out[q].p01 = mis0 / static_cast<double>(zero_shots.size());
+        out[q].p10 = mis1 / static_cast<double>(one_shots.size());
     }
     return out;
 }

@@ -15,11 +15,10 @@
 #ifndef QTENON_VQA_MITIGATION_HH
 #define QTENON_VQA_MITIGATION_HH
 
+#include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
-
-#include "quantum/sampler.hh"
-#include "sim/random.hh"
 
 namespace qtenon::vqa {
 
@@ -55,12 +54,14 @@ class ReadoutMitigator
 {
   public:
     /**
-     * Calibrate per-qubit confusion matrices by sampling the
-     * prepared |0...0> and |1...1> states through @p sampler.
+     * Calibrate per-qubit confusion matrices from the shot words
+     * measured on prepared |0...0> (@p zero_shots) and |1...1>
+     * (@p one_shots) states of a @p num_qubits register.
      */
     static std::vector<ConfusionMatrix> calibrate(
-        quantum::MeasurementSampler &sampler, std::uint32_t num_qubits,
-        std::size_t shots, sim::Rng &rng);
+        const std::vector<std::uint64_t> &zero_shots,
+        const std::vector<std::uint64_t> &one_shots,
+        std::uint32_t num_qubits);
 
     explicit ReadoutMitigator(std::vector<ConfusionMatrix> confusion)
         : _confusion(std::move(confusion))

@@ -13,8 +13,8 @@
 #include <complex>
 #include <thread>
 
+#include "quantum/ansatz.hh"
 #include "quantum/backend.hh"
-#include "quantum/sampler.hh"
 #include "quantum/statevector.hh"
 #include "random_circuit.hh"
 #include "reference_statevector.hh"
@@ -26,6 +26,17 @@ using qtenon::tests::randomCircuit;
 using qtenon::tests::ReferenceStateVector;
 
 namespace {
+
+/** A backend of @p kind, sized for @p c, with @p c run on it. */
+std::unique_ptr<Backend>
+runOn(BackendKind kind, const QuantumCircuit &c)
+{
+    BackendConfig cfg;
+    cfg.kind = kind;
+    auto b = makeBackend(c.numQubits(), cfg);
+    b->run(c);
+    return b;
+}
 
 void
 expectMatchesReference(const StateVector &sv,
@@ -336,10 +347,10 @@ TEST(BackendConformance, MeanFieldProductExpectations)
 
 // ---------------------------------------------------------------
 // Readout-error cross-validation: the statevector and
-// density-matrix engines, each wrapped in the analytic readout-
-// error decorator, must report identical noisy marginals — and
-// both must match the closed form p' = p (1 - e) + (1 - p) e
-// computed against the exact amplitudes.
+// density-matrix engines, each seen through the analytic readout-
+// error model, must report identical noisy marginals — and both
+// must match the closed form p' = p (1 - e) + (1 - p) e computed
+// against the exact amplitudes.
 
 TEST(ReadoutErrorCrossValidation, DmMatchesSvAnalytically)
 {
@@ -360,12 +371,8 @@ TEST(ReadoutErrorCrossValidation, DmMatchesSvAnalytically)
             c.rx(q, ParamRef::literal(rng.uniform(-3, 3)));
         c.measureAll();
 
-        BackendConfig sv_cfg;
-        sv_cfg.kind = BackendKind::Statevector;
-        auto sv = makeBackendSampler(n, sv_cfg, flip);
-        BackendConfig dm_cfg;
-        dm_cfg.kind = BackendKind::DensityMatrix;
-        auto dm = makeBackendSampler(n, dm_cfg, flip);
+        auto sv = runOn(BackendKind::Statevector, c);
+        auto dm = runOn(BackendKind::DensityMatrix, c);
 
         // The exact noiseless marginals, for the closed form.
         StateVector exact(n);
@@ -375,8 +382,8 @@ TEST(ReadoutErrorCrossValidation, DmMatchesSvAnalytically)
             const double p = exact.marginalOne(q);
             const double expected = p * (1.0 - flip) +
                                     (1.0 - p) * flip;
-            const double p_sv = sv->marginalOne(c, q);
-            const double p_dm = dm->marginalOne(c, q);
+            const double p_sv = readoutMarginal(sv->marginalOne(q), flip);
+            const double p_dm = readoutMarginal(dm->marginalOne(q), flip);
             EXPECT_NEAR(p_sv, expected, 1e-10)
                 << "trial " << trial << " qubit " << q;
             EXPECT_NEAR(p_dm, expected, 1e-10)
@@ -385,4 +392,238 @@ TEST(ReadoutErrorCrossValidation, DmMatchesSvAnalytically)
                 << "trial " << trial << " qubit " << q;
         }
     }
+}
+
+// ---------------------------------------------------------------
+// Mean-field vs statevector differential: where every qubit meets
+// at most one entangler, the product-state reduced dynamics are
+// exact, so the two engines must agree on every marginal.
+
+namespace {
+
+struct DifferentialCase {
+    const char *name;
+    std::vector<QuantumCircuit> (*circuits)();
+};
+
+void
+PrintTo(const DifferentialCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+/** No entanglers at all. */
+std::vector<QuantumCircuit>
+productCircuits()
+{
+    QuantumCircuit c(3);
+    c.rx(0, ParamRef::literal(0.8));
+    c.ry(1, ParamRef::literal(1.3));
+    c.h(2);
+    return {c};
+}
+
+/** One RZZ between |+> states, then a local rotation. */
+std::vector<QuantumCircuit>
+singleRzzCircuits()
+{
+    std::vector<QuantumCircuit> out;
+    for (double theta : {0.3, 1.0, 2.2}) {
+        for (double beta : {0.4, 1.5}) {
+            QuantumCircuit c(2);
+            c.h(0);
+            c.h(1);
+            c.rzz(0, 1, ParamRef::literal(theta));
+            c.rx(0, ParamRef::literal(beta));
+            out.push_back(c);
+        }
+    }
+    return out;
+}
+
+std::vector<QuantumCircuit>
+singleCzCircuits()
+{
+    QuantumCircuit c(2);
+    c.ry(0, ParamRef::literal(0.9));
+    c.ry(1, ParamRef::literal(1.7));
+    c.cz(0, 1);
+    c.ry(0, ParamRef::literal(0.6));
+    return {c};
+}
+
+std::vector<QuantumCircuit>
+singleCnotCircuits()
+{
+    QuantumCircuit c(2);
+    c.ry(0, ParamRef::literal(1.1));
+    c.cnot(0, 1);
+    return {c};
+}
+
+/** Random local layers around one RZZ or CZ per disjoint pair. */
+std::vector<QuantumCircuit>
+randomSingleEntanglerCircuits()
+{
+    Rng rng(48);
+    std::vector<QuantumCircuit> out;
+    for (int trial = 0; trial < 20; ++trial) {
+        QuantumCircuit c(6);
+        for (std::uint32_t q = 0; q < 6; ++q) {
+            c.ry(q, ParamRef::literal(rng.uniform(-2, 2)));
+            c.rz(q, ParamRef::literal(rng.uniform(-2, 2)));
+        }
+        for (std::uint32_t q = 0; q < 6; q += 2) {
+            if (rng.coin(0.5))
+                c.rzz(q, q + 1, ParamRef::literal(rng.uniform(-2, 2)));
+            else
+                c.cz(q, q + 1);
+        }
+        for (std::uint32_t q = 0; q < 6; ++q)
+            c.rx(q, ParamRef::literal(rng.uniform(-2, 2)));
+        out.push_back(c);
+    }
+    return out;
+}
+
+const DifferentialCase differentialCases[] = {
+    {"product", productCircuits},
+    {"single_rzz", singleRzzCircuits},
+    {"single_cz", singleCzCircuits},
+    {"single_cnot", singleCnotCircuits},
+    {"random_single_entangler", randomSingleEntanglerCircuits},
+};
+
+class MeanFieldDifferential
+    : public ::testing::TestWithParam<DifferentialCase>
+{};
+
+} // namespace
+
+TEST_P(MeanFieldDifferential, MatchesStatevector)
+{
+    const auto circuits = GetParam().circuits();
+    for (std::size_t i = 0; i < circuits.size(); ++i) {
+        const auto &c = circuits[i];
+        auto exact = runOn(BackendKind::Statevector, c);
+        auto mf = runOn(BackendKind::MeanField, c);
+        for (std::uint32_t q = 0; q < c.numQubits(); ++q) {
+            EXPECT_NEAR(mf->marginalOne(q), exact->marginalOne(q), 1e-9)
+                << "circuit " << i << " qubit " << q;
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Cases, MeanFieldDifferential,
+                         ::testing::ValuesIn(differentialCases));
+
+// ---------------------------------------------------------------
+// Mean-field engine behaviour beyond the exact regime.
+
+TEST(MeanFieldBackend, GoldenSampleWordsAndMarginals)
+{
+    // Pins the engine's output bit for bit: every gate kind of the
+    // Bloch evolution, then the per-shot, per-qubit coin order of
+    // sample(). Figures and digests above the exact cap depend on
+    // these bits, so a change to the arithmetic or the draw order
+    // must show here first.
+    QuantumCircuit c(10);
+    for (std::uint32_t q = 0; q < 10; ++q) {
+        c.ry(q, ParamRef::literal(0.3 + 0.17 * q));
+        c.rz(q, ParamRef::literal(-0.4 + 0.11 * q));
+    }
+    c.h(0);
+    c.x(1);
+    c.gate(GateType::Y, 2);
+    c.gate(GateType::Z, 3);
+    c.gate(GateType::S, 4);
+    c.gate(GateType::Sdg, 5);
+    c.gate(GateType::T, 6);
+    c.gate(GateType::I, 7);
+    c.rzz(0, 1, ParamRef::literal(0.7));
+    c.cz(2, 3);
+    c.cnot(4, 5);
+    c.rx(6, ParamRef::literal(1.1));
+    c.cnot(7, 8);
+    c.rzz(8, 9, ParamRef::literal(-1.3));
+    c.cz(9, 0);
+    c.rzz(1, 2, ParamRef::literal(0.45));
+    c.measureAll();
+
+    auto mf = runOn(BackendKind::MeanField, c);
+    const double marginals[10] = {
+        0x1.74a33b815afd7p-2, 0x1.e43dd1bff31bap-1,
+        0x1.cd5625c85f954p-1, 0x1.3df41f6f50e4ep-3,
+        0x1.c59be1aa0492cp-3, 0x1.8b804ec7ef778p-2,
+        0x1.1fd5a9566e3e8p-4, 0x1.d6ad61dac05fcp-2,
+        0x1.01d73345fd2b1p-1, 0x1.419d977871fd1p-1,
+    };
+    for (std::uint32_t q = 0; q < 10; ++q)
+        EXPECT_EQ(mf->marginalOne(q), marginals[q]) << "qubit " << q;
+
+    Rng rng(2025);
+    const std::vector<std::uint64_t> words = {0x017, 0x106, 0x286,
+                                              0x087, 0x306, 0x027};
+    EXPECT_EQ(mf->sample(6, rng), words);
+}
+
+TEST(MeanFieldBackend, HandlesLargeRegisters)
+{
+    auto g = Graph::threeRegular(128);
+    auto mf = runOn(BackendKind::MeanField, ansatz::qaoaMaxCut(g, 2, false));
+    const double p = mf->marginalOne(64);
+    EXPECT_GE(p, 0.0);
+    EXPECT_LE(p, 1.0);
+}
+
+TEST(MeanFieldBackend, SamplesFollowMarginals)
+{
+    QuantumCircuit c(2);
+    c.ry(0, ParamRef::literal(2.0 * std::asin(std::sqrt(0.7))));
+    auto mf = runOn(BackendKind::MeanField, c);
+    Rng rng(3);
+    auto shots = mf->sample(20000, rng);
+    double ones = 0;
+    for (auto s : shots)
+        if (s & 1)
+            ++ones;
+    EXPECT_NEAR(ones / 20000.0, 0.7, 0.02);
+}
+
+TEST(MeanFieldBackend, ParameterSensitivityOnVqeAnsatz)
+{
+    // The optimizer needs cost movement under parameter change even
+    // through the mean-field approximation. (QAOA marginals are
+    // exactly 0.5 by the Z2 bit-flip symmetry, so the hardware-
+    // efficient ansatz is the right probe here.)
+    auto c = ansatz::hardwareEfficient(16, 2, false);
+    std::vector<double> p(c.numParameters(), 0.1);
+    c.setParameters(p);
+    const double a = runOn(BackendKind::MeanField, c)->marginalOne(3);
+    std::fill(p.begin(), p.end(), 0.9);
+    c.setParameters(p);
+    const double b = runOn(BackendKind::MeanField, c)->marginalOne(3);
+    EXPECT_GT(std::abs(a - b), 1e-4);
+}
+
+TEST(MeanFieldBackend, QaoaMarginalsRespectBitFlipSymmetry)
+{
+    // MAX-CUT QAOA states are invariant under flipping every qubit,
+    // so every per-qubit marginal must be exactly one half - which
+    // the product-state model reproduces.
+    auto g = Graph::threeRegular(8);
+    auto c = ansatz::qaoaMaxCut(g, 2, false);
+    c.setParameters({0.4, 0.7, 1.1, 0.2});
+    auto mf = runOn(BackendKind::MeanField, c);
+    for (std::uint32_t q = 0; q < 8; ++q)
+        EXPECT_NEAR(mf->marginalOne(q), 0.5, 1e-9);
+}
+
+TEST(StatevectorBackend, MatchesMarginals)
+{
+    QuantumCircuit c(2);
+    c.ry(0, ParamRef::literal(2.0 * std::asin(std::sqrt(0.25))));
+    auto sv = runOn(BackendKind::Statevector, c);
+    EXPECT_NEAR(sv->marginalOne(0), 0.25, 1e-10);
+    EXPECT_NEAR(sv->marginalOne(1), 0.0, 1e-10);
 }

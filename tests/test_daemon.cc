@@ -204,6 +204,12 @@ TEST(JobRequestJson, InvalidRequestsThrow)
     req.readoutError = 1.5;
     expectInvalid(req);
     req = smallRequest();
+    req.readoutError = 0.7; // above the readout model's 0.5 bound
+    expectInvalid(req);
+    req = smallRequest();
+    req.backend = "stabilizer"; // workloads carry non-Clifford angles
+    expectInvalid(req);
+    req = smallRequest();
     req.shots = 0;
     expectInvalid(req);
     req = smallRequest();
@@ -452,12 +458,26 @@ TEST(DaemonE2E, MalformedAndInvalidFramesGetErrors)
     const Response err2 = client.readResponse();
     EXPECT_TRUE(err2.isError());
 
+    // A VQA job on the Clifford-only stabilizer engine.
+    service::json::Value stab = service::json::Value::object();
+    stab.set("type", "submit");
+    stab.set("id", std::uint64_t{12});
+    service::json::Value stabJob = service::json::Value::object();
+    stabJob.set("algorithm", "qaoa");
+    stabJob.set("qubits", 6u);
+    stabJob.set("backend", "stabilizer");
+    stab.set("job", std::move(stabJob));
+    client.sendPayload(stab.dump(0));
+    const Response err3 = client.readResponse();
+    EXPECT_TRUE(err3.isError());
+    EXPECT_EQ(err3.id, 12u);
+
     // The connection survives errors: a valid submit still works.
     const Response okResp = client.submit(smallRequest(), 11);
     EXPECT_TRUE(okResp.isResult());
 
     daemon.stop();
-    EXPECT_EQ(daemon.stats().errors, 3u);
+    EXPECT_EQ(daemon.stats().errors, 4u);
 }
 
 TEST(DaemonE2E, ZeroQuotaRejectsDeterministically)

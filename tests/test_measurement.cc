@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "quantum/backend.hh"
 #include "quantum/molecule.hh"
 #include "quantum/statevector.hh"
 #include "vqa/measurement.hh"
@@ -64,9 +65,9 @@ TEST(Measurement, SampledEstimateMatchesExactH2)
     sv.applyCircuit(c);
     const double exact = h.expectation(sv);
 
-    quantum::StatevectorSampler sampler;
+    auto backend = quantum::makeBackend(2);
     Rng rng(71);
-    const double sampled = est.estimate(c, sampler, 40000, rng);
+    const double sampled = est.estimate(c, *backend, 40000, rng);
     // 40k shots per group: statistical error well under 2e-2.
     EXPECT_NEAR(sampled, exact, 2e-2);
     // The X0X1 term genuinely contributes (diagonal-only estimation
@@ -88,9 +89,9 @@ TEST(Measurement, YBasisRotationCorrect)
     c.h(0);
     c.gate(quantum::GateType::S, 0);
 
-    quantum::StatevectorSampler sampler;
+    auto backend = quantum::makeBackend(1);
     Rng rng(72);
-    EXPECT_NEAR(est.estimate(c, sampler, 2000, rng), 1.0, 1e-9);
+    EXPECT_NEAR(est.estimate(c, *backend, 2000, rng), 1.0, 1e-9);
 }
 
 TEST(Measurement, RejectsMeasuredAnsatz)
@@ -99,8 +100,8 @@ TEST(Measurement, RejectsMeasuredAnsatz)
     quantum::QuantumCircuit c(2);
     c.h(0);
     c.measureAll();
-    quantum::StatevectorSampler sampler;
+    auto backend = quantum::makeBackend(2);
     Rng rng(73);
-    EXPECT_EXIT(est.estimate(c, sampler, 10, rng),
+    EXPECT_EXIT(est.estimate(c, *backend, 10, rng),
                 ::testing::ExitedWithCode(1), "unmeasured");
 }

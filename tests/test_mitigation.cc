@@ -10,6 +10,7 @@
 #include <cmath>
 
 #include "quantum/ansatz.hh"
+#include "quantum/backend.hh"
 #include "quantum/molecule.hh"
 #include "quantum/statevector.hh"
 #include "vqa/cost.hh"
@@ -33,13 +34,41 @@ TEST(Mitigation, ConfusionCorrectionAlgebra)
     EXPECT_DOUBLE_EQ(c.correct(1.0), 1.0);
 }
 
+namespace {
+
+/** @p shots readout words of @p c through readout error @p e. */
+std::vector<std::uint64_t>
+noisyShots(const quantum::QuantumCircuit &c, std::size_t shots,
+           double e, Rng &rng)
+{
+    quantum::BackendConfig cfg;
+    cfg.kind = quantum::BackendKind::Statevector;
+    auto b = quantum::makeBackend(c.numQubits(), cfg);
+    b->run(c);
+    auto words = b->sample(shots, rng);
+    quantum::applyReadoutError(words, c.numQubits(), e, rng);
+    return words;
+}
+
+/** Confusion calibration from noisy |0...0> and |1...1> runs. */
+std::vector<ConfusionMatrix>
+calibrateAt(std::uint32_t n, std::size_t shots, double e, Rng &rng)
+{
+    quantum::QuantumCircuit zeros(n);
+    quantum::QuantumCircuit ones(n);
+    for (std::uint32_t q = 0; q < n; ++q)
+        ones.x(q);
+    const auto zero_shots = noisyShots(zeros, shots, e, rng);
+    const auto one_shots = noisyShots(ones, shots, e, rng);
+    return ReadoutMitigator::calibrate(zero_shots, one_shots, n);
+}
+
+} // namespace
+
 TEST(Mitigation, CalibrationRecoversInjectedError)
 {
-    quantum::NoisyReadoutSampler sampler(
-        std::make_unique<quantum::StatevectorSampler>(), 0.07);
     Rng rng(81);
-    auto confusion =
-        ReadoutMitigator::calibrate(sampler, 4, 20000, rng);
+    auto confusion = calibrateAt(4, 20000, 0.07, rng);
     for (const auto &c : confusion) {
         EXPECT_NEAR(c.p01, 0.07, 0.01);
         EXPECT_NEAR(c.p10, 0.07, 0.01);
@@ -52,15 +81,12 @@ TEST(Mitigation, CorrectionRecoversTrueMarginal)
     const double true_p1 =
         std::sin(theta / 2.0) * std::sin(theta / 2.0);
 
-    quantum::NoisyReadoutSampler sampler(
-        std::make_unique<quantum::StatevectorSampler>(), 0.1);
     Rng rng(82);
-    ReadoutMitigator mit(
-        ReadoutMitigator::calibrate(sampler, 1, 30000, rng));
+    ReadoutMitigator mit(calibrateAt(1, 30000, 0.1, rng));
 
     quantum::QuantumCircuit c(1);
     c.ry(0, ParamRef::literal(theta));
-    auto shots = sampler.sample(c, 30000, rng);
+    auto shots = noisyShots(c, 30000, 0.1, rng);
 
     // Raw estimate is biased toward 0.5; corrected is not.
     double raw = 0.0;

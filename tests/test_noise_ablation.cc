@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the readout-noise decorator and the SLT-disable ablation
+ * Tests for the readout-error model and the SLT-disable ablation
  * path, plus the system-level stats dump.
  */
 
@@ -10,21 +10,36 @@
 
 #include "controller/pipeline.hh"
 #include "core/qtenon_system.hh"
-#include "quantum/sampler.hh"
+#include "quantum/backend.hh"
 #include "vqa/driver.hh"
+#include "vqa/evaluator.hh"
 
 using namespace qtenon;
 using namespace qtenon::quantum;
 using qtenon::sim::Rng;
 
+namespace {
+
+/** A statevector backend with @p c applied. */
+std::unique_ptr<Backend>
+prepared(const QuantumCircuit &c)
+{
+    BackendConfig cfg;
+    cfg.kind = BackendKind::Statevector;
+    auto b = makeBackend(c.numQubits(), cfg);
+    b->run(c);
+    return b;
+}
+
+} // namespace
+
 TEST(NoisyReadout, FlipsAtConfiguredRate)
 {
     // Deterministic |0...0> state: every observed 1 is a flip.
     QuantumCircuit c(4);
-    auto sampler = std::make_unique<StatevectorSampler>();
-    NoisyReadoutSampler noisy(std::move(sampler), 0.1);
     Rng rng(7);
-    auto shots = noisy.sample(c, 20000, rng);
+    auto shots = prepared(c)->sample(20000, rng);
+    applyReadoutError(shots, 4, 0.1, rng);
     double ones = 0;
     for (auto s : shots)
         ones += __builtin_popcountll(s);
@@ -35,36 +50,32 @@ TEST(NoisyReadout, MarginalAdjustedAnalytically)
 {
     QuantumCircuit c(1);
     c.x(0); // P(1) = 1 exactly
-    NoisyReadoutSampler noisy(std::make_unique<StatevectorSampler>(),
-                              0.05);
-    EXPECT_NEAR(noisy.marginalOne(c, 0), 0.95, 1e-12);
+    EXPECT_NEAR(readoutMarginal(prepared(c)->marginalOne(0), 0.05),
+                0.95, 1e-12);
 }
 
 TEST(NoisyReadout, ZeroErrorIsTransparent)
 {
     QuantumCircuit c(2);
     c.h(0);
-    NoisyReadoutSampler noisy(std::make_unique<StatevectorSampler>(),
-                              0.0);
-    StatevectorSampler clean;
+    auto b = prepared(c);
     Rng r1(3), r2(3);
-    EXPECT_EQ(noisy.sample(c, 100, r1), clean.sample(c, 100, r2));
-}
-
-TEST(NoisyReadout, FactoryWrapsWhenRequested)
-{
-    auto ideal = makeDefaultSampler(4, 20, 0.0);
-    EXPECT_EQ(dynamic_cast<NoisyReadoutSampler *>(ideal.get()),
-              nullptr);
-    auto noisy = makeDefaultSampler(4, 20, 0.02);
-    EXPECT_NE(dynamic_cast<NoisyReadoutSampler *>(noisy.get()),
-              nullptr);
+    auto noisy = b->sample(100, r1);
+    applyReadoutError(noisy, 2, 0.0, r1);
+    EXPECT_EQ(noisy, b->sample(100, r2));
+    // No flip coins were drawn either.
+    EXPECT_EQ(r1.raw(), r2.raw());
 }
 
 TEST(NoisyReadout, RejectsBadProbability)
 {
-    EXPECT_EXIT(NoisyReadoutSampler(
-                    std::make_unique<StatevectorSampler>(), 0.7),
+    EXPECT_TRUE(validReadoutError(0.0));
+    EXPECT_TRUE(validReadoutError(maxReadoutError));
+    EXPECT_FALSE(validReadoutError(-0.1));
+    EXPECT_FALSE(validReadoutError(0.7));
+    vqa::EvaluatorConfig cfg;
+    cfg.readoutError = 0.7;
+    EXPECT_EXIT(vqa::CostEvaluator(4, cfg, 1),
                 ::testing::ExitedWithCode(1), "flip probability");
 }
 

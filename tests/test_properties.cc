@@ -22,7 +22,6 @@
 #include "memory/dram.hh"
 #include "quantum/ansatz.hh"
 #include "quantum/qasm.hh"
-#include "quantum/sampler.hh"
 #include "quantum/statevector.hh"
 #include "random_circuit.hh"
 #include "shard/partition.hh"
@@ -248,43 +247,6 @@ TEST(Property, QaoaWavesBoundDepth)
         }
         const auto d = *std::max_element(degree.begin(), degree.end());
         EXPECT_LE(c.stats().depth, 1u + (2u * d - 1u) + 1u);
-    }
-}
-
-// ---------------------------------------------------------------
-// Mean-field vs statevector: exact agreement on random circuits
-// where each qubit participates in at most one entangler.
-
-TEST(Property, MeanFieldExactForSingleEntanglerCircuits)
-{
-    Rng rng(48);
-    for (int trial = 0; trial < 20; ++trial) {
-        quantum::QuantumCircuit c(6);
-        // Random local pre-rotation layer.
-        for (std::uint32_t q = 0; q < 6; ++q) {
-            c.ry(q, quantum::ParamRef::literal(rng.uniform(-2, 2)));
-            c.rz(q, quantum::ParamRef::literal(rng.uniform(-2, 2)));
-        }
-        // One entangler per disjoint pair.
-        for (std::uint32_t q = 0; q < 6; q += 2) {
-            if (rng.coin(0.5)) {
-                c.rzz(q, q + 1,
-                      quantum::ParamRef::literal(rng.uniform(-2, 2)));
-            } else {
-                c.cz(q, q + 1);
-            }
-        }
-        // Random local post-rotation layer.
-        for (std::uint32_t q = 0; q < 6; ++q)
-            c.rx(q, quantum::ParamRef::literal(rng.uniform(-2, 2)));
-
-        quantum::StatevectorSampler exact;
-        quantum::MeanFieldSampler mf;
-        for (std::uint32_t q = 0; q < 6; ++q) {
-            EXPECT_NEAR(mf.marginalOne(c, q), exact.marginalOne(c, q),
-                        1e-9)
-                << "trial " << trial << " qubit " << q;
-        }
     }
 }
 
