@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 
 #include "density_matrix.hh"
+#include "obs/metrics.hh"
 #include "sim/logging.hh"
 #include "stabilizer.hh"
 
@@ -52,6 +54,52 @@ Backend::marginals()
 
 namespace {
 
+/** Equality of two doubles by IEEE-754 bits. */
+bool
+sameBits(double a, double b)
+{
+    return std::bit_cast<std::uint64_t>(a) ==
+        std::bit_cast<std::uint64_t>(b);
+}
+
+/** Bit-for-bit gate equality (literal angles by IEEE-754 bits). */
+bool
+sameGate(const Gate &a, const Gate &b)
+{
+    return a.type == b.type && a.qubit0 == b.qubit0 &&
+        a.qubit1 == b.qubit1 && a.param.index == b.param.index &&
+        sameBits(a.param.value, b.param.value);
+}
+
+/**
+ * Index of the first gate of @p c whose symbolic parameter differs
+ * bit for bit from @p base (numGates() when none does). Every gate
+ * before it resolves to the angle it would have under @p base.
+ */
+std::size_t
+firstShiftedGate(const QuantumCircuit &c, const std::vector<double> &base)
+{
+    const auto &gates = c.gates();
+    for (std::size_t i = 0; i < gates.size(); ++i) {
+        const Gate &g = gates[i];
+        if (!isParameterized(g.type) || !g.param.isSymbolic())
+            continue;
+        if (!sameBits(c.parameter(g.param.index), base[g.param.index]))
+            return i;
+    }
+    return gates.size();
+}
+
+obs::Counter &
+gatesSkippedCounter()
+{
+    static obs::Counter &c = obs::counter(
+        "quantum.checkpoint.gates_skipped",
+        "gates not replayed because a run resumed from the prefix "
+        "checkpoint");
+    return c;
+}
+
 /** Dense statevector engine: exact, reuses one 2^n buffer. */
 class StatevectorBackend : public Backend
 {
@@ -77,6 +125,58 @@ class StatevectorBackend : public Backend
     {
         _sv.reset();
         _sv.applyCircuit(c);
+    }
+
+    /**
+     * Resume from the one rolling prefix checkpoint: the state after
+     * gates [0, K) under (gate list, base). With d the first gate
+     * whose parameter moved off @p base, a checkpoint taken under the
+     * same gate list and base with K <= d is restored instead of
+     * replaying [0, K); the checkpoint then advances to d, so a
+     * gradient step's probes apply each base gate once between them.
+     * Fusion regroups products across the boundary, so fuse1q runs
+     * in full.
+     */
+    void
+    runFromBase(const QuantumCircuit &c,
+                const std::vector<double> &base) override
+    {
+        if (_sv.kernelConfig().fuse1q ||
+            base.size() != c.numParameters()) {
+            run(c);
+            return;
+        }
+        const auto &gates = c.gates();
+        const std::size_t total = gates.size();
+        const std::size_t d = firstShiftedGate(c, base);
+        const bool valid = _ckptGate <= d &&
+            std::equal(base.begin(), base.end(), _ckptBase.begin(),
+                       _ckptBase.end(), sameBits) &&
+            std::equal(gates.begin(), gates.end(), _ckptGates.begin(),
+                       _ckptGates.end(), sameGate);
+
+        std::size_t from = 0;
+        if (valid && _ckptGate > 0) {
+            _sv.loadAmplitudes(_ckptAmps);
+            from = _ckptGate;
+            if (obs::metricsEnabled())
+                gatesSkippedCounter().add(_ckptGate);
+        } else {
+            _sv.reset();
+        }
+        // A checkpoint at 0 is |0...0> and one at the end serves only
+        // an exact repeat, so neither displaces a useful one.
+        if (d > from && d < total) {
+            _sv.applyGates(c, from, d);
+            _sv.saveAmplitudes(_ckptAmps);
+            if (!valid) {
+                _ckptGates = gates;
+                _ckptBase = base;
+            }
+            _ckptGate = d;
+            from = d;
+        }
+        _sv.applyGates(c, from, total);
     }
 
     std::vector<std::uint64_t>
@@ -109,6 +209,13 @@ class StatevectorBackend : public Backend
   private:
     StateVector _sv;
     std::uint32_t _maxQubits;
+    /** Prefix checkpoint: amplitudes after gates [0, _ckptGate) of
+     *  _ckptGates under parameters _ckptBase. Empty until the first
+     *  runFromBase() takes one. */
+    std::vector<StateVector::Amp> _ckptAmps;
+    std::vector<Gate> _ckptGates;
+    std::vector<double> _ckptBase;
+    std::size_t _ckptGate = 0;
 };
 
 using Bloch = std::array<double, 3>;

@@ -94,6 +94,21 @@ class Backend
     virtual void run(const QuantumCircuit &c) = 0;
 
     /**
+     * run(@p c) for a circuit whose parameters are a probe around
+     * @p base (e.g. one parameter-shift evaluation of a gradient
+     * step). The prepared state is bit-identical to run(c); an
+     * engine may only use @p base to skip work. The statevector
+     * engine resumes from its prefix checkpoint (DESIGN.md §8); the
+     * others just run(c).
+     */
+    virtual void
+    runFromBase(const QuantumCircuit &c, const std::vector<double> &base)
+    {
+        (void)base;
+        run(c);
+    }
+
+    /**
      * Draw @p shots full-register readout words from the prepared
      * state (bit q = qubit q; requires n <= 64).
      */

@@ -432,17 +432,47 @@ StateVector::apply(const Gate &g, double angle)
 }
 
 void
-StateVector::applyCircuit(const QuantumCircuit &c)
+StateVector::checkCircuit(const QuantumCircuit &c) const
 {
     if (c.numQubits() != _numQubits) {
         sim::panic("circuit qubit count ", c.numQubits(),
                    " != statevector ", _numQubits);
     }
+}
+
+void
+StateVector::applyGates(const QuantumCircuit &c, std::size_t begin,
+                        std::size_t end)
+{
+    checkCircuit(c);
+    const auto &gates = c.gates();
+    for (std::size_t i = begin; i < end; ++i)
+        apply(gates[i], c.resolveAngle(gates[i]));
+}
+
+void
+StateVector::saveAmplitudes(std::vector<Amp> &out) const
+{
+    out.assign(_amps.begin(), _amps.end());
+}
+
+void
+StateVector::loadAmplitudes(const std::vector<Amp> &in)
+{
+    if (in.size() != _amps.size())
+        sim::panic("loading ", in.size(), " amplitudes into a ",
+                   _amps.size(), "-amplitude statevector");
+    std::copy(in.begin(), in.end(), _amps.begin());
+}
+
+void
+StateVector::applyCircuit(const QuantumCircuit &c)
+{
     if (!_kernel.fuse1q) {
-        for (const auto &g : c.gates())
-            apply(g, c.resolveAngle(g));
+        applyGates(c, 0, c.numGates());
         return;
     }
+    checkCircuit(c);
 
     // Gate fusion: accumulate runs of adjacent single-qubit gates on
     // the same qubit into one 2x2 matrix, flushed lazily when a

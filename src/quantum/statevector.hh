@@ -150,6 +150,24 @@ class StateVector
      */
     void applyCircuit(const QuantumCircuit &c);
 
+    /**
+     * Apply gates [@p begin, @p end) of @p c one kernel pass each
+     * (never fused), resolving parameters. Splitting a circuit into
+     * consecutive ranges gives the same bits as one unfused
+     * applyCircuit().
+     */
+    void applyGates(const QuantumCircuit &c, std::size_t begin,
+                    std::size_t end);
+
+    /** Copy the amplitudes into @p out (resized to dim()). */
+    void saveAmplitudes(std::vector<Amp> &out) const;
+
+    /**
+     * Overwrite the amplitudes with @p in (dim() entries). Unlike
+     * copy-assignment, the kernel config and worker pool stay put.
+     */
+    void loadAmplitudes(const std::vector<Amp> &in);
+
     /** Probability of measuring basis state @p basis. */
     double probability(std::uint64_t basis) const;
 
@@ -194,6 +212,8 @@ class StateVector
     double normSquared() const;
 
   private:
+    /** Panic unless @p c is over this register's qubit count. */
+    void checkCircuit(const QuantumCircuit &c) const;
     void apply1q(std::uint32_t q, const Amp m[2][2]);
     /** Diagonal 1q gate: amp *= p0 / p1 by the qubit's bit. */
     void applyPhase1q(std::uint32_t q, Amp p0, Amp p1);

@@ -367,12 +367,8 @@ Daemon::handleSubmit(const std::shared_ptr<Connection> &conn,
     if (_cache.enabled()) {
         if (auto bytes = _cache.lookup(pending.key)) {
             obs::ScopedSpan span("daemon.serve.hit", "daemon");
+            countServed();
             sendResult(*conn, id, "hit", pending.key, *bytes);
-            {
-                std::lock_guard<std::mutex> lock(_statsMutex);
-                ++_served;
-            }
-            dmetrics().served.inc();
             recordLatency(received);
             return;
         }
@@ -446,6 +442,7 @@ Daemon::submitterLoop()
         if (r.status == JobStatus::Ok)
             _cache.insert(p.key, bytes);
 
+        countServed();
         if (p.conn->open.load()) {
             try {
                 sendResult(*p.conn, p.requestId, "miss", p.key,
@@ -454,15 +451,22 @@ Daemon::submitterLoop()
                 // Client went away; the result is still cached.
             }
         }
-        {
-            std::lock_guard<std::mutex> lock(_statsMutex);
-            ++_served;
-        }
-        dmetrics().served.inc();
         recordLatency(p.received);
         _queue.release(p.client);
         p = Pending{};
     }
+}
+
+void
+Daemon::countServed()
+{
+    // Counted before the result frame goes out: a client that reads
+    // its result and then asks for stats must see it served.
+    {
+        std::lock_guard<std::mutex> lock(_statsMutex);
+        ++_served;
+    }
+    dmetrics().served.inc();
 }
 
 void

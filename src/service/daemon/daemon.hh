@@ -157,6 +157,8 @@ class Daemon
     void handleSubmit(const std::shared_ptr<Connection> &conn,
                       const json::Value &msg);
 
+    /** Count one result as served, before its frame is written. */
+    void countServed();
     void sendPayload(Connection &conn, const std::string &payload);
     void sendJson(Connection &conn, const json::Value &v);
     void sendResult(Connection &conn, std::uint64_t request_id,

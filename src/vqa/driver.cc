@@ -92,6 +92,9 @@ VqaDriver::run(Workload &w)
         ? std::max(1u, _cfg.evalRetry.maxAttempts) : 1;
     double last_good = 0.0;
     bool have_good = false;
+    // The parameters an iteration starts from: every oracle call of
+    // that iteration is a probe around them.
+    std::vector<double> base;
 
     const std::string engine = trace.backend;
     EvalOracle oracle = [&](const std::vector<double> &params) {
@@ -123,7 +126,7 @@ VqaDriver::run(Workload &w)
             round.optimizerOps = opt_ops_per_round;
 
             cost = eval.evaluate(
-                w.circuit, *w.cost,
+                w.circuit, *w.cost, base,
                 record_shots ? &round.shotData : nullptr);
             trace.rounds.push_back(std::move(round));
 
@@ -164,6 +167,7 @@ VqaDriver::run(Workload &w)
                 "vqa.iterations", "optimizer iterations");
             c.inc();
         }
+        base = params;
         const double cost = opt->iterate(params, oracle);
         trace.costHistory.push_back(cost);
     }

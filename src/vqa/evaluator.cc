@@ -41,9 +41,10 @@ CostEvaluator::sampleWithReadout()
 double
 CostEvaluator::evaluate(const quantum::QuantumCircuit &c,
                         const CostFunction &cost,
+                        const std::vector<double> &base,
                         std::vector<std::uint64_t> *shot_data)
 {
-    _backend->run(c);
+    _backend->runFromBase(c, base);
     const auto n = _backend->numQubits();
     const bool exact_cost = _cfg.useExactCost && _backend->exact() &&
         n <= _cfg.backend.exactCap;

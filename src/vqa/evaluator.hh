@@ -64,9 +64,12 @@ class CostEvaluator
      * cost comes from expectation values (exact mode), sampled words
      * (n <= 64), or per-qubit marginals (wide registers), matching
      * the historical driver paths.
+     * @p base is the optimizer iteration's starting point; the
+     * backend runs @p c through Backend::runFromBase(c, base).
      */
     double evaluate(const quantum::QuantumCircuit &c,
                     const CostFunction &cost,
+                    const std::vector<double> &base,
                     std::vector<std::uint64_t> *shot_data = nullptr);
 
     quantum::Backend &backend() { return *_backend; }

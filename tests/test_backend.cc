@@ -2,8 +2,9 @@
  * @file
  * Backend-layer tests: randomized cross-validation of the optimized
  * statevector kernels against the frozen reference scalar kernels
- * (reference_statevector.hh), and interface conformance for all four
- * engines behind quantum::Backend.
+ * (reference_statevector.hh), interface conformance for all four
+ * engines behind quantum::Backend, and the prefix-checkpoint path
+ * (runFromBase) against plain run().
  */
 
 #include <gtest/gtest.h>
@@ -11,14 +12,18 @@
 #include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstring>
 #include <thread>
 
+#include "obs/metrics.hh"
 #include "quantum/ansatz.hh"
 #include "quantum/backend.hh"
 #include "quantum/statevector.hh"
 #include "random_circuit.hh"
 #include "reference_statevector.hh"
 #include "sim/random.hh"
+#include "vqa/optimizer.hh"
+#include "vqa/workload.hh"
 
 using namespace qtenon::quantum;
 using qtenon::sim::Rng;
@@ -626,4 +631,367 @@ TEST(StatevectorBackend, MatchesMarginals)
     auto sv = runOn(BackendKind::Statevector, c);
     EXPECT_NEAR(sv->marginalOne(0), 0.25, 1e-10);
     EXPECT_NEAR(sv->marginalOne(1), 0.0, 1e-10);
+}
+
+// ---------------------------------------------------------------
+// Prefix checkpoints: runFromBase(c, base) must leave exactly the
+// amplitudes run(c) leaves, call after call, whatever sequence of
+// probes, bases and circuits reaches it.
+
+namespace {
+
+/**
+ * Runs each call through runFromBase on one statevector backend and
+ * through run on a twin, and memcmp()s every amplitude afterwards.
+ */
+class CheckpointHarness
+{
+  public:
+    CheckpointHarness(std::uint32_t n, KernelConfig kernel)
+    {
+        BackendConfig cfg;
+        cfg.kind = BackendKind::Statevector;
+        cfg.kernel = kernel;
+        _fast = makeBackend(n, cfg);
+        _ref = makeBackend(n, cfg);
+    }
+
+    /** One probe; returns the gates the checkpoint let it skip. */
+    std::uint64_t
+    check(const QuantumCircuit &c, const std::vector<double> &base)
+    {
+        auto &skipped = qtenon::obs::counter(
+            "quantum.checkpoint.gates_skipped");
+        const std::uint64_t before = skipped.value();
+        _fast->runFromBase(c, base);
+        const std::uint64_t n = skipped.value() - before;
+        _ref->run(c);
+        const StateVector &a = *_fast->stateVector();
+        const StateVector &b = *_ref->stateVector();
+        EXPECT_EQ(std::memcmp(&a.amplitude(0), &b.amplitude(0),
+                              a.dim() * sizeof(StateVector::Amp)),
+                  0)
+            << "call " << _calls;
+        ++_calls;
+        _skipped += n;
+        return n;
+    }
+
+    /** The reference engine, for scoring a probe. */
+    Backend &reference() { return *_ref; }
+    std::uint64_t skipped() const { return _skipped; }
+
+  private:
+    std::unique_ptr<Backend> _fast;
+    std::unique_ptr<Backend> _ref;
+    std::size_t _calls = 0;
+    std::uint64_t _skipped = 0;
+};
+
+/** Drive @p opt for @p iterations on @p w, every probe checked. */
+void
+optimize(CheckpointHarness &h, qtenon::vqa::Workload &w,
+         qtenon::vqa::Optimizer &opt, int iterations)
+{
+    auto params = w.circuit.parameters();
+    for (int it = 0; it < iterations; ++it) {
+        const auto base = params;
+        opt.iterate(params, [&](const std::vector<double> &p) {
+            w.circuit.setParameters(p);
+            h.check(w.circuit, base);
+            return w.cost->fromBackend(h.reference());
+        });
+    }
+}
+
+qtenon::vqa::Workload
+workload(qtenon::vqa::Algorithm a, std::uint32_t n)
+{
+    qtenon::vqa::WorkloadConfig cfg;
+    cfg.algorithm = a;
+    cfg.numQubits = n;
+    cfg.qaoaLayers = 2;
+    cfg.vqeLayers = 2;
+    return qtenon::vqa::Workload::build(cfg);
+}
+
+/** Two gradient-descent iterations of the paper workload. */
+template <qtenon::vqa::Algorithm A, std::uint32_t N>
+void
+gdRow(CheckpointHarness &h)
+{
+    auto w = workload(A, N);
+    qtenon::vqa::GradientDescent gd;
+    optimize(h, w, gd, 2);
+}
+
+void
+spsaStep(CheckpointHarness &h)
+{
+    auto w = workload(qtenon::vqa::Algorithm::Vqe, 8);
+    qtenon::vqa::Spsa spsa;
+    optimize(h, w, spsa, 1);
+}
+
+/** Parameter 1 drives gate 0; parameter 0 only comes later. */
+void
+outOfOrderParams(CheckpointHarness &h)
+{
+    QuantumCircuit c(4);
+    const auto p0 = c.addParameter(0.3);
+    const auto p1 = c.addParameter(0.7);
+    const auto p2 = c.addParameter(1.1);
+    c.ry(0, ParamRef::symbol(p1));
+    c.h(1);
+    c.cnot(0, 1);
+    c.ry(2, ParamRef::symbol(p0));
+    c.cz(1, 2);
+    c.rx(3, ParamRef::symbol(p2));
+    c.cnot(2, 3);
+    c.ry(1, ParamRef::symbol(p1));
+    Graph g(4);
+    g.addEdge(0, 1);
+    g.addEdge(1, 2);
+    g.addEdge(2, 3);
+    qtenon::vqa::Workload w;
+    w.circuit = c;
+    w.cost = std::make_unique<qtenon::vqa::MaxCutCost>(g);
+    qtenon::vqa::GradientDescent gd;
+    optimize(h, w, gd, 2);
+}
+
+/** One parameter on many gates, then a second on a few more. */
+void
+sharedParam(CheckpointHarness &h)
+{
+    QuantumCircuit c(6);
+    const auto gamma = c.addParameter(0.4);
+    const auto beta = c.addParameter(0.9);
+    for (std::uint32_t q = 0; q < 6; ++q)
+        c.h(q);
+    for (std::uint32_t q = 0; q < 6; ++q)
+        c.rzz(q, (q + 1) % 6, ParamRef::symbol(gamma));
+    for (std::uint32_t q = 0; q < 6; ++q)
+        c.rx(q, ParamRef::symbol(beta));
+    for (std::uint32_t q = 0; q + 1 < 6; ++q)
+        c.rzz(q, q + 1, ParamRef::symbol(gamma));
+    const std::vector<double> base = c.parameters();
+    for (double shift : {M_PI / 2.0, -M_PI / 2.0}) {
+        for (std::uint32_t p : {gamma, beta}) {
+            auto probe = base;
+            probe[p] += shift;
+            c.setParameters(probe);
+            h.check(c, base);
+        }
+    }
+}
+
+/** A literal-only prefix is all an all-parameter perturbation keeps. */
+void
+literalPrefix(CheckpointHarness &h)
+{
+    Rng rng(91);
+    auto c = randomCircuit(7, 40, rng);
+    const std::size_t prefix = c.numGates();
+    const auto a = c.addParameter(0.2);
+    const auto b = c.addParameter(-0.6);
+    c.ry(3, ParamRef::symbol(a));
+    c.cnot(3, 4);
+    c.rz(4, ParamRef::symbol(b));
+    c.ry(0, ParamRef::symbol(a));
+    const std::vector<double> base = c.parameters();
+    for (double sign : {1.0, -1.0}) {
+        c.setParameters({base[0] + sign * 0.1, base[1] - sign * 0.1});
+        h.check(c, base);
+    }
+    EXPECT_EQ(h.skipped(), prefix);
+}
+
+/** A base that does not match the parameter table runs in full. */
+void
+wrongLengthBase(CheckpointHarness &h)
+{
+    auto w = workload(qtenon::vqa::Algorithm::Qnn, 6);
+    auto &c = w.circuit;
+    const std::vector<double> base = c.parameters();
+    auto probe = base;
+    probe.back() += 0.5;
+    c.setParameters(probe);
+    std::vector<double> shorter(base.begin(), base.end() - 1);
+    std::vector<double> longer = base;
+    longer.push_back(0.0);
+    EXPECT_EQ(h.check(c, shorter), 0u);
+    EXPECT_EQ(h.check(c, longer), 0u);
+    EXPECT_EQ(h.check(c, {}), 0u);
+    h.check(c, base);
+    EXPECT_GT(h.check(c, base), 0u);
+}
+
+/** Different programs of equal length never share a checkpoint. */
+void
+structuralInvalidation(CheckpointHarness &h)
+{
+    auto c1 = ansatz::hardwareEfficient(6, 2, false);
+    auto c2 = ansatz::hardwareEfficient(6, 2, false);
+    // Same gate count and parameter table, other entangler operands.
+    QuantumCircuit c3(6);
+    for (std::uint32_t i = 0; i < c1.numParameters(); ++i)
+        c3.addParameter();
+    for (const auto &g : c1.gates()) {
+        if (g.type == GateType::CZ)
+            c3.cz(g.qubit0, (g.qubit1 + 1) % 6);
+        else if (isParameterized(g.type))
+            c3.rotation(g.type, g.qubit0, g.param);
+        else
+            c3.gate(g.type, g.qubit0);
+    }
+    ASSERT_EQ(c3.numGates(), c1.numGates());
+    std::vector<double> base(c1.numParameters());
+    for (std::size_t i = 0; i < base.size(); ++i)
+        base[i] = 0.1 * static_cast<double>(i + 1);
+    auto probe = base;
+    probe.back() += M_PI / 2.0;
+    for (auto *c : {&c1, &c2, &c3})
+        c->setParameters(probe);
+    h.check(c1, base);
+    EXPECT_GT(h.check(c2, base), 0u); // equal program: resumes
+    EXPECT_EQ(h.check(c3, base), 0u);
+    EXPECT_EQ(h.check(c1, base), 0u);
+}
+
+/** A new base invalidates the checkpoint, even at the same gate. */
+void
+newBase(CheckpointHarness &h)
+{
+    auto c = ansatz::hardwareEfficient(6, 2, false);
+    std::vector<double> base(c.numParameters(), 0.3);
+    for (int step = 0; step < 2; ++step) {
+        auto probe = base;
+        probe.back() += M_PI / 2.0;
+        c.setParameters(probe);
+        EXPECT_EQ(h.check(c, base), 0u);
+        EXPECT_GT(h.check(c, base), 0u);
+        base.front() += 0.25; // moves gate 0 of the next prefix
+    }
+}
+
+/** Literal angles +0.0 and -0.0 are different programs. */
+void
+signedZeroLiteral(CheckpointHarness &h)
+{
+    std::vector<QuantumCircuit> circuits;
+    for (double zero : {0.0, -0.0}) {
+        QuantumCircuit c(3);
+        const auto p = c.addParameter(0.5);
+        c.h(0);
+        c.rz(0, ParamRef::literal(zero));
+        c.rx(1, ParamRef::literal(zero));
+        c.cnot(0, 1);
+        c.ry(2, ParamRef::symbol(p));
+        c.cnot(1, 2);
+        circuits.push_back(c);
+    }
+    const std::vector<double> base = {0.5};
+    for (auto &c : circuits)
+        c.setParameters({0.5 + M_PI / 2.0});
+    h.check(circuits[0], base);
+    EXPECT_EQ(h.check(circuits[1], base), 0u);
+    EXPECT_GT(h.check(circuits[1], base), 0u);
+    EXPECT_EQ(h.check(circuits[0], base), 0u);
+}
+
+/** A circuit without parameters probes around an empty base. */
+void
+noParameters(CheckpointHarness &h)
+{
+    Rng rng(17);
+    const auto c = randomCircuit(5, 30, rng);
+    ASSERT_EQ(c.numParameters(), 0u);
+    EXPECT_EQ(h.check(c, {}), 0u);
+    EXPECT_EQ(h.check(c, {}), 0u);
+}
+
+struct CheckpointCase {
+    const char *name;
+    std::uint32_t qubits;
+    KernelConfig kernel;
+    void (*drive)(CheckpointHarness &);
+    /** Whether some call must resume from the checkpoint. */
+    bool resumes;
+};
+
+void
+PrintTo(const CheckpointCase &c, std::ostream *os)
+{
+    *os << c.name;
+}
+
+constexpr KernelConfig kFused{.fuse1q = true};
+constexpr KernelConfig kTwoThreads{.threads = 2,
+                                   .parallelMinQubits = 4};
+
+using qtenon::vqa::Algorithm;
+
+const CheckpointCase checkpointCases[] = {
+    {"gd_qaoa_8q", 8, {}, gdRow<Algorithm::Qaoa, 8>, true},
+    {"gd_qaoa_12q", 12, {}, gdRow<Algorithm::Qaoa, 12>, true},
+    {"gd_vqe_6q", 6, {}, gdRow<Algorithm::Vqe, 6>, true},
+    {"gd_vqe_10q", 10, {}, gdRow<Algorithm::Vqe, 10>, true},
+    {"gd_qnn_8q", 8, {}, gdRow<Algorithm::Qnn, 8>, true},
+    {"gd_qnn_12q", 12, {}, gdRow<Algorithm::Qnn, 12>, true},
+    {"spsa_vqe_8q", 8, {}, spsaStep, false},
+    {"param_before_lower_index", 4, {}, outOfOrderParams, true},
+    {"shared_param", 6, {}, sharedParam, true},
+    {"literal_prefix", 7, {}, literalPrefix, true},
+    {"wrong_length_base", 6, {}, wrongLengthBase, true},
+    {"structural_invalidation", 6, {}, structuralInvalidation, true},
+    {"new_base", 6, {}, newBase, true},
+    {"signed_zero_literal", 3, {}, signedZeroLiteral, true},
+    {"no_parameters", 5, {}, noParameters, false},
+    {"fuse1q_falls_back", 8, kFused, gdRow<Algorithm::Vqe, 8>, false},
+    {"threads_2", 8, kTwoThreads, gdRow<Algorithm::Qaoa, 8>, true},
+};
+
+class CheckpointDifferential
+    : public ::testing::TestWithParam<CheckpointCase>
+{
+  protected:
+    void SetUp() override { qtenon::obs::setMetricsEnabled(true); }
+    void TearDown() override { qtenon::obs::setMetricsEnabled(false); }
+};
+
+} // namespace
+
+TEST_P(CheckpointDifferential, RunFromBaseMatchesRun)
+{
+    const auto &row = GetParam();
+    CheckpointHarness h(row.qubits, row.kernel);
+    row.drive(h);
+    if (row.resumes)
+        EXPECT_GT(h.skipped(), 0u);
+    else
+        EXPECT_EQ(h.skipped(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, CheckpointDifferential, ::testing::ValuesIn(checkpointCases),
+    [](const ::testing::TestParamInfo<CheckpointCase> &info) {
+        return std::string(info.param.name);
+    });
+
+TEST(CheckpointFallback, OtherEnginesRunInFull)
+{
+    auto c = ansatz::hardwareEfficient(4, 1, false);
+    const auto base = c.parameters();
+    for (BackendKind kind :
+         {BackendKind::MeanField, BackendKind::DensityMatrix}) {
+        BackendConfig cfg;
+        cfg.kind = kind;
+        auto fast = makeBackend(4, cfg);
+        auto ref = makeBackend(4, cfg);
+        fast->runFromBase(c, base);
+        ref->run(c);
+        for (std::uint32_t q = 0; q < 4; ++q)
+            EXPECT_EQ(fast->marginalOne(q), ref->marginalOne(q));
+    }
 }

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "quantum/backend.hh"
 #include "vqa/cost.hh"
 #include "vqa/driver.hh"
 #include "vqa/optimizer.hh"
@@ -220,4 +221,48 @@ TEST(Driver, LargeRegisterFallsBackToMarginals)
     EXPECT_EQ(trace.rounds.size(), 2u);
     EXPECT_TRUE(trace.rounds[0].shotData.empty());
     EXPECT_EQ(trace.costHistory.size(), 1u);
+}
+
+TEST(Driver, GdMatchesFullReplayReference)
+{
+    // The driver evaluates GD probes through the backend's prefix
+    // checkpoint; a plain loop that replays every circuit in full
+    // with Backend::run must see the same shots and costs.
+    WorkloadConfig wcfg;
+    wcfg.algorithm = Algorithm::Vqe;
+    wcfg.numQubits = 8;
+    wcfg.vqeLayers = 2;
+    auto w = Workload::build(wcfg);
+    auto ref = Workload::build(wcfg);
+
+    DriverConfig dcfg;
+    dcfg.iterations = 2;
+    dcfg.shots = 64;
+    dcfg.seed = 19;
+    auto trace = VqaDriver(dcfg).run(w);
+
+    quantum::BackendConfig bcfg;
+    bcfg.exactCap = dcfg.exactCap;
+    auto backend = quantum::makeBackend(8, bcfg);
+    sim::Rng rng(dcfg.seed);
+    std::vector<std::vector<std::uint64_t>> shots;
+    GradientDescent gd;
+    auto params = ref.circuit.parameters();
+    std::vector<double> history;
+    for (std::uint32_t it = 0; it < dcfg.iterations; ++it) {
+        history.push_back(gd.iterate(
+            params, [&](const std::vector<double> &p) {
+                ref.circuit.setParameters(p);
+                backend->run(ref.circuit);
+                shots.push_back(backend->sample(dcfg.shots, rng));
+                return ref.cost->fromShots(shots.back());
+            }));
+    }
+
+    ASSERT_EQ(trace.rounds.size(), shots.size());
+    for (std::size_t r = 0; r < shots.size(); ++r)
+        EXPECT_EQ(trace.rounds[r].shotData, shots[r]) << "round " << r;
+    ASSERT_EQ(trace.costHistory.size(), history.size());
+    for (std::size_t i = 0; i < history.size(); ++i)
+        EXPECT_EQ(trace.costHistory[i], history[i]) << "iteration " << i;
 }
