@@ -1,7 +1,8 @@
 /**
  * @file
  * Component microbenchmarks (google-benchmark): statevector gate
- * throughput, mean-field evolution, SLT lookups, the pulse pipeline,
+ * throughput, mean-field evolution, the shot path (raw draws,
+ * mean-field sampling, cost scoring), SLT lookups, the pulse pipeline,
  * cache accesses, bus transactions, and entry packing. These measure
  * simulator performance, complementing the modeled-time figure
  * benches.
@@ -17,9 +18,11 @@
 #include "memory/tilelink.hh"
 #include "quantum/ansatz.hh"
 #include "quantum/backend.hh"
+#include "quantum/molecule.hh"
 #include "quantum/statevector.hh"
 #include "sim/random.hh"
 #include "tests/reference_statevector.hh"
+#include "vqa/cost.hh"
 
 using namespace qtenon;
 
@@ -160,6 +163,72 @@ BM_MeanFieldEvolve(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * c.numGates());
 }
 BENCHMARK(BM_MeanFieldEvolve)->Arg(64)->Arg(256);
+
+static void
+BM_RngRaw(benchmark::State &state)
+{
+    sim::Rng rng(1);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(rng.raw());
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RngRaw);
+
+/** A mean-field backend prepared by an n-qubit ansatz. */
+static std::unique_ptr<quantum::Backend>
+meanFieldState(std::uint32_t n)
+{
+    quantum::BackendConfig cfg;
+    cfg.kind = quantum::BackendKind::MeanField;
+    auto mf = quantum::makeBackend(n, cfg);
+    mf->run(quantum::ansatz::hardwareEfficient(n, 3, false));
+    return mf;
+}
+
+static std::vector<std::uint64_t>
+meanFieldShots(std::uint32_t n)
+{
+    sim::Rng rng(1);
+    return meanFieldState(n)->sample(500, rng);
+}
+
+static void
+BM_MeanFieldSample(benchmark::State &state)
+{
+    const auto n = static_cast<std::uint32_t>(state.range(0));
+    auto mf = meanFieldState(n);
+    sim::Rng rng(1);
+    for (auto _ : state) {
+        auto shots = mf->sample(500, rng);
+        benchmark::DoNotOptimize(shots.data());
+    }
+    state.SetItemsProcessed(state.iterations() * 500 * n);
+}
+BENCHMARK(BM_MeanFieldSample)->Arg(64);
+
+static void
+BM_MaxCutFromShots(benchmark::State &state)
+{
+    const auto n = static_cast<std::uint32_t>(state.range(0));
+    const vqa::MaxCutCost cost(quantum::Graph::threeRegular(n));
+    const auto shots = meanFieldShots(n);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(cost.fromShots(shots));
+    state.SetItemsProcessed(state.iterations() * shots.size());
+}
+BENCHMARK(BM_MaxCutFromShots)->Arg(64);
+
+static void
+BM_HamiltonianFromShots(benchmark::State &state)
+{
+    const auto n = static_cast<std::uint32_t>(state.range(0));
+    const vqa::HamiltonianCost cost(quantum::syntheticMolecule(n));
+    const auto shots = meanFieldShots(n);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(cost.fromShots(shots));
+    state.SetItemsProcessed(state.iterations() * shots.size());
+}
+BENCHMARK(BM_HamiltonianFromShots)->Arg(64);
 
 static void
 BM_SltLookupHit(benchmark::State &state)

@@ -381,17 +381,18 @@ class MeanFieldBackend : public Backend
         if (_n > 64)
             sim::fatal("64-bit sample words cap the register at 64 "
                        "qubits");
-        std::vector<double> p1(_n);
+        // One rng.coin(P(read 1)) per qubit per shot, as a compare
+        // on the raw draw.
+        std::vector<sim::CoinThreshold> one;
+        one.reserve(_n);
         for (std::uint32_t q = 0; q < _n; ++q)
-            p1[q] = (1.0 - _bloch[q][2]) / 2.0;
-        std::vector<std::uint64_t> out(shots, 0);
-        for (std::size_t s = 0; s < shots; ++s) {
+            one.emplace_back((1.0 - _bloch[q][2]) / 2.0);
+        std::vector<std::uint64_t> out(shots);
+        for (auto &word : out) {
             std::uint64_t bits = 0;
-            for (std::uint32_t q = 0; q < _n; ++q) {
-                if (rng.coin(p1[q]))
-                    bits |= std::uint64_t(1) << q;
-            }
-            out[s] = bits;
+            for (std::uint32_t q = 0; q < _n; ++q)
+                bits |= std::uint64_t(one[q](rng.raw())) << q;
+            word = bits;
         }
         return out;
     }
@@ -634,7 +635,8 @@ applyReadoutError(std::vector<std::uint64_t> &words, std::uint32_t n,
 {
     if (e == 0.0)
         return;
-    flipReadoutBits(words, n, [&] { return rng.coin(e); });
+    const sim::CoinThreshold flip(e);
+    flipReadoutBits(words, n, [&] { return flip(rng.raw()); });
 }
 
 } // namespace qtenon::quantum

@@ -176,10 +176,8 @@ flipReadoutBits(std::vector<std::uint64_t> &words, std::uint32_t n,
                 Flip &&flip)
 {
     for (auto &word : words) {
-        for (std::uint32_t q = 0; q < n; ++q) {
-            if (flip())
-                word ^= std::uint64_t(1) << q;
-        }
+        for (std::uint32_t q = 0; q < n; ++q)
+            word ^= std::uint64_t(flip()) << q;
     }
 }
 

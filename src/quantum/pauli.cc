@@ -1,8 +1,10 @@
 #include "pauli.hh"
 
+#include <bit>
 #include <cctype>
 #include <complex>
 
+#include "shot_planes.hh"
 #include "sim/logging.hh"
 
 namespace qtenon::quantum {
@@ -80,14 +82,18 @@ PauliString::isDiagonal() const
 double
 PauliString::diagonalEigenvalue(std::uint64_t bits) const
 {
-    double sign = 1.0;
+    return std::popcount(bits & parityMask()) % 2 ? -1.0 : 1.0;
+}
+
+std::uint64_t
+PauliString::parityMask() const
+{
+    std::uint64_t mask = 0;
     for (const auto &f : factors) {
-        if (f.op != Pauli::Z)
-            continue;
-        if (bits & (std::uint64_t(1) << f.qubit))
-            sign = -sign;
+        if (f.op != Pauli::I)
+            mask ^= ShotPlanes::bit(f.qubit);
     }
-    return sign;
+    return mask;
 }
 
 void
@@ -173,13 +179,13 @@ Hamiltonian::diagonalExpectationFromShots(
 {
     if (shots.empty())
         return _identityOffset;
+    const ShotPlanes planes(shots);
     double e = 0.0;
     for (const auto &t : _terms) {
         if (!t.string.isDiagonal())
             continue;
-        double sum = 0.0;
-        for (auto s : shots)
-            sum += t.string.diagonalEigenvalue(s);
+        const auto sum = static_cast<double>(
+            planes.paritySum(t.string.parityMask()));
         e += t.coefficient * sum / static_cast<double>(shots.size());
     }
     return e + _identityOffset;

@@ -42,6 +42,14 @@ struct PauliString {
      * only valid for diagonal strings.
      */
     double diagonalEigenvalue(std::uint64_t bits) const;
+
+    /**
+     * Shot-word bits whose parity is the eigenvalue's sign once each
+     * factor reads out in its own basis: one bit per non-identity
+     * factor, a qubit named twice cancelling. Factors must sit below
+     * qubit 64.
+     */
+    std::uint64_t parityMask() const;
 };
 
 /** A weighted sum of Pauli strings. */

@@ -1,5 +1,6 @@
 #include "measurement.hh"
 
+#include "quantum/shot_planes.hh"
 #include "sim/logging.hh"
 
 namespace qtenon::vqa {
@@ -80,23 +81,17 @@ GroupedEstimator::estimate(const quantum::QuantumCircuit &ansatz,
         auto circuit = ansatz;
         group.appendReadout(circuit);
         backend.run(circuit);
-        const auto shots = backend.sample(shots_per_group, rng);
+        const quantum::ShotPlanes planes(
+            backend.sample(shots_per_group, rng));
 
         for (auto t : group.terms) {
             const auto &term = _h.terms()[t];
-            double sum = 0.0;
-            for (auto word : shots) {
-                // After rotation every factor reads out in Z: the
-                // eigenvalue is the parity over the term's qubits.
-                int sign = 1;
-                for (const auto &f : term.string.factors) {
-                    if (word & (std::uint64_t(1) << f.qubit))
-                        sign = -sign;
-                }
-                sum += sign;
-            }
+            // After rotation every factor reads out in Z: the
+            // eigenvalue is the parity over the term's qubits.
+            const auto sum = static_cast<double>(
+                planes.paritySum(term.string.parityMask()));
             energy += term.coefficient * sum /
-                static_cast<double>(shots.size());
+                static_cast<double>(planes.numShots());
         }
     }
     return energy;
