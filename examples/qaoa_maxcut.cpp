@@ -73,17 +73,20 @@ main()
     const auto &slt = sys.controller().slt();
     const double lookups = static_cast<double>(slt.hits + slt.misses);
     std::printf("\ncontroller activity:\n");
-    std::printf("  pulses generated : %.0f\n",
-                sys.controller().pulsesGenerated.value());
+    std::printf("  pulses generated : %llu\n",
+                static_cast<unsigned long long>(
+                    sys.controller().pulsesGenerated.value()));
     std::printf("  SLT hit rate     : %.1f%% (%llu hits, %llu "
                 "misses, %llu evictions)\n",
                 lookups > 0 ? 100.0 * slt.hits / lookups : 0.0,
                 static_cast<unsigned long long>(slt.hits),
                 static_cast<unsigned long long>(slt.misses),
                 static_cast<unsigned long long>(slt.evictions));
-    std::printf("  bus transactions : %.0f (%.0f beats)\n",
-                sys.bus().transactions.value(),
-                sys.bus().beats.value());
+    std::printf("  bus transactions : %llu (%llu beats)\n",
+                static_cast<unsigned long long>(
+                    sys.bus().transactions.value()),
+                static_cast<unsigned long long>(
+                    sys.bus().beats.value()));
     std::printf("  q_updates issued : %llu across %zu rounds\n",
                 static_cast<unsigned long long>(
                     result.trace.totalUpdates()),

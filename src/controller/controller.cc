@@ -5,7 +5,6 @@
 #include "obs/metrics.hh"
 #include "obs/trace_sink.hh"
 #include "sim/logging.hh"
-#include "sim/trace.hh"
 
 namespace qtenon::controller {
 
@@ -25,21 +24,33 @@ QuantumController::QuantumController(sim::EventQueue &eq,
         eq, name + ".qcc", _sramClock, cfg.layout);
     _pipeline = std::make_unique<PulsePipeline>(*_qcc, _slt,
                                                 cfg.pipeline);
+}
 
-    stats().registerScalar(&roccTransfers, "rocc_transfers",
-                           "RoCC register transfers");
-    stats().registerScalar(&roccVectorElements, "rocc_vector_elements",
-                           "regfile elements moved by q_update.v");
-    stats().registerScalar(&setBytes, "set_bytes",
-                           "bytes moved by q_set");
-    stats().registerScalar(&acquireBytes, "acquire_bytes",
-                           "bytes moved by q_acquire");
-    stats().registerScalar(&generateRuns, "generate_runs",
-                           "q_gen pipeline invocations");
-    stats().registerScalar(&pulsesGenerated, "pulses_generated",
-                           "control pulses produced by PGUs");
-    stats().registerScalar(&barrierQueries, "barrier_queries",
-                           "host barrier queries over RoCC");
+QuantumController::~QuantumController()
+{
+    const auto runs = generateRuns.value();
+    obs::publish({
+        {"controller.rocc.transfers", "RoCC register transfers",
+         roccTransfers.value()},
+        {"controller.rocc.vector_elements",
+         "regfile elements moved by q_update.v",
+         roccVectorElements.value()},
+        {"controller.dma.set_bytes", "bytes moved by q_set",
+         setBytes.value()},
+        {"controller.dma.acquire_bytes", "bytes moved by q_acquire",
+         acquireBytes.value()},
+        {"controller.pipeline.runs", "q_gen pipeline invocations", runs},
+        // A q_gen that skipped every entry still reports 0 pulses.
+        {"controller.pipeline.pulses_generated", "pulses produced by PGUs",
+         pulsesGenerated.value(), runs != 0},
+        // The pipeline is the SLT's only client.
+        {"controller.slt.hits", "SLT skip-lookup hits", _slt.hits,
+         runs != 0},
+        {"controller.slt.misses", "SLT skip-lookup misses", _slt.misses,
+         runs != 0},
+        {"controller.slt.qspace_hits", "SLT lookups served from QSpace",
+         _slt.qspaceHits, runs != 0},
+    });
 }
 
 sim::Tick
@@ -49,18 +60,11 @@ QuantumController::roccWrite(std::uint64_t qaddr, std::uint64_t data)
         sim::fatal("q_update to non-public QAddress 0x", std::hex,
                    qaddr);
     ++roccTransfers;
-    if (obs::metricsEnabled()) {
-        static auto &c = obs::counter("controller.rocc.transfers",
-                                      "RoCC register transfers");
-        c.inc();
-    }
 
     const auto seg = _cfg.layout.segmentOf(qaddr);
     if (seg == memory::QccSegment::Regfile) {
         const auto reg = static_cast<std::uint32_t>(
             qaddr - _cfg.layout.regfileBase());
-        QTRACE(Controller, "q_update regfile[", reg, "] = 0x",
-               std::hex, data);
         _qcc->writeRegfile(reg, static_cast<std::uint32_t>(data));
         // Invalidate dependent program entries: their pulses must be
         // regenerated at the next q_gen.
@@ -103,15 +107,6 @@ QuantumController::roccWriteVector(
     // vector form.
     ++roccTransfers;
     roccVectorElements += values.size();
-    if (obs::metricsEnabled()) {
-        static auto &c = obs::counter("controller.rocc.transfers",
-                                      "RoCC register transfers");
-        c.inc();
-        static auto &el = obs::counter(
-            "controller.rocc.vector_elements",
-            "regfile elements moved by q_update.v");
-        el.add(values.size());
-    }
 
     for (std::size_t i = 0; i < values.size(); ++i) {
         const std::uint64_t qaddr = base_qaddr + i * stride;
@@ -128,8 +123,6 @@ QuantumController::roccWriteVector(
         // to an equivalent scalar q_update sequence.
         if (_qcc->readRegfile(reg) == values[i])
             continue;
-        QTRACE(Controller, "q_update.v regfile[", reg, "] = 0x",
-               std::hex, values[i]);
         _qcc->writeRegfile(reg, values[i]);
         auto it = _regfileLinks.find(reg);
         if (it != _regfileLinks.end()) {
@@ -155,12 +148,7 @@ QuantumController::roccRead(std::uint64_t qaddr,
     if (!_qcc->userAccessible(qaddr))
         sim::fatal("RoCC read from non-public QAddress 0x", std::hex,
                    qaddr);
-    const_cast<QuantumController *>(this)->roccTransfers++;
-    if (obs::metricsEnabled()) {
-        static auto &c = obs::counter("controller.rocc.transfers",
-                                      "RoCC register transfers");
-        c.inc();
-    }
+    ++roccTransfers;
 
     const auto seg = _cfg.layout.segmentOf(qaddr);
     if (seg == memory::QccSegment::Measure) {
@@ -200,14 +188,7 @@ QuantumController::dmaSetProgram(std::uint64_t host_addr,
 
     const std::uint64_t total_bytes =
         entries.size() * _cfg.programEntryHostBytes;
-    QTRACE(Controller, "q_set qubit ", qubit, ": ", entries.size(),
-           " entries (", total_bytes, " bytes)");
-    setBytes += static_cast<double>(total_bytes);
-    if (obs::metricsEnabled()) {
-        static auto &c = obs::counter("controller.dma.set_bytes",
-                                      "bytes moved by q_set");
-        c.add(total_bytes);
-    }
+    setBytes += total_bytes;
 
     const std::uint32_t chunk = _cfg.dmaChunkBytes;
     const std::uint64_t num_chunks =
@@ -293,12 +274,7 @@ QuantumController::dmaAcquire(std::uint64_t host_addr,
 {
     const std::uint64_t total_bytes = std::uint64_t(num_entries) *
         memory::QccLayout::measureEntryBits / 8;
-    acquireBytes += static_cast<double>(total_bytes);
-    if (obs::metricsEnabled()) {
-        static auto &c = obs::counter("controller.dma.acquire_bytes",
-                                      "bytes moved by q_acquire");
-        c.add(total_bytes);
-    }
+    acquireBytes += total_bytes;
     _barrier.declare(host_addr, total_bytes);
 
     // Read the .measure SRAM (port-serialized), then PUT to host.
@@ -339,9 +315,8 @@ QuantumController::generate(std::vector<std::uint64_t> work,
                                                sim::Tick)> done)
 {
     ++generateRuns;
-    QTRACE(Pipeline, "q_gen over ", work.size(), " entries");
     auto result = _pipeline->run(work);
-    pulsesGenerated += static_cast<double>(result.pulsesGenerated);
+    pulsesGenerated += result.pulsesGenerated;
     _stale.clear();
     const sim::Tick fin = clockEdge(result.cycles);
     observeGenerate(result, fin);
@@ -355,24 +330,12 @@ QuantumController::observeGenerate(const PipelineResult &result,
                                    sim::Tick fin)
 {
     if (obs::metricsEnabled()) {
-        static auto &runs = obs::counter(
-            "controller.pipeline.runs", "q_gen pipeline invocations");
         static auto &cycles = obs::counter(
             "controller.pipeline.cycles",
             "pipeline cycles across all q_gen runs");
         static auto &entries = obs::counter(
             "controller.pipeline.entries",
             "program entries processed");
-        static auto &pulses = obs::counter(
-            "controller.pipeline.pulses_generated",
-            "pulses produced by PGUs");
-        static auto &slt_hits = obs::counter(
-            "controller.slt.hits", "SLT skip-lookup hits");
-        static auto &slt_misses = obs::counter(
-            "controller.slt.misses", "SLT skip-lookup misses");
-        static auto &qspace_hits = obs::counter(
-            "controller.slt.qspace_hits",
-            "SLT lookups served from QSpace");
         static auto &skipped = obs::counter(
             "controller.pipeline.skipped_valid",
             "entries skipped with a valid pulse");
@@ -394,13 +357,8 @@ QuantumController::observeGenerate(const PipelineResult &result,
         static auto &run_cycles = obs::histogram(
             "controller.pipeline.run_cycles",
             "cycles per q_gen pipeline run");
-        runs.inc();
         cycles.add(result.cycles);
         entries.add(result.entriesProcessed);
-        pulses.add(result.pulsesGenerated);
-        slt_hits.add(result.sltHits);
-        slt_misses.add(result.sltMisses);
-        qspace_hits.add(result.qspaceHits);
         skipped.add(result.skippedValid);
         stalls.add(result.pguStallCycles);
         s1.add(result.stage1BusyCycles);

@@ -57,6 +57,9 @@ class QuantumController : public sim::Clocked
     QuantumController(sim::EventQueue &eq, std::string name,
                       ControllerConfig cfg, memory::TileLinkBus *bus);
 
+    /** Publishes the counts below into obs (when enabled). */
+    ~QuantumController() override;
+
     const ControllerConfig &config() const { return _cfg; }
     QuantumControllerCache &qcc() { return *_qcc; }
     SkipLookupTable &slt() { return _slt; }
@@ -163,17 +166,24 @@ class QuantumController : public sim::Clocked
 
     /** @name Statistics */
     /// @{
-    sim::Scalar roccTransfers;
-    sim::Scalar roccVectorElements;
-    sim::Scalar setBytes;
-    sim::Scalar acquireBytes;
-    sim::Scalar generateRuns;
-    sim::Scalar pulsesGenerated;
-    sim::Scalar barrierQueries;
+    /** RoCC register transfers (roccRead is const, hence mutable). */
+    mutable sim::Count roccTransfers;
+    /** Regfile elements moved by q_update.v. */
+    sim::Count roccVectorElements;
+    /** Bytes moved by q_set. */
+    sim::Count setBytes;
+    /** Bytes moved by q_acquire. */
+    sim::Count acquireBytes;
+    /** q_gen pipeline invocations. */
+    sim::Count generateRuns;
+    /** Control pulses produced by PGUs. */
+    sim::Count pulsesGenerated;
+    /** Host barrier queries over RoCC. */
+    sim::Count barrierQueries;
     /// @}
 
   private:
-    /** Flush q_gen obs counters and emit per-stage trace spans. */
+    /** Flush per-run q_gen obs metrics and emit per-stage spans. */
     void observeGenerate(const PipelineResult &result, sim::Tick fin);
 
     ControllerConfig _cfg;

@@ -23,17 +23,22 @@ QuantumControllerCache::QuantumControllerCache(sim::EventQueue &eq,
     _measure.assign(_layout.measureEntries, 0);
     _regfile.assign(_layout.regfileEntries, 0);
     _programLength.assign(_layout.numQubits, 0);
+}
 
-    stats().registerScalar(&programReads, "program_reads",
-                           ".program entries read");
-    stats().registerScalar(&programWrites, "program_writes",
-                           ".program entries written");
-    stats().registerScalar(&pulseWrites, "pulse_writes",
-                           ".pulse entries written");
-    stats().registerScalar(&measureWrites, "measure_writes",
-                           ".measure entries written");
-    stats().registerScalar(&regfileWrites, "regfile_writes",
-                           ".regfile entries written");
+QuantumControllerCache::~QuantumControllerCache()
+{
+    obs::publish({
+        {"mem.qcc.program_reads", ".program entries read",
+         programReads.value()},
+        {"mem.qcc.program_writes", ".program entries written",
+         programWrites.value()},
+        {"mem.qcc.pulse_writes", ".pulse entries written",
+         pulseWrites.value()},
+        {"mem.qcc.measure_writes", ".measure entries written",
+         measureWrites.value()},
+        {"mem.qcc.regfile_writes", ".regfile entries written",
+         regfileWrites.value()},
+    });
 }
 
 std::uint64_t
@@ -55,12 +60,7 @@ QuantumControllerCache::pulseIndex(std::uint64_t qaddr) const
 const ProgramEntry &
 QuantumControllerCache::readProgram(std::uint64_t qaddr) const
 {
-    const_cast<QuantumControllerCache *>(this)->programReads++;
-    if (obs::metricsEnabled()) {
-        static auto &c = obs::counter("mem.qcc.program_reads",
-                                      ".program entries read");
-        c.inc();
-    }
+    ++programReads;
     return _program[programIndex(qaddr)];
 }
 
@@ -69,11 +69,6 @@ QuantumControllerCache::writeProgram(std::uint64_t qaddr,
                                      const ProgramEntry &e)
 {
     ++programWrites;
-    if (obs::metricsEnabled()) {
-        static auto &c = obs::counter("mem.qcc.program_writes",
-                                      ".program entries written");
-        c.inc();
-    }
     _program[programIndex(qaddr)] = e;
 }
 
@@ -110,11 +105,6 @@ QuantumControllerCache::writePulse(std::uint64_t qaddr,
                                    const PulseEntry &p)
 {
     ++pulseWrites;
-    if (obs::metricsEnabled()) {
-        static auto &c = obs::counter("mem.qcc.pulse_writes",
-                                      ".pulse entries written");
-        c.inc();
-    }
     const auto idx = pulseIndex(qaddr);
     _pulse[idx] = p;
     _pulseValid[idx] = true;
@@ -141,11 +131,6 @@ QuantumControllerCache::writeMeasure(std::uint32_t entry,
     if (entry >= _measure.size())
         sim::panic(".measure entry ", entry, " out of range");
     ++measureWrites;
-    if (obs::metricsEnabled()) {
-        static auto &c = obs::counter("mem.qcc.measure_writes",
-                                      ".measure entries written");
-        c.inc();
-    }
     _measure[entry] = value;
 }
 
@@ -164,11 +149,6 @@ QuantumControllerCache::writeRegfile(std::uint32_t entry,
     if (entry >= _regfile.size())
         sim::panic(".regfile entry ", entry, " out of range");
     ++regfileWrites;
-    if (obs::metricsEnabled()) {
-        static auto &c = obs::counter("mem.qcc.regfile_writes",
-                                      ".regfile entries written");
-        c.inc();
-    }
     _regfile[entry] = value;
 }
 

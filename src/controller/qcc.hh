@@ -35,6 +35,9 @@ class QuantumControllerCache : public sim::Clocked
                            sim::ClockDomain clock,
                            memory::QccLayout layout);
 
+    /** Publishes the counts below into obs (when enabled). */
+    ~QuantumControllerCache() override;
+
     const memory::QccLayout &layout() const { return _layout; }
 
     /** @name .program segment */
@@ -77,11 +80,12 @@ class QuantumControllerCache : public sim::Clocked
      */
     sim::Tick portAccess(std::uint32_t entries = 1);
 
-    sim::Scalar programReads;
-    sim::Scalar programWrites;
-    sim::Scalar pulseWrites;
-    sim::Scalar measureWrites;
-    sim::Scalar regfileWrites;
+    /** .program entries read (readProgram is const, hence mutable). */
+    mutable sim::Count programReads;
+    sim::Count programWrites;
+    sim::Count pulseWrites;
+    sim::Count measureWrites;
+    sim::Count regfileWrites;
 
   private:
     std::uint64_t programIndex(std::uint64_t qaddr) const;

@@ -44,25 +44,6 @@ QtenonSystem::QtenonSystem(QtenonConfig cfg) : _cfg(cfg)
 
 QtenonSystem::~QtenonSystem() = default;
 
-void
-QtenonSystem::dumpStats(std::ostream &os) const
-{
-    _dram->stats().dump(os);
-    _l2->stats().dump(os);
-    _bus->stats().dump(os);
-    _controller->stats().dump(os);
-    _controller->qcc().stats().dump(os);
-
-    // SLT counters live outside the StatGroup machinery.
-    const auto &slt = _controller->slt();
-    os << "qc.slt.hits " << slt.hits << " # SLT hits\n";
-    os << "qc.slt.misses " << slt.misses << " # SLT misses\n";
-    os << "qc.slt.qspace_hits " << slt.qspaceHits
-       << " # QSpace hits after SLT miss\n";
-    os << "qc.slt.evictions " << slt.evictions
-       << " # least-count evictions\n";
-}
-
 sim::Tick
 QtenonSystem::shotDuration(const quantum::QuantumCircuit &c) const
 {

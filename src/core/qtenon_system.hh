@@ -82,9 +82,6 @@ class QtenonSystem
     /** One shot's wall time for @p c under the configured timing. */
     sim::Tick shotDuration(const quantum::QuantumCircuit &c) const;
 
-    /** Dump every component's statistics, gem5-style. */
-    void dumpStats(std::ostream &os) const;
-
     /** Replay a prepared trace (timing only). */
     runtime::ExecutionResult execute(const runtime::VqaTrace &trace,
                                      const quantum::QuantumCircuit &c);

@@ -21,11 +21,12 @@ Cache::Cache(sim::EventQueue &eq, std::string name,
         sim::fatal("cache '", this->name(), "' has bad geometry");
     _numSets = static_cast<std::uint32_t>(lines / _cfg.associativity);
     _lines.assign(lines, Line{});
+}
 
-    stats().registerScalar(&hits, "hits", "cache hits");
-    stats().registerScalar(&misses, "misses", "cache misses");
-    stats().registerScalar(&writebacks, "writebacks",
-                           "dirty lines written back");
+Cache::~Cache()
+{
+    obs::publish({{"mem.cache.hits", "cache hits", hits.value()},
+                  {"mem.cache.misses", "cache misses", misses.value()}});
 }
 
 bool
@@ -82,11 +83,6 @@ Cache::accessLine(std::uint64_t line_addr, bool is_write,
         auto &l = _lines[set * _cfg.associativity + w];
         if (l.valid && l.tag == tag) {
             ++hits;
-            if (obs::metricsEnabled()) {
-                static auto &c = obs::counter("mem.cache.hits",
-                                              "cache hits");
-                c.inc();
-            }
             l.lastUse = ++_useCounter;
             if (is_write)
                 l.dirty = true;
@@ -101,11 +97,6 @@ Cache::accessLine(std::uint64_t line_addr, bool is_write,
 
     // Miss: evict, fetch the line downstream, then respond.
     ++misses;
-    if (obs::metricsEnabled()) {
-        static auto &c = obs::counter("mem.cache.misses",
-                                      "cache misses");
-        c.inc();
-    }
     const auto way = victimWay(set);
     auto &victim = _lines[set * _cfg.associativity + way];
     if (victim.valid && victim.dirty) {

@@ -39,6 +39,9 @@ class Cache : public sim::SimObject, public MemDevice
     Cache(sim::EventQueue &eq, std::string name, sim::ClockDomain clock,
           CacheConfig cfg, MemDevice *downstream);
 
+    /** Publishes hits/misses into obs (when enabled). */
+    ~Cache() override;
+
     void access(const MemPacket &pkt, MemCallback on_complete) override;
 
     const CacheConfig &config() const { return _cfg; }
@@ -50,15 +53,18 @@ class Cache : public sim::SimObject, public MemDevice
     /** Invalidate every line (e.g. between benchmark phases). */
     void flush();
 
-    sim::Scalar hits;
-    sim::Scalar misses;
-    sim::Scalar writebacks;
+    sim::Count hits;
+    sim::Count misses;
+    /** Dirty lines written back. */
+    sim::Count writebacks;
 
     double
     missRate() const
     {
-        const double total = hits.value() + misses.value();
-        return total > 0 ? misses.value() / total : 0.0;
+        const double total =
+            static_cast<double>(hits.value() + misses.value());
+        return total > 0 ? static_cast<double>(misses.value()) / total
+                         : 0.0;
     }
 
   private:

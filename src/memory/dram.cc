@@ -9,11 +9,12 @@ namespace qtenon::memory {
 Dram::Dram(sim::EventQueue &eq, std::string name, DramConfig cfg)
     : SimObject(eq, std::move(name)), _cfg(cfg),
       _bankFree(cfg.numBanks, 0)
+{}
+
+Dram::~Dram()
 {
-    stats().registerScalar(&reads, "reads", "DRAM read requests");
-    stats().registerScalar(&writes, "writes", "DRAM write requests");
-    stats().registerAverage(&queueDelay, "queue_delay",
-                            "per-request bank queueing delay (ticks)");
+    obs::publish({{"mem.dram.accesses", "DRAM requests (reads + writes)",
+                   reads.value() + writes.value()}});
 }
 
 std::uint32_t
@@ -33,7 +34,6 @@ Dram::access(const MemPacket &pkt, MemCallback on_complete)
     const auto bank = bankOf(pkt.addr);
     const sim::Tick now = curTick();
     const sim::Tick start = std::max(now, _bankFree[bank]);
-    queueDelay.sample(static_cast<double>(start - now));
 
     // Large requests occupy the bank for multiple bursts.
     const std::uint32_t bursts =
@@ -44,15 +44,12 @@ Dram::access(const MemPacket &pkt, MemCallback on_complete)
     const sim::Tick done = start + _cfg.accessLatency +
         busy - _cfg.bankBusy;
     if (obs::metricsEnabled()) {
-        static auto &accesses = obs::counter(
-            "mem.dram.accesses", "DRAM requests (reads + writes)");
         static auto &lat = obs::histogram(
             "mem.dram.latency_ticks",
             "request-to-completion DRAM latency");
         static auto &queue = obs::histogram(
             "mem.dram.queue_wait_ticks",
             "per-request bank queueing delay");
-        accesses.inc();
         lat.record(done - now);
         queue.record(start - now);
     }

@@ -33,6 +33,9 @@ class Dram : public sim::SimObject, public MemDevice
     Dram(sim::EventQueue &eq, std::string name,
          DramConfig cfg = DramConfig{});
 
+    /** Publishes reads + writes into obs (when enabled). */
+    ~Dram() override;
+
     void access(const MemPacket &pkt, MemCallback on_complete) override;
 
     const DramConfig &config() const { return _cfg; }
@@ -40,9 +43,8 @@ class Dram : public sim::SimObject, public MemDevice
     /** Which bank services @p addr. */
     std::uint32_t bankOf(std::uint64_t addr) const;
 
-    sim::Scalar reads;
-    sim::Scalar writes;
-    sim::Average queueDelay;
+    sim::Count reads;
+    sim::Count writes;
 
   private:
     DramConfig _cfg;

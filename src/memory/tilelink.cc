@@ -21,15 +21,18 @@ TileLinkBus::TileLinkBus(sim::EventQueue &eq, std::string name,
         sim::fatal("tag width must be 1..5 bits");
     _freeTagMask = (numTags() >= 32)
         ? ~std::uint32_t(0) : ((1u << numTags()) - 1);
-
-    stats().registerScalar(&transactions, "transactions",
-                           "bus transactions completed");
-    stats().registerScalar(&beats, "beats", "request beats transferred");
-    stats().registerScalar(&tagStalls, "tag_stalls",
-                           "requests that waited for a free tag");
-    stats().registerAverage(&tagOccupancy, "tag_occupancy",
-                            "tags in use when issuing");
     _port = std::make_unique<TileLinkPort>(*this);
+}
+
+TileLinkBus::~TileLinkBus()
+{
+    obs::publish({
+        {"mem.bus.transactions", "bus transactions completed",
+         transactions.value()},
+        {"mem.bus.beats", "request beats transferred", beats.value()},
+        {"mem.bus.tag_stalls", "requests that waited for a free tag",
+         tagStalls.value()},
+    });
 }
 
 void
@@ -68,15 +71,8 @@ TileLinkBus::accessTagged(const MemPacket &pkt,
                           TaggedCallback on_complete,
                           IssueCallback on_issue)
 {
-    if (_freeTagMask == 0) {
+    if (_freeTagMask == 0)
         ++tagStalls;
-        if (obs::metricsEnabled()) {
-            static auto &c = obs::counter(
-                "mem.bus.tag_stalls",
-                "requests that waited for a free tag");
-            c.inc();
-        }
-    }
     _waiting.push_back(
         Pending{pkt, std::move(on_complete), std::move(on_issue)});
     tryIssue();
@@ -88,12 +84,9 @@ TileLinkBus::observeTransaction(const MemPacket &pkt,
                                 sim::Tick done)
 {
     if (obs::metricsEnabled()) {
-        static auto &txns = obs::counter(
-            "mem.bus.transactions", "bus transactions completed");
         static auto &lat = obs::histogram(
             "mem.bus.latency_ticks",
             "issue-to-completion bus transaction latency");
-        txns.inc();
         lat.record(done - issued);
     }
     if (auto *sink = obs::traceSink()) {
@@ -120,8 +113,6 @@ TileLinkBus::tryIssue()
         _waiting.pop_front();
 
         const std::uint8_t tag = allocateTag();
-        tagOccupancy.sample(
-            static_cast<double>(numTags() - freeTags()));
         if (obs::metricsEnabled()) {
             static auto &occ = obs::histogram(
                 "mem.bus.tag_occupancy", "tags in use when issuing");
@@ -131,12 +122,7 @@ TileLinkBus::tryIssue()
             p.issueCb(tag, curTick());
 
         const sim::Cycles req_beats = beatsFor(p.pkt.size);
-        beats += static_cast<double>(req_beats);
-        if (obs::metricsEnabled()) {
-            static auto &c = obs::counter(
-                "mem.bus.beats", "request beats transferred");
-            c.add(req_beats);
-        }
+        beats += req_beats;
 
         const sim::Tick now = curTick();
         sim::Tick start = std::max(now, _requestChannelFree);

@@ -60,6 +60,9 @@ class TileLinkBus : public sim::Clocked, public MemDevice
                 sim::ClockDomain clock, TileLinkConfig cfg,
                 MemDevice *downstream);
 
+    /** Publishes the counts below into obs (when enabled). */
+    ~TileLinkBus() override;
+
     /**
      * The bus's `link::Channel` view (injection site "bus"): the
      * uniform attachment point for fault injection, shared with the
@@ -96,10 +99,12 @@ class TileLinkBus : public sim::Clocked, public MemDevice
             1, (bytes + beat_bytes - 1) / beat_bytes);
     }
 
-    sim::Scalar transactions;
-    sim::Scalar beats;
-    sim::Scalar tagStalls;
-    sim::Average tagOccupancy;
+    /** Bus transactions completed. */
+    sim::Count transactions;
+    /** Request beats transferred. */
+    sim::Count beats;
+    /** Requests that waited for a free tag. */
+    sim::Count tagStalls;
 
   private:
     struct Pending {
@@ -120,7 +125,7 @@ class TileLinkBus : public sim::Clocked, public MemDevice
                          sim::Tick issued, sim::Tick arrive,
                          std::uint32_t attempt);
 
-    /** Flush per-transaction obs metrics and emit its trace span. */
+    /** Record the latency histogram and emit the trace span. */
     void observeTransaction(const MemPacket &pkt, std::uint8_t tag,
                             sim::Tick issued, sim::Tick done);
 

@@ -8,8 +8,6 @@ namespace qtenon::obs {
 
 namespace {
 
-std::atomic<bool> g_enabled{false};
-
 /**
  * JSON string escaping for metric names/descriptions. Names are
  * ASCII by convention but escape defensively anyway.
@@ -60,18 +58,6 @@ writeJsonDouble(std::ostream &os, double d)
 }
 
 } // namespace
-
-bool
-metricsEnabled()
-{
-    return g_enabled.load(std::memory_order_relaxed);
-}
-
-void
-setMetricsEnabled(bool on)
-{
-    g_enabled.store(on, std::memory_order_relaxed);
-}
 
 double
 HistogramSnapshot::quantile(double q) const
@@ -153,17 +139,25 @@ registry()
     return MetricsRegistry::instance();
 }
 
+template <typename T>
+T &
+MetricsRegistry::intern(Table<T> &table, const std::string &name,
+                        const std::string &desc)
+{
+    auto &slot = table[name];
+    if (!slot.first) {
+        slot.first = std::make_unique<T>();
+        slot.second = desc;
+    }
+    return *slot.first;
+}
+
 Counter &
 MetricsRegistry::counter(const std::string &name,
                          const std::string &desc)
 {
     std::lock_guard<std::mutex> lock(_mutex);
-    auto &slot = _counters[name];
-    if (!slot.first) {
-        slot.first = std::make_unique<Counter>();
-        slot.second = desc;
-    }
-    return *slot.first;
+    return intern(_counters, name, desc);
 }
 
 Gauge &
@@ -171,12 +165,7 @@ MetricsRegistry::gauge(const std::string &name,
                        const std::string &desc)
 {
     std::lock_guard<std::mutex> lock(_mutex);
-    auto &slot = _gauges[name];
-    if (!slot.first) {
-        slot.first = std::make_unique<Gauge>();
-        slot.second = desc;
-    }
-    return *slot.first;
+    return intern(_gauges, name, desc);
 }
 
 Histogram &
@@ -184,12 +173,19 @@ MetricsRegistry::histogram(const std::string &name,
                            const std::string &desc)
 {
     std::lock_guard<std::mutex> lock(_mutex);
-    auto &slot = _histograms[name];
-    if (!slot.first) {
-        slot.first = std::make_unique<Histogram>();
-        slot.second = desc;
+    return intern(_histograms, name, desc);
+}
+
+void
+MetricsRegistry::publish(std::initializer_list<CounterTotal> totals)
+{
+    if (!metricsEnabled())
+        return;
+    std::lock_guard<std::mutex> lock(_mutex);
+    for (const auto &t : totals) {
+        if (t.ran)
+            intern(_counters, t.name, t.desc).add(t.value);
     }
-    return *slot.first;
 }
 
 std::map<std::string, std::uint64_t>

@@ -3,10 +3,12 @@
  * Process-wide observability metrics: named counters, gauges, and
  * log2-bucketed histograms behind one `MetricsRegistry`.
  *
- * This layer is deliberately separate from `sim::StatGroup`: the sim
- * stats are per-SimObject and die with their owner, while a VQA sweep
- * builds and tears down whole `QtenonSystem`s per job. The registry
- * survives the process, so a fig/ablation bench can aggregate across
+ * A simulated fact has one owner. Each SimObject counts its own
+ * events in plain `sim::Count` fields and, when it is destroyed with
+ * metrics enabled, adds its totals here once (`publish`). The registry
+ * is the process-wide sum of those totals plus the per-event
+ * histograms: it survives the `QtenonSystem`s a VQA sweep builds and
+ * tears down per job, so a fig/ablation bench can aggregate across
  * every job and dump one JSON snapshot at exit.
  *
  * Design constraints, in order:
@@ -37,6 +39,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -45,11 +48,22 @@
 
 namespace qtenon::obs {
 
+/** The process-global on/off flag; use metricsEnabled(). */
+inline std::atomic<bool> g_metricsEnabled{false};
+
 /** Whether metric mutations record anything (process-global). */
-bool metricsEnabled();
+inline bool
+metricsEnabled()
+{
+    return g_metricsEnabled.load(std::memory_order_relaxed);
+}
 
 /** Flip metric recording on/off; off zeroes the fast-path cost. */
-void setMetricsEnabled(bool on);
+inline void
+setMetricsEnabled(bool on)
+{
+    g_metricsEnabled.store(on, std::memory_order_relaxed);
+}
 
 /** A monotonically increasing event count. */
 class Counter
@@ -237,6 +251,19 @@ class Histogram
 };
 
 /**
+ * One owner's lifetime total for a counter, as a SimObject publishes
+ * it on destruction.
+ */
+struct CounterTotal {
+    const char *name;
+    const char *desc;
+    std::uint64_t value;
+    /** Whether the counted event ever ran: only then is the name
+     *  registered, even at zero. */
+    bool ran = value != 0;
+};
+
+/**
  * The process-wide name -> metric table. Lookup interns the name
  * under a mutex and returns a reference that stays valid for the
  * life of the process; hot paths look up once and cache.
@@ -253,6 +280,12 @@ class MetricsRegistry
                  const std::string &desc = "");
     Histogram &histogram(const std::string &name,
                          const std::string &desc = "");
+
+    /**
+     * Add each total that ran to its counter, under one lock. A no-op
+     * while metrics are disabled.
+     */
+    void publish(std::initializer_list<CounterTotal> totals);
 
     /** Snapshots, sorted by name (std::map) for stable output. */
     std::map<std::string, std::uint64_t> counterValues() const;
@@ -280,6 +313,11 @@ class MetricsRegistry
         std::map<std::string,
                  std::pair<std::unique_ptr<T>, std::string>>;
 
+    /** Find-or-create @p name in @p table; caller holds _mutex. */
+    template <typename T>
+    static T &intern(Table<T> &table, const std::string &name,
+                     const std::string &desc);
+
     mutable std::mutex _mutex;
     Table<Counter> _counters;
     Table<Gauge> _gauges;
@@ -306,6 +344,13 @@ inline Histogram &
 histogram(const std::string &name, const std::string &desc = "")
 {
     return registry().histogram(name, desc);
+}
+
+/** Shorthand for registry().publish(totals). */
+inline void
+publish(std::initializer_list<CounterTotal> totals)
+{
+    registry().publish(totals);
 }
 
 } // namespace qtenon::obs

@@ -176,10 +176,8 @@ FeedForwardHarness::run() const
         res.rounds.push_back(round);
     }
 
-    res.roccTransfers = static_cast<std::uint64_t>(
-        ctrl.roccTransfers.value());
-    res.roccVectorElements = static_cast<std::uint64_t>(
-        ctrl.roccVectorElements.value());
+    res.roccTransfers = ctrl.roccTransfers.value();
+    res.roccVectorElements = ctrl.roccVectorElements.value();
     res.logicalValue = code.logicalValue(stab, rng);
     return res;
 }

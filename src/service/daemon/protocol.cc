@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 
 #include <unistd.h>
@@ -192,6 +193,17 @@ hostFromName(const std::string &name)
                                 "' (rocket|boom-l)");
 }
 
+/** @p v as a 32-bit field; a wider value is rejected, not truncated. */
+std::uint32_t
+asUint32(const json::Value &v, const char *field)
+{
+    const std::uint64_t x = v.asUint();
+    if (x > std::numeric_limits<std::uint32_t>::max())
+        throw std::invalid_argument(std::string(field) +
+                                    " exceeds UINT32_MAX");
+    return static_cast<std::uint32_t>(x);
+}
+
 /**
  * Validate the request so the JobSpec it expands to can never trip
  * a sim::fatal inside a daemon worker (which would kill the whole
@@ -304,13 +316,13 @@ JobRequest::fromJson(const json::Value &v)
     if (const auto *x = v.find("algorithm"))
         r.algorithm = x->asString();
     if (const auto *x = v.find("qubits"))
-        r.qubits = static_cast<std::uint32_t>(x->asUint());
+        r.qubits = asUint32(*x, "qubits");
     if (const auto *x = v.find("layers"))
-        r.layers = static_cast<std::uint32_t>(x->asUint());
+        r.layers = asUint32(*x, "layers");
     if (const auto *x = v.find("shots"))
         r.shots = x->asUint();
     if (const auto *x = v.find("iterations"))
-        r.iterations = static_cast<std::uint32_t>(x->asUint());
+        r.iterations = asUint32(*x, "iterations");
     if (const auto *x = v.find("optimizer"))
         r.optimizer = x->asString();
     if (const auto *x = v.find("seed"))

@@ -7,23 +7,40 @@
 #ifndef QTENON_SIM_SIM_OBJECT_HH
 #define QTENON_SIM_SIM_OBJECT_HH
 
+#include <cstdint>
 #include <string>
 
 #include "event_queue.hh"
-#include "stats.hh"
 #include "types.hh"
 
 namespace qtenon::sim {
 
 /**
+ * One simulated fact a SimObject counts: a plain integer bumped once
+ * at its event site. The owner is the only place the count lives;
+ * it publishes its totals into the process-wide obs registry when it
+ * is destroyed.
+ */
+class Count
+{
+  public:
+    Count &operator++() { ++_n; return *this; }
+    Count &operator+=(std::uint64_t n) { _n += n; return *this; }
+    std::uint64_t value() const { return _n; }
+
+  private:
+    std::uint64_t _n = 0;
+};
+
+/**
  * A named participant in the simulation. Holds a reference to the
- * shared event queue and a statistics group keyed by its name.
+ * shared event queue.
  */
 class SimObject
 {
   public:
     SimObject(EventQueue &eq, std::string name)
-        : _eventq(eq), _name(std::move(name)), _stats(_name)
+        : _eventq(eq), _name(std::move(name))
     {}
 
     virtual ~SimObject() = default;
@@ -35,8 +52,6 @@ class SimObject
     EventQueue &eventq() { return _eventq; }
     const EventQueue &eventq() const { return _eventq; }
     Tick curTick() const { return _eventq.curTick(); }
-    StatGroup &stats() { return _stats; }
-    const StatGroup &stats() const { return _stats; }
 
     /** Schedule an event on the shared queue. */
     void schedule(Event *ev, Tick when) { _eventq.schedule(ev, when); }
@@ -44,7 +59,6 @@ class SimObject
   private:
     EventQueue &_eventq;
     std::string _name;
-    StatGroup _stats;
 };
 
 /**

@@ -60,7 +60,7 @@ TEST_F(ControllerFixture, RoccWriteToRegfileTakesOneCycle)
     const Tick done = ctrl->roccWrite(layout.regfileAddr(3), 0x42);
     EXPECT_LE(done, 2u * ctrl->clockPeriod());
     EXPECT_EQ(ctrl->qcc().readRegfile(3), 0x42u);
-    EXPECT_EQ(ctrl->roccTransfers.value(), 1.0);
+    EXPECT_EQ(ctrl->roccTransfers.value(), 1u);
 }
 
 TEST_F(ControllerFixture, RegfileWriteInvalidatesDependents)
@@ -106,8 +106,8 @@ TEST_F(ControllerFixture, DmaSetInstallsProgram)
     EXPECT_EQ(ctrl->qcc().readProgram(layout.programAddr(3, 42)),
               entries[42]);
     // 100 entries x 12 bytes = 1200 bytes moved.
-    EXPECT_EQ(ctrl->setBytes.value(), 1200.0);
-    EXPECT_GE(bus->transactions.value(), 19.0); // 64-byte chunks
+    EXPECT_EQ(ctrl->setBytes.value(), 1200u);
+    EXPECT_GE(bus->transactions.value(), 19u); // 64-byte chunks
 }
 
 TEST_F(ControllerFixture, DmaSetLargerProgramsTakeLonger)
@@ -135,7 +135,7 @@ TEST_F(ControllerFixture, DmaAcquireSyncsBarrier)
     // All 16 x 8 bytes marked synced once PUTs left on the bus.
     EXPECT_TRUE(ctrl->barrierQuery(0x20000, 128));
     EXPECT_FALSE(ctrl->barrierQuery(0x20000 + 128, 8));
-    EXPECT_EQ(ctrl->acquireBytes.value(), 128.0);
+    EXPECT_EQ(ctrl->acquireBytes.value(), 128u);
 }
 
 TEST_F(ControllerFixture, GenerateProducesPulses)
@@ -154,7 +154,7 @@ TEST_F(ControllerFixture, GenerateProducesPulses)
     eq.run();
     EXPECT_EQ(res.pulsesGenerated, 20u);
     EXPECT_GT(done, 0u);
-    EXPECT_EQ(ctrl->pulsesGenerated.value(), 20.0);
+    EXPECT_EQ(ctrl->pulsesGenerated.value(), 20u);
     // Program entries now carry valid pulse QAddresses.
     const auto e = ctrl->qcc().readProgram(layout.programAddr(0, 0));
     EXPECT_EQ(e.status, EntryStatus::Valid);

@@ -220,6 +220,37 @@ TEST(JobRequestJson, InvalidRequestsThrow)
     expectInvalid(req);
 }
 
+TEST(JobRequestJson, RejectsCountsAbove32Bits)
+{
+    // Raw client frames: 2^32 + 4 must not wrap to 4, which would be
+    // served as a valid job under the small job's cache key.
+    const std::string big = "4294967300";
+    const auto frame = [](const std::string &qubits,
+                          const std::string &layers,
+                          const std::string &iterations) {
+        return service::json::Value::parse(
+            R"({"algorithm":"vqe","shots":50,"seed":5,"qubits":)" +
+            qubits + R"(,"layers":)" + layers +
+            R"(,"iterations":)" + iterations + "}");
+    };
+    EXPECT_NO_THROW(JobRequest::fromJson(frame("4", "1", "2")));
+    const std::pair<std::string, service::json::Value> cases[] = {
+        {"qubits", frame(big, "1", "2")},
+        {"layers", frame("4", big, "2")},
+        {"iterations", frame("4", "1", big)},
+    };
+    for (const auto &[field, v] : cases) {
+        try {
+            JobRequest::fromJson(v);
+            ADD_FAILURE() << field << " above UINT32_MAX was accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(field),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
 TEST(JobRequestJson, ToJobSpecUsesSeedVerbatim)
 {
     const JobRequest req = smallRequest(42);

@@ -120,8 +120,9 @@ TEST(Executor, BatchingReducesBusTransactions)
         sys.executor().execute(trace, shotDur(8));
         return sys.bus().transactions.value();
     };
-    const double batched = run_and_count(TransmissionPolicy::Batched);
-    const double immediate =
+    const std::uint64_t batched =
+        run_and_count(TransmissionPolicy::Batched);
+    const std::uint64_t immediate =
         run_and_count(TransmissionPolicy::Immediate);
     EXPECT_LT(batched * 4, immediate);
 }

@@ -100,8 +100,8 @@ TEST(Integration, QtenonSystemExposesComponentStats)
     auto result = sys.runVqa(w, dcfg);
 
     EXPECT_GT(result.timing.total().wall, 0u);
-    EXPECT_GT(sys.controller().pulsesGenerated.value(), 0.0);
-    EXPECT_GT(sys.bus().transactions.value(), 0.0);
+    EXPECT_GT(sys.controller().pulsesGenerated.value(), 0u);
+    EXPECT_GT(sys.bus().transactions.value(), 0u);
     EXPECT_GT(sys.controller().slt().hits +
               sys.controller().slt().misses, 0u);
     EXPECT_EQ(result.trace.costHistory.size(), 1u);

@@ -72,12 +72,12 @@ TEST(Cache, MissThenHit)
     Cache c(eq, "l1", ClockDomain(1000), CacheConfig{}, &mem);
 
     const Tick t_miss = syncAccess(eq, c, 0x1000);
-    EXPECT_EQ(c.misses.value(), 1.0);
+    EXPECT_EQ(c.misses.value(), 1u);
     EXPECT_GE(t_miss, 100 * nsTicks);
 
     const Tick t0 = eq.curTick();
     const Tick t_hit = syncAccess(eq, c, 0x1008); // same line
-    EXPECT_EQ(c.hits.value(), 1.0);
+    EXPECT_EQ(c.hits.value(), 1u);
     EXPECT_EQ(t_hit - t0, 2000u); // 2-cycle hit latency
     EXPECT_EQ(mem.accesses, 1);
 }
@@ -124,7 +124,7 @@ TEST(Cache, DirtyEvictionWritesBack)
     syncAccess(eq, c, 0, true); // dirty line 0
     syncAccess(eq, c, 64);
     syncAccess(eq, c, 128); // evicts dirty line 0
-    EXPECT_EQ(c.writebacks.value(), 1.0);
+    EXPECT_EQ(c.writebacks.value(), 1u);
     EXPECT_GE(mem.writes, 1);
 }
 
@@ -139,7 +139,7 @@ TEST(Cache, MultiLineRequestTouchesEveryLine)
     Tick done = 0;
     c.access(p, [&](Tick t) { done = t; });
     eq.run();
-    EXPECT_EQ(c.misses.value(), 4.0);
+    EXPECT_EQ(c.misses.value(), 4u);
     EXPECT_GT(done, 0u);
 }
 
@@ -187,7 +187,7 @@ TEST(Dram, BankConflictsSerialize)
     d.access(p, [&](Tick t) { done[1] = t; });
     eq.run();
     EXPECT_EQ(done[1] - done[0], cfg.bankBusy);
-    EXPECT_EQ(d.reads.value(), 2.0);
+    EXPECT_EQ(d.reads.value(), 2u);
 }
 
 TEST(Dram, DifferentBanksOverlap)
@@ -227,7 +227,7 @@ TEST(TileLink, CompletesAndFreesTags)
     const Tick done = syncAccess(eq, bus, 0x0, false, 64);
     EXPECT_GT(done, 0u);
     EXPECT_EQ(bus.freeTags(), 32u);
-    EXPECT_EQ(bus.transactions.value(), 1.0);
+    EXPECT_EQ(bus.transactions.value(), 1u);
 }
 
 TEST(TileLink, TagPoolLimitsOutstanding)
@@ -244,7 +244,7 @@ TEST(TileLink, TagPoolLimitsOutstanding)
         bus.access(p, [&](Tick) { ++completed; });
     }
     // More requests than tags: 8 must wait.
-    EXPECT_GE(bus.tagStalls.value(), 8.0);
+    EXPECT_GE(bus.tagStalls.value(), 8u);
     eq.run();
     EXPECT_EQ(completed, 40);
     EXPECT_EQ(bus.freeTags(), 32u);

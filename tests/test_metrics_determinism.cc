@@ -168,3 +168,42 @@ TEST_F(MetricsDeterminism, DisabledMetricsRecordNothing)
          obs::registry().histogramValues())
         EXPECT_EQ(snap.count, 0u) << name << " moved while disabled";
 }
+
+// One fact, one number: the obs counters a system publishes on
+// teardown are exactly the sum of what each replayed system counted.
+TEST_F(MetricsDeterminism, PublishedCountersSumTheSystemsCounts)
+{
+    obs::registry().reset();
+
+    JobSpec spec;
+    spec.name = "one-fact";
+    spec.workload.algorithm = vqa::Algorithm::Qaoa;
+    spec.workload.numQubits = 6;
+    spec.workload.qaoaLayers = 1;
+    spec.driver.optimizer = vqa::OptimizerKind::Spsa;
+    spec.driver.shots = 24;
+    spec.driver.iterations = 2;
+    spec.driver.seed = 77;
+    spec.hosts = {runtime::HostCoreModel::rocket(),
+                  runtime::HostCoreModel::boomLarge()};
+    ASSERT_FALSE(spec.driver.isaVector);
+
+    const JobResult r = runJobSpec(spec, 1, CancelToken::none());
+    ASSERT_EQ(r.systems.size(), 2u);
+
+    double bus = 0.0, pulses = 0.0;
+    for (const auto &s : r.systems) {
+        bus += s.busTransactions;
+        pulses += s.pulsesGenerated;
+    }
+    const auto counters = obs::registry().counterValues();
+    ASSERT_TRUE(counters.count("mem.bus.transactions"));
+    ASSERT_TRUE(counters.count("controller.pipeline.pulses_generated"));
+    EXPECT_GT(bus, 0.0);
+    EXPECT_EQ(static_cast<double>(counters.at("mem.bus.transactions")),
+              bus);
+    EXPECT_EQ(static_cast<double>(
+                  counters.at("controller.pipeline.pulses_generated")),
+              pulses);
+    EXPECT_FALSE(counters.count("controller.rocc.vector_elements"));
+}

@@ -1,15 +1,14 @@
 /**
  * @file
  * Tests for the readout-error model and the SLT-disable ablation
- * path, plus the system-level stats dump.
+ * path, plus the counts a system publishes into obs on teardown.
  */
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "controller/pipeline.hh"
 #include "core/qtenon_system.hh"
+#include "obs/metrics.hh"
 #include "quantum/backend.hh"
 #include "vqa/driver.hh"
 #include "vqa/evaluator.hh"
@@ -142,25 +141,30 @@ TEST(SltAblation, DisabledSltRegeneratesEverything)
 
 TEST(StatsDump, SystemDumpNamesEveryComponent)
 {
-    core::QtenonConfig cfg;
-    cfg.numQubits = 8;
-    core::QtenonSystem sys(cfg);
+    // Each component publishes its counts into obs on teardown.
+    obs::setMetricsEnabled(true);
+    obs::registry().reset();
+    {
+        core::QtenonConfig cfg;
+        cfg.numQubits = 8;
+        core::QtenonSystem sys(cfg);
 
-    auto wcfg = vqa::WorkloadConfig{};
-    wcfg.numQubits = 8;
-    auto w = vqa::Workload::build(wcfg);
-    vqa::DriverConfig dcfg;
-    dcfg.iterations = 1;
-    dcfg.shots = 20;
-    sys.runVqa(w, dcfg);
-
-    std::ostringstream os;
-    sys.dumpStats(os);
-    const auto text = os.str();
+        auto wcfg = vqa::WorkloadConfig{};
+        wcfg.numQubits = 8;
+        auto w = vqa::Workload::build(wcfg);
+        vqa::DriverConfig dcfg;
+        dcfg.iterations = 1;
+        dcfg.shots = 20;
+        sys.runVqa(w, dcfg);
+    }
+    const auto counters = obs::registry().counterValues();
+    obs::setMetricsEnabled(false);
+    obs::registry().reset();
     for (const char *key :
-         {"dram.reads", "l2.hits", "bus.transactions",
-          "qc.pulses_generated", "qc.qcc.program_writes",
-          "qc.slt.hits"}) {
-        EXPECT_NE(text.find(key), std::string::npos) << key;
+         {"mem.dram.accesses", "mem.cache.hits", "mem.bus.transactions",
+          "controller.pipeline.pulses_generated",
+          "mem.qcc.program_writes", "controller.slt.hits"}) {
+        ASSERT_TRUE(counters.count(key)) << key;
+        EXPECT_GT(counters.at(key), 0u) << key;
     }
 }

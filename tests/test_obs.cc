@@ -308,6 +308,25 @@ TEST_F(ObsTest, RegistryResetKeepsReferencesValid)
               1u);
 }
 
+TEST_F(ObsTest, PublishRegistersOnlyTotalsThatRan)
+{
+    obs::publish({{"test.publish.nonzero", "", 4},
+                  {"test.publish.never", "", 0},
+                  {"test.publish.ran_zero", "", 0, true}});
+    obs::publish({{"test.publish.nonzero", "", 3}});
+    auto counters = obs::registry().counterValues();
+    EXPECT_EQ(counters.at("test.publish.nonzero"), 7u);
+    EXPECT_EQ(counters.at("test.publish.ran_zero"), 0u);
+    EXPECT_FALSE(counters.count("test.publish.never"));
+
+    obs::setMetricsEnabled(false);
+    obs::publish({{"test.publish.nonzero", "", 5},
+                  {"test.publish.disabled", "", 1}});
+    counters = obs::registry().counterValues();
+    EXPECT_EQ(counters.at("test.publish.nonzero"), 7u);
+    EXPECT_FALSE(counters.count("test.publish.disabled"));
+}
+
 TEST_F(ObsTest, ConcurrentMutationIsExact)
 {
     auto &c = obs::counter("test.mt.counter");

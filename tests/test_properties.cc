@@ -178,9 +178,9 @@ TEST(Property, CacheCountsAreConsistent)
         eq.run();
     }
     EXPECT_EQ(cache.hits.value() + cache.misses.value(),
-              static_cast<double>(accesses));
-    EXPECT_GT(cache.hits.value(), 0.0);
-    EXPECT_GT(cache.misses.value(), 0.0);
+              static_cast<std::uint64_t>(accesses));
+    EXPECT_GT(cache.hits.value(), 0u);
+    EXPECT_GT(cache.misses.value(), 0u);
 }
 
 // ---------------------------------------------------------------

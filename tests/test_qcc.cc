@@ -38,8 +38,8 @@ TEST_F(QccFixture, ProgramEntriesRoundTrip)
     const auto addr = qcc.layout().programAddr(3, 17);
     qcc.writeProgram(addr, e);
     EXPECT_EQ(qcc.readProgram(addr), e);
-    EXPECT_EQ(qcc.programWrites.value(), 1.0);
-    EXPECT_EQ(qcc.programReads.value(), 1.0);
+    EXPECT_EQ(qcc.programWrites.value(), 1u);
+    EXPECT_EQ(qcc.programReads.value(), 1u);
 }
 
 TEST_F(QccFixture, QubitChunksAreIndependent)

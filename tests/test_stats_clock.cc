@@ -1,77 +1,14 @@
 /**
  * @file
- * Unit tests for the statistics package and clock-domain arithmetic.
+ * Unit tests for clock-domain arithmetic and time conversions.
  */
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "sim/sim_object.hh"
-#include "sim/stats.hh"
 #include "sim/types.hh"
 
 using namespace qtenon::sim;
-
-TEST(Scalar, AccumulatesAndResets)
-{
-    Scalar s;
-    EXPECT_DOUBLE_EQ(s.value(), 0.0);
-    ++s;
-    s += 2.5;
-    EXPECT_DOUBLE_EQ(s.value(), 3.5);
-    s.reset();
-    EXPECT_DOUBLE_EQ(s.value(), 0.0);
-}
-
-TEST(Average, TracksMeanMinMax)
-{
-    Average a;
-    a.sample(1.0);
-    a.sample(3.0);
-    a.sample(5.0);
-    EXPECT_DOUBLE_EQ(a.mean(), 3.0);
-    EXPECT_DOUBLE_EQ(a.min(), 1.0);
-    EXPECT_DOUBLE_EQ(a.max(), 5.0);
-    EXPECT_EQ(a.count(), 3u);
-}
-
-TEST(Average, EmptyIsZero)
-{
-    Average a;
-    EXPECT_DOUBLE_EQ(a.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(a.min(), 0.0);
-    EXPECT_DOUBLE_EQ(a.max(), 0.0);
-}
-
-TEST(Histogram, BucketsAndOverflow)
-{
-    Histogram h(0.0, 10.0, 10);
-    h.sample(-1.0);
-    h.sample(0.0);
-    h.sample(5.5);
-    h.sample(9.999);
-    h.sample(10.0);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_EQ(h.bucket(0), 1u);
-    EXPECT_EQ(h.bucket(5), 1u);
-    EXPECT_EQ(h.bucket(9), 1u);
-    EXPECT_EQ(h.samples(), 5u);
-}
-
-TEST(StatGroup, DumpsRegisteredStats)
-{
-    StatGroup g("unit");
-    Scalar s;
-    s += 7;
-    g.registerScalar(&s, "counter", "a counter");
-    std::ostringstream os;
-    g.dump(os);
-    EXPECT_NE(os.str().find("unit.counter 7"), std::string::npos);
-    g.resetAll();
-    EXPECT_DOUBLE_EQ(s.value(), 0.0);
-}
 
 TEST(ClockDomain, PeriodFromHz)
 {
