@@ -3,6 +3,7 @@
  * Component microbenchmarks (google-benchmark): statevector gate
  * throughput, mean-field evolution, the shot path (raw draws,
  * mean-field sampling, cost scoring), SLT lookups, the pulse pipeline,
+ * pulse-entry synthesis, QCC construction, event-queue lambda churn,
  * cache accesses, bus transactions, and entry packing. These measure
  * simulator performance, complementing the modeled-time figure
  * benches.
@@ -12,6 +13,8 @@
 
 #include "controller/pipeline.hh"
 #include "controller/program_entry.hh"
+#include "controller/pulse_synth.hh"
+#include "controller/qcc.hh"
 #include "controller/slt.hh"
 #include "memory/cache.hh"
 #include "memory/dram.hh"
@@ -291,6 +294,84 @@ BM_PipelineFullGen(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * entries);
 }
 BENCHMARK(BM_PipelineFullGen)->Arg(64)->Arg(512);
+
+static void
+BM_PulseEntryFor(benchmark::State &state)
+{
+    controller::PulseSynthesizer synth;
+    std::uint32_t code = 0;
+    for (auto _ : state) {
+        auto entry = synth.entryFor(
+            quantum::GateType::RY,
+            controller::ProgramEntry::decodeAngle(code));
+        benchmark::DoNotOptimize(entry);
+        code = (code + 40503) & ((1u << 27) - 1);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PulseEntryFor);
+
+// The full-waveform reference entryFor replaced: synthesize + pack.
+static void
+BM_PulseEntryForReference(benchmark::State &state)
+{
+    controller::PulseSynthesizer synth;
+    std::uint32_t code = 0;
+    for (auto _ : state) {
+        auto entry = synth.packEntry(synth.synthesize(
+            quantum::GateType::RY,
+            controller::ProgramEntry::decodeAngle(code)));
+        benchmark::DoNotOptimize(entry);
+        code = (code + 40503) & ((1u << 27) - 1);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PulseEntryForReference);
+
+static void
+BM_EventQueueLambdaChurn(benchmark::State &state)
+{
+    // Bus-like traffic: 32 chains of one-shot lambdas in flight, each
+    // rescheduling its successor a few ticks later.
+    sim::EventQueue eq;
+    constexpr int chains = 32;
+    constexpr int hops = 64;
+    struct Hop {
+        sim::EventQueue *eq;
+        int left;
+        sim::Tick delay;
+        void
+        operator()() const
+        {
+            if (left > 0)
+                eq->scheduleLambda(eq->curTick() + delay,
+                                   Hop{eq, left - 1, delay}, "hop");
+        }
+    };
+    for (auto _ : state) {
+        for (int c = 0; c < chains; ++c)
+            eq.scheduleLambda(eq.curTick() + c,
+                              Hop{&eq, hops - 1, sim::Tick(7 + c % 5)},
+                              "hop");
+        eq.run();
+    }
+    state.SetItemsProcessed(state.iterations() * chains * hops);
+}
+BENCHMARK(BM_EventQueueLambdaChurn);
+
+static void
+BM_QccConstruct(benchmark::State &state)
+{
+    sim::EventQueue eq;
+    memory::QccLayout layout;
+    layout.numQubits = static_cast<std::uint32_t>(state.range(0));
+    for (auto _ : state) {
+        controller::QuantumControllerCache qcc(
+            eq, "qcc", sim::ClockDomain::fromHz(200'000'000), layout);
+        benchmark::DoNotOptimize(&qcc);
+    }
+}
+BENCHMARK(BM_QccConstruct)->Arg(320);
 
 static void
 BM_CacheHit(benchmark::State &state)

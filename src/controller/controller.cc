@@ -1,6 +1,7 @@
 #include "controller.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "obs/metrics.hh"
 #include "obs/trace_sink.hh"
@@ -24,6 +25,8 @@ QuantumController::QuantumController(sim::EventQueue &eq,
         eq, name + ".qcc", _sramClock, cfg.layout);
     _pipeline = std::make_unique<PulsePipeline>(*_qcc, _slt,
                                                 cfg.pipeline);
+    _staleBits.assign((cfg.layout.programEnd() + 63) / 64, 0);
+    _staleLo = _staleBits.size();
 }
 
 QuantumController::~QuantumController()
@@ -76,7 +79,7 @@ QuantumController::roccWrite(std::uint64_t qaddr, std::uint64_t data)
                     e.status = EntryStatus::Invalid;
                     _qcc->writeProgram(pq, e);
                 }
-                _stale.push_back(pq);
+                markStale(pq);
             }
         }
     } else if (seg == memory::QccSegment::Program) {
@@ -84,7 +87,7 @@ QuantumController::roccWrite(std::uint64_t qaddr, std::uint64_t data)
         // 65-bit entry; the top type bit rides in data path metadata).
         auto e = ProgramEntry::unpack(data, 0);
         _qcc->writeProgram(qaddr, e);
-        _stale.push_back(qaddr);
+        markStale(qaddr);
     } else {
         sim::fatal("q_update targets .regfile or .program, got "
                    "segment ", int(seg));
@@ -132,7 +135,7 @@ QuantumController::roccWriteVector(
                     e.status = EntryStatus::Invalid;
                     _qcc->writeProgram(pq, e);
                 }
-                _stale.push_back(pq);
+                markStale(pq);
             }
         }
     }
@@ -194,11 +197,10 @@ QuantumController::dmaSetProgram(std::uint64_t host_addr,
     const std::uint64_t num_chunks =
         std::max<std::uint64_t>(1, (total_bytes + chunk - 1) / chunk);
 
-    // Install functionally now; timing is carried by the bus events.
-    auto shared_entries =
-        std::make_shared<std::vector<ProgramEntry>>(std::move(entries));
-    auto remaining = std::make_shared<std::uint64_t>(num_chunks);
-    auto cb = std::make_shared<DoneCallback>(std::move(done));
+    // The entries install when the last chunk lands; timing is
+    // carried by the bus events.
+    auto t = std::make_shared<DmaTransfer>(DmaTransfer{
+        num_chunks, 0, std::move(done), std::move(entries), qubit});
 
     for (std::uint64_t c = 0; c < num_chunks; ++c) {
         memory::MemPacket pkt;
@@ -208,50 +210,27 @@ QuantumController::dmaSetProgram(std::uint64_t host_addr,
             std::min<std::uint64_t>(chunk, total_bytes - c * chunk));
 
         _bus->accessTagged(pkt,
-            [this, shared_entries, remaining, cb, qubit,
-             num_chunks](const memory::BusResponse &resp) {
+            [this, t](const memory::BusResponse &resp) {
                 _rbq.arrive(resp.tag, resp,
-                    [this](std::uint8_t,
-                           const memory::BusResponse &r) {
-                        // Stage the beat's words in the WBQ; they
-                        // drain into the SRAM one word per cycle.
-                        const std::uint32_t words =
-                            (r.pkt.size + 3) / 4;
-                        _wbq.enqueue(words);
-                        const sim::Tick start = std::max(
-                            r.completed, _wbqDrainFree);
-                        _wbqDrainFree = start +
-                            _sramClock.cyclesToTicks(words);
-                        _wbq.drain(words);
-                        if (obs::metricsEnabled()) {
-                            static auto &wq_words = obs::counter(
-                                "controller.wbq.drained_words",
-                                "32-bit words drained into the SRAM");
-                            static auto &wq_wait = obs::histogram(
-                                "controller.wbq.drain_wait_ticks",
-                                "beat arrival to drain-start backlog");
-                            wq_words.add(words);
-                            wq_wait.record(start - r.completed);
-                        }
+                    [this](std::uint8_t, const memory::BusResponse &r) {
+                        drainSetBeat(r);
                     });
-                if (--(*remaining) == 0) {
+                if (--t->remaining == 0) {
                     // Install entries and finish when the WBQ drains.
                     const auto &layout = _cfg.layout;
-                    for (std::size_t i = 0;
-                         i < shared_entries->size(); ++i) {
+                    for (std::size_t i = 0; i < t->entries.size(); ++i) {
                         _qcc->writeProgram(
                             layout.programAddr(
-                                qubit,
-                                static_cast<std::uint32_t>(i)),
-                            (*shared_entries)[i]);
+                                t->qubit, static_cast<std::uint32_t>(i)),
+                            t->entries[i]);
                     }
                     _qcc->setProgramLength(
-                        qubit, static_cast<std::uint32_t>(
-                                   shared_entries->size()));
+                        t->qubit,
+                        static_cast<std::uint32_t>(t->entries.size()));
                     const sim::Tick fin =
                         std::max(curTick(), _wbqDrainFree);
                     eventq().scheduleLambda(fin,
-                        [cb, fin] { (*cb)(fin); }, "q_set done");
+                        [t, fin] { t->done(fin); }, "q_set done");
                 }
             },
             [this](std::uint8_t tag, sim::Tick) {
@@ -263,6 +242,28 @@ QuantumController::dmaSetProgram(std::uint64_t host_addr,
                     rq_occ.record(_rbq.pending());
                 }
             });
+    }
+}
+
+void
+QuantumController::drainSetBeat(const memory::BusResponse &r)
+{
+    // Stage the beat's words in the WBQ; they drain into the SRAM one
+    // word per cycle.
+    const std::uint32_t words = (r.pkt.size + 3) / 4;
+    _wbq.enqueue(words);
+    const sim::Tick start = std::max(r.completed, _wbqDrainFree);
+    _wbqDrainFree = start + _sramClock.cyclesToTicks(words);
+    _wbq.drain(words);
+    if (obs::metricsEnabled()) {
+        static auto &wq_words = obs::counter(
+            "controller.wbq.drained_words",
+            "32-bit words drained into the SRAM");
+        static auto &wq_wait = obs::histogram(
+            "controller.wbq.drain_wait_ticks",
+            "beat arrival to drain-start backlog");
+        wq_words.add(words);
+        wq_wait.record(start - r.completed);
     }
 }
 
@@ -284,9 +285,8 @@ QuantumController::dmaAcquire(std::uint64_t host_addr,
     const std::uint32_t chunk = _cfg.dmaChunkBytes;
     const std::uint64_t num_chunks =
         std::max<std::uint64_t>(1, (total_bytes + chunk - 1) / chunk);
-    auto remaining = std::make_shared<std::uint64_t>(num_chunks);
-    auto latest = std::make_shared<sim::Tick>(0);
-    auto cb = std::make_shared<DoneCallback>(std::move(done));
+    auto t = std::make_shared<DmaTransfer>(
+        DmaTransfer{num_chunks, 0, std::move(done), {}, 0});
 
     for (std::uint64_t c = 0; c < num_chunks; ++c) {
         memory::MemPacket pkt;
@@ -296,10 +296,10 @@ QuantumController::dmaAcquire(std::uint64_t host_addr,
             std::min<std::uint64_t>(chunk, total_bytes - c * chunk));
 
         _bus->accessTagged(pkt,
-            [remaining, latest, cb](const memory::BusResponse &resp) {
-                *latest = std::max(*latest, resp.completed);
-                if (--(*remaining) == 0)
-                    (*cb)(*latest);
+            [t](const memory::BusResponse &resp) {
+                t->latest = std::max(t->latest, resp.completed);
+                if (--t->remaining == 0)
+                    t->done(t->latest);
             },
             [this, pkt](std::uint8_t, sim::Tick) {
                 // The barrier goes valid once the PUT has been sent
@@ -317,7 +317,7 @@ QuantumController::generate(std::vector<std::uint64_t> work,
     ++generateRuns;
     auto result = _pipeline->run(work);
     pulsesGenerated += result.pulsesGenerated;
-    _stale.clear();
+    clearStale();
     const sim::Tick fin = clockEdge(result.cycles);
     observeGenerate(result, fin);
     eventq().scheduleLambda(fin,
@@ -432,15 +432,38 @@ void
 QuantumController::clearRegfileLinks()
 {
     _regfileLinks.clear();
-    _stale.clear();
+    clearStale();
+}
+
+void
+QuantumController::markStale(std::uint64_t qaddr)
+{
+    const auto idx = qaddr - _cfg.layout.programBase();
+    const std::size_t word = idx / 64;
+    _staleLo = std::min(_staleLo, word);
+    _staleHi = std::max(_staleHi, word + 1);
+    _staleBits[word] |= std::uint64_t(1) << (idx % 64);
+}
+
+void
+QuantumController::clearStale()
+{
+    for (std::size_t w = _staleLo; w < _staleHi; ++w)
+        _staleBits[w] = 0;
+    _staleLo = _staleBits.size();
+    _staleHi = 0;
 }
 
 std::vector<std::uint64_t>
 QuantumController::staleProgramEntries() const
 {
-    auto stale = _stale;
-    std::sort(stale.begin(), stale.end());
-    stale.erase(std::unique(stale.begin(), stale.end()), stale.end());
+    std::vector<std::uint64_t> stale;
+    for (std::size_t w = _staleLo; w < _staleHi; ++w) {
+        for (auto bits = _staleBits[w]; bits != 0; bits &= bits - 1) {
+            stale.push_back(_cfg.layout.programBase() + w * 64 +
+                            std::countr_zero(bits));
+        }
+    }
     return stale;
 }
 

@@ -161,7 +161,10 @@ class QuantumController : public sim::Clocked
     /** Clear the regfile->program dependency map. */
     void clearRegfileLinks();
 
-    /** Invalidated-but-installed entries awaiting regeneration. */
+    /**
+     * Invalidated-but-installed entries awaiting regeneration, in
+     * ascending QAddress order without duplicates.
+     */
     std::vector<std::uint64_t> staleProgramEntries() const;
 
     /** @name Statistics */
@@ -183,6 +186,29 @@ class QuantumController : public sim::Clocked
     /// @}
 
   private:
+    /**
+     * One in-flight q_set or q_acquire: the state its bus chunks
+     * share, owned jointly by their callbacks.
+     */
+    struct DmaTransfer {
+        /** Chunks whose bus response is still outstanding. */
+        std::uint64_t remaining;
+        /** Latest chunk completion tick. */
+        sim::Tick latest;
+        DoneCallback done;
+        /** q_set: the entries installed when the last chunk lands. */
+        std::vector<ProgramEntry> entries;
+        std::uint32_t qubit;
+    };
+
+    /** Stage one q_set beat in the WBQ (RBQ in-order delivery). */
+    void drainSetBeat(const memory::BusResponse &r);
+
+    /** Mark .program entry @p qaddr stale. */
+    void markStale(std::uint64_t qaddr);
+    /** Drop every stale mark (q_gen consumed them). */
+    void clearStale();
+
     /** Flush per-run q_gen obs metrics and emit per-stage spans. */
     void observeGenerate(const PipelineResult &result, sim::Tick fin);
 
@@ -202,8 +228,16 @@ class QuantumController : public sim::Clocked
     /** regfile slot -> dependent program entries. */
     std::unordered_map<std::uint32_t, std::vector<std::uint64_t>>
         _regfileLinks;
-    /** Program entries invalidated by q_update since the last q_gen. */
-    std::vector<std::uint64_t> _stale;
+    /**
+     * Program entries invalidated by q_update since the last q_gen:
+     * one bit per .program index, so the list comes out in address
+     * order without a sort. Words outside [_staleLo, _staleHi) are
+     * all zero; the range is empty (lo = size, hi = 0) when nothing
+     * is stale.
+     */
+    std::vector<std::uint64_t> _staleBits;
+    std::size_t _staleLo = 0;
+    std::size_t _staleHi = 0;
     /** Lazily allocated trace-sink process id (0 = none yet). */
     std::uint32_t _tracePid = 0;
 };

@@ -13,6 +13,7 @@
 #ifndef QTENON_CONTROLLER_PULSE_SYNTH_HH
 #define QTENON_CONTROLLER_PULSE_SYNTH_HH
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -45,13 +46,18 @@ struct Waveform {
     std::size_t numSamples() const { return i.size(); }
 };
 
-/** The PGU's arithmetic core. */
+/**
+ * The PGU's arithmetic core. The envelope of the first entry's
+ * samples depends only on the drive class (1q / 2q / measure), so
+ * the constructor tabulates it once; entryFor() scales the table by
+ * the angle's amplitude, the same IEEE operations in the same order
+ * as synthesize(), and so packs a bit-identical entry without
+ * evaluating an exponential or allocating.
+ */
 class PulseSynthesizer
 {
   public:
-    explicit PulseSynthesizer(PulseSynthConfig cfg = PulseSynthConfig{})
-        : _cfg(cfg)
-    {}
+    explicit PulseSynthesizer(PulseSynthConfig cfg = PulseSynthConfig{});
 
     const PulseSynthConfig &config() const { return _cfg; }
 
@@ -70,14 +76,31 @@ class PulseSynthesizer
      */
     PulseEntry packEntry(const Waveform &w) const;
 
-    /** Convenience: synthesize + pack. */
+    /**
+     * The packed .pulse entry for @p type at @p angle, from the
+     * envelope table: always equal to packEntry(synthesize(type,
+     * angle)), which stays the full-waveform reference.
+     */
     PulseEntry entryFor(quantum::GateType type, double angle) const;
 
     /** Samples one .pulse entry holds per channel. */
     static constexpr std::uint32_t samplesPerEntry = 20;
 
   private:
+    /** One drive class's envelope over the first entry's samples. */
+    struct Envelope {
+        /** Samples the drive has inside the entry; the rest are 0. */
+        std::uint32_t samples = 0;
+        std::array<double, samplesPerEntry> gauss{};
+        std::array<double, samplesPerEntry> deriv{};
+    };
+
+    enum DriveClass { oneQubit, twoQubit, measure, numDriveClasses };
+
+    static DriveClass driveClassOf(quantum::GateType type);
+
     PulseSynthConfig _cfg;
+    std::array<Envelope, numDriveClasses> _envelope;
 };
 
 } // namespace qtenon::controller

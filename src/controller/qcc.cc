@@ -13,13 +13,8 @@ QuantumControllerCache::QuantumControllerCache(sim::EventQueue &eq,
                                                memory::QccLayout layout)
     : Clocked(eq, std::move(name), clock), _layout(layout)
 {
-    const auto n_prog =
-        std::uint64_t(_layout.numQubits) * _layout.programEntriesPerQubit;
-    const auto n_pulse =
-        std::uint64_t(_layout.numQubits) * _layout.pulseEntriesPerQubit;
-    _program.assign(n_prog, ProgramEntry{});
-    _pulse.assign(n_pulse, PulseEntry{});
-    _pulseValid.assign(n_pulse, false);
+    _program.resize(_layout.numQubits);
+    _pulse.resize(_layout.numQubits);
     _measure.assign(_layout.measureEntries, 0);
     _regfile.assign(_layout.regfileEntries, 0);
     _programLength.assign(_layout.numQubits, 0);
@@ -41,27 +36,54 @@ QuantumControllerCache::~QuantumControllerCache()
     });
 }
 
-std::uint64_t
-QuantumControllerCache::programIndex(std::uint64_t qaddr) const
+namespace {
+
+/** What an entry above its chunk's high-water mark reads as. */
+const ProgramEntry zeroProgramEntry{};
+const PulseEntry zeroPulseEntry{};
+
+/** Grow @p chunk so that index @p entry exists. */
+template <typename Vec>
+void
+growTo(Vec &chunk, std::uint32_t entry)
+{
+    if (entry >= chunk.size())
+        chunk.resize(std::size_t(entry) + 1);
+}
+
+} // namespace
+
+QuantumControllerCache::ChunkPos
+QuantumControllerCache::programPos(std::uint64_t qaddr) const
 {
     if (_layout.segmentOf(qaddr) != memory::QccSegment::Program)
         sim::panic("QAddress 0x", std::hex, qaddr, " not in .program");
-    return qaddr - _layout.programBase();
+    const auto idx = qaddr - _layout.programBase();
+    return {static_cast<std::uint32_t>(
+                idx / _layout.programEntriesPerQubit),
+            static_cast<std::uint32_t>(
+                idx % _layout.programEntriesPerQubit)};
 }
 
-std::uint64_t
-QuantumControllerCache::pulseIndex(std::uint64_t qaddr) const
+QuantumControllerCache::ChunkPos
+QuantumControllerCache::pulsePos(std::uint64_t qaddr) const
 {
     if (_layout.segmentOf(qaddr) != memory::QccSegment::Pulse)
         sim::panic("QAddress 0x", std::hex, qaddr, " not in .pulse");
-    return qaddr - _layout.pulseBase();
+    const auto idx = qaddr - _layout.pulseBase();
+    return {static_cast<std::uint32_t>(
+                idx / _layout.pulseEntriesPerQubit),
+            static_cast<std::uint32_t>(
+                idx % _layout.pulseEntriesPerQubit)};
 }
 
 const ProgramEntry &
 QuantumControllerCache::readProgram(std::uint64_t qaddr) const
 {
     ++programReads;
-    return _program[programIndex(qaddr)];
+    const auto [qubit, entry] = programPos(qaddr);
+    const auto &chunk = _program[qubit];
+    return entry < chunk.size() ? chunk[entry] : zeroProgramEntry;
 }
 
 void
@@ -69,7 +91,10 @@ QuantumControllerCache::writeProgram(std::uint64_t qaddr,
                                      const ProgramEntry &e)
 {
     ++programWrites;
-    _program[programIndex(qaddr)] = e;
+    const auto [qubit, entry] = programPos(qaddr);
+    auto &chunk = _program[qubit];
+    growTo(chunk, entry);
+    chunk[entry] = e;
 }
 
 std::uint32_t
@@ -97,7 +122,10 @@ QuantumControllerCache::setProgramLength(std::uint32_t qubit,
 const PulseEntry &
 QuantumControllerCache::readPulse(std::uint64_t qaddr) const
 {
-    return _pulse[pulseIndex(qaddr)];
+    const auto [qubit, entry] = pulsePos(qaddr);
+    const auto &chunk = _pulse[qubit];
+    return entry < chunk.entries.size() ? chunk.entries[entry]
+                                        : zeroPulseEntry;
 }
 
 void
@@ -105,15 +133,20 @@ QuantumControllerCache::writePulse(std::uint64_t qaddr,
                                    const PulseEntry &p)
 {
     ++pulseWrites;
-    const auto idx = pulseIndex(qaddr);
-    _pulse[idx] = p;
-    _pulseValid[idx] = true;
+    const auto [qubit, entry] = pulsePos(qaddr);
+    auto &chunk = _pulse[qubit];
+    growTo(chunk.entries, entry);
+    growTo(chunk.valid, entry);
+    chunk.entries[entry] = p;
+    chunk.valid[entry] = true;
 }
 
 bool
 QuantumControllerCache::pulseValid(std::uint64_t qaddr) const
 {
-    return _pulseValid[pulseIndex(qaddr)];
+    const auto [qubit, entry] = pulsePos(qaddr);
+    const auto &valid = _pulse[qubit].valid;
+    return entry < valid.size() && valid[entry];
 }
 
 std::uint64_t

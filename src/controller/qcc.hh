@@ -6,6 +6,13 @@
  * Holds the five segments' contents functionally, enforces the
  * public/private split (.slt and .pulse are hardware-private), and
  * models SRAM port timing in the 200 MHz controller clock domain.
+ *
+ * Storage is high-water: each qubit's .program and .pulse chunks
+ * grow only up to the highest entry written. The SLT bump allocator
+ * and q_set both fill a chunk from entry 0 upward, so a 320-qubit
+ * cache holds what its programs use instead of the full geometry.
+ * An entry above a chunk's high-water mark reads as the zero entry
+ * and its pulse as invalid, exactly as a value-filled array would.
  */
 
 #ifndef QTENON_CONTROLLER_QCC_HH
@@ -40,7 +47,11 @@ class QuantumControllerCache : public sim::Clocked
 
     const memory::QccLayout &layout() const { return _layout; }
 
-    /** @name .program segment */
+    /**
+     * @name .program segment
+     * A returned reference is valid until the next write to the
+     * same qubit's chunk.
+     */
     /// @{
     const ProgramEntry &readProgram(std::uint64_t qaddr) const;
     void writeProgram(std::uint64_t qaddr, const ProgramEntry &e);
@@ -49,7 +60,11 @@ class QuantumControllerCache : public sim::Clocked
     void setProgramLength(std::uint32_t qubit, std::uint32_t len);
     /// @}
 
-    /** @name .pulse segment (hardware-private) */
+    /**
+     * @name .pulse segment (hardware-private)
+     * A returned reference is valid until the next write to the
+     * same qubit's chunk.
+     */
     /// @{
     const PulseEntry &readPulse(std::uint64_t qaddr) const;
     void writePulse(std::uint64_t qaddr, const PulseEntry &p);
@@ -88,13 +103,26 @@ class QuantumControllerCache : public sim::Clocked
     sim::Count regfileWrites;
 
   private:
-    std::uint64_t programIndex(std::uint64_t qaddr) const;
-    std::uint64_t pulseIndex(std::uint64_t qaddr) const;
+    /** A (qubit, entry) position inside a per-qubit chunk. */
+    struct ChunkPos {
+        std::uint32_t qubit;
+        std::uint32_t entry;
+    };
+
+    ChunkPos programPos(std::uint64_t qaddr) const;
+    ChunkPos pulsePos(std::uint64_t qaddr) const;
+
+    /** One qubit's .pulse chunk up to its high-water mark. */
+    struct PulseChunk {
+        std::vector<PulseEntry> entries;
+        std::vector<bool> valid;
+    };
 
     memory::QccLayout _layout;
-    std::vector<ProgramEntry> _program;
-    std::vector<PulseEntry> _pulse;
-    std::vector<bool> _pulseValid;
+    /** Per-qubit .program chunks, grown to the highest write. */
+    std::vector<std::vector<ProgramEntry>> _program;
+    /** Per-qubit .pulse chunks, grown to the highest write. */
+    std::vector<PulseChunk> _pulse;
     std::vector<std::uint64_t> _measure;
     std::vector<std::uint32_t> _regfile;
     std::vector<std::uint32_t> _programLength;

@@ -117,15 +117,14 @@ Cache::accessLine(std::uint64_t line_addr, bool is_write,
     fill.cmd = MemCmd::Read;
     fill.addr = line_addr * _cfg.lineBytes;
     fill.size = _cfg.lineBytes;
-    const auto fill_cycles = _cfg.hitLatency + _cfg.fillLatency;
-    auto clock = _clock;
+    const sim::Tick fill_ticks =
+        _clock.cyclesToTicks(_cfg.hitLatency + _cfg.fillLatency);
     _downstream->access(fill,
-        [this, cb = std::move(on_complete), clock,
-         fill_cycles](sim::Tick down_done) {
-            const sim::Tick done =
-                down_done + clock.cyclesToTicks(fill_cycles);
+        [this, cb = std::move(on_complete),
+         fill_ticks](sim::Tick down_done) mutable {
+            const sim::Tick done = down_done + fill_ticks;
             eventq().scheduleLambda(done,
-                [cb, done] { cb(done); }, "cache fill");
+                [cb = std::move(cb), done] { cb(done); }, "cache fill");
         });
 }
 
@@ -142,16 +141,19 @@ Cache::access(const MemPacket &pkt, MemCallback on_complete)
     }
 
     // Multi-line request: complete when the slowest line completes.
-    auto remaining = std::make_shared<std::uint64_t>(count);
-    auto latest = std::make_shared<sim::Tick>(0);
-    auto cb = std::make_shared<MemCallback>(std::move(on_complete));
+    struct Join {
+        std::uint64_t remaining;
+        sim::Tick latest = 0;
+        MemCallback cb;
+    };
+    auto join = std::make_shared<Join>(
+        Join{count, 0, std::move(on_complete)});
     for (auto line = first; line <= last; ++line) {
-        accessLine(line, pkt.isWrite(),
-            [remaining, latest, cb](sim::Tick done) {
-                *latest = std::max(*latest, done);
-                if (--(*remaining) == 0)
-                    (*cb)(*latest);
-            });
+        accessLine(line, pkt.isWrite(), [join](sim::Tick done) {
+            join->latest = std::max(join->latest, done);
+            if (--join->remaining == 0)
+                join->cb(join->latest);
+        });
     }
 }
 

@@ -21,6 +21,7 @@ TileLinkBus::TileLinkBus(sim::EventQueue &eq, std::string name,
         sim::fatal("tag width must be 1..5 bits");
     _freeTagMask = (numTags() >= 32)
         ? ~std::uint32_t(0) : ((1u << numTags()) - 1);
+    _inflight.resize(numTags());
     _port = std::make_unique<TileLinkPort>(*this);
 }
 
@@ -138,64 +139,69 @@ TileLinkBus::tryIssue()
         const sim::Tick arrive = _requestChannelFree +
             clockDomain().cyclesToTicks(_cfg.channelLatency);
 
-        issueDownstream(std::make_shared<Pending>(std::move(p)), tag,
-                        now, arrive, 1);
+        auto &slot = _inflight[tag];
+        slot.pkt = p.pkt;
+        slot.cb = std::move(p.cb);
+        slot.issued = now;
+        slot.attempt = 1;
+        issueDownstream(tag, arrive);
     }
 }
 
 void
-TileLinkBus::issueDownstream(std::shared_ptr<Pending> p,
-                             std::uint8_t tag, sim::Tick issued,
-                             sim::Tick arrive, std::uint32_t attempt)
+TileLinkBus::issueDownstream(std::uint8_t tag, sim::Tick arrive)
 {
     // Hand the request to the downstream device once it has fully
     // crossed the request channel.
     eventq().scheduleLambda(arrive,
-        [this, p, tag, issued, attempt] {
-            MemPacket pkt = p->pkt;
-            _downstream->access(pkt,
-                [this, p, pkt, tag, issued,
-                 attempt](sim::Tick down_done) {
-                    const sim::Tick done = down_done +
-                        clockDomain().cyclesToTicks(
-                            _cfg.channelLatency);
-                    auto *inj = _port->injector();
-                    const fault::SiteId site = _port->siteId();
-                    if (inj && inj->active(site) &&
-                        inj->shouldError(site)) {
-                        if (attempt <
-                            std::max(1u, _retry.maxAttempts)) {
-                            inj->count(site, "retries");
-                            const sim::Tick backoff =
-                                _retry.backoffBefore(
-                                    attempt, issued ^ tag);
-                            issueDownstream(p, tag, issued,
-                                            done + backoff,
-                                            attempt + 1);
-                            return;
-                        }
-                        // Budget spent: deliver the (errored)
-                        // response rather than wedge the tag.
-                        inj->count(site, "retry_exhausted");
-                    }
-                    eventq().scheduleLambda(done,
-                        [this, p, pkt, tag, issued, done] {
-                            ++transactions;
-                            observeTransaction(pkt, tag, issued,
-                                               done);
-                            _freeTagMask |= (1u << tag);
-                            BusResponse r;
-                            r.tag = tag;
-                            r.issued = issued;
-                            r.completed = done;
-                            r.pkt = pkt;
-                            p->cb(r);
-                            tryIssue();
-                        },
-                        "bus response");
-                });
+        [this, tag] {
+            const MemPacket pkt = _inflight[tag].pkt;
+            _downstream->access(pkt, [this, tag](sim::Tick down_done) {
+                downstreamDone(tag, down_done);
+            });
         },
         "bus request");
+}
+
+void
+TileLinkBus::downstreamDone(std::uint8_t tag, sim::Tick down_done)
+{
+    auto &slot = _inflight[tag];
+    const sim::Tick done =
+        down_done + clockDomain().cyclesToTicks(_cfg.channelLatency);
+    auto *inj = _port->injector();
+    const fault::SiteId site = _port->siteId();
+    if (inj && inj->active(site) && inj->shouldError(site)) {
+        if (slot.attempt < std::max(1u, _retry.maxAttempts)) {
+            inj->count(site, "retries");
+            const sim::Tick backoff = _retry.backoffBefore(
+                slot.attempt, slot.issued ^ tag);
+            ++slot.attempt;
+            issueDownstream(tag, done + backoff);
+            return;
+        }
+        // Budget spent: deliver the (errored) response rather than
+        // wedge the tag.
+        inj->count(site, "retry_exhausted");
+    }
+    eventq().scheduleLambda(done,
+        [this, tag, done] {
+            auto &slot = _inflight[tag];
+            ++transactions;
+            observeTransaction(slot.pkt, tag, slot.issued, done);
+            BusResponse r;
+            r.tag = tag;
+            r.issued = slot.issued;
+            r.completed = done;
+            r.pkt = slot.pkt;
+            // The callback may issue a request that reuses this tag,
+            // so take it out of the slot before freeing the tag.
+            auto cb = std::move(slot.cb);
+            _freeTagMask |= (1u << tag);
+            cb(r);
+            tryIssue();
+        },
+        "bus response");
 }
 
 } // namespace qtenon::memory

@@ -16,6 +16,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <vector>
 
 #include "fault/fault.hh"
 #include "link/channel.hh"
@@ -107,23 +108,37 @@ class TileLinkBus : public sim::Clocked, public MemDevice
     sim::Count tagStalls;
 
   private:
+    /** A request waiting for a free tag. */
     struct Pending {
         MemPacket pkt;
         TaggedCallback cb;
         IssueCallback issueCb;
     };
 
+    /**
+     * An issued transaction. It holds its tag from issue to response
+     * (retries included), so its state lives in the tag's slot and
+     * the scheduled events carry only the tag.
+     */
+    struct InFlight {
+        MemPacket pkt;
+        TaggedCallback cb;
+        sim::Tick issued = 0;
+        std::uint32_t attempt = 0;
+    };
+
     void tryIssue();
     std::uint8_t allocateTag();
 
     /**
-     * Hand @p p to the downstream device at @p arrive; on an injected
-     * response error, re-issue (same tag) until the retry budget is
-     * spent.
+     * Hand the transaction on @p tag to the downstream device at
+     * @p arrive; on an injected response error, re-issue (same tag)
+     * until the retry budget is spent.
      */
-    void issueDownstream(std::shared_ptr<Pending> p, std::uint8_t tag,
-                         sim::Tick issued, sim::Tick arrive,
-                         std::uint32_t attempt);
+    void issueDownstream(std::uint8_t tag, sim::Tick arrive);
+
+    /** The downstream device answered the transaction on @p tag. */
+    void downstreamDone(std::uint8_t tag, sim::Tick down_done);
 
     /** Record the latency histogram and emit the trace span. */
     void observeTransaction(const MemPacket &pkt, std::uint8_t tag,
@@ -133,6 +148,8 @@ class TileLinkBus : public sim::Clocked, public MemDevice
     MemDevice *_downstream;
     std::uint32_t _freeTagMask;
     std::deque<Pending> _waiting;
+    /** Per-tag transaction slots, indexed by tag. */
+    std::vector<InFlight> _inflight;
     sim::Tick _requestChannelFree = 0;
     /** Lazily allocated trace-sink process id (0 = none yet). */
     std::uint32_t _tracePid = 0;

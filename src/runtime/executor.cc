@@ -124,18 +124,17 @@ QtenonExecutor::installProgram(const isa::ProgramImage &image)
     // q_set every qubit's program chunk; the transfers pipeline on
     // the system bus.
     const sim::Tick set_t0 = _eq.curTick();
-    auto remaining =
-        std::make_shared<std::uint32_t>(image.numQubits);
+    std::uint32_t remaining = image.numQubits;
     std::uint64_t host_off = 0;
     for (std::uint32_t q = 0; q < image.numQubits; ++q) {
         _ctrl.dmaSetProgram(
             _cfg.hostProgramBase + host_off, q, image.perQubit[q],
-            [remaining](sim::Tick) { --(*remaining); });
+            [&remaining](sim::Tick) { --remaining; });
         host_off += image.perQubit[q].size() *
             _ctrl.config().programEntryHostBytes;
     }
     drain();
-    if (*remaining != 0)
+    if (remaining != 0)
         sim::panic("q_set transfers did not drain");
     bd.commSet += _eq.curTick() - set_t0;
 
@@ -254,13 +253,11 @@ QtenonExecutor::executeRound(const RoundRecord &round,
             _ctrl.roccWrite(layout.regfileAddr(reg), val);
 
         const sim::Tick set_t0 = _eq.curTick();
-        auto remaining =
-            std::make_shared<std::uint32_t>(image.numQubits);
         std::uint64_t host_off = 0;
         for (std::uint32_t q = 0; q < image.numQubits; ++q) {
             _ctrl.dmaSetProgram(
                 _cfg.hostProgramBase + host_off, q, image.perQubit[q],
-                [remaining](sim::Tick) { --(*remaining); });
+                [](sim::Tick) {});
             host_off += image.perQubit[q].size() *
                 _ctrl.config().programEntryHostBytes;
         }
@@ -297,8 +294,11 @@ QtenonExecutor::executeRound(const RoundRecord &round,
                : 1);
     const sim::Tick barrier_cycle = _ctrl.clockPeriod();
 
-    auto last_put_done = std::make_shared<sim::Tick>(run_start);
-    auto put_latency_sum = std::make_shared<sim::Tick>(0);
+    // Batch PUT completions; the drain() below outlives every one.
+    struct PutTotals {
+        sim::Tick lastDone;
+        sim::Tick latencySum = 0;
+    } puts{run_start};
 
     sim::Tick host_free = _eq.curTick();
     std::uint64_t batch_shots = 0;
@@ -330,14 +330,12 @@ QtenonExecutor::executeRound(const RoundRecord &round,
                 batch_shots * words_per_shot);
             const auto addr = host_addr;
             _eq.scheduleLambda(put_time,
-                [this, addr, first, count, last_put_done,
-                 put_latency_sum, put_time] {
+                [this, addr, first, count, &puts, put_time] {
                     _ctrl.dmaAcquire(addr, first, count,
-                        [last_put_done, put_latency_sum,
-                         put_time](sim::Tick done) {
-                            *last_put_done =
-                                std::max(*last_put_done, done);
-                            *put_latency_sum += done - put_time;
+                        [&puts, put_time](sim::Tick done) {
+                            puts.lastDone =
+                                std::max(puts.lastDone, done);
+                            puts.latencySum += done - put_time;
                         });
                 },
                 "q_run batch PUT");
@@ -370,23 +368,23 @@ QtenonExecutor::executeRound(const RoundRecord &round,
     if (sw.sync == SyncPolicy::Fence) {
         // FENCE #1: host stalls until the quantum program and every
         // transmission retire, then post-processes everything.
-        const sim::Tick fence1 = std::max(quantum_end, *last_put_done);
-        bd.commAcquire += *put_latency_sum;
+        const sim::Tick fence1 = std::max(quantum_end, puts.lastDone);
+        bd.commAcquire += puts.latencySum;
         bd.host += post_ops_all;
         bd.hostBusy += post_ops_all;
         round_end = fence1 + post_ops_all;
     } else {
         // Fine-grained: only the non-overlapped transmission tail is
         // exposed on the critical path.
-        bd.commAcquire += *last_put_done > quantum_end
-            ? *last_put_done - quantum_end : 0;
+        bd.commAcquire += puts.lastDone > quantum_end
+            ? puts.lastDone - quantum_end : 0;
         bd.commAcquire += barrier_cycle;
         bd.hostBusy += post_ops_all;
         // Visible host time: post-processing overflow past the end of
         // quantum execution (the rest hides behind the shots).
         if (host_free > quantum_end)
             bd.host += host_free - quantum_end;
-        round_end = std::max({quantum_end, host_free, *last_put_done});
+        round_end = std::max({quantum_end, host_free, puts.lastDone});
     }
 
     // ---- Optimizer step.

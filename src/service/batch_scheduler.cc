@@ -254,7 +254,7 @@ BatchScheduler::submit(JobSpec spec)
             _batchStarted = true;
             _batchStart = std::chrono::steady_clock::now();
         }
-        _jobs.push_back(job);
+        _jobs.emplace(job->id, job);
         _queue.push_back(job);
         ++_metrics.submitted;
         ++_inFlight;
@@ -281,12 +281,8 @@ BatchScheduler::cancel(std::uint64_t job_id)
     std::shared_ptr<Job> job;
     {
         std::lock_guard<std::mutex> guard(_mutex);
-        for (const auto &j : _jobs) {
-            if (j->id == job_id) {
-                job = j;
-                break;
-            }
-        }
+        if (auto it = _jobs.find(job_id); it != _jobs.end())
+            job = it->second;
     }
     if (!job || job->done.load())
         return false;
@@ -300,12 +296,20 @@ BatchScheduler::cancelAll()
     std::vector<std::shared_ptr<Job>> jobs;
     {
         std::lock_guard<std::mutex> guard(_mutex);
-        jobs = _jobs;
+        for (const auto &[id, j] : _jobs)
+            jobs.push_back(j);
     }
     for (const auto &j : jobs) {
         if (!j->done.load())
             j->cancelRequested.store(true);
     }
+}
+
+std::size_t
+BatchScheduler::unfinished() const
+{
+    std::lock_guard<std::mutex> guard(_mutex);
+    return _jobs.size();
 }
 
 ResultsStore &
@@ -514,6 +518,7 @@ BatchScheduler::finishJob(Job &job, JobResult r,
     bool batch_finished = false;
     {
         std::lock_guard<std::mutex> guard(_mutex);
+        _jobs.erase(job.id);
         ++_metrics.completed;
         switch (r.status) {
           case JobStatus::Ok: ++_metrics.ok; break;

@@ -29,6 +29,7 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "job.hh"
@@ -160,6 +161,9 @@ class BatchScheduler
     /** Request cancellation of every unfinished job. */
     void cancelAll();
 
+    /** Jobs submitted and not yet finished. Thread-safe. */
+    std::size_t unfinished() const;
+
     /** Block until every submitted job finished; returns the store. */
     ResultsStore &wait();
 
@@ -195,7 +199,12 @@ class BatchScheduler
     std::condition_variable _workAvailable;
     std::condition_variable _batchDone;
     std::deque<std::shared_ptr<Job>> _queue;
-    std::vector<std::shared_ptr<Job>> _jobs;
+    /**
+     * Unfinished jobs by id, for cancel(). A job leaves when it
+     * finishes, so a long-lived scheduler (the daemon's) does not
+     * keep every spec and result it ever ran.
+     */
+    std::unordered_map<std::uint64_t, std::shared_ptr<Job>> _jobs;
     bool _stopping = false;
     std::uint64_t _nextJobId = 0;
     std::size_t _inFlight = 0;

@@ -427,6 +427,9 @@ Daemon::submitterLoop()
             obs::ScopedSpan span("daemon.serve.miss", "daemon");
             JobHandle handle = _sched.submit(std::move(p.spec));
             r = handle.result.get();
+            // The reply and the result cache carry the result from
+            // here; the scheduler's store would keep every one.
+            _sched.results().erase(handle.id);
         } catch (const std::exception &e) {
             r.status = JobStatus::Failed;
             r.error = e.what();
@@ -572,6 +575,7 @@ Daemon::stats() const
     }
     s.cache = _cache.stats();
     s.queueDepth = _queue.depth();
+    s.retainedJobs = _sched.unfinished() + _sched.results().size();
     s.workers = _sched.workers();
     s.draining = _draining.load();
     return s;

@@ -82,6 +82,11 @@ struct DaemonStats {
     std::uint64_t errors = 0;
     CacheStats cache;
     std::size_t queueDepth = 0;
+    /**
+     * Jobs the scheduler still holds (unfinished plus stored
+     * results); served requests must not accumulate here.
+     */
+    std::size_t retainedJobs = 0;
     unsigned workers = 0;
     bool draining = false;
 };

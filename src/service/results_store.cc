@@ -196,6 +196,13 @@ ResultsStore::size() const
     return _byId.size();
 }
 
+void
+ResultsStore::erase(std::uint64_t job_id)
+{
+    std::lock_guard<std::mutex> guard(_mutex);
+    _byId.erase(job_id);
+}
+
 JobResult
 ResultsStore::get(std::uint64_t job_id) const
 {

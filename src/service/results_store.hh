@@ -63,6 +63,9 @@ class ResultsStore
 
     std::size_t size() const;
 
+    /** Drop the result for @p job_id, if present. */
+    void erase(std::uint64_t job_id);
+
     /** Copy of the result for @p job_id; throws if absent. */
     JobResult get(std::uint64_t job_id) const;
     bool contains(std::uint64_t job_id) const;

@@ -12,15 +12,17 @@ Event::~Event()
 
 EventQueue::~EventQueue()
 {
-    // Drain the heap, releasing auto-delete events that never fired.
+    // Drain the heap, detaching events that never fired and dropping
+    // the captures of pooled lambdas. A cancelled entry's event may
+    // already be destroyed, so only live entries are dereferenced.
     while (!_heap.empty()) {
         Entry e = _heap.top();
         _heap.pop();
-        if (e.event->_scheduled && e.event->_sequence == e.sequence) {
+        if (!_cancelled.erase(e.sequence)) {
             e.event->_scheduled = false;
             e.event->_queue = nullptr;
-            if (e.event->flaggedAutoDelete())
-                delete e.event;
+            if (e.event->_pooled)
+                static_cast<LambdaEvent *>(e.event)->clear();
         }
     }
 }
@@ -48,8 +50,10 @@ EventQueue::deschedule(Event *ev)
 {
     if (!ev->_scheduled)
         panic("descheduling unscheduled event '", ev->description(), "'");
-    // Lazy deletion: mark the event unscheduled; the heap entry is
-    // discarded when it surfaces.
+    // Lazy deletion: the heap entry is discarded when it surfaces.
+    // It is recognised by its sequence number, never through the
+    // event, which its owner may destroy in the meantime.
+    _cancelled.insert(ev->_sequence);
     ev->_scheduled = false;
     ev->_queue = nullptr;
     --_live;
@@ -63,22 +67,32 @@ EventQueue::reschedule(Event *ev, Tick when)
     schedule(ev, when);
 }
 
-void
-EventQueue::scheduleLambda(Tick when, std::function<void()> fn,
-                           std::string desc, int priority)
+LambdaEvent *
+EventQueue::acquireLambda()
 {
-    auto *ev = new LambdaEvent(std::move(fn), std::move(desc), priority);
-    ev->setAutoDelete(true);
-    schedule(ev, when);
+    if (LambdaEvent *ev = _freeLambdas) {
+        _freeLambdas = ev->_nextFree;
+        return ev;
+    }
+    _lambdaPool.emplace_back(new LambdaEvent);
+    LambdaEvent *ev = _lambdaPool.back().get();
+    ev->_pooled = true;
+    return ev;
+}
+
+void
+EventQueue::releaseLambda(LambdaEvent *ev)
+{
+    ev->clear();
+    ev->_nextFree = _freeLambdas;
+    _freeLambdas = ev;
 }
 
 void
 EventQueue::prune()
 {
-    while (!_heap.empty()) {
-        const Entry &e = _heap.top();
-        if (e.event->_scheduled && e.event->_sequence == e.sequence)
-            return;
+    while (!_heap.empty() && !_cancelled.empty() &&
+           _cancelled.erase(_heap.top().sequence)) {
         _heap.pop();
     }
 }
@@ -108,8 +122,8 @@ EventQueue::step()
     _curTick = e.when;
     ++_processed;
     ev->process();
-    if (!ev->_scheduled && ev->flaggedAutoDelete())
-        delete ev;
+    if (ev->_pooled)
+        releaseLambda(static_cast<LambdaEvent *>(ev));
     return true;
 }
 

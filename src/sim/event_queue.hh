@@ -11,10 +11,15 @@
 #ifndef QTENON_SIM_EVENT_QUEUE_HH
 #define QTENON_SIM_EVENT_QUEUE_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <memory>
+#include <new>
 #include <queue>
 #include <string>
+#include <type_traits>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "types.hh"
@@ -25,7 +30,7 @@ class EventQueue;
 
 /**
  * A schedulable event. Subclass and override process(), or use
- * LambdaEvent for ad-hoc callbacks.
+ * EventQueue::scheduleLambda for ad-hoc callbacks.
  */
 class Event
 {
@@ -53,13 +58,6 @@ class Event
     Tick when() const { return _when; }
     int priority() const { return _priority; }
 
-    /**
-     * Whether the queue should delete the event after it fires or is
-     * descheduled. Defaults to false (owner-managed lifetime).
-     */
-    bool flaggedAutoDelete() const { return _autoDelete; }
-    void setAutoDelete(bool v) { _autoDelete = v; }
-
   private:
     friend class EventQueue;
 
@@ -67,25 +65,71 @@ class Event
     std::uint64_t _sequence = 0;
     int _priority;
     bool _scheduled = false;
-    bool _autoDelete = false;
+    /** A queue-owned LambdaEvent, recycled after it fires. */
+    bool _pooled = false;
     EventQueue *_queue = nullptr;
 };
 
-/** An event that invokes a stored callable. */
-class LambdaEvent : public Event
+/**
+ * A one-shot event that invokes a callable held inline. Only
+ * EventQueue::scheduleLambda creates these: the queue recycles the
+ * nodes through a free list, so scheduling a lambda allocates
+ * nothing once the pool has warmed up.
+ */
+class LambdaEvent final : public Event
 {
   public:
-    LambdaEvent(std::function<void()> fn, std::string desc = "lambda",
-                int priority = defaultPrio)
-        : Event(priority), _fn(std::move(fn)), _desc(std::move(desc))
-    {}
+    /**
+     * Inline capture budget, sized for the largest call site (the
+     * q_gen completion: a callback plus a PipelineResult).
+     */
+    static constexpr std::size_t inlineBytes = 144;
 
-    void process() override { _fn(); }
+    ~LambdaEvent() override { clear(); }
+
+    void process() override { _invoke(_storage); }
     std::string description() const override { return _desc; }
 
   private:
-    std::function<void()> _fn;
-    std::string _desc;
+    friend class EventQueue;
+
+    LambdaEvent() = default;
+
+    template <typename F>
+    void
+    emplace(F &&fn, const char *desc)
+    {
+        using Fn = std::decay_t<F>;
+        static_assert(sizeof(Fn) <= inlineBytes,
+                      "lambda captures exceed LambdaEvent::inlineBytes");
+        static_assert(alignof(Fn) <= alignof(std::max_align_t),
+                      "lambda captures are over-aligned");
+        ::new (static_cast<void *>(_storage)) Fn(std::forward<F>(fn));
+        _invoke = [](void *p) { (*static_cast<Fn *>(p))(); };
+        if constexpr (std::is_trivially_destructible_v<Fn>)
+            _destroy = nullptr;
+        else
+            _destroy = [](void *p) { static_cast<Fn *>(p)->~Fn(); };
+        _desc = desc;
+    }
+
+    /** Destroy the held callable (and its captures). */
+    void
+    clear()
+    {
+        if (_destroy) {
+            auto *destroy = _destroy;
+            _destroy = nullptr;
+            destroy(_storage);
+        }
+    }
+
+    alignas(std::max_align_t) unsigned char _storage[inlineBytes];
+    void (*_invoke)(void *) = nullptr;
+    void (*_destroy)(void *) = nullptr;
+    const char *_desc = "lambda";
+    /** Next node on the queue's free list. */
+    LambdaEvent *_nextFree = nullptr;
 };
 
 /**
@@ -115,12 +159,22 @@ class EventQueue
     void reschedule(Event *ev, Tick when);
 
     /**
-     * Convenience: schedule a one-shot callback that deletes itself
-     * after firing.
+     * Schedule a one-shot callback. The callable is stored inline in
+     * a pooled LambdaEvent and destroyed right after it fires; its
+     * ordering is exactly that of an owner-managed event scheduled
+     * at the same point. @p desc must outlive the event (pass a
+     * string literal).
      */
-    void scheduleLambda(Tick when, std::function<void()> fn,
-                        std::string desc = "lambda",
-                        int priority = Event::defaultPrio);
+    template <typename F>
+    void
+    scheduleLambda(Tick when, F &&fn, const char *desc = "lambda",
+                   int priority = Event::defaultPrio)
+    {
+        LambdaEvent *ev = acquireLambda();
+        ev->emplace(std::forward<F>(fn), desc);
+        ev->_priority = priority;
+        schedule(ev, when);
+    }
 
     /** Whether any events are pending. */
     bool empty() const { return _live == 0; }
@@ -163,14 +217,25 @@ class EventQueue
         }
     };
 
-    /** Pop stale (descheduled/rescheduled) heap entries. */
+    /** Pop cancelled (descheduled/rescheduled) heap entries. */
     void prune();
 
+    /** A free pooled lambda node, growing the pool when empty. */
+    LambdaEvent *acquireLambda();
+    /** Destroy a fired lambda's callable and recycle its node. */
+    void releaseLambda(LambdaEvent *ev);
+
     std::priority_queue<Entry, std::vector<Entry>, EntryCompare> _heap;
+    /** Sequence numbers of descheduled entries still in the heap. */
+    std::unordered_set<std::uint64_t> _cancelled;
     Tick _curTick = 0;
     std::uint64_t _nextSequence = 0;
     std::uint64_t _processed = 0;
     std::size_t _live = 0;
+    /** Every lambda node ever created; nodes are never freed early. */
+    std::vector<std::unique_ptr<LambdaEvent>> _lambdaPool;
+    /** Intrusive LIFO list of idle lambda nodes. */
+    LambdaEvent *_freeLambdas = nullptr;
 };
 
 } // namespace qtenon::sim

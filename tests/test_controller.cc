@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
+#include <random>
 
 #include "controller/controller.hh"
 #include "memory/dram.hh"
@@ -206,4 +209,75 @@ TEST_F(ControllerFixture, MeasurementRoundTrip)
     ctrl->recordMeasurement(1, 0xCD);
     EXPECT_EQ(ctrl->qcc().readMeasure(0), 0xABu);
     EXPECT_EQ(ctrl->qcc().readMeasure(1), 0xCDu);
+}
+
+TEST_F(ControllerFixture, StaleListMatchesSortUniqueReference)
+{
+    // The stale list is kept as per-entry marks; check it against the
+    // sorted, deduplicated list of every invalidation, over seeded
+    // random link / write / q_gen sequences.
+    const auto &layout = ctrl->config().layout;
+    const std::uint32_t regs = 16;
+    const auto random_pq = [&](std::mt19937_64 &rng) {
+        // Bias toward chunk edges and word boundaries.
+        const std::uint32_t q = rng() % layout.numQubits;
+        const std::uint32_t picks[] = {
+            0, 63, 64, layout.programEntriesPerQubit - 1,
+            static_cast<std::uint32_t>(
+                rng() % layout.programEntriesPerQubit)};
+        return layout.programAddr(q, picks[rng() % 5]);
+    };
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+        std::mt19937_64 rng(seed);
+        std::map<std::uint32_t, std::vector<std::uint64_t>> links;
+        std::vector<std::uint64_t> ref;
+        ctrl->clearRegfileLinks();
+        for (int op = 0; op < 1500; ++op) {
+            const auto r = rng() % 100;
+            const auto reg = static_cast<std::uint32_t>(rng() % regs);
+            if (r < 30) {
+                const auto pq = random_pq(rng);
+                ctrl->linkRegfile(reg, pq);
+                links[reg].push_back(pq);
+            } else if (r < 60) {
+                ctrl->roccWrite(layout.regfileAddr(reg), rng() % 4);
+                for (auto pq : links[reg])
+                    ref.push_back(pq);
+            } else if (r < 75) {
+                // q_update.v with stride 2 over lanes inside the
+                // linked range; only changed lanes invalidate.
+                std::vector<std::uint32_t> values(1 + rng() % 4);
+                const auto base = static_cast<std::uint32_t>(
+                    reg % (regs - 2 * (values.size() - 1)));
+                for (std::size_t i = 0; i < values.size(); ++i) {
+                    values[i] = rng() % 4;
+                    const auto lane = base + 2 * i;
+                    if (ctrl->qcc().readRegfile(lane) != values[i]) {
+                        for (auto pq : links[lane])
+                            ref.push_back(pq);
+                    }
+                }
+                ctrl->roccWriteVector(layout.regfileAddr(base), 2,
+                                      values);
+            } else if (r < 85) {
+                const auto pq = random_pq(rng);
+                ctrl->roccWrite(pq, rng());
+                ref.push_back(pq);
+            } else if (r < 95) {
+                ctrl->generate({}, [](const PipelineResult &, Tick) {});
+                eq.run();
+                ref.clear();
+            } else {
+                ctrl->clearRegfileLinks();
+                links.clear();
+                ref.clear();
+            }
+            auto expect = ref;
+            std::sort(expect.begin(), expect.end());
+            expect.erase(std::unique(expect.begin(), expect.end()),
+                         expect.end());
+            ASSERT_EQ(ctrl->staleProgramEntries(), expect)
+                << "seed " << seed << " op " << op;
+        }
+    }
 }

@@ -452,6 +452,29 @@ TEST(DaemonE2E, ConcurrentClientsAllServed)
     EXPECT_GT(s.cache.hits, 0u);
 }
 
+TEST(DaemonE2E, ServedJobsAreNotRetained)
+{
+    DaemonConfig cfg;
+    cfg.socketPath = testSocketPath("retain");
+    cfg.workers = 2;
+    Daemon daemon(cfg);
+    daemon.start();
+
+    DaemonClient client;
+    client.connectWithRetry(cfg.socketPath);
+    constexpr unsigned requests = 6;
+    for (unsigned r = 0; r < requests; ++r) {
+        // Distinct seeds: every request misses and runs a job.
+        const Response resp = client.submit(smallRequest(200 + r), r);
+        ASSERT_TRUE(resp.isResult()) << resp.error;
+    }
+    daemon.stop();
+    const auto s = daemon.stats();
+    EXPECT_EQ(s.served, requests);
+    EXPECT_EQ(s.cache.misses, requests);
+    EXPECT_EQ(s.retainedJobs, 0u);
+}
+
 TEST(DaemonE2E, MalformedAndInvalidFramesGetErrors)
 {
     DaemonConfig cfg;

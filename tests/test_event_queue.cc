@@ -1,12 +1,20 @@
 /**
  * @file
  * Unit tests for the discrete-event kernel: ordering, same-tick
- * determinism, deschedule/reschedule, bounded runs, and lambda
- * convenience events.
+ * determinism, deschedule/reschedule, bounded runs, pooled lambda
+ * events, and a differential check against a reference queue.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
+#include <memory>
+#include <ostream>
+#include <queue>
+#include <random>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -92,6 +100,27 @@ TEST(EventQueue, RescheduleMovesEvent)
     eq.reschedule(&a, 30);
     eq.run();
     EXPECT_EQ(log, (std::vector<int>{2, 1}));
+}
+
+TEST(EventQueue, DestroyedEventsAreNeverTouched)
+{
+    // Cancelled heap entries outlive their events; the queue must
+    // skip them without dereferencing (checked under ASan + UBSan).
+    EventQueue eq;
+    std::vector<int> log;
+    {
+        RecordingEvent a(log, 1), b(log, 2);
+        eq.schedule(&a, 10);
+        eq.deschedule(&a);
+        eq.schedule(&b, 5); // still scheduled when destroyed
+    }
+    RecordingEvent c(log, 3);
+    eq.schedule(&c, 20);
+    eq.run();
+    EXPECT_EQ(log, (std::vector<int>{3}));
+    RecordingEvent d(log, 4);
+    eq.schedule(&d, 30);
+    eq.reschedule(&d, 40); // torn down with a cancelled entry queued
 }
 
 TEST(EventQueue, RunWithLimitStopsAndAdvancesTime)
@@ -190,4 +219,346 @@ TEST(EventQueueDeath, DoubleSchedulePanics)
     eq.schedule(&a, 10);
     EXPECT_DEATH(eq.schedule(&a, 20), "scheduled twice");
     eq.deschedule(&a);
+}
+
+TEST(EventQueue, LambdaCapturesReleasedAfterFiringAndAtTeardown)
+{
+    auto token = std::make_shared<int>(0);
+    {
+        EventQueue eq;
+        eq.scheduleLambda(10, [token] { ++*token; });
+        eq.scheduleLambda(20, [token] { ++*token; });
+        eq.run(15);
+        // The fired lambda's captures are gone; the pending one's
+        // live until the queue is destroyed.
+        EXPECT_EQ(*token, 1);
+        EXPECT_EQ(token.use_count(), 2);
+        // Recycled nodes take new callables.
+        eq.scheduleLambda(15, [token] { ++*token; });
+        eq.run(15);
+        EXPECT_EQ(*token, 2);
+        EXPECT_EQ(token.use_count(), 2);
+    }
+    EXPECT_EQ(token.use_count(), 1);
+}
+
+/**
+ * Differential test of the pooled queue against a reference built on
+ * std::priority_queue. A seeded corpus of schedule / deschedule /
+ * reschedule / scheduleLambda calls (lambdas schedule more lambdas)
+ * drives both through the same harness interface; each firing logs
+ * (tick, priority, sequence), where the sequence is the index of the
+ * schedule call that armed the event.
+ */
+namespace {
+
+struct Fired {
+    Tick tick;
+    int priority;
+    std::uint64_t sequence;
+
+    bool
+    operator==(const Fired &o) const
+    {
+        return tick == o.tick && priority == o.priority &&
+            sequence == o.sequence;
+    }
+};
+
+std::ostream &
+operator<<(std::ostream &os, const Fired &f)
+{
+    return os << "(" << f.tick << ", " << f.priority << ", "
+              << f.sequence << ")";
+}
+
+std::uint64_t
+mix(std::uint64_t x)
+{
+    x ^= x >> 31;
+    x *= 0x9E3779B97F4A7C15ull;
+    x ^= x >> 29;
+    return x;
+}
+
+int
+priorityFrom(std::uint64_t h)
+{
+    static const int prios[] = {Event::clockPrio, Event::defaultPrio,
+                                Event::defaultPrio, Event::statsPrio,
+                                -3, 7};
+    return prios[h % 6];
+}
+
+/** The pooled EventQueue behind the harness interface. */
+class PooledHarness
+{
+  public:
+    explicit PooledHarness(int owned)
+    {
+        for (int i = 0; i < owned; ++i)
+            _owned.push_back(std::make_unique<Owned>(
+                *this, priorityFrom(mix(i + 1))));
+    }
+
+    std::vector<Fired> fired;
+    std::uint64_t nextSequence = 0;
+
+    Tick curTick() const { return _eq.curTick(); }
+    bool scheduled(int id) const { return _owned[id]->scheduled(); }
+    std::uint64_t eventsProcessed() const { return _eq.eventsProcessed(); }
+    bool step() { return _eq.step(); }
+    void run(Tick limit = maxTick) { _eq.run(limit); }
+
+    void
+    schedule(int id, Tick when)
+    {
+        _owned[id]->sequence = nextSequence++;
+        _eq.schedule(_owned[id].get(), when);
+    }
+
+    void deschedule(int id) { _eq.deschedule(_owned[id].get()); }
+
+    void
+    reschedule(int id, Tick when)
+    {
+        _owned[id]->sequence = nextSequence++;
+        _eq.reschedule(_owned[id].get(), when);
+    }
+
+    template <typename F>
+    void
+    lambda(Tick when, int priority, F &&fn)
+    {
+        ++nextSequence;
+        _eq.scheduleLambda(when, std::forward<F>(fn), "corpus lambda",
+                           priority);
+    }
+
+  private:
+    struct Owned : public Event {
+        Owned(PooledHarness &h, int prio) : Event(prio), harness(h) {}
+        void
+        process() override
+        {
+            harness.fired.push_back(
+                {harness.curTick(), priority(), sequence});
+        }
+        PooledHarness &harness;
+        std::uint64_t sequence = 0;
+    };
+
+    EventQueue _eq;
+    std::vector<std::unique_ptr<Owned>> _owned;
+};
+
+/** The reference: std::priority_queue with lazy deletion. */
+class ReferenceHarness
+{
+  public:
+    explicit ReferenceHarness(int owned)
+    {
+        for (int i = 0; i < owned; ++i)
+            _owned.push_back({priorityFrom(mix(i + 1)), 0, false});
+    }
+
+    std::vector<Fired> fired;
+    std::uint64_t nextSequence = 0;
+
+    Tick curTick() const { return _cur; }
+    bool scheduled(int id) const { return _owned[id].scheduled; }
+    std::uint64_t eventsProcessed() const { return _processed; }
+
+    void
+    schedule(int id, Tick when)
+    {
+        auto &o = _owned[id];
+        o.sequence = nextSequence++;
+        o.scheduled = true;
+        _heap.push({when, o.priority, o.sequence, id});
+    }
+
+    void deschedule(int id) { _owned[id].scheduled = false; }
+
+    void
+    reschedule(int id, Tick when)
+    {
+        schedule(id, when);
+    }
+
+    template <typename F>
+    void
+    lambda(Tick when, int priority, F &&fn)
+    {
+        _lambdas.emplace_back(std::forward<F>(fn));
+        _heap.push({when, priority, nextSequence++,
+                    -static_cast<int>(_lambdas.size())});
+    }
+
+    bool
+    step()
+    {
+        prune();
+        if (_heap.empty())
+            return false;
+        const Entry e = _heap.top();
+        _heap.pop();
+        _cur = e.when;
+        ++_processed;
+        if (e.id >= 0) {
+            _owned[e.id].scheduled = false;
+            fired.push_back({e.when, e.priority, e.sequence});
+        } else {
+            auto fn = std::move(_lambdas[-e.id - 1]);
+            fn();
+        }
+        return true;
+    }
+
+    void
+    run(Tick limit = maxTick)
+    {
+        while (true) {
+            prune();
+            if (_heap.empty())
+                break;
+            if (_heap.top().when > limit) {
+                _cur = limit;
+                break;
+            }
+            step();
+        }
+        if (_heap.empty() && limit != maxTick && _cur < limit)
+            _cur = limit;
+    }
+
+  private:
+    struct Entry {
+        Tick when;
+        int priority;
+        std::uint64_t sequence;
+        /** Owned event index, or -(lambda index + 1). */
+        int id;
+
+        bool
+        operator>(const Entry &o) const
+        {
+            return std::tie(when, priority, sequence) >
+                std::tie(o.when, o.priority, o.sequence);
+        }
+    };
+
+    struct OwnedState {
+        int priority;
+        std::uint64_t sequence;
+        bool scheduled;
+    };
+
+    void
+    prune()
+    {
+        while (!_heap.empty()) {
+            const Entry &e = _heap.top();
+            if (e.id < 0 || (_owned[e.id].scheduled &&
+                             _owned[e.id].sequence == e.sequence))
+                return;
+            _heap.pop();
+        }
+    }
+
+    std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>>
+        _heap;
+    std::vector<OwnedState> _owned;
+    std::vector<std::function<void()>> _lambdas;
+    Tick _cur = 0;
+    std::uint64_t _processed = 0;
+};
+
+/**
+ * Schedule a corpus lambda; some capture a heap string or pad their
+ * captures toward the inline budget, and some schedule children.
+ */
+template <typename H>
+void
+spawnLambda(H &h, Tick when, int priority, unsigned depth)
+{
+    const std::uint64_t seq = h.nextSequence;
+    const auto fire = [&h, priority, seq, depth] {
+        h.fired.push_back({h.curTick(), priority, seq});
+        const auto x = mix(seq);
+        if (depth < 3 && x % 3 == 0) {
+            spawnLambda(h, h.curTick() + (x >> 8) % 40,
+                        priorityFrom(x >> 16), depth + 1);
+        }
+    };
+    switch (seq % 3) {
+      case 0:
+        h.lambda(when, priority, fire);
+        break;
+      case 1:
+        h.lambda(when, priority,
+                 [fire, name = std::string(40, 'x')] {
+                     ASSERT_EQ(name.size(), 40u);
+                     fire();
+                 });
+        break;
+      default: {
+        std::array<std::uint8_t, 96> pad{};
+        pad.fill(static_cast<std::uint8_t>(seq));
+        h.lambda(when, priority, [fire, pad, seq] {
+            ASSERT_EQ(pad[95], static_cast<std::uint8_t>(seq));
+            fire();
+        });
+      }
+    }
+}
+
+template <typename H>
+void
+runCorpus(H &h, std::uint64_t seed, int ops, int owned)
+{
+    std::mt19937_64 rng(seed);
+    for (int i = 0; i < ops; ++i) {
+        const auto r = rng() % 100;
+        const int id = static_cast<int>(rng() % owned);
+        const Tick when = h.curTick() + rng() % 60;
+        if (r < 20) {
+            if (h.scheduled(id))
+                h.reschedule(id, when);
+            else
+                h.schedule(id, when);
+        } else if (r < 30) {
+            if (h.scheduled(id))
+                h.deschedule(id);
+        } else if (r < 40) {
+            h.reschedule(id, when);
+        } else if (r < 70) {
+            spawnLambda(h, when, priorityFrom(rng()), 0);
+        } else if (r < 95) {
+            h.step();
+        } else {
+            h.run(h.curTick() + rng() % 120);
+        }
+    }
+    h.run();
+}
+
+} // namespace
+
+TEST(EventQueue, PooledQueueMatchesReferenceOnRandomCorpus)
+{
+    constexpr int owned = 12;
+    constexpr int ops = 4000;
+    for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+        PooledHarness pooled(owned);
+        ReferenceHarness ref(owned);
+        runCorpus(pooled, seed, ops, owned);
+        runCorpus(ref, seed, ops, owned);
+        ASSERT_EQ(pooled.fired.size(), ref.fired.size()) << "seed " << seed;
+        ASSERT_EQ(pooled.fired, ref.fired) << "seed " << seed;
+        EXPECT_EQ(pooled.eventsProcessed(), ref.eventsProcessed());
+        EXPECT_EQ(pooled.curTick(), ref.curTick());
+        EXPECT_EQ(pooled.nextSequence, ref.nextSequence);
+        EXPECT_GT(ref.fired.size(), std::size_t(ops / 2));
+    }
 }

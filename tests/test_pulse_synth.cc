@@ -8,6 +8,7 @@
 
 #include <cmath>
 
+#include "controller/program_entry.hh"
 #include "controller/pulse_synth.hh"
 
 using namespace qtenon::controller;
@@ -102,4 +103,49 @@ TEST(PulseSynth, DistinctAnglesDistinctEntries)
     EXPECT_NE(a, b);
     // Deterministic per angle.
     EXPECT_EQ(a, synth.entryFor(GateType::RY, 0.5));
+}
+
+namespace {
+
+/** entryFor (envelope table) against the synthesize + pack reference. */
+void
+expectTableMatchesReference(const PulseSynthesizer &synth, GateType type,
+                            double angle)
+{
+    EXPECT_EQ(synth.entryFor(type, angle),
+              synth.packEntry(synth.synthesize(type, angle)))
+        << qtenon::quantum::gateName(type) << " angle " << angle;
+}
+
+} // namespace
+
+TEST(PulseSynth, TableEntryMatchesReference)
+{
+    PulseSynthConfig short_drive;
+    // Drives shorter than one entry's 20 samples exercise the zero
+    // fill; odd rates and shapes exercise other rounding.
+    short_drive.sampleRateHz = 1.7e9;
+    short_drive.oneQubitNs = 4.0;
+    short_drive.twoQubitNs = 7.3;
+    short_drive.measureNs = 11.0;
+    short_drive.sigmaFraction = 0.31;
+    short_drive.dragCoefficient = -0.7;
+
+    const double edges[] = {0.0, -0.0, M_PI, -M_PI, 4.0 * M_PI,
+                            -4.0 * M_PI, 1e9};
+    const std::uint32_t num_codes = 1u << ProgramEntry::dataBits;
+    for (const auto &cfg : {PulseSynthConfig{}, short_drive}) {
+        const PulseSynthesizer synth(cfg);
+        for (int t = 0; t <= static_cast<int>(GateType::Measure); ++t) {
+            const auto type = static_cast<GateType>(t);
+            for (const double a : edges)
+                expectTableMatchesReference(synth, type, a);
+            // A prime stride walks every low-bit pattern of the code.
+            for (std::uint32_t code = 0; code < num_codes; code += 16381)
+                expectTableMatchesReference(
+                    synth, type, ProgramEntry::decodeAngle(code));
+            expectTableMatchesReference(
+                synth, type, ProgramEntry::decodeAngle(num_codes - 1));
+        }
+    }
 }

@@ -104,3 +104,71 @@ TEST_F(QccFixture, OutOfSegmentAccessPanics)
     EXPECT_DEATH(qcc.readMeasure(999999), "out of range");
     EXPECT_DEATH(qcc.writeRegfile(4096, 1), "out of range");
 }
+
+TEST_F(QccFixture, UnwrittenEntriesReadZeroAndInvalid)
+{
+    const auto &layout = qcc.layout();
+    const auto last = layout.programEntriesPerQubit - 1;
+    // Nothing written yet: every chunk reads as the zero entry.
+    EXPECT_EQ(qcc.readProgram(layout.programAddr(0, 0)), ProgramEntry{});
+    EXPECT_EQ(qcc.readProgram(layout.programAddr(63, last)),
+              ProgramEntry{});
+    EXPECT_EQ(qcc.readPulse(layout.pulseAddr(5, 7)), PulseEntry{});
+    EXPECT_FALSE(qcc.pulseValid(layout.pulseAddr(5, 7)));
+
+    // Writing entry 9 grows the chunk; the entries below it (inside
+    // the high-water mark) and above it (past it) still read zero.
+    ProgramEntry e;
+    e.data = 77;
+    qcc.writeProgram(layout.programAddr(4, 9), e);
+    PulseEntry p{};
+    p[3] = 0xABC;
+    qcc.writePulse(layout.pulseAddr(4, 9), p);
+    for (std::uint32_t i : {0u, 8u, 10u, last}) {
+        EXPECT_EQ(qcc.readProgram(layout.programAddr(4, i)),
+                  ProgramEntry{}) << "entry " << i;
+        EXPECT_EQ(qcc.readPulse(layout.pulseAddr(4, i)), PulseEntry{})
+            << "entry " << i;
+        EXPECT_FALSE(qcc.pulseValid(layout.pulseAddr(4, i)))
+            << "entry " << i;
+    }
+    EXPECT_EQ(qcc.readProgram(layout.programAddr(4, 9)), e);
+    EXPECT_EQ(qcc.readPulse(layout.pulseAddr(4, 9)), p);
+    EXPECT_TRUE(qcc.pulseValid(layout.pulseAddr(4, 9)));
+}
+
+TEST_F(QccFixture, HighWaterGrowthIsPerQubit)
+{
+    const auto &layout = qcc.layout();
+    // Fill qubit 1 from entry 0 upward, as q_set and the SLT
+    // allocator do, then grow it to the top of its chunk.
+    ProgramEntry neighbour;
+    neighbour.data = 5;
+    qcc.writeProgram(layout.programAddr(0, 3), neighbour);
+    qcc.writeProgram(layout.programAddr(2, 3), neighbour);
+    qcc.writePulse(layout.pulseAddr(2, 3), PulseEntry{1});
+    for (std::uint32_t i = 0; i < layout.programEntriesPerQubit; ++i) {
+        ProgramEntry e;
+        e.data = i + 1;
+        qcc.writeProgram(layout.programAddr(1, i), e);
+        PulseEntry p{};
+        p[9] = i + 1;
+        qcc.writePulse(layout.pulseAddr(1, i), p);
+    }
+    for (std::uint32_t i = 0; i < layout.programEntriesPerQubit; ++i) {
+        ASSERT_EQ(qcc.readProgram(layout.programAddr(1, i)).data, i + 1);
+        ASSERT_EQ(qcc.readPulse(layout.pulseAddr(1, i))[9], i + 1);
+        ASSERT_TRUE(qcc.pulseValid(layout.pulseAddr(1, i)));
+    }
+    // The neighbours keep their contents and their own marks.
+    for (std::uint32_t q : {0u, 2u}) {
+        EXPECT_EQ(qcc.readProgram(layout.programAddr(q, 3)), neighbour);
+        EXPECT_EQ(qcc.readProgram(layout.programAddr(q, 4)),
+                  ProgramEntry{});
+        EXPECT_FALSE(qcc.pulseValid(layout.pulseAddr(q, 4)));
+    }
+    EXPECT_FALSE(qcc.pulseValid(layout.pulseAddr(0, 3)));
+    EXPECT_TRUE(qcc.pulseValid(layout.pulseAddr(2, 3)));
+    EXPECT_EQ(qcc.readPulse(layout.pulseAddr(2, 3))[0], 1u);
+    EXPECT_FALSE(qcc.pulseValid(layout.pulseAddr(3, 0)));
+}

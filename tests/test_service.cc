@@ -417,6 +417,19 @@ TEST(Scheduler, CancelPendingAndRunningJobs)
     EXPECT_FALSE(sched.cancel(h_blocker.id));
 }
 
+TEST(Scheduler, FinishedJobsLeaveTheJobTable)
+{
+    SchedulerConfig cfg;
+    cfg.workers = 2;
+    BatchScheduler sched(cfg);
+    const auto handles = sched.submitAll(smallSweep());
+    auto &store = sched.wait();
+    EXPECT_EQ(store.size(), handles.size());
+    EXPECT_EQ(sched.unfinished(), 0u);
+    for (const auto &h : handles)
+        EXPECT_FALSE(sched.cancel(h.id));
+}
+
 TEST(Scheduler, FaultInjectionIsByteIdenticalAcrossWorkerCounts)
 {
     // The acceptance bar for the fault layer: one --fault-spec +
@@ -548,6 +561,22 @@ TEST(ResultsStore, MergeIsLastWriterWins)
     EXPECT_EQ(a.size(), 2u);
     EXPECT_EQ(a.get(1).name, "one-updated");
     EXPECT_EQ(a.get(2).name, "two");
+}
+
+TEST(ResultsStore, EraseDropsOnlyThatJob)
+{
+    ResultsStore store;
+    JobResult r1;
+    r1.jobId = 1;
+    JobResult r2;
+    r2.jobId = 2;
+    store.add(r1);
+    store.add(r2);
+    store.erase(1);
+    store.erase(7); // absent: no effect
+    EXPECT_EQ(store.size(), 1u);
+    EXPECT_FALSE(store.contains(1));
+    EXPECT_TRUE(store.contains(2));
 }
 
 TEST(Json, ValuesSurviveRoundTrip)
