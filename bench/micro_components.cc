@@ -11,6 +11,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "controller/controller.hh"
 #include "controller/pipeline.hh"
 #include "controller/program_entry.hh"
 #include "controller/pulse_synth.hh"
@@ -259,6 +260,105 @@ BM_SltLookupMissAllocate(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SltLookupMissAllocate);
+
+static void
+BM_SltLookupMissQSpace(benchmark::State &state)
+{
+    // 4096 distinct parameters on one qubit overflow its 256 ways, so
+    // after warm-up nearly every lookup evicts a way (overwriting its
+    // tag in an already-populated QSpace) and re-hits QSpace.
+    controller::SkipLookupTable slt(1);
+    constexpr std::uint32_t distinct = 4096;
+    const auto data_of = [](std::uint32_t i) {
+        return (i * 0x9E3779B1u) & ((1u << 27) - 1);
+    };
+    for (std::uint32_t i = 0; i < distinct; ++i)
+        slt.lookup(0, 8, data_of(i), 1u << 20);
+    std::uint32_t i = 0;
+    for (auto _ : state) {
+        auto r = slt.lookup(0, 8, data_of(i), 1u << 20);
+        benchmark::DoNotOptimize(r.pulseEntry);
+        i = (i + 1) % distinct;
+    }
+    state.SetItemsProcessed(state.iterations());
+    state.counters["qspace_hit_ratio"] =
+        double(slt.qspaceHits) / double(slt.misses);
+}
+BENCHMARK(BM_SltLookupMissQSpace);
+
+static void
+BM_PipelineIncrementalGen(benchmark::State &state)
+{
+    // A stale-list q_gen as an SPSA round issues it: a depth-2 QAOA
+    // program on every qubit with its angles in four shared regfile
+    // slots, all rewritten each round with values drawn from a small
+    // pool, so pulses repeat across qubits (stage-4 memo), within a
+    // qubit (SLT hits) and across rounds (QSpace hits).
+    const auto qubits = static_cast<std::uint32_t>(state.range(0));
+    sim::EventQueue eq;
+    memory::Dram dram(eq, "dram", memory::DramConfig{});
+    memory::TileLinkBus bus(eq, "bus",
+                            sim::ClockDomain::fromHz(1'000'000'000),
+                            memory::TileLinkConfig{}, &dram);
+    controller::ControllerConfig cfg;
+    cfg.layout.numQubits = qubits;
+    controller::QuantumController ctrl(eq, "qc", cfg, &bus);
+    auto &qcc = ctrl.qcc();
+    const auto &layout = cfg.layout;
+
+    constexpr std::uint32_t layers = 2;
+    constexpr std::uint32_t edges = 3;
+    const auto code = [](quantum::GateType t) {
+        return controller::ProgramEntry::encodeType(t);
+    };
+    for (std::uint32_t q = 0; q < qubits; ++q) {
+        std::vector<controller::ProgramEntry> prog;
+        controller::ProgramEntry h;
+        h.type = code(quantum::GateType::H);
+        prog.push_back(h);
+        for (std::uint32_t l = 0; l < layers; ++l) {
+            controller::ProgramEntry e;
+            e.regFlag = true;
+            e.type = code(quantum::GateType::RZZ);
+            e.data = 2 * l; // gamma_l
+            for (std::uint32_t k = 0; k < edges; ++k)
+                prog.push_back(e);
+            e.type = code(quantum::GateType::RX);
+            e.data = 2 * l + 1; // beta_l
+            prog.push_back(e);
+        }
+        controller::ProgramEntry m;
+        m.type = code(quantum::GateType::Measure);
+        prog.push_back(m);
+        for (std::uint32_t i = 0; i < prog.size(); ++i) {
+            const auto qaddr = layout.programAddr(q, i);
+            qcc.writeProgram(qaddr, prog[i]);
+            if (prog[i].regFlag)
+                ctrl.linkRegfile(prog[i].data, qaddr);
+        }
+        qcc.setProgramLength(q, static_cast<std::uint32_t>(prog.size()));
+    }
+    const auto done = [](const controller::PipelineResult &,
+                         sim::Tick) {};
+    ctrl.generateAll(done);
+    eq.run();
+
+    sim::Rng rng(7);
+    std::uint64_t entries = 0;
+    for (auto _ : state) {
+        for (std::uint32_t reg = 0; reg < 2 * layers; ++reg) {
+            const double angle = -3.0 + 0.1 * double(rng.index(64));
+            ctrl.roccWrite(layout.regfileAddr(reg),
+                           controller::ProgramEntry::encodeAngle(angle));
+        }
+        auto stale = ctrl.staleProgramEntries();
+        entries += stale.size();
+        ctrl.generate(std::move(stale), done);
+        eq.run();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(entries));
+}
+BENCHMARK(BM_PipelineIncrementalGen)->Arg(320);
 
 static void
 BM_PipelineFullGen(benchmark::State &state)

@@ -13,7 +13,9 @@
 #ifndef QTENON_CONTROLLER_BARRIER_HH
 #define QTENON_CONTROLLER_BARRIER_HH
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <map>
 
 namespace qtenon::controller {
@@ -40,6 +42,17 @@ class MemoryBarrier
             return;
         std::uint64_t lo = addr;
         std::uint64_t hi = addr + size;
+        // Fast path for in-order PUTs: a range starting inside or at
+        // the end of the last interval extends it in place. Stored
+        // intervals neither overlap nor touch, so no earlier one can
+        // reach lo.
+        if (!_synced.empty()) {
+            auto &last = *std::prev(_synced.end());
+            if (last.first <= lo && lo <= last.second) {
+                last.second = std::max(last.second, hi);
+                return;
+            }
+        }
         // Merge with overlapping/adjacent intervals.
         auto it = _synced.lower_bound(lo);
         if (it != _synced.begin()) {

@@ -25,8 +25,9 @@ QuantumController::QuantumController(sim::EventQueue &eq,
         eq, name + ".qcc", _sramClock, cfg.layout);
     _pipeline = std::make_unique<PulsePipeline>(*_qcc, _slt,
                                                 cfg.pipeline);
+    _regfileLinks.resize(cfg.layout.regfileEntries);
     _staleBits.assign((cfg.layout.programEnd() + 63) / 64, 0);
-    _staleLo = _staleBits.size();
+    _staleSummary.assign((_staleBits.size() + 63) / 64, 0);
 }
 
 QuantumController::~QuantumController()
@@ -71,17 +72,7 @@ QuantumController::roccWrite(std::uint64_t qaddr, std::uint64_t data)
         _qcc->writeRegfile(reg, static_cast<std::uint32_t>(data));
         // Invalidate dependent program entries: their pulses must be
         // regenerated at the next q_gen.
-        auto it = _regfileLinks.find(reg);
-        if (it != _regfileLinks.end()) {
-            for (auto pq : it->second) {
-                auto e = _qcc->readProgram(pq);
-                if (e.status != EntryStatus::Invalid) {
-                    e.status = EntryStatus::Invalid;
-                    _qcc->writeProgram(pq, e);
-                }
-                markStale(pq);
-            }
-        }
+        invalidateDependents(reg);
     } else if (seg == memory::QccSegment::Program) {
         // Direct program-entry rewrite over RoCC (low 64 bits of the
         // 65-bit entry; the top type bit rides in data path metadata).
@@ -127,17 +118,7 @@ QuantumController::roccWriteVector(
         if (_qcc->readRegfile(reg) == values[i])
             continue;
         _qcc->writeRegfile(reg, values[i]);
-        auto it = _regfileLinks.find(reg);
-        if (it != _regfileLinks.end()) {
-            for (auto pq : it->second) {
-                auto e = _qcc->readProgram(pq);
-                if (e.status != EntryStatus::Invalid) {
-                    e.status = EntryStatus::Invalid;
-                    _qcc->writeProgram(pq, e);
-                }
-                markStale(pq);
-            }
-        }
+        invalidateDependents(reg);
     }
     // Dispatch cycle plus two 32-bit elements per cycle over the
     // 64-bit RoCC operand path.
@@ -233,7 +214,8 @@ QuantumController::dmaSetProgram(std::uint64_t host_addr,
                         [t, fin] { t->done(fin); }, "q_set done");
                 }
             },
-            [this](std::uint8_t tag, sim::Tick) {
+            [this](std::uint8_t tag, sim::Tick,
+                   const memory::MemPacket &) {
                 _rbq.expect(tag);
                 if (obs::metricsEnabled()) {
                     static auto &rq_occ = obs::histogram(
@@ -301,10 +283,11 @@ QuantumController::dmaAcquire(std::uint64_t host_addr,
                 if (--t->remaining == 0)
                     t->done(t->latest);
             },
-            [this, pkt](std::uint8_t, sim::Tick) {
+            [this](std::uint8_t, sim::Tick,
+                   const memory::MemPacket &put) {
                 // The barrier goes valid once the PUT has been sent
                 // through the system bus (Sec. 6.2).
-                _barrier.markSynced(pkt.addr, pkt.size);
+                _barrier.markSynced(put.addr, put.size);
             });
     }
 }
@@ -425,14 +408,32 @@ void
 QuantumController::linkRegfile(std::uint32_t reg,
                                std::uint64_t program_qaddr)
 {
+    if (reg >= _regfileLinks.size())
+        _regfileLinks.resize(std::size_t(reg) + 1);
     _regfileLinks[reg].push_back(program_qaddr);
 }
 
 void
 QuantumController::clearRegfileLinks()
 {
-    _regfileLinks.clear();
+    for (auto &links : _regfileLinks)
+        links.clear();
     clearStale();
+}
+
+void
+QuantumController::invalidateDependents(std::uint32_t reg)
+{
+    if (reg >= _regfileLinks.size())
+        return;
+    for (auto pq : _regfileLinks[reg]) {
+        auto e = _qcc->readProgram(pq);
+        if (e.status != EntryStatus::Invalid) {
+            e.status = EntryStatus::Invalid;
+            _qcc->writeProgram(pq, e);
+        }
+        markStale(pq);
+    }
 }
 
 void
@@ -440,28 +441,34 @@ QuantumController::markStale(std::uint64_t qaddr)
 {
     const auto idx = qaddr - _cfg.layout.programBase();
     const std::size_t word = idx / 64;
-    _staleLo = std::min(_staleLo, word);
-    _staleHi = std::max(_staleHi, word + 1);
+    _staleSummary[word / 64] |= std::uint64_t(1) << (word % 64);
     _staleBits[word] |= std::uint64_t(1) << (idx % 64);
 }
 
 void
 QuantumController::clearStale()
 {
-    for (std::size_t w = _staleLo; w < _staleHi; ++w)
-        _staleBits[w] = 0;
-    _staleLo = _staleBits.size();
-    _staleHi = 0;
+    for (std::size_t s = 0; s < _staleSummary.size(); ++s) {
+        for (auto marked = _staleSummary[s]; marked != 0;
+             marked &= marked - 1)
+            _staleBits[s * 64 + std::countr_zero(marked)] = 0;
+        _staleSummary[s] = 0;
+    }
 }
 
 std::vector<std::uint64_t>
 QuantumController::staleProgramEntries() const
 {
     std::vector<std::uint64_t> stale;
-    for (std::size_t w = _staleLo; w < _staleHi; ++w) {
-        for (auto bits = _staleBits[w]; bits != 0; bits &= bits - 1) {
-            stale.push_back(_cfg.layout.programBase() + w * 64 +
-                            std::countr_zero(bits));
+    for (std::size_t s = 0; s < _staleSummary.size(); ++s) {
+        for (auto marked = _staleSummary[s]; marked != 0;
+             marked &= marked - 1) {
+            const std::size_t w = s * 64 + std::countr_zero(marked);
+            for (auto bits = _staleBits[w]; bits != 0;
+                 bits &= bits - 1) {
+                stale.push_back(_cfg.layout.programBase() + w * 64 +
+                                std::countr_zero(bits));
+            }
         }
     }
     return stale;

@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "adi.hh"
@@ -204,6 +203,12 @@ class QuantumController : public sim::Clocked
     /** Stage one q_set beat in the WBQ (RBQ in-order delivery). */
     void drainSetBeat(const memory::BusResponse &r);
 
+    /**
+     * Regfile slot @p reg changed: invalidate and mark stale every
+     * program entry linked to it.
+     */
+    void invalidateDependents(std::uint32_t reg);
+
     /** Mark .program entry @p qaddr stale. */
     void markStale(std::uint64_t qaddr);
     /** Drop every stale mark (q_gen consumed them). */
@@ -225,19 +230,17 @@ class QuantumController : public sim::Clocked
     WriteBufferQueue _wbq;
     /** Analytic WBQ drain horizon (tick the staging empties). */
     sim::Tick _wbqDrainFree = 0;
-    /** regfile slot -> dependent program entries. */
-    std::unordered_map<std::uint32_t, std::vector<std::uint64_t>>
-        _regfileLinks;
+    /** Dependent program entries, indexed by regfile slot. */
+    std::vector<std::vector<std::uint64_t>> _regfileLinks;
     /**
      * Program entries invalidated by q_update since the last q_gen:
      * one bit per .program index, so the list comes out in address
-     * order without a sort. Words outside [_staleLo, _staleHi) are
-     * all zero; the range is empty (lo = size, hi = 0) when nothing
-     * is stale.
+     * order without a sort. Bit w of _staleSummary is set iff
+     * _staleBits word w may be nonzero, so a sparse stale set spread
+     * over every qubit visits only its marked words.
      */
     std::vector<std::uint64_t> _staleBits;
-    std::size_t _staleLo = 0;
-    std::size_t _staleHi = 0;
+    std::vector<std::uint64_t> _staleSummary;
     /** Lazily allocated trace-sink process id (0 = none yet). */
     std::uint32_t _tracePid = 0;
 };

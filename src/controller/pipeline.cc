@@ -16,15 +16,26 @@ PulsePipeline::PulsePipeline(QuantumControllerCache &qcc,
 }
 
 PulseEntry
-PulsePipeline::synthesizePulse(const ProgramEntry &e,
-                               std::uint32_t qubit) const
+PulsePipeline::synthesizePulse(const ProgramEntry &e)
 {
-    (void)qubit; // per-qubit calibration offsets are not modeled
     const auto data =
         e.regFlag ? _qcc.readRegfile(e.data) : e.data;
-    const auto type = ProgramEntry::decodeType(e.type);
-    const double angle = ProgramEntry::decodeAngle(data);
-    return _synth.entryFor(type, angle);
+    const auto synthesize = [&] {
+        return _synth.entryFor(ProgramEntry::decodeType(e.type),
+                               ProgramEntry::decodeAngle(data));
+    };
+    // A regfile word or a hand-built entry may exceed the field
+    // widths; such parameters bypass the memo.
+    if (e.type >> ProgramEntry::typeBits ||
+        data >> ProgramEntry::dataBits) {
+        return synthesize();
+    }
+    const std::uint32_t key =
+        std::uint32_t(e.type) << ProgramEntry::dataBits | data;
+    if (const auto *index = _memoIndex.find(key))
+        return _memoEntries[*index];
+    _memoIndex.put(key, static_cast<std::uint32_t>(_memoEntries.size()));
+    return _memoEntries.emplace_back(synthesize());
 }
 
 PipelineResult
@@ -53,6 +64,11 @@ PulsePipeline::run(const std::vector<std::uint64_t> &work)
     InFlight stage2out{}; // awaiting a PGU in stage 3
     bool stage2_valid = false;
     std::vector<Pgu> pgus(_cfg.numPgus);
+    // Completion horizon: the busy PGU count and the earliest
+    // doneCycle among busy PGUs (`never` when none is busy).
+    constexpr sim::Cycles never = ~sim::Cycles(0);
+    std::size_t busy = 0;
+    sim::Cycles next_done = never;
     // Pulse QAddresses currently being generated (status Pending):
     // later entries hitting the same parameter must not re-dispatch.
     std::vector<std::uint64_t> in_flight;
@@ -62,64 +78,62 @@ PulsePipeline::run(const std::vector<std::uint64_t> &work)
     };
 
     sim::Cycles cycle = 0;
-    auto any_pgu_busy = [&] {
-        return std::any_of(pgus.begin(), pgus.end(),
-                           [](const Pgu &p) { return p.busy; });
-    };
 
     while (pc < work.size() || stage1_valid || stage2_valid ||
-           any_pgu_busy()) {
+           busy != 0) {
         bool progress = false;
 
-        // ---- Stage 4: arbiter writes back one finished PGU/cycle.
-        {
+        // ---- Stage 4: arbiter writes back one finished PGU/cycle:
+        // the lowest-numbered PGU finishing at the horizon.
+        if (next_done <= cycle) {
             Pgu *done = nullptr;
+            sim::Cycles following = never;
             for (auto &p : pgus) {
-                if (p.busy && p.doneCycle <= cycle &&
-                    (!done || p.doneCycle < done->doneCycle)) {
+                if (!p.busy)
+                    continue;
+                if (!done && p.doneCycle == next_done)
                     done = &p;
-                }
+                else
+                    following = std::min(following, p.doneCycle);
             }
-            if (done) {
-                auto e = _qcc.readProgram(done->programQaddr);
-                _qcc.writePulse(done->pulseQaddr,
-                                synthesizePulse(
-                                    e, layout.qubitOf(done->pulseQaddr)));
-                e.status = EntryStatus::Valid;
-                _qcc.writeProgram(done->programQaddr, e);
-                in_flight.erase(std::remove(in_flight.begin(),
-                                            in_flight.end(),
-                                            done->pulseQaddr),
-                                in_flight.end());
-                done->busy = false;
-                ++res.pulsesGenerated;
-                ++res.stage4BusyCycles;
-                progress = true;
-            }
+            auto e = _qcc.readProgram(done->programQaddr);
+            _qcc.writePulse(done->pulseQaddr, synthesizePulse(e));
+            e.status = EntryStatus::Valid;
+            _qcc.writeProgram(done->programQaddr, e);
+            in_flight.erase(std::remove(in_flight.begin(),
+                                        in_flight.end(),
+                                        done->pulseQaddr),
+                            in_flight.end());
+            done->busy = false;
+            --busy;
+            next_done = following;
+            ++res.pulsesGenerated;
+            ++res.stage4BusyCycles;
+            progress = true;
         }
 
         // ---- Stage 3: dispatch the stage-2 output to a free PGU.
         bool stall = false;
         if (stage2_valid && stage2out.readyCycle <= cycle) {
-            // Priority encoder: lowest-numbered free PGU.
-            auto it = std::find_if(pgus.begin(), pgus.end(),
-                                   [](const Pgu &p) { return !p.busy; });
-            if (it != pgus.end()) {
+            if (busy < pgus.size()) {
+                // Priority encoder: lowest-numbered free PGU.
+                auto it = std::find_if(pgus.begin(), pgus.end(),
+                                       [](const Pgu &p) {
+                                           return !p.busy;
+                                       });
                 it->busy = true;
                 it->doneCycle = cycle + _cfg.pguLatency;
                 it->pulseQaddr = stage2out.pulseQaddr;
                 it->programQaddr = stage2out.programQaddr;
+                ++busy;
+                next_done = std::min(next_done, it->doneCycle);
                 stage2_valid = false;
                 ++res.stage3BusyCycles;
                 if (obs::metricsEnabled()) {
                     static auto &occ = obs::histogram(
                         "controller.pipeline.pgu_occupancy",
                         "busy PGUs after each dispatch");
-                    occ.record(static_cast<std::uint64_t>(
-                        std::count_if(pgus.begin(), pgus.end(),
-                                      [](const Pgu &p) {
-                                          return p.busy;
-                                      })));
+                    occ.record(busy);
                 }
                 progress = true;
             } else {
@@ -211,14 +225,10 @@ PulsePipeline::run(const std::vector<std::uint64_t> &work)
             ++cycle;
             continue;
         }
-        sim::Cycles next = ~sim::Cycles(0);
-        for (const auto &p : pgus) {
-            if (p.busy)
-                next = std::min(next, p.doneCycle);
-        }
+        sim::Cycles next = next_done;
         if (stage2_valid && stage2out.readyCycle > cycle)
             next = std::min(next, stage2out.readyCycle);
-        if (next == ~sim::Cycles(0)) {
+        if (next == never) {
             // Nothing in flight and no progress: should be done.
             break;
         }
@@ -228,6 +238,8 @@ PulsePipeline::run(const std::vector<std::uint64_t> &work)
     }
 
     res.cycles = cycle;
+    _memoIndex.clear();
+    _memoEntries.clear();
     return res;
 }
 

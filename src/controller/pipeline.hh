@@ -29,6 +29,7 @@
 #include "qcc.hh"
 #include "slt.hh"
 #include "sim/sim_object.hh"
+#include "tag_table.hh"
 
 namespace qtenon::controller {
 
@@ -118,14 +119,25 @@ class PulsePipeline
         std::uint64_t programQaddr = 0;
     };
 
-    /** Synthesize the waveform entry for a program entry. */
-    PulseEntry synthesizePulse(const ProgramEntry &e,
-                               std::uint32_t qubit) const;
+    /**
+     * The waveform entry for a program entry, through the per-run
+     * memo when its (type, data) fits the memo key.
+     */
+    PulseEntry synthesizePulse(const ProgramEntry &e);
 
     QuantumControllerCache &_qcc;
     SkipLookupTable &_slt;
     PipelineConfig _cfg;
     PulseSynthesizer _synth;
+    /**
+     * Per-run synthesis memo. entryFor() is a pure function of
+     * (type, data) (per-qubit calibration is not modeled), so a
+     * remembered entry is the one synthesis would produce. Keyed by
+     * type << 27 | data, it indexes _memoEntries; both grow with the
+     * run's distinct parameters and are emptied when run() returns.
+     */
+    TagTable _memoIndex;
+    std::vector<PulseEntry> _memoEntries;
 };
 
 } // namespace qtenon::controller

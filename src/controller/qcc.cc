@@ -11,7 +11,9 @@ QuantumControllerCache::QuantumControllerCache(sim::EventQueue &eq,
                                                std::string name,
                                                sim::ClockDomain clock,
                                                memory::QccLayout layout)
-    : Clocked(eq, std::move(name), clock), _layout(layout)
+    : Clocked(eq, std::move(name), clock), _layout(layout),
+      _programEnd(layout.programEnd()), _pulseBase(layout.pulseBase()),
+      _pulseSpan(layout.pulseEnd() - layout.pulseBase())
 {
     _program.resize(_layout.numQubits);
     _pulse.resize(_layout.numQubits);
@@ -36,65 +38,20 @@ QuantumControllerCache::~QuantumControllerCache()
     });
 }
 
-namespace {
+const ProgramEntry QuantumControllerCache::zeroProgramEntry{};
+const PulseEntry QuantumControllerCache::zeroPulseEntry{};
 
-/** What an entry above its chunk's high-water mark reads as. */
-const ProgramEntry zeroProgramEntry{};
-const PulseEntry zeroPulseEntry{};
-
-/** Grow @p chunk so that index @p entry exists. */
-template <typename Vec>
 void
-growTo(Vec &chunk, std::uint32_t entry)
+QuantumControllerCache::notInSegment(std::uint64_t qaddr,
+                                     const char *segment)
 {
-    if (entry >= chunk.size())
-        chunk.resize(std::size_t(entry) + 1);
-}
-
-} // namespace
-
-QuantumControllerCache::ChunkPos
-QuantumControllerCache::programPos(std::uint64_t qaddr) const
-{
-    if (_layout.segmentOf(qaddr) != memory::QccSegment::Program)
-        sim::panic("QAddress 0x", std::hex, qaddr, " not in .program");
-    const auto idx = qaddr - _layout.programBase();
-    return {static_cast<std::uint32_t>(
-                idx / _layout.programEntriesPerQubit),
-            static_cast<std::uint32_t>(
-                idx % _layout.programEntriesPerQubit)};
-}
-
-QuantumControllerCache::ChunkPos
-QuantumControllerCache::pulsePos(std::uint64_t qaddr) const
-{
-    if (_layout.segmentOf(qaddr) != memory::QccSegment::Pulse)
-        sim::panic("QAddress 0x", std::hex, qaddr, " not in .pulse");
-    const auto idx = qaddr - _layout.pulseBase();
-    return {static_cast<std::uint32_t>(
-                idx / _layout.pulseEntriesPerQubit),
-            static_cast<std::uint32_t>(
-                idx % _layout.pulseEntriesPerQubit)};
-}
-
-const ProgramEntry &
-QuantumControllerCache::readProgram(std::uint64_t qaddr) const
-{
-    ++programReads;
-    const auto [qubit, entry] = programPos(qaddr);
-    const auto &chunk = _program[qubit];
-    return entry < chunk.size() ? chunk[entry] : zeroProgramEntry;
+    sim::panic("QAddress 0x", std::hex, qaddr, " not in ", segment);
 }
 
 void
-QuantumControllerCache::writeProgram(std::uint64_t qaddr,
-                                     const ProgramEntry &e)
+QuantumControllerCache::regfileOutOfRange(std::uint32_t entry)
 {
-    ++programWrites;
-    const auto [qubit, entry] = programPos(qaddr);
-    auto &chunk = _program[qubit];
-    growTo(chunk, entry);
-    chunk[entry] = e;
+    sim::panic(".regfile entry ", entry, " out of range");
 }
 
 std::uint32_t
@@ -135,18 +92,12 @@ QuantumControllerCache::writePulse(std::uint64_t qaddr,
     ++pulseWrites;
     const auto [qubit, entry] = pulsePos(qaddr);
     auto &chunk = _pulse[qubit];
-    growTo(chunk.entries, entry);
-    growTo(chunk.valid, entry);
+    if (entry >= chunk.entries.size()) {
+        chunk.entries.resize(std::size_t(entry) + 1);
+        chunk.valid.resize(std::size_t(entry) + 1);
+    }
     chunk.entries[entry] = p;
-    chunk.valid[entry] = true;
-}
-
-bool
-QuantumControllerCache::pulseValid(std::uint64_t qaddr) const
-{
-    const auto [qubit, entry] = pulsePos(qaddr);
-    const auto &valid = _pulse[qubit].valid;
-    return entry < valid.size() && valid[entry];
+    chunk.valid[entry] = 1;
 }
 
 std::uint64_t
@@ -167,20 +118,12 @@ QuantumControllerCache::writeMeasure(std::uint32_t entry,
     _measure[entry] = value;
 }
 
-std::uint32_t
-QuantumControllerCache::readRegfile(std::uint32_t entry) const
-{
-    if (entry >= _regfile.size())
-        sim::panic(".regfile entry ", entry, " out of range");
-    return _regfile[entry];
-}
-
 void
 QuantumControllerCache::writeRegfile(std::uint32_t entry,
                                      std::uint32_t value)
 {
     if (entry >= _regfile.size())
-        sim::panic(".regfile entry ", entry, " out of range");
+        regfileOutOfRange(entry);
     ++regfileWrites;
     _regfile[entry] = value;
 }

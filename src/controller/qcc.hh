@@ -13,6 +13,10 @@
  * cache holds what its programs use instead of the full geometry.
  * An entry above a chunk's high-water mark reads as the zero entry
  * and its pulse as invalid, exactly as a value-filled array would.
+ *
+ * The q_gen hot accessors (readProgram, writeProgram, pulseValid,
+ * readRegfile) are defined inline below; their bad-address panics
+ * stay out of line.
  */
 
 #ifndef QTENON_CONTROLLER_QCC_HH
@@ -53,8 +57,26 @@ class QuantumControllerCache : public sim::Clocked
      * same qubit's chunk.
      */
     /// @{
-    const ProgramEntry &readProgram(std::uint64_t qaddr) const;
-    void writeProgram(std::uint64_t qaddr, const ProgramEntry &e);
+    const ProgramEntry &
+    readProgram(std::uint64_t qaddr) const
+    {
+        ++programReads;
+        const auto [qubit, entry] = programPos(qaddr);
+        const auto &chunk = _program[qubit];
+        return entry < chunk.size() ? chunk[entry] : zeroProgramEntry;
+    }
+
+    void
+    writeProgram(std::uint64_t qaddr, const ProgramEntry &e)
+    {
+        ++programWrites;
+        const auto [qubit, entry] = programPos(qaddr);
+        auto &chunk = _program[qubit];
+        if (entry >= chunk.size())
+            chunk.resize(std::size_t(entry) + 1);
+        chunk[entry] = e;
+    }
+
     /** Number of valid program entries installed for @p qubit. */
     std::uint32_t programLength(std::uint32_t qubit) const;
     void setProgramLength(std::uint32_t qubit, std::uint32_t len);
@@ -68,7 +90,14 @@ class QuantumControllerCache : public sim::Clocked
     /// @{
     const PulseEntry &readPulse(std::uint64_t qaddr) const;
     void writePulse(std::uint64_t qaddr, const PulseEntry &p);
-    bool pulseValid(std::uint64_t qaddr) const;
+
+    bool
+    pulseValid(std::uint64_t qaddr) const
+    {
+        const auto [qubit, entry] = pulsePos(qaddr);
+        const auto &valid = _pulse[qubit].valid;
+        return entry < valid.size() && valid[entry];
+    }
     /// @}
 
     /** @name .measure segment */
@@ -79,7 +108,14 @@ class QuantumControllerCache : public sim::Clocked
 
     /** @name .regfile segment */
     /// @{
-    std::uint32_t readRegfile(std::uint32_t entry) const;
+    std::uint32_t
+    readRegfile(std::uint32_t entry) const
+    {
+        if (entry >= _regfile.size())
+            regfileOutOfRange(entry);
+        return _regfile[entry];
+    }
+
     void writeRegfile(std::uint32_t entry, std::uint32_t value);
     /// @}
 
@@ -109,16 +145,53 @@ class QuantumControllerCache : public sim::Clocked
         std::uint32_t entry;
     };
 
-    ChunkPos programPos(std::uint64_t qaddr) const;
-    ChunkPos pulsePos(std::uint64_t qaddr) const;
+    /** What an entry above its chunk's high-water mark reads as. */
+    static const ProgramEntry zeroProgramEntry;
+    static const PulseEntry zeroPulseEntry;
+
+    [[noreturn]] static void notInSegment(std::uint64_t qaddr,
+                                          const char *segment);
+    [[noreturn]] static void regfileOutOfRange(std::uint32_t entry);
+
+    ChunkPos
+    programPos(std::uint64_t qaddr) const
+    {
+        // .program starts at QAddress 0, below every other segment,
+        // so this bound is segmentOf()'s .program test.
+        if (qaddr >= _programEnd)
+            notInSegment(qaddr, ".program");
+        return {static_cast<std::uint32_t>(
+                    qaddr / _layout.programEntriesPerQubit),
+                static_cast<std::uint32_t>(
+                    qaddr % _layout.programEntriesPerQubit)};
+    }
+
+    ChunkPos
+    pulsePos(std::uint64_t qaddr) const
+    {
+        // .pulse lies above every other segment, so this range is
+        // segmentOf()'s .pulse test.
+        const auto idx = qaddr - _pulseBase;
+        if (qaddr < _pulseBase || idx >= _pulseSpan)
+            notInSegment(qaddr, ".pulse");
+        return {static_cast<std::uint32_t>(
+                    idx / _layout.pulseEntriesPerQubit),
+                static_cast<std::uint32_t>(
+                    idx % _layout.pulseEntriesPerQubit)};
+    }
 
     /** One qubit's .pulse chunk up to its high-water mark. */
     struct PulseChunk {
         std::vector<PulseEntry> entries;
-        std::vector<bool> valid;
+        /** One byte per entry: nonzero once written. */
+        std::vector<std::uint8_t> valid;
     };
 
     memory::QccLayout _layout;
+    /** Segment bounds cached from the layout for the hot accessors. */
+    std::uint64_t _programEnd;
+    std::uint64_t _pulseBase;
+    std::uint64_t _pulseSpan;
     /** Per-qubit .program chunks, grown to the highest write. */
     std::vector<std::vector<ProgramEntry>> _program;
     /** Per-qubit .pulse chunks, grown to the highest write. */

@@ -1,5 +1,7 @@
 #include "slt.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace qtenon::controller {
@@ -7,9 +9,22 @@ namespace qtenon::controller {
 SkipLookupTable::SkipLookupTable(std::uint32_t num_qubits, SltConfig cfg)
     : _cfg(cfg), _numQubits(num_qubits)
 {
-    _entries.assign(
-        std::size_t(num_qubits) * cfg.entriesPerWay * cfg.ways,
-        Entry{});
+    if (cfg.ways == 0 || cfg.entriesPerWay == 0)
+        sim::fatal("SLT needs at least one way and one entry per way");
+    if (cfg.countBits == 0 || cfg.tagBits + cfg.countBits > 31) {
+        sim::fatal("SLT tag (", cfg.tagBits, " bits) and count (",
+                   cfg.countBits, " bits) must fit in the 31 bits a "
+                   "packed way has beside its valid bit, with a count "
+                   "of at least 1 bit");
+    }
+    _qubitStride = std::size_t(cfg.entriesPerWay) * cfg.ways;
+    // The 7-bit concatenated index is reduced to however many
+    // entries a way actually has (128 in the paper's geometry).
+    for (std::uint32_t i = 0; i < _setOffset.size(); ++i)
+        _setOffset[i] = (i % cfg.entriesPerWay) * cfg.ways;
+    _tagMask = (1u << cfg.tagBits) - 1;
+    _countMax = (1u << cfg.countBits) - 1;
+    _ways.assign(num_qubits * _qubitStride, Way{});
     _qspace.resize(num_qubits);
     _nextPulseEntry.assign(num_qubits, 0);
 }
@@ -28,10 +43,9 @@ SkipLookupTable::allocate(std::uint32_t qubit,
 void
 SkipLookupTable::reset()
 {
-    for (auto &e : _entries)
-        e = Entry{};
-    for (auto &m : _qspace)
-        m.clear();
+    std::fill(_ways.begin(), _ways.end(), Way{});
+    for (auto &t : _qspace)
+        t.clear();
     std::fill(_nextPulseEntry.begin(), _nextPulseEntry.end(), 0);
     hits = misses = qspaceHits = qspaceAllocs = evictions = 0;
 }
@@ -55,16 +69,7 @@ SkipLookupTable::tagOf(std::uint8_t type, std::uint32_t data) const
     key ^= key >> 13;
     key *= 0x9E3779B97F4A7C15ull;
     key ^= key >> 29;
-    return static_cast<std::uint32_t>(key & ((1u << _cfg.tagBits) - 1));
-}
-
-SkipLookupTable::Entry &
-SkipLookupTable::entryAt(std::uint32_t qubit, std::uint32_t index,
-                         std::uint32_t way)
-{
-    const std::size_t base =
-        std::size_t(qubit) * _cfg.entriesPerWay * _cfg.ways;
-    return _entries[base + std::size_t(index) * _cfg.ways + way];
+    return static_cast<std::uint32_t>(key) & _tagMask;
 }
 
 SltResult
@@ -78,19 +83,22 @@ SkipLookupTable::lookup(std::uint32_t qubit, std::uint8_t type,
     SltResult r;
     r.cycles = _cfg.lookupCycles;
 
-    // The 7-bit concatenated index is reduced to however many
-    // entries a way actually has (128 in the paper's geometry).
-    const auto index = indexOf(type, data) % _cfg.entriesPerWay;
+    Way *set = &_ways[qubit * _qubitStride +
+                      _setOffset[indexOf(type, data)]];
     const auto tag = tagOf(type, data);
-    const std::uint32_t count_max = (1u << _cfg.countBits) - 1;
+    const std::uint32_t key_mask = validBit | _tagMask;
+    const std::uint32_t count_one = 1u << _cfg.tagBits;
+    const auto count_of = [&](const Way &w) {
+        return (w.meta >> _cfg.tagBits) & _countMax;
+    };
 
-    // Probe both ways.
+    // Probe every way.
     for (std::uint32_t w = 0; w < _cfg.ways; ++w) {
-        auto &e = entryAt(qubit, index, w);
-        if (e.valid && e.tag == tag) {
+        auto &e = set[w];
+        if ((e.meta & key_mask) == (validBit | tag)) {
             ++hits;
-            if (e.count < count_max)
-                ++e.count;
+            if (count_of(e) < _countMax)
+                e.meta += count_one;
             r.hit = true;
             r.pulseEntry = e.pulseEntry;
             return r;
@@ -104,35 +112,35 @@ SkipLookupTable::lookup(std::uint32_t qubit, std::uint8_t type,
     bool found_invalid = false;
     std::uint32_t least = ~std::uint32_t(0);
     for (std::uint32_t w = 0; w < _cfg.ways; ++w) {
-        auto &e = entryAt(qubit, index, w);
-        if (!e.valid) {
+        const auto &e = set[w];
+        if (!(e.meta & validBit)) {
             victim = w;
             found_invalid = true;
             break;
         }
-        if (e.count < least) {
-            least = e.count;
+        if (count_of(e) < least) {
+            least = count_of(e);
             victim = w;
         }
     }
 
-    auto &v = entryAt(qubit, index, victim);
-    if (!found_invalid && v.valid) {
+    auto &v = set[victim];
+    auto &qspace = _qspace[qubit];
+    if (!found_invalid) {
         // Evict with write-back to QSpace (one DRAM write).
         ++evictions;
         r.evicted = true;
-        _qspace[qubit][v.tag] = v.pulseEntry;
+        qspace.put(v.meta & _tagMask, v.pulseEntry);
         r.cycles += _cfg.qspaceAccessCycles;
     }
 
     // Consult QSpace for the requested tag (one DRAM read).
     r.cycles += _cfg.qspaceAccessCycles;
-    auto it = _qspace[qubit].find(tag);
     std::uint32_t pulse_entry;
-    if (it != _qspace[qubit].end()) {
+    if (const auto *stored = qspace.find(tag)) {
         ++qspaceHits;
         r.qspaceHit = true;
-        pulse_entry = it->second;
+        pulse_entry = *stored;
     } else {
         // Allocate a fresh pulse slot for this qubit.
         ++qspaceAllocs;
@@ -147,10 +155,8 @@ SkipLookupTable::lookup(std::uint32_t qubit, std::uint8_t type,
         r.needsGeneration = true;
     }
 
-    v.valid = true;
-    v.tag = tag;
     v.pulseEntry = pulse_entry;
-    v.count = 1;
+    v.meta = validBit | count_one | tag;
     r.pulseEntry = pulse_entry;
     return r;
 }

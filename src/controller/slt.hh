@@ -9,16 +9,22 @@
  * QSpace (a 4 MB/qubit DRAM region indexed by tag); replacement is
  * Least-Count (LC): invalid entries first, then the smallest access
  * count, with eviction write-back to QSpace.
+ *
+ * Each way packs into 8 bytes: the pulse entry, and one 32-bit word
+ * holding the valid bit (bit 31), the access count and the tag. A
+ * configuration whose tag and count widths exceed the 31 bits left
+ * beside the valid bit is rejected at construction.
  */
 
 #ifndef QTENON_CONTROLLER_SLT_HH
 #define QTENON_CONTROLLER_SLT_HH
 
+#include <array>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/sim_object.hh"
+#include "tag_table.hh"
 
 namespace qtenon::controller {
 
@@ -26,6 +32,7 @@ namespace qtenon::controller {
 struct SltConfig {
     std::uint32_t ways = 2;
     std::uint32_t entriesPerWay = 128;
+    /** tagBits + countBits must not exceed 31 (the packed way). */
     std::uint32_t tagBits = 20;
     std::uint32_t countBits = 5;
     /** Controller cycles for one SLT probe. */
@@ -52,7 +59,7 @@ struct SltResult {
 
 /**
  * The per-qubit skip lookup table with its QSpace backing store. The
- * QSpace content is held functionally (a tag -> pulse-entry map per
+ * QSpace content is held functionally (a tag -> pulse-entry table per
  * qubit); its access cost is charged in cycles per SltConfig.
  */
 class SkipLookupTable
@@ -100,23 +107,27 @@ class SkipLookupTable
     /// @}
 
   private:
-    struct Entry {
-        std::uint32_t tag = 0;
+    /** One way: the pulse entry and valid | count << tagBits | tag. */
+    struct Way {
         std::uint32_t pulseEntry = 0;
-        bool valid = false;
-        std::uint32_t count = 0;
+        std::uint32_t meta = 0;
     };
+    static_assert(sizeof(Way) == 8);
 
-    Entry &entryAt(std::uint32_t qubit, std::uint32_t index,
-                   std::uint32_t way);
+    static constexpr std::uint32_t validBit = 1u << 31;
 
     SltConfig _cfg;
     std::uint32_t _numQubits;
-    /** [qubit][index * ways + way] */
-    std::vector<Entry> _entries;
+    /** Ways of one qubit: entriesPerWay sets of `ways` each. */
+    std::size_t _qubitStride;
+    /** indexOf() -> offset of its set's first way within a qubit. */
+    std::array<std::uint32_t, 128> _setOffset;
+    std::uint32_t _tagMask;
+    std::uint32_t _countMax;
+    /** [qubit * _qubitStride + set * ways + way] */
+    std::vector<Way> _ways;
     /** Per-qubit functional QSpace: tag -> pulse entry. */
-    std::vector<std::unordered_map<std::uint32_t, std::uint32_t>>
-        _qspace;
+    std::vector<TagTable> _qspace;
     /** Per-qubit .pulse bump allocator. */
     std::vector<std::uint32_t> _nextPulseEntry;
     bool _warnedWrap = false;

@@ -120,7 +120,7 @@ TileLinkBus::tryIssue()
             occ.record(numTags() - freeTags());
         }
         if (p.issueCb)
-            p.issueCb(tag, curTick());
+            p.issueCb(tag, curTick(), p.pkt);
 
         const sim::Cycles req_beats = beatsFor(p.pkt.size);
         beats += req_beats;

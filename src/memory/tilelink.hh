@@ -53,9 +53,12 @@ class TileLinkBus : public sim::Clocked, public MemDevice
 {
   public:
     using TaggedCallback = std::function<void(const BusResponse &)>;
-    /** Observer invoked when a tag is allocated (request leaves). */
-    using IssueCallback = std::function<void(std::uint8_t tag,
-                                             sim::Tick when)>;
+    /**
+     * Observer invoked when a tag is allocated (request leaves),
+     * with the request itself so a caller need not capture it.
+     */
+    using IssueCallback = std::function<void(
+        std::uint8_t tag, sim::Tick when, const MemPacket &pkt)>;
 
     TileLinkBus(sim::EventQueue &eq, std::string name,
                 sim::ClockDomain clock, TileLinkConfig cfg,

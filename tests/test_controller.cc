@@ -211,13 +211,19 @@ TEST_F(ControllerFixture, MeasurementRoundTrip)
     EXPECT_EQ(ctrl->qcc().readMeasure(1), 0xCDu);
 }
 
-TEST_F(ControllerFixture, StaleListMatchesSortUniqueReference)
+namespace {
+
+/**
+ * Drive seeded random link / write / q_gen sequences through @p ctrl
+ * and check its stale list against the sorted, deduplicated list of
+ * every invalidation. @p regs regfile slots are linked to program
+ * entries on any qubit.
+ */
+void
+checkStaleListAgainstReference(EventQueue &eq, QuantumController &ctrl,
+                               std::uint32_t regs, int ops)
 {
-    // The stale list is kept as per-entry marks; check it against the
-    // sorted, deduplicated list of every invalidation, over seeded
-    // random link / write / q_gen sequences.
-    const auto &layout = ctrl->config().layout;
-    const std::uint32_t regs = 16;
+    const auto &layout = ctrl.config().layout;
     const auto random_pq = [&](std::mt19937_64 &rng) {
         // Bias toward chunk edges and word boundaries.
         const std::uint32_t q = rng() % layout.numQubits;
@@ -231,16 +237,16 @@ TEST_F(ControllerFixture, StaleListMatchesSortUniqueReference)
         std::mt19937_64 rng(seed);
         std::map<std::uint32_t, std::vector<std::uint64_t>> links;
         std::vector<std::uint64_t> ref;
-        ctrl->clearRegfileLinks();
-        for (int op = 0; op < 1500; ++op) {
+        ctrl.clearRegfileLinks();
+        for (int op = 0; op < ops; ++op) {
             const auto r = rng() % 100;
             const auto reg = static_cast<std::uint32_t>(rng() % regs);
             if (r < 30) {
                 const auto pq = random_pq(rng);
-                ctrl->linkRegfile(reg, pq);
+                ctrl.linkRegfile(reg, pq);
                 links[reg].push_back(pq);
             } else if (r < 60) {
-                ctrl->roccWrite(layout.regfileAddr(reg), rng() % 4);
+                ctrl.roccWrite(layout.regfileAddr(reg), rng() % 4);
                 for (auto pq : links[reg])
                     ref.push_back(pq);
             } else if (r < 75) {
@@ -252,23 +258,23 @@ TEST_F(ControllerFixture, StaleListMatchesSortUniqueReference)
                 for (std::size_t i = 0; i < values.size(); ++i) {
                     values[i] = rng() % 4;
                     const auto lane = base + 2 * i;
-                    if (ctrl->qcc().readRegfile(lane) != values[i]) {
+                    if (ctrl.qcc().readRegfile(lane) != values[i]) {
                         for (auto pq : links[lane])
                             ref.push_back(pq);
                     }
                 }
-                ctrl->roccWriteVector(layout.regfileAddr(base), 2,
-                                      values);
+                ctrl.roccWriteVector(layout.regfileAddr(base), 2,
+                                     values);
             } else if (r < 85) {
                 const auto pq = random_pq(rng);
-                ctrl->roccWrite(pq, rng());
+                ctrl.roccWrite(pq, rng());
                 ref.push_back(pq);
             } else if (r < 95) {
-                ctrl->generate({}, [](const PipelineResult &, Tick) {});
+                ctrl.generate({}, [](const PipelineResult &, Tick) {});
                 eq.run();
                 ref.clear();
             } else {
-                ctrl->clearRegfileLinks();
+                ctrl.clearRegfileLinks();
                 links.clear();
                 ref.clear();
             }
@@ -276,8 +282,25 @@ TEST_F(ControllerFixture, StaleListMatchesSortUniqueReference)
             std::sort(expect.begin(), expect.end());
             expect.erase(std::unique(expect.begin(), expect.end()),
                          expect.end());
-            ASSERT_EQ(ctrl->staleProgramEntries(), expect)
+            ASSERT_EQ(ctrl.staleProgramEntries(), expect)
                 << "seed " << seed << " op " << op;
         }
     }
+}
+
+} // namespace
+
+TEST_F(ControllerFixture, StaleListMatchesSortUniqueReference)
+{
+    // The stale list is kept as per-entry marks under a per-64-word
+    // summary; check it against the reference on the 8-qubit fixture
+    // and on a 320-qubit layout, where few marks spread over every
+    // qubit's chunk and most summary words stay empty.
+    checkStaleListAgainstReference(eq, *ctrl, 16, 1500);
+    ASSERT_FALSE(HasFatalFailure());
+
+    ControllerConfig wide;
+    wide.layout.numQubits = 320;
+    QuantumController ctrl320(eq, "qc320", wide, bus.get());
+    checkStaleListAgainstReference(eq, ctrl320, 64, 400);
 }

@@ -279,14 +279,22 @@ TEST(TileLink, IssueCallbackReportsUniqueTags)
     TileLinkBus bus(eq, "bus", ClockDomain(1000), TileLinkConfig{},
                     &mem);
     std::set<std::uint8_t> tags;
+    std::vector<std::uint64_t> issued_addrs;
     MemPacket p;
     p.size = 8;
     for (int i = 0; i < 16; ++i) {
         p.addr = i * 64;
         bus.accessTagged(
             p, [](const BusResponse &) {},
-            [&](std::uint8_t tag, Tick) { tags.insert(tag); });
+            [&](std::uint8_t tag, Tick, const MemPacket &pkt) {
+                tags.insert(tag);
+                issued_addrs.push_back(pkt.addr);
+            });
     }
     EXPECT_EQ(tags.size(), 16u); // all outstanding, all distinct
+    // Each observer sees its own request, in issue order.
+    ASSERT_EQ(issued_addrs.size(), 16u);
+    for (std::size_t i = 0; i < issued_addrs.size(); ++i)
+        EXPECT_EQ(issued_addrs[i], i * 64);
     eq.run();
 }

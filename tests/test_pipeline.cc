@@ -2,12 +2,17 @@
  * @file
  * Cycle-level tests of the four-stage pulse pipeline: PGU latency,
  * parallelism across the 8 PGUs, stalls when all PGUs are busy, SLT
- * skip behaviour, regfile indirection, and already-valid fast paths.
+ * skip behaviour, regfile indirection, already-valid fast paths, and
+ * the per-run synthesis memo.
  */
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "controller/pipeline.hh"
+#include "controller/pulse_synth.hh"
 #include "controller/qcc.hh"
 #include "controller/slt.hh"
 #include "memory/address_map.hh"
@@ -202,4 +207,103 @@ TEST_F(PipelineFixture, EmptyWorkCompletesInstantly)
     auto r = pipe.run({});
     EXPECT_EQ(r.cycles, 0u);
     EXPECT_EQ(r.entriesProcessed, 0u);
+}
+
+TEST(Pipeline, MemoizedPulsesMatchSynthesizer)
+{
+    // Stage 4 remembers each (type, data) it synthesized within a
+    // run. Drive it the way SPSA does: shared regfile angles on every
+    // qubit, rewritten between runs, then check every linked pulse
+    // against the synthesizer itself.
+    using qtenon::quantum::GateType;
+    EventQueue eq;
+    QuantumControllerCache qcc(eq, "qcc",
+                               ClockDomain::fromHz(200'000'000),
+                               QccLayout{});
+    const auto &layout = qcc.layout();
+    SkipLookupTable slt(layout.numQubits);
+    PulsePipeline pipe(qcc, slt);
+
+    const auto code = [](GateType t) {
+        return ProgramEntry::encodeType(t);
+    };
+    struct Slot {
+        std::uint8_t type;
+        bool reg;
+        std::uint32_t data;
+    };
+    constexpr std::uint32_t qubits = 32;
+    std::vector<std::uint64_t> all;
+    std::vector<std::vector<std::uint64_t>> dependents(8);
+    for (std::uint32_t q = 0; q < qubits; ++q) {
+        const Slot slots[] = {
+            {code(GateType::RX), true, 0},          // mixer angle
+            {code(GateType::RZZ), true, 1},         // cost angle
+            {code(GateType::RY), false, (q % 4) << 14 | 5},
+            {code(GateType::RZ), true, 2 + q % 3},
+            {code(GateType::H), false, 0},
+            {code(GateType::RX), true, 5},          // beyond 27 bits
+            {code(GateType::Measure), false, 0},
+        };
+        std::uint32_t i = 0;
+        for (const auto &s : slots) {
+            ProgramEntry e;
+            e.type = s.type;
+            e.regFlag = s.reg;
+            e.data = s.data;
+            const auto qaddr = layout.programAddr(q, i++);
+            qcc.writeProgram(qaddr, e);
+            all.push_back(qaddr);
+            if (s.reg)
+                dependents[s.data].push_back(qaddr);
+        }
+        qcc.setProgramLength(q, i);
+    }
+    const auto set_reg = [&](std::uint32_t reg, std::uint32_t value) {
+        qcc.writeRegfile(reg, value);
+        for (auto pq : dependents[reg]) {
+            auto e = qcc.readProgram(pq);
+            e.status = EntryStatus::Invalid;
+            qcc.writeProgram(pq, e);
+        }
+    };
+    set_reg(0, ProgramEntry::encodeAngle(0.7));
+    set_reg(1, ProgramEntry::encodeAngle(-1.3));
+    set_reg(2, ProgramEntry::encodeAngle(2.9));
+    set_reg(3, ProgramEntry::encodeAngle(0.05));
+    set_reg(4, ProgramEntry::encodeAngle(-3.0));
+    set_reg(5, 0xF0000000u | 0x1234);
+
+    PulseSynthesizer synth;
+    const auto check_linked_pulses = [&] {
+        std::size_t checked = 0;
+        for (auto pq : all) {
+            const auto e = qcc.readProgram(pq);
+            ASSERT_EQ(e.status, EntryStatus::Valid);
+            ASSERT_TRUE(qcc.pulseValid(e.qaddr));
+            const auto data =
+                e.regFlag ? qcc.readRegfile(e.data) : e.data;
+            EXPECT_EQ(qcc.readPulse(e.qaddr),
+                      synth.entryFor(ProgramEntry::decodeType(e.type),
+                                     ProgramEntry::decodeAngle(data)))
+                << "program QAddress " << pq;
+            ++checked;
+        }
+        EXPECT_EQ(checked, all.size());
+    };
+
+    auto full = pipe.run(all);
+    EXPECT_EQ(full.entriesProcessed, all.size());
+    check_linked_pulses();
+
+    // Incremental runs over the stale entries only, including a
+    // return to an earlier value (SLT hit, no synthesis).
+    const std::pair<std::uint32_t, double> rounds[] = {
+        {0, 1.1}, {2, -0.4}, {0, 0.7}, {3, 2.2}, {1, 0.9}};
+    for (const auto &[reg, angle] : rounds) {
+        set_reg(reg, ProgramEntry::encodeAngle(angle));
+        auto r = pipe.run(dependents[reg]);
+        EXPECT_EQ(r.entriesProcessed, dependents[reg].size());
+        check_linked_pulses();
+    }
 }

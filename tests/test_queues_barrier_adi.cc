@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <map>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -160,6 +164,104 @@ TEST(Barrier, CountsMissQueries)
     b.query(0x0);
     EXPECT_EQ(b.queries(), 2u);
     EXPECT_EQ(b.missQueries(), 1u);
+}
+
+namespace {
+
+/**
+ * The barrier's interval merge without the in-order fast path: erase
+ * every overlapping or adjacent interval and insert their union.
+ */
+void
+referenceMarkSynced(std::map<std::uint64_t, std::uint64_t> &synced,
+                    std::uint64_t addr, std::uint64_t size)
+{
+    if (size == 0)
+        return;
+    std::uint64_t lo = addr;
+    std::uint64_t hi = addr + size;
+    auto it = synced.lower_bound(lo);
+    if (it != synced.begin()) {
+        auto prev = std::prev(it);
+        if (prev->second >= lo)
+            it = prev;
+    }
+    while (it != synced.end() && it->first <= hi) {
+        lo = std::min(lo, it->first);
+        hi = std::max(hi, it->second);
+        it = synced.erase(it);
+    }
+    synced.insert({lo, hi});
+}
+
+bool
+referenceQuery(const std::map<std::uint64_t, std::uint64_t> &synced,
+               std::uint64_t addr, std::uint64_t size)
+{
+    auto it = synced.upper_bound(addr);
+    if (it == synced.begin())
+        return false;
+    --it;
+    return it->first <= addr && it->second >= addr + size;
+}
+
+} // namespace
+
+TEST(Barrier, MatchesMergeReferenceOnSeededRanges)
+{
+    // Contiguous PUT streams (the fast path), overlaps, gaps and
+    // out-of-order ranges, checked after every mark: same interval
+    // count, same answers at and around every interval edge, and at
+    // random probes.
+    for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+        std::mt19937_64 rng(seed);
+        MemoryBarrier b;
+        std::map<std::uint64_t, std::uint64_t> ref;
+        std::uint64_t cursor = 0x1000;
+        for (int op = 0; op < 400; ++op) {
+            std::uint64_t addr;
+            std::uint64_t size = 1 + rng() % 96;
+            switch (rng() % 6) {
+              case 0:
+              case 1: // contiguous with the previous range
+                addr = cursor;
+                break;
+              case 2: // overlapping the previous range's tail
+                addr = cursor - std::min<std::uint64_t>(
+                    cursor, 1 + rng() % 32);
+                break;
+              case 3: // leaving a gap
+                addr = cursor + 1 + rng() % 64;
+                break;
+              case 4: // out of order, anywhere below
+                addr = rng() % cursor;
+                break;
+              default: // a zero-sized mark is ignored
+                addr = rng() % (cursor + 64);
+                size = rng() % 2 ? 0 : size;
+                break;
+            }
+            b.markSynced(addr, size);
+            referenceMarkSynced(ref, addr, size);
+            cursor = std::max(cursor, addr + size);
+
+            ASSERT_EQ(b.syncedIntervals(), ref.size())
+                << "seed " << seed << " op " << op;
+            for (const auto &[lo, hi] : ref) {
+                ASSERT_TRUE(b.query(lo, hi - lo)) << "op " << op;
+                ASSERT_FALSE(b.query(hi, 1)) << "op " << op;
+                if (lo > 0) {
+                    ASSERT_FALSE(b.query(lo - 1, 1)) << "op " << op;
+                }
+            }
+            for (int p = 0; p < 8; ++p) {
+                const std::uint64_t a = rng() % (cursor + 64);
+                const std::uint64_t n = 1 + rng() % 128;
+                ASSERT_EQ(b.query(a, n), referenceQuery(ref, a, n))
+                    << "seed " << seed << " op " << op;
+            }
+        }
+    }
 }
 
 TEST(Adi, PaperBandwidthNumbers)
