@@ -178,6 +178,20 @@ BM_RngRaw(benchmark::State &state)
 }
 BENCHMARK(BM_RngRaw);
 
+/** Per-draw cost of the block fill, 32000 draws a call. */
+static void
+BM_RngFill(benchmark::State &state)
+{
+    sim::Rng rng(1);
+    std::vector<std::uint64_t> out(32000);
+    for (auto _ : state) {
+        rng.fill(out.data(), out.size());
+        benchmark::DoNotOptimize(out.data());
+    }
+    state.SetItemsProcessed(state.iterations() * out.size());
+}
+BENCHMARK(BM_RngFill);
+
 /** A mean-field backend prepared by an n-qubit ansatz. */
 static std::unique_ptr<quantum::Backend>
 meanFieldState(std::uint32_t n)
@@ -209,6 +223,20 @@ BM_MeanFieldSample(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 500 * n);
 }
 BENCHMARK(BM_MeanFieldSample)->Arg(64);
+
+static void
+BM_ReadoutError(benchmark::State &state)
+{
+    const auto n = static_cast<std::uint32_t>(state.range(0));
+    auto words = meanFieldShots(n);
+    sim::Rng rng(1);
+    for (auto _ : state) {
+        quantum::applyReadoutError(words, n, 0.01, rng);
+        benchmark::DoNotOptimize(words.data());
+    }
+    state.SetItemsProcessed(state.iterations() * words.size() * n);
+}
+BENCHMARK(BM_ReadoutError)->Arg(64);
 
 static void
 BM_MaxCutFromShots(benchmark::State &state)

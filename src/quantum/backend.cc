@@ -388,12 +388,7 @@ class MeanFieldBackend : public Backend
         for (std::uint32_t q = 0; q < _n; ++q)
             one.emplace_back((1.0 - _bloch[q][2]) / 2.0);
         std::vector<std::uint64_t> out(shots);
-        for (auto &word : out) {
-            std::uint64_t bits = 0;
-            for (std::uint32_t q = 0; q < _n; ++q)
-                bits |= std::uint64_t(one[q](rng.raw())) << q;
-            word = bits;
-        }
+        rng.coinWords(one.data(), _n, shots, out.data());
         return out;
     }
 
@@ -635,8 +630,11 @@ applyReadoutError(std::vector<std::uint64_t> &words, std::uint32_t n,
 {
     if (e == 0.0)
         return;
-    const sim::CoinThreshold flip(e);
-    flipReadoutBits(words, n, [&] { return flip(rng.raw()); });
+    const std::vector<sim::CoinThreshold> flip(n, sim::CoinThreshold(e));
+    std::vector<std::uint64_t> flips(words.size());
+    rng.coinWords(flip.data(), n, flips.size(), flips.data());
+    for (std::size_t s = 0; s < words.size(); ++s)
+        words[s] ^= flips[s];
 }
 
 } // namespace qtenon::quantum

@@ -183,7 +183,7 @@ flipReadoutBits(std::vector<std::uint64_t> &words, std::uint32_t n,
 
 /**
  * Apply readout error @p e to @p n-qubit shot words, one coin per bit
- * from @p rng. Draws nothing when e is 0.
+ * from @p rng, per word, then per qubit. Draws nothing when e is 0.
  */
 void applyReadoutError(std::vector<std::uint64_t> &words,
                        std::uint32_t n, double e, sim::Rng &rng);

@@ -18,24 +18,73 @@
 
 namespace qtenon::sim {
 
+class CoinThreshold;
+
+namespace detail {
+
+/**
+ * MT19937-64 state: the 312 words the twist advances, their tempered
+ * outputs, and the index of the next output to hand out.
+ */
+struct MtState
+{
+    static constexpr std::size_t size = 312;
+
+    std::array<std::uint64_t, size> x;
+    std::array<std::uint64_t, size> tempered{};
+    std::size_t next = size;
+};
+
+/**
+ * One instruction set's build of the engine's block bodies
+ * (random_impl.hh). Every body is integer-only, so all builds return
+ * the same bits.
+ */
+struct RandomBodies
+{
+    /** Twist the state and temper all of it; next becomes 0. */
+    void (*refill)(MtState &);
+    /** The next @p n outputs into @p out. */
+    void (*fill)(MtState &, std::uint64_t *out, std::size_t n);
+    /**
+     * @p shots words of @p n coins, draws shot-major and qubit-minor:
+     * bit q of out[s] is set when draw s·n + q is below
+     * @p thresholds[q] or bit q of @p always is set. n ≤ 64.
+     */
+    void (*coinWords)(MtState &, const std::uint64_t *thresholds,
+                      std::uint64_t always, std::uint32_t n,
+                      std::size_t shots, std::uint64_t *out);
+};
+
+/** The build without wider instructions; runs everywhere. */
+const RandomBodies &scalarBodies();
+
+/** The AVX2 build, or null if it was not built or the CPU lacks AVX2. */
+const RandomBodies *avx2Bodies();
+
+/** The bodies this process runs: AVX2 where available, else scalar. */
+const RandomBodies &activeBodies();
+
+} // namespace detail
+
 /**
  * The 64-bit Mersenne Twister (MT19937-64): the same seeding
  * recurrence, twist and tempering as the standard library's engine,
- * so it yields the standard sequence bit for bit. The twist selects the
- * matrix term with a mask instead of a branch on the low bit, which
- * would mispredict on about half the words.
+ * so it yields the standard sequence bit for bit. The state advances
+ * and is tempered a whole block at a time (random_impl.hh); a draw
+ * reads the next tempered word.
  */
 class Mt19937_64
 {
   public:
     using result_type = std::uint64_t;
 
-    explicit Mt19937_64(result_type seed) : _p(stateSize)
+    explicit Mt19937_64(result_type seed)
     {
-        _x[0] = seed;
-        for (std::size_t i = 1; i < stateSize; ++i) {
-            const result_type prev = _x[i - 1];
-            _x[i] = 6364136223846793005u * (prev ^ (prev >> 62)) + i;
+        _s.x[0] = seed;
+        for (std::size_t i = 1; i < detail::MtState::size; ++i) {
+            const result_type prev = _s.x[i - 1];
+            _s.x[i] = 6364136223846793005u * (prev ^ (prev >> 62)) + i;
         }
     }
 
@@ -45,43 +94,23 @@ class Mt19937_64
     result_type
     operator()()
     {
-        if (_p >= stateSize)
-            twist();
-        result_type z = _x[_p++];
-        z ^= (z >> 29) & 0x5555555555555555u;
-        z ^= (z << 17) & 0x71d67fffeda60000u;
-        z ^= (z << 37) & 0xfff7eee000000000u;
-        z ^= z >> 43;
-        return z;
+        if (_s.next >= detail::MtState::size)
+            detail::activeBodies().refill(_s);
+        return _s.tempered[_s.next++];
     }
+
+    /** The next @p n draws into @p out, as n calls of operator(). */
+    void
+    fill(result_type *out, std::size_t n)
+    {
+        detail::activeBodies().fill(_s, out, n);
+    }
+
+    /** The raw state, for the block bodies and their tests. */
+    detail::MtState &state() { return _s; }
 
   private:
-    static constexpr std::size_t stateSize = 312;
-    static constexpr std::size_t shift = 156;
-
-    /** One twist step: the top bit of @p hi, the low 31 of @p lo. */
-    static result_type
-    mix(result_type far, result_type hi, result_type lo)
-    {
-        constexpr result_type upper = ~result_type(0) << 31;
-        const result_type y = (hi & upper) | (lo & ~upper);
-        return far ^ (y >> 1) ^ ((0 - (y & 1)) & 0xb5026f5aa96619e9u);
-    }
-
-    void
-    twist()
-    {
-        std::size_t k = 0;
-        for (; k < stateSize - shift; ++k)
-            _x[k] = mix(_x[k + shift], _x[k], _x[k + 1]);
-        for (; k < stateSize - 1; ++k)
-            _x[k] = mix(_x[k + shift - stateSize], _x[k], _x[k + 1]);
-        _x[k] = mix(_x[shift - 1], _x[k], _x[0]);
-        _p = 0;
-    }
-
-    std::array<result_type, stateSize> _x;
-    std::size_t _p;
+    detail::MtState _s;
 };
 
 /** A seedable wrapper around a 64-bit Mersenne Twister. */
@@ -127,6 +156,17 @@ class Rng
 
     /** Raw 64-bit draw. */
     std::uint64_t raw() { return _engine(); }
+
+    /** The next @p n raw draws into @p out, as n calls of raw(). */
+    void fill(std::uint64_t *out, std::size_t n) { _engine.fill(out, n); }
+
+    /**
+     * One word per shot, @p n ≤ 64 coins each: bit q of out[s] is
+     * @p coins[q] on the raw draw s·n + q, the draws the loop
+     * `for s, for q: coins[q](raw())` would make.
+     */
+    void coinWords(const CoinThreshold *coins, std::uint32_t n,
+                   std::size_t shots, std::uint64_t *out);
 
     Mt19937_64 &engine() { return _engine; }
 
@@ -180,6 +220,9 @@ class CoinThreshold
 
     /** T when below 2⁶⁴ (0 for a coin that always succeeds). */
     std::uint64_t threshold() const { return _threshold; }
+
+    /** Whether every draw succeeds (T = 2⁶⁴). */
+    bool always() const { return _always; }
 
   private:
     std::uint64_t _threshold = 0;

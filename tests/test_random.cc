@@ -18,6 +18,7 @@
 
 #include "service/job.hh"
 #include "sim/random.hh"
+#include "random_bodies.hh"
 
 using namespace qtenon;
 using sim::CoinThreshold;
@@ -110,6 +111,44 @@ TEST(RandomEngine, MatchesStandardEngineAcrossThreeTwists)
     }
 }
 
+TEST(RandomEngine, FillMatchesPerDrawCalls)
+{
+    // Fill sizes around the 312-word block, then a seeded mix; after
+    // each fill one raw() or uniform() moves the block offset.
+    std::vector<std::size_t> sizes = {0, 1, 311, 312, 313, 1000, 0, 312};
+    std::mt19937_64 mix(17);
+    for (int i = 0; i < 40; ++i)
+        sizes.push_back(mix() % 700);
+    constexpr std::uint64_t sentinel = 0x5eed5eed5eed5eedu;
+    for (const auto &[name, bodies] : tests::bodyBuilds()) {
+        SCOPED_TRACE(name);
+        for (auto seed : seeds()) {
+            SCOPED_TRACE(seed);
+            Rng rng(seed);
+            ReferenceRng ref(seed);
+            for (std::size_t i = 0; i < sizes.size(); ++i) {
+                const std::size_t n = sizes[i];
+                std::vector<std::uint64_t> out(n + 1, sentinel);
+                bodies->fill(rng.engine().state(), out.data(), n);
+                for (std::size_t k = 0; k < n; ++k)
+                    ASSERT_EQ(out[k], ref.engine()())
+                        << "fill " << i << " draw " << k;
+                ASSERT_EQ(out[n], sentinel) << "fill " << i;
+                if (i % 3 == 0) {
+                    ASSERT_EQ(rng.raw(), ref.engine()());
+                } else if (i % 3 == 1) {
+                    ASSERT_EQ(bits(rng.uniform()), bits(ref.uniform()));
+                }
+            }
+            std::vector<std::uint64_t> out(500);
+            rng.fill(out.data(), out.size());
+            for (auto x : out)
+                ASSERT_EQ(x, ref.engine()());
+            EXPECT_EQ(rng.raw(), ref.engine()());
+        }
+    }
+}
+
 TEST(RandomEngine, DefaultSeedHitsTheStandardsTenThousandthValue)
 {
     Mt19937_64 engine(5489); // the standard engine's default seed
@@ -156,6 +195,7 @@ TEST(CoinThreshold, MatchesDoubleCompareAtTheBoundary)
         SCOPED_TRACE(p);
         const CoinThreshold coin(p);
         const auto t = coin.threshold();
+        EXPECT_EQ(coin.always(), p >= 1.0);
         const std::uint64_t xs[] = {
             t - 1, t, t + 1, 0, ~std::uint64_t(0), draws(), draws()};
         for (auto x : xs)

@@ -20,6 +20,8 @@
 #include "quantum/molecule.hh"
 #include "quantum/pauli.hh"
 #include "quantum/shot_planes.hh"
+#include "sim/random.hh"
+#include "random_bodies.hh"
 #include "vqa/cost.hh"
 #include "vqa/measurement.hh"
 
@@ -203,6 +205,62 @@ TEST(ShotPathDifferential, ReadoutErrorMatchesPerDrawCoins)
             }
             EXPECT_EQ(words, expected);
             EXPECT_EQ(rng.raw(), reference());
+        }
+    }
+}
+
+TEST(CoinWords, MatchesPerDrawCoins)
+{
+    constexpr std::uint64_t top = std::uint64_t(1) << 63;
+    const std::uint64_t levels[] = {0,       1,       top - 1,
+                                    top,     top + 1, ~std::uint64_t(0)};
+    // Draws on either side of 2⁶³ and of every level, where a signed
+    // compare would go wrong.
+    const std::uint64_t forced[] = {0,       1,       2,
+                                    top - 2, top - 1, top,
+                                    top + 1, top + 2, ~std::uint64_t(0) - 1,
+                                    ~std::uint64_t(0)};
+    for (const auto &[name, bodies] : tests::bodyBuilds()) {
+        for (std::uint32_t n : {1u, 3u, 4u, 5u, 63u, 64u}) {
+            // Qubit q takes a level in turn; every seventh always
+            // succeeds (its threshold is 0, as CoinThreshold keeps it).
+            std::vector<std::uint64_t> thresholds(n);
+            std::uint64_t always = 0;
+            for (std::uint32_t q = 0; q < n; ++q) {
+                thresholds[q] = levels[(q + n) % 6];
+                if (q % 7 == 3) {
+                    thresholds[q] = 0;
+                    always |= std::uint64_t(1) << q;
+                }
+            }
+            // Zero, one and odd shot counts, then more than one
+            // 2048-draw buffer.
+            for (std::size_t shots :
+                 {std::size_t(0), std::size_t(1), std::size_t(7),
+                  std::size_t(2048 / n + 1), std::size_t(2501)}) {
+                SCOPED_TRACE(testing::Message() << name << ", " << n
+                                                << " coins, " << shots
+                                                << " shots");
+                sim::Rng rng(n * 1000 + shots);
+                auto &state = rng.engine().state();
+                for (std::size_t k = 0; k < state.tempered.size(); ++k)
+                    state.tempered[k] = forced[(k * 7 + n) % 10];
+                state.next = 0;
+                sim::Rng reference = rng;
+                std::vector<std::uint64_t> words(shots);
+                bodies->coinWords(state, thresholds.data(), always, n,
+                                  shots, words.data());
+                for (std::size_t s = 0; s < shots; ++s) {
+                    std::uint64_t word = 0;
+                    for (std::uint32_t q = 0; q < n; ++q) {
+                        const std::uint64_t x = reference.raw();
+                        if (x < thresholds[q] || ((always >> q) & 1))
+                            word |= std::uint64_t(1) << q;
+                    }
+                    ASSERT_EQ(words[s], word) << "shot " << s;
+                }
+                EXPECT_EQ(rng.raw(), reference.raw());
+            }
         }
     }
 }
