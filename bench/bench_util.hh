@@ -8,10 +8,13 @@
 #ifndef QTENON_BENCH_BENCH_UTIL_HH
 #define QTENON_BENCH_BENCH_UTIL_HH
 
+#include <cstdint>
 #include <cstdio>
+#include <map>
 #include <string>
 
 #include "core/experiment.hh"
+#include "core/hash.hh"
 
 namespace qtenon::bench {
 
@@ -54,6 +57,35 @@ printBreakdown(const char *label, const runtime::TimeBreakdown &bd)
                 label, core::formatTime(bd.wall).c_str(),
                 bd.percent(bd.quantum), bd.percent(bd.pulseGen),
                 bd.percent(bd.comm), bd.percent(bd.host));
+}
+
+/**
+ * Carry a 128-bit digest through a job's metrics map as four
+ * 32-bit words (digest_0..digest_3), each exact in a double.
+ */
+inline void
+digestToMetrics(const core::Digest128 &d,
+                std::map<std::string, double> &m)
+{
+    m["digest_0"] = static_cast<double>(d.lo & 0xffffffffull);
+    m["digest_1"] = static_cast<double>(d.lo >> 32);
+    m["digest_2"] = static_cast<double>(d.hi & 0xffffffffull);
+    m["digest_3"] = static_cast<double>(d.hi >> 32);
+}
+
+/** The digest digestToMetrics stored; absent words read as zero. */
+inline core::Digest128
+digestFromMetrics(const std::map<std::string, double> &m)
+{
+    auto word = [&](const char *k) {
+        const auto it = m.find(k);
+        return it == m.end()
+            ? 0ull
+            : static_cast<std::uint64_t>(it->second);
+    };
+    return core::Digest128{
+        word("digest_0") | (word("digest_1") << 32),
+        word("digest_2") | (word("digest_3") << 32)};
 }
 
 } // namespace qtenon::bench

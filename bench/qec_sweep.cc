@@ -24,9 +24,7 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -71,64 +69,27 @@ struct Row {
     bool rerunMatches = false;
 };
 
-void
-updateU64(core::Fnv1a &h, std::uint64_t v)
-{
-    h.update(v);
-}
-
 /** Content digest of everything a feed-forward run reports. */
 core::Digest128
 runDigest(const qec::FeedForwardResult &res)
 {
-    core::Fnv1a lo;
-    core::Fnv1a hi(core::Fnv1a::offsetBasis ^
-                   0x9e3779b97f4a7c15ull);
-    auto both = [&](std::uint64_t v) {
-        updateU64(lo, v);
-        updateU64(hi, v);
-    };
+    core::Fnv1a128 h;
     for (const auto &r : res.rounds) {
-        both(r.tightNs);
-        both(r.decoupledNs);
-        both(r.tightMiss ? 1 : 0);
-        both(r.decoupledMiss ? 1 : 0);
-        both(r.injectedErrors);
-        both(r.corrections);
+        h.update(r.tightNs);
+        h.update(r.decoupledNs);
+        h.update(std::uint64_t{r.tightMiss});
+        h.update(std::uint64_t{r.decoupledMiss});
+        h.update(std::uint64_t{r.injectedErrors});
+        h.update(std::uint64_t{r.corrections});
     }
-    both(res.tightMisses);
-    both(res.decoupledMisses);
-    both(res.roccTransfers);
-    both(res.roccVectorElements);
-    both(res.injectedErrors);
-    both(res.correctionsApplied);
-    both(res.logicalValue ? 1 : 0);
-    return core::Digest128{lo.digest(), hi.digest()};
-}
-
-/** Split a 128-bit digest into four exact-in-double 32-bit words. */
-void
-digestToMetrics(const core::Digest128 &d,
-                std::map<std::string, double> &m)
-{
-    m["digest_0"] = static_cast<double>(d.lo & 0xffffffffull);
-    m["digest_1"] = static_cast<double>(d.lo >> 32);
-    m["digest_2"] = static_cast<double>(d.hi & 0xffffffffull);
-    m["digest_3"] = static_cast<double>(d.hi >> 32);
-}
-
-core::Digest128
-digestFromMetrics(const std::map<std::string, double> &m)
-{
-    auto word = [&](const char *k) {
-        const auto it = m.find(k);
-        return it == m.end()
-            ? 0ull
-            : static_cast<std::uint64_t>(it->second);
-    };
-    return core::Digest128{
-        word("digest_0") | (word("digest_1") << 32),
-        word("digest_2") | (word("digest_3") << 32)};
+    h.update(res.tightMisses);
+    h.update(res.decoupledMisses);
+    h.update(res.roccTransfers);
+    h.update(res.roccVectorElements);
+    h.update(res.injectedErrors);
+    h.update(res.correctionsApplied);
+    h.update(std::uint64_t{res.logicalValue});
+    return h.digest();
 }
 
 /** The sweep's job list: (loss x {scalar, vector}) harness runs. */

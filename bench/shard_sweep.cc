@@ -23,7 +23,6 @@
  */
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -72,82 +71,33 @@ struct Row {
     bool rerunMatches = false;
 };
 
-void
-updateU64(core::Fnv1a &h, std::uint64_t v)
-{
-    h.update(v);
-}
-
-void
-updateF64(core::Fnv1a &h, double d)
-{
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &d, sizeof bits);
-    h.update(bits);
-}
-
 /** Content digest of everything a sharded run reports. */
 core::Digest128
 runDigest(const shard::ShardedRun &run,
           const std::vector<double> &cost_history)
 {
-    core::Fnv1a lo;
-    core::Fnv1a hi(core::Fnv1a::offsetBasis ^
-                   0x9e3779b97f4a7c15ull);
-    auto both_u = [&](std::uint64_t v) {
-        updateU64(lo, v);
-        updateU64(hi, v);
-    };
-    auto both_f = [&](double d) {
-        updateF64(lo, d);
-        updateF64(hi, d);
-    };
+    core::Fnv1a128 h;
     for (double c : cost_history)
-        both_f(c);
-    both_u(run.total.quantum);
-    both_u(run.total.pulseGen);
-    both_u(run.total.comm);
-    both_u(run.total.host);
-    both_u(run.total.hostBusy);
-    both_u(run.total.wall);
-    both_u(run.shotDuration);
-    both_u(run.crossShardGates);
-    both_u(run.swapsInserted);
-    both_u(run.simTicks);
+        h.update(c);
+    h.update(run.total.quantum);
+    h.update(run.total.pulseGen);
+    h.update(run.total.comm);
+    h.update(run.total.host);
+    h.update(run.total.hostBusy);
+    h.update(run.total.wall);
+    h.update(run.shotDuration);
+    h.update(run.crossShardGates);
+    h.update(run.swapsInserted);
+    h.update(run.simTicks);
     for (const auto &st : run.shards) {
-        both_u(st.total.wall);
-        both_u(st.xlinkBytes);
-        both_u(st.xlinkMessages);
-        both_u(st.xlinkRetransmits);
-        both_u(st.xlinkExhausted);
-        both_u(st.simTicks);
+        h.update(st.total.wall);
+        h.update(st.xlinkBytes);
+        h.update(st.xlinkMessages);
+        h.update(st.xlinkRetransmits);
+        h.update(st.xlinkExhausted);
+        h.update(st.simTicks);
     }
-    return core::Digest128{lo.digest(), hi.digest()};
-}
-
-/** Split a 128-bit digest into four exact-in-double 32-bit words. */
-void
-digestToMetrics(const core::Digest128 &d,
-                std::map<std::string, double> &m)
-{
-    m["digest_0"] = static_cast<double>(d.lo & 0xffffffffull);
-    m["digest_1"] = static_cast<double>(d.lo >> 32);
-    m["digest_2"] = static_cast<double>(d.hi & 0xffffffffull);
-    m["digest_3"] = static_cast<double>(d.hi >> 32);
-}
-
-core::Digest128
-digestFromMetrics(const std::map<std::string, double> &m)
-{
-    auto word = [&](const char *k) {
-        const auto it = m.find(k);
-        return it == m.end()
-            ? 0ull
-            : static_cast<std::uint64_t>(it->second);
-    };
-    return core::Digest128{
-        word("digest_0") | (word("digest_1") << 32),
-        word("digest_2") | (word("digest_3") << 32)};
+    return h.digest();
 }
 
 /** The sweep's job list, one custom job per configuration. */

@@ -310,11 +310,7 @@ registerSweepOptions(cli::OptionRegistry &reg, SweepCli &cli)
             "reorder error stall flip jitter stall_ns; seed=N pins "
             "the injection seed)",
             [&cli](const std::string &v) {
-                try {
-                    cli.faultSpec = fault::FaultSpec::parse(v);
-                } catch (const std::exception &e) {
-                    sim::fatal(e.what());
-                }
+                cli.faultSpec = fault::FaultSpec::parse(v);
             });
     reg.add("--retry-attempts", "N",
             "job-level retry budget, attempts including the first "

@@ -15,17 +15,18 @@
  *   - `Fnv1a` / `fnv1a()`: the classic 64-bit stream (offset basis
  *     0xcbf29ce484222325, prime 0x100000001b3). Byte-compatible with
  *     the historical ResultsStore digest and fault::hashName.
- *   - `Digest128` / `fnv1a128()`: two independent 64-bit streams
- *     (the second runs over the same bytes from a different offset
- *     basis), for keys where 64-bit birthday collisions would be a
- *     correctness hazard rather than a statistics artifact — e.g.
- *     the daemon result cache, which must never serve the wrong
- *     payload.
+ *   - `Fnv1a128` / `fnv1a128()` → `Digest128`: two independent
+ *     64-bit streams (the second runs over the same bytes from a
+ *     different offset basis), for keys where 64-bit birthday
+ *     collisions would be a correctness hazard rather than a
+ *     statistics artifact — e.g. the daemon result cache, which
+ *     must never serve the wrong payload.
  */
 
 #ifndef QTENON_CORE_HASH_HH
 #define QTENON_CORE_HASH_HH
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -116,17 +117,44 @@ struct Digest128 {
     }
 };
 
+/** Incremental 128-bit hasher: two Fnv1a streams over the same input. */
+class Fnv1a128
+{
+  public:
+    void
+    update(const std::string &s)
+    {
+        _lo.update(s);
+        _hi.update(s);
+    }
+
+    /** Hash the 8 little-endian bytes of @p v. */
+    void
+    update(std::uint64_t v)
+    {
+        _lo.update(v);
+        _hi.update(v);
+    }
+
+    /** Hash the IEEE-754 bits of @p d. */
+    void update(double d) { update(std::bit_cast<std::uint64_t>(d)); }
+
+    Digest128 digest() const { return {_lo.digest(), _hi.digest()}; }
+
+  private:
+    Fnv1a _lo;
+    /** A decorrelated basis (the golden-ratio constant splitmix64
+     *  also uses). */
+    Fnv1a _hi{Fnv1a::offsetBasis ^ 0x9e3779b97f4a7c15ull};
+};
+
 /** One-shot 128-bit digest of a byte string. */
 inline Digest128
 fnv1a128(const std::string &s)
 {
-    Fnv1a lo;
-    /** A second stream from a decorrelated basis (the golden-ratio
-     *  constant splitmix64 also uses). */
-    Fnv1a hi(Fnv1a::offsetBasis ^ 0x9e3779b97f4a7c15ull);
-    lo.update(s);
-    hi.update(s);
-    return Digest128{lo.digest(), hi.digest()};
+    Fnv1a128 h;
+    h.update(s);
+    return h.digest();
 }
 
 } // namespace qtenon::core

@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 #include "core/hash.hh"
 #include "obs/metrics.hh"
 #include "obs/trace_sink.hh"
+#include "sim/logging.hh"
 
 namespace qtenon::fault {
 
@@ -42,9 +42,8 @@ parseRate(const std::string &entry, const std::string &value)
     const double p = std::strtod(value.c_str(), &end);
     if (end == value.c_str() || *end != '\0' || std::isnan(p) ||
         p < 0.0 || p > 1.0) {
-        throw std::invalid_argument(
-            "fault-spec: '" + entry +
-            "': probability must be in [0, 1]");
+        sim::fatal("fault-spec: '", entry,
+                   "': probability must be in [0, 1]");
     }
     return p;
 }
@@ -56,9 +55,8 @@ parseNs(const std::string &entry, const std::string &value)
     const double ns = std::strtod(value.c_str(), &end);
     if (end == value.c_str() || *end != '\0' || std::isnan(ns) ||
         ns < 0.0) {
-        throw std::invalid_argument(
-            "fault-spec: '" + entry +
-            "': duration must be a non-negative nanosecond count");
+        sim::fatal("fault-spec: '", entry,
+                   "': duration must be a non-negative nanosecond count");
     }
     return static_cast<sim::Tick>(ns * sim::nsTicks);
 }
@@ -89,9 +87,8 @@ FaultSpec::parse(const std::string &text)
 
         const std::size_t eq = entry.find('=');
         if (eq == std::string::npos || eq + 1 == entry.size()) {
-            throw std::invalid_argument(
-                "fault-spec: '" + entry +
-                "' is not of the form site.kind=value");
+            sim::fatal("fault-spec: '", entry,
+                       "' is not of the form site.kind=value");
         }
         const std::string key = entry.substr(0, eq);
         const std::string value = entry.substr(eq + 1);
@@ -104,9 +101,8 @@ FaultSpec::parse(const std::string &text)
         const std::size_t dot = key.find('.');
         if (dot == std::string::npos || dot == 0 ||
             dot + 1 == key.size()) {
-            throw std::invalid_argument(
-                "fault-spec: '" + entry +
-                "' is not of the form site.kind=value");
+            sim::fatal("fault-spec: '", entry,
+                       "' is not of the form site.kind=value");
         }
         const std::string site = key.substr(0, dot);
         const std::string kind = key.substr(dot + 1);
@@ -131,10 +127,10 @@ FaultSpec::parse(const std::string &text)
         else if (kind == "stall_ns")
             f.stallTicks = parseNs(entry, value);
         else
-            throw std::invalid_argument(
-                "fault-spec: unknown fault kind '" + kind +
-                "' in '" + entry + "' (expected drop, dup, corrupt, "
-                "reorder, error, stall, flip, jitter, stall_ns)");
+            sim::fatal("fault-spec: unknown fault kind '", kind,
+                       "' in '", entry, "' (expected drop, dup, "
+                       "corrupt, reorder, error, stall, flip, jitter, "
+                       "stall_ns)");
     }
     return spec;
 }

@@ -95,7 +95,7 @@ struct FaultSpec {
 
     bool empty() const { return sites.empty(); }
 
-    /** Parse the textual form; throws std::invalid_argument. */
+    /** Parse the textual form; sim::fatal on a malformed entry. */
     static FaultSpec parse(const std::string &text);
 
     /** Canonical textual form (sites sorted; parse round-trips). */

@@ -400,6 +400,7 @@ BatchScheduler::executeJob(Job &job)
 
     JobResult r;
     for (std::uint32_t attempt = 1; attempt <= budget; ++attempt) {
+        bool user_error = false;
         const auto attempt_started = attempt == 1
             ? started : std::chrono::steady_clock::now();
         const auto deadline = timeout.count() > 0
@@ -432,6 +433,8 @@ BatchScheduler::executeJob(Job &job)
             r = JobResult{};
             r.status = JobStatus::Failed;
             r.error = e.what();
+            user_error =
+                dynamic_cast<const sim::ConfigError *>(&e) != nullptr;
         } catch (...) {
             r = JobResult{};
             r.status = JobStatus::Failed;
@@ -440,9 +443,10 @@ BatchScheduler::executeJob(Job &job)
         r.attempts = attempt;
 
         // Retry only genuine failures; Ok and Cancelled are final,
-        // as is a cancel that raced the failing attempt.
+        // as are a user error (a rerun fails the same way) and a
+        // cancel that raced the failing attempt.
         if (r.status == JobStatus::Ok ||
-            r.status == JobStatus::Cancelled ||
+            r.status == JobStatus::Cancelled || user_error ||
             attempt >= budget || job.cancelRequested.load())
             break;
 

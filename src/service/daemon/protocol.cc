@@ -8,7 +8,6 @@
 #include <unistd.h>
 
 #include "quantum/backend.hh"
-#include "quantum/density_matrix.hh"
 #include "runtime/host_core.hh"
 #include "vqa/workload.hh"
 
@@ -147,41 +146,6 @@ optimizerFromName(const std::string &name)
                                 "' (gd|spsa)");
 }
 
-/**
- * The backend/simd name parsers in src/quantum are sim::fatal-based
- * (CLI ergonomics); a daemon parsing untrusted client frames must
- * throw instead, so the whitelists are duplicated here with
- * throwing semantics and *canonical names only*.
- */
-quantum::BackendKind
-backendFromNameThrows(const std::string &name)
-{
-    if (name == "auto")
-        return quantum::BackendKind::Auto;
-    if (name == "statevector")
-        return quantum::BackendKind::Statevector;
-    if (name == "meanfield")
-        return quantum::BackendKind::MeanField;
-    if (name == "stabilizer")
-        return quantum::BackendKind::Stabilizer;
-    if (name == "densitymatrix")
-        return quantum::BackendKind::DensityMatrix;
-    throw std::invalid_argument(
-        "unknown backend '" + name +
-        "' (auto|statevector|meanfield|stabilizer|densitymatrix)");
-}
-
-quantum::SimdMode
-simdFromNameThrows(const std::string &name)
-{
-    if (name == "auto")
-        return quantum::SimdMode::Auto;
-    if (name == "scalar")
-        return quantum::SimdMode::Scalar;
-    throw std::invalid_argument("unknown sv_simd '" + name +
-                                "' (auto|scalar)");
-}
-
 runtime::HostCoreModel
 hostFromName(const std::string &name)
 {
@@ -205,29 +169,19 @@ asUint32(const json::Value &v, const char *field)
 }
 
 /**
- * Validate the request so the JobSpec it expands to can never trip
- * a sim::fatal inside a daemon worker (which would kill the whole
- * process, not just the job).
+ * Reject a request the daemon will not serve. The library's name
+ * parsers and engine caps apply its own rules (they throw
+ * sim::ConfigError); the checks here are the daemon's policy for
+ * input from outside the program.
  */
 void
 validate(const JobRequest &r)
 {
-    const auto kind = backendFromNameThrows(r.backend);
+    const auto kind = quantum::backendKindFromName(r.backend);
     if (r.qubits < 2 || r.qubits > 1024)
         throw std::invalid_argument("qubits out of range [2, 1024]");
-    if (kind == quantum::BackendKind::Statevector &&
-        r.qubits > quantum::StateVector::defaultMaxQubits)
-        throw std::invalid_argument(
-            "statevector backend holds at most " +
-            std::to_string(quantum::StateVector::defaultMaxQubits) +
-            " qubits");
-    if (kind == quantum::BackendKind::DensityMatrix &&
-        r.qubits > quantum::DensityMatrix::defaultMaxQubits)
-        throw std::invalid_argument(
-            "densitymatrix backend holds at most " +
-            std::to_string(
-                quantum::DensityMatrix::defaultMaxQubits) +
-            " qubits");
+    quantum::resolveBackendKind(kind, r.qubits,
+                                quantum::StateVector::defaultMaxQubits);
     // Every daemon workload (qaoa/vqe/qnn) has continuous rotation
     // angles, which the Clifford-only tableau cannot run.
     if (kind == quantum::BackendKind::Stabilizer)
@@ -254,7 +208,7 @@ validate(const JobRequest &r)
                 "at 24 qubits");
     }
     optimizerFromName(r.optimizer);
-    simdFromNameThrows(r.svSimd);
+    quantum::simdModeFromName(r.svSimd);
     for (const auto &h : r.hosts)
         hostFromName(h);
     if (!r.faultSpec.empty())
@@ -369,8 +323,8 @@ JobRequest::toJobSpec() const
     spec.driver.iterations = iterations;
     spec.driver.optimizer = optimizerFromName(optimizer);
     spec.driver.seed = seed;
-    spec.driver.backend = backendFromNameThrows(backend);
-    spec.driver.kernel.simd = simdFromNameThrows(svSimd);
+    spec.driver.backend = quantum::backendKindFromName(backend);
+    spec.driver.kernel.simd = quantum::simdModeFromName(svSimd);
     spec.driver.kernel.fuse1q = svFusion;
     spec.driver.isaVector = isaVector;
     spec.driver.useExactCost = exactCost;

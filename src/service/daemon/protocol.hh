@@ -97,8 +97,9 @@ struct JobRequest {
     /** "gd" or "spsa". */
     std::string optimizer = "gd";
     std::uint64_t seed = 7;
-    /** Functional engine name ("auto", "statevector", ...); not
-     *  "stabilizer", which cannot run the workloads' rotations. */
+    /** Functional engine name as quantum::backendKindFromName reads
+     *  it ("auto", "statevector", "sv", ...); not "stabilizer",
+     *  which cannot run the workloads' rotations. */
     std::string backend = "auto";
     /** Statevector kernel instruction set ("auto" or "scalar"). */
     std::string svSimd = "auto";

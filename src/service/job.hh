@@ -119,8 +119,9 @@ struct JobSpec {
     /**
      * Job-level retry: re-run a Failed/TimedOut job up to
      * `retry.maxAttempts` times with deterministic exponential
-     * backoff (milliseconds). The default (1 attempt) is the
-     * historical no-retry behaviour.
+     * backoff (milliseconds). A sim::ConfigError fails the job on
+     * its first attempt: it is deterministic. The default
+     * (1 attempt) is the historical no-retry behaviour.
      */
     fault::RetryPolicy retry;
 

@@ -1,6 +1,8 @@
 #include "logging.hh"
 
 #include <atomic>
+#include <cstdio>
+#include <exception>
 #include <mutex>
 
 namespace qtenon::sim {
@@ -28,6 +30,30 @@ warningsFlag()
     return enabled;
 }
 
+std::terminate_handler previousTerminate = nullptr;
+
+/**
+ * An uncaught ConfigError ends the process as fatal() always did:
+ * its message on stderr and exit status 1, with atexit handlers run
+ * and no stack unwound. Anything else goes to the previous handler.
+ */
+[[noreturn]] void
+onTerminate()
+{
+    if (const auto pending = std::current_exception()) {
+        try {
+            std::rethrow_exception(pending);
+        } catch (const ConfigError &e) {
+            emit("fatal", e.what());
+            std::exit(1);
+        } catch (...) {
+        }
+    }
+    if (previousTerminate)
+        previousTerminate();
+    std::abort();
+}
+
 } // namespace
 
 void
@@ -42,6 +68,17 @@ bool
 warningsEnabled()
 {
     return warningsFlag().load(std::memory_order_relaxed);
+}
+
+void
+raiseConfigError(std::string msg)
+{
+    static const bool installed = [] {
+        previousTerminate = std::set_terminate(onTerminate);
+        return true;
+    }();
+    (void)installed;
+    throw ConfigError(msg);
 }
 
 } // namespace detail

@@ -3,8 +3,16 @@
  * Error and status reporting helpers in the gem5 tradition.
  *
  * panic() aborts on conditions that indicate a bug in the simulator
- * itself; fatal() exits on user-caused configuration errors; warn()
- * and inform() report non-fatal conditions.
+ * itself. fatal() reports a user-caused configuration error by
+ * throwing sim::ConfigError, so an in-process caller (a batch job, a
+ * daemon request) gets the error as a value. warn() and inform()
+ * report non-fatal conditions.
+ *
+ * A ConfigError nobody catches still ends a command-line run the way
+ * fatal() always has: the terminate handler logging.cc installs
+ * before the first throw prints `fatal: <message>` and calls
+ * std::exit(1). Any other uncaught exception goes to the previous
+ * handler (an abort).
  */
 
 #ifndef QTENON_SIM_LOGGING_HH
@@ -13,9 +21,21 @@
 #include <cstdio>
 #include <cstdlib>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 namespace qtenon::sim {
+
+/**
+ * A user-caused error: bad configuration, invalid arguments or
+ * input. Derives from std::invalid_argument so callers that validate
+ * untrusted input catch it with everything else they reject.
+ */
+class ConfigError : public std::invalid_argument
+{
+  public:
+    using std::invalid_argument::invalid_argument;
+};
 
 namespace detail {
 
@@ -35,6 +55,9 @@ void emit(const char *label, const std::string &msg);
 /** Whether warnings are printed (tests may silence them). */
 bool warningsEnabled();
 
+/** Throw ConfigError(@p msg); out of line to keep callers small. */
+[[noreturn]] void raiseConfigError(std::string msg);
+
 } // namespace detail
 
 /**
@@ -51,14 +74,14 @@ panic(Args &&...args)
 
 /**
  * Report a user-caused error (bad configuration, invalid arguments)
- * and exit with a failure status.
+ * by throwing ConfigError with the concatenated message.
  */
 template <typename... Args>
 [[noreturn]] void
 fatal(Args &&...args)
 {
-    detail::emit("fatal", detail::concat(std::forward<Args>(args)...));
-    std::exit(1);
+    detail::raiseConfigError(
+        detail::concat(std::forward<Args>(args)...));
 }
 
 /** Warn about questionable but survivable conditions. */

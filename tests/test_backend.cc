@@ -15,6 +15,7 @@
 #include <cstring>
 #include <thread>
 
+#include "config_error.hh"
 #include "obs/metrics.hh"
 #include "quantum/ansatz.hh"
 #include "quantum/backend.hh"
@@ -169,8 +170,7 @@ TEST(BackendKindNames, RoundTripAndAliases)
     EXPECT_EQ(backendKindFromName("dm"), BackendKind::DensityMatrix);
     EXPECT_EQ(backendKindFromName("density-matrix"),
               BackendKind::DensityMatrix);
-    EXPECT_EXIT(backendKindFromName("qpu"),
-                ::testing::ExitedWithCode(1), "unknown backend");
+    EXPECT_CONFIG_ERROR(backendKindFromName("qpu"), "unknown backend");
 }
 
 TEST(BackendPolicy, AutoSelectsByQubitCount)
@@ -188,9 +188,9 @@ TEST(BackendPolicy, AutoSelectsByQubitCount)
 
 TEST(BackendPolicy, ForcedKindValidatesCapacity)
 {
-    EXPECT_EXIT(
+    EXPECT_CONFIG_ERROR(
         resolveBackendKind(BackendKind::DensityMatrix, 16, 20),
-        ::testing::ExitedWithCode(1), "density-matrix");
+        "density-matrix");
 }
 
 TEST(BackendFactory, BuildsEveryKind)

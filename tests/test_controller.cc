@@ -12,6 +12,7 @@
 #include <memory>
 #include <random>
 
+#include "config_error.hh"
 #include "controller/controller.hh"
 #include "memory/dram.hh"
 
@@ -196,11 +197,11 @@ TEST_F(ControllerFixture, GenerateOnlyStaleAfterUpdate)
 TEST_F(ControllerFixture, UserCannotTouchPrivateSegments)
 {
     const auto &layout = ctrl->config().layout;
-    EXPECT_DEATH(ctrl->roccWrite(layout.pulseAddr(0, 0), 1),
-                 "non-public");
+    EXPECT_CONFIG_ERROR(ctrl->roccWrite(layout.pulseAddr(0, 0), 1),
+                        "non-public");
     std::uint64_t v;
-    EXPECT_DEATH(ctrl->roccRead(layout.pulseAddr(0, 0), v),
-                 "non-public");
+    EXPECT_CONFIG_ERROR(ctrl->roccRead(layout.pulseAddr(0, 0), v),
+                        "non-public");
 }
 
 TEST_F(ControllerFixture, MeasurementRoundTrip)

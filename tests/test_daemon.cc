@@ -168,6 +168,18 @@ TEST(JobRequestJson, RoundTripsAllFields)
     EXPECT_EQ(cacheKeyOf(back), cacheKeyOf(req));
 }
 
+TEST(JobRequestJson, BackendAliasSharesCacheEntry)
+{
+    // The library's backend parser accepts aliases; the cache key
+    // uses the canonical engine name, so an alias hits the same entry.
+    JobRequest alias = smallRequest();
+    alias.backend = "sv";
+    JobRequest canonical = smallRequest();
+    canonical.backend = "statevector";
+    EXPECT_EQ(alias.canonicalText(), canonical.canonicalText());
+    EXPECT_EQ(cacheKeyOf(alias), cacheKeyOf(canonical));
+}
+
 TEST(JobRequestJson, InvalidRequestsThrow)
 {
     // Each mutation must be rejected by validation before it can

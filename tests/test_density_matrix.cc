@@ -9,6 +9,7 @@
 
 #include <cmath>
 
+#include "config_error.hh"
 #include "quantum/density_matrix.hh"
 #include "quantum/molecule.hh"
 #include "sim/random.hh"
@@ -171,6 +172,5 @@ TEST(DensityMatrix, NoiseDegradesVqeEnergy)
 
 TEST(DensityMatrix, RejectsOversizedRegisters)
 {
-    EXPECT_EXIT(DensityMatrix(12, 10), ::testing::ExitedWithCode(1),
-                "cap");
+    EXPECT_CONFIG_ERROR(DensityMatrix(12, 10), "cap");
 }

@@ -9,6 +9,7 @@
 
 #include <cmath>
 
+#include "config_error.hh"
 #include "quantum/dynamic.hh"
 #include "runtime/host_core.hh"
 
@@ -87,12 +88,9 @@ TEST(DynamicCircuit, TeleportationProtocol)
 TEST(DynamicCircuit, RejectsBadOperands)
 {
     DynamicCircuit dc(2, 1);
-    EXPECT_EXIT(dc.gate(GateType::X, 5),
-                ::testing::ExitedWithCode(1), "out of range");
-    EXPECT_EXIT(dc.measure(0, 3), ::testing::ExitedWithCode(1),
-                "bad measure");
-    EXPECT_EXIT(dc.gateIf(GateType::X, 0, 9),
-                ::testing::ExitedWithCode(1), "out of range");
+    EXPECT_CONFIG_ERROR(dc.gate(GateType::X, 5), "out of range");
+    EXPECT_CONFIG_ERROR(dc.measure(0, 3), "bad measure");
+    EXPECT_CONFIG_ERROR(dc.gateIf(GateType::X, 0, 9), "out of range");
 }
 
 TEST(HostCoreModel, MultiCoreDividesWork)

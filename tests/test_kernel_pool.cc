@@ -27,6 +27,7 @@
 #include <thread>
 #include <vector>
 
+#include "config_error.hh"
 #include "obs/metrics.hh"
 #include "quantum/kernel_pool.hh"
 #include "quantum/statevector.hh"
@@ -118,8 +119,7 @@ TEST(SimdModeNames, RoundTrip)
         EXPECT_EQ(simdModeFromName(simdModeName(m)), m);
     EXPECT_EQ(simdModeFromName("auto"), SimdMode::Auto);
     EXPECT_EQ(simdModeFromName("scalar"), SimdMode::Scalar);
-    EXPECT_EXIT(simdModeFromName("avx512"),
-                ::testing::ExitedWithCode(1), "unknown SIMD mode");
+    EXPECT_CONFIG_ERROR(simdModeFromName("avx512"), "unknown SIMD mode");
 }
 
 TEST(SimdModeNames, BackendNameIsResolved)

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "config_error.hh"
 #include "isa/pass/swap_routing.hh"
 #include "quantum/mapping.hh"
 #include "quantum/statevector.hh"
@@ -51,13 +52,10 @@ TEST(CouplingMap, AllToAllDistanceIsOne)
 TEST(CouplingMap, RejectsBadCouplers)
 {
     CouplingMap m(4);
-    EXPECT_EXIT(m.addCoupler(0, 7), ::testing::ExitedWithCode(1),
-                "outside");
-    EXPECT_EXIT(m.addCoupler(2, 2), ::testing::ExitedWithCode(1),
-                "self");
+    EXPECT_CONFIG_ERROR(m.addCoupler(0, 7), "outside");
+    EXPECT_CONFIG_ERROR(m.addCoupler(2, 2), "self");
     m.addCoupler(0, 1);
-    EXPECT_EXIT(m.addCoupler(1, 0), ::testing::ExitedWithCode(1),
-                "duplicate");
+    EXPECT_CONFIG_ERROR(m.addCoupler(1, 0), "duplicate");
 }
 
 TEST(Router, AdjacentGatesPassThrough)

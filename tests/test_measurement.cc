@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "config_error.hh"
 #include "quantum/backend.hh"
 #include "quantum/molecule.hh"
 #include "quantum/statevector.hh"
@@ -102,6 +103,5 @@ TEST(Measurement, RejectsMeasuredAnsatz)
     c.measureAll();
     auto backend = quantum::makeBackend(2);
     Rng rng(73);
-    EXPECT_EXIT(est.estimate(c, *backend, 10, rng),
-                ::testing::ExitedWithCode(1), "unmeasured");
+    EXPECT_CONFIG_ERROR(est.estimate(c, *backend, 10, rng), "unmeasured");
 }

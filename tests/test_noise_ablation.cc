@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "config_error.hh"
 #include "controller/pipeline.hh"
 #include "core/qtenon_system.hh"
 #include "obs/metrics.hh"
@@ -74,8 +75,7 @@ TEST(NoisyReadout, RejectsBadProbability)
     EXPECT_FALSE(validReadoutError(0.7));
     vqa::EvaluatorConfig cfg;
     cfg.readoutError = 0.7;
-    EXPECT_EXIT(vqa::CostEvaluator(4, cfg, 1),
-                ::testing::ExitedWithCode(1), "flip probability");
+    EXPECT_CONFIG_ERROR(vqa::CostEvaluator(4, cfg, 1), "flip probability");
 }
 
 TEST(NoisyReadout, DegradesVqeEnergyEstimate)

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "config_error.hh"
 #include "isa/compiler.hh"
 #include "isa/pass/compile_cache.hh"
 #include "isa/pass/edge_coloring.hh"
@@ -179,23 +180,23 @@ TEST(Pipeline, DescriptionListsPassesInOrder)
 }
 
 // ---------------------------------------------------------------
-// Ordering invariant: registration fatals (exit 1) when a pass
+// Ordering invariant: registration fatals (ConfigError) when a pass
 // reads a field no earlier pass produces.
 
 TEST(PipelineDeathTest, AddingConsumerBeforeProducerFatals)
 {
-    EXPECT_EXIT(
+    EXPECT_CONFIG_ERROR(
         {
             PassManager pm;
             // edge-coloring reads Routing; nothing produced it.
             pm.add(std::make_unique<EdgeColoredScheduling>());
         },
-        testing::ExitedWithCode(1), "reads a field");
+        "reads a field");
 }
 
 TEST(PipelineDeathTest, RunningImagelessPipelineFatals)
 {
-    EXPECT_EXIT(
+    EXPECT_CONFIG_ERROR(
         {
             PassManager pm;
             pm.add(std::make_unique<SwapRouting>());
@@ -203,7 +204,7 @@ TEST(PipelineDeathTest, RunningImagelessPipelineFatals)
             ctx.circuit = quantum::QuantumCircuit(2);
             pm.run(ctx);
         },
-        testing::ExitedWithCode(1), "no image-producing pass");
+        "no image-producing pass");
 }
 
 // ---------------------------------------------------------------

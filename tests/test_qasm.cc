@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "config_error.hh"
 #include "quantum/ansatz.hh"
 #include "quantum/graph.hh"
 #include "quantum/qasm.hh"
@@ -105,10 +106,9 @@ TEST(Qasm, SymbolicParametersRecordedInHeader)
 
 TEST(Qasm, RejectsGarbage)
 {
-    EXPECT_EXIT(qasm::parse("h q[0];"), ::testing::ExitedWithCode(1),
-                "no qreg");
-    EXPECT_EXIT(qasm::parse("qreg q[2];\nfrobnicate q[0];"),
-                ::testing::ExitedWithCode(1), "unsupported");
-    EXPECT_EXIT(qasm::parse("qreg q[2];\nrx(1.0 q[0];"),
-                ::testing::ExitedWithCode(1), "unterminated");
+    EXPECT_CONFIG_ERROR(qasm::parse("h q[0];"), "no qreg");
+    EXPECT_CONFIG_ERROR(qasm::parse("qreg q[2];\nfrobnicate q[0];"),
+                        "unsupported");
+    EXPECT_CONFIG_ERROR(qasm::parse("qreg q[2];\nrx(1.0 q[0];"),
+                        "unterminated");
 }

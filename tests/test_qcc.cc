@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "config_error.hh"
 #include "controller/qcc.hh"
 #include "sim/event_queue.hh"
 
@@ -76,8 +77,7 @@ TEST_F(QccFixture, ProgramLengthBounded)
 {
     qcc.setProgramLength(0, 1024);
     EXPECT_EQ(qcc.programLength(0), 1024u);
-    EXPECT_EXIT(qcc.setProgramLength(0, 1025),
-                ::testing::ExitedWithCode(1), "exceeds");
+    EXPECT_CONFIG_ERROR(qcc.setProgramLength(0, 1025), "exceeds");
 }
 
 TEST_F(QccFixture, UserAccessRespectsPrivacy)

@@ -22,6 +22,7 @@
 #include "service/batch_scheduler.hh"
 #include "service/json.hh"
 #include "service/sweep.hh"
+#include "sim/logging.hh"
 
 using namespace qtenon;
 using namespace qtenon::service;
@@ -338,6 +339,34 @@ TEST(Scheduler, RetryExhaustsBudgetAndReportsLastError)
     const auto ro = sched.submit(once).result.get();
     EXPECT_EQ(ro.status, JobStatus::Failed);
     EXPECT_EQ(ro.attempts, 1u);
+}
+
+TEST(Scheduler, ConfigErrorFailsOnFirstAttemptWithoutRetry)
+{
+    // A user error is deterministic, so a retry budget is not spent
+    // on it; the scheduler keeps serving the jobs after it.
+    SchedulerConfig cfg;
+    cfg.workers = 1;
+    BatchScheduler sched(cfg);
+
+    auto runs = std::make_shared<std::atomic<int>>(0);
+    JobSpec bad;
+    bad.name = "bad-config";
+    bad.retry.maxAttempts = 3;
+    bad.custom = [runs](JobContext &) {
+        runs->fetch_add(1);
+        sim::fatal("qubit count ", 3, " must be even");
+    };
+    const auto r = sched.submit(bad).result.get();
+    EXPECT_EQ(r.status, JobStatus::Failed);
+    EXPECT_EQ(r.attempts, 1u);
+    EXPECT_EQ(r.error, "qubit count 3 must be even");
+    EXPECT_EQ(runs->load(), 1);
+
+    JobSpec next;
+    next.name = "next";
+    next.custom = [](JobContext &) {};
+    EXPECT_EQ(sched.submit(next).result.get().status, JobStatus::Ok);
 }
 
 TEST(Scheduler, RetryOutcomeIsIdenticalAcrossWorkerCounts)

@@ -15,6 +15,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "config_error.hh"
 #include "core/qtenon_system.hh"
 #include "isa/compiler.hh"
 #include "isa/pass/compile_cache.hh"
@@ -76,40 +77,35 @@ TEST(ShardMap, SingleCoversEverything)
 
 TEST(ShardMapValidation, RejectsOverlappingShards)
 {
-    EXPECT_EXIT((ShardMap(6, {Shard{0, 4}, Shard{2, 4}})),
-                ::testing::ExitedWithCode(1), "overlaps");
+    EXPECT_CONFIG_ERROR((ShardMap(6, {Shard{0, 4}, Shard{2, 4}})),
+                        "overlaps");
 }
 
 TEST(ShardMapValidation, RejectsGappedShards)
 {
-    EXPECT_EXIT((ShardMap(6, {Shard{0, 2}, Shard{4, 2}})),
-                ::testing::ExitedWithCode(1), "gap before shard");
+    EXPECT_CONFIG_ERROR((ShardMap(6, {Shard{0, 2}, Shard{4, 2}})),
+                        "gap before shard");
 }
 
 TEST(ShardMapValidation, RejectsEmptyShard)
 {
-    EXPECT_EXIT((ShardMap(4, {Shard{0, 4}, Shard{4, 0}})),
-                ::testing::ExitedWithCode(1), "empty");
+    EXPECT_CONFIG_ERROR((ShardMap(4, {Shard{0, 4}, Shard{4, 0}})), "empty");
 }
 
 TEST(ShardMapValidation, RejectsShortCoverage)
 {
-    EXPECT_EXIT((ShardMap(8, {Shard{0, 4}})),
-                ::testing::ExitedWithCode(1), "covers");
+    EXPECT_CONFIG_ERROR((ShardMap(8, {Shard{0, 4}})), "covers");
 }
 
 TEST(ShardMapValidation, RejectsEmptyRegister)
 {
-    EXPECT_EXIT((ShardMap(0, {})), ::testing::ExitedWithCode(1),
-                "empty register");
+    EXPECT_CONFIG_ERROR((ShardMap(0, {})), "empty register");
 }
 
 TEST(ShardMapValidation, RejectsMoreUniformShardsThanQubits)
 {
-    EXPECT_EXIT(ShardMap::uniform(3, 5),
-                ::testing::ExitedWithCode(1), "3 qubits");
-    EXPECT_EXIT(ShardMap::uniform(3, 0),
-                ::testing::ExitedWithCode(1), "zero shards");
+    EXPECT_CONFIG_ERROR(ShardMap::uniform(3, 5), "3 qubits");
+    EXPECT_CONFIG_ERROR(ShardMap::uniform(3, 0), "zero shards");
 }
 
 // ---------------------------------------------------------------
@@ -232,8 +228,7 @@ TEST(SplitImage, RejectsRegisterMismatch)
     const auto map = ShardMap::uniform(6, 2);
     isa::ProgramImage image;
     image.numQubits = 4;
-    EXPECT_EXIT(shard::splitImage(image, map),
-                ::testing::ExitedWithCode(1), "shard map");
+    EXPECT_CONFIG_ERROR(shard::splitImage(image, map), "shard map");
 }
 
 // ---------------------------------------------------------------

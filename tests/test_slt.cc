@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "config_error.hh"
 #include "controller/slt.hh"
 
 using namespace qtenon::controller;
@@ -445,13 +446,10 @@ TEST(Slt, RejectsWidthsBeyondThePackedWay)
 {
     SltConfig cfg;
     cfg.countBits = 32 - cfg.tagBits; // one bit too many
-    EXPECT_EXIT(SkipLookupTable(1, cfg), ::testing::ExitedWithCode(1),
-                "must fit");
+    EXPECT_CONFIG_ERROR(SkipLookupTable(1, cfg), "must fit");
     cfg.countBits = 0;
-    EXPECT_EXIT(SkipLookupTable(1, cfg), ::testing::ExitedWithCode(1),
-                "must fit");
+    EXPECT_CONFIG_ERROR(SkipLookupTable(1, cfg), "must fit");
     SltConfig no_ways;
     no_ways.ways = 0;
-    EXPECT_EXIT(SkipLookupTable(1, no_ways),
-                ::testing::ExitedWithCode(1), "at least one way");
+    EXPECT_CONFIG_ERROR(SkipLookupTable(1, no_ways), "at least one way");
 }

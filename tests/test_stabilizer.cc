@@ -11,6 +11,7 @@
 
 #include <cmath>
 
+#include "config_error.hh"
 #include "quantum/ansatz.hh"
 #include "quantum/graph.hh"
 #include "quantum/stabilizer.hh"
@@ -117,8 +118,7 @@ TEST(Stabilizer, RejectsNonCliffordCircuits)
     QuantumCircuit c(1);
     c.rx(0, ParamRef::literal(0.3));
     StabilizerSimulator sim(1);
-    EXPECT_EXIT(sim.applyCircuit(c), ::testing::ExitedWithCode(1),
-                "non-Clifford");
+    EXPECT_CONFIG_ERROR(sim.applyCircuit(c), "non-Clifford");
 }
 
 TEST(Stabilizer, MatchesStatevectorOnRandomCliffordCircuits)

@@ -9,6 +9,7 @@
 
 #include <cmath>
 
+#include "config_error.hh"
 #include "quantum/circuit.hh"
 #include "quantum/statevector.hh"
 #include "sim/random.hh"
@@ -226,7 +227,7 @@ TEST(StateVector, ExpectationZSigns)
 
 TEST(StateVectorDeath, RejectsOversizedRegisters)
 {
-    EXPECT_DEATH(StateVector(30, 24), "cap");
+    EXPECT_CONFIG_ERROR(StateVector(30, 24), "cap");
 }
 
 TEST(StateVector, SampleFromUniformsMatchesSampleStream)
