@@ -15,29 +15,6 @@ PulsePipeline::PulsePipeline(QuantumControllerCache &qcc,
         sim::fatal("pipeline needs at least one PGU");
 }
 
-PulseEntry
-PulsePipeline::synthesizePulse(const ProgramEntry &e)
-{
-    const auto data =
-        e.regFlag ? _qcc.readRegfile(e.data) : e.data;
-    const auto synthesize = [&] {
-        return _synth.entryFor(ProgramEntry::decodeType(e.type),
-                               ProgramEntry::decodeAngle(data));
-    };
-    // A regfile word or a hand-built entry may exceed the field
-    // widths; such parameters bypass the memo.
-    if (e.type >> ProgramEntry::typeBits ||
-        data >> ProgramEntry::dataBits) {
-        return synthesize();
-    }
-    const std::uint32_t key =
-        std::uint32_t(e.type) << ProgramEntry::dataBits | data;
-    if (const auto *index = _memoIndex.find(key))
-        return _memoEntries[*index];
-    _memoIndex.put(key, static_cast<std::uint32_t>(_memoEntries.size()));
-    return _memoEntries.emplace_back(synthesize());
-}
-
 PipelineResult
 PulsePipeline::runAll()
 {
@@ -96,8 +73,13 @@ PulsePipeline::run(const std::vector<std::uint64_t> &work)
                 else
                     following = std::min(following, p.doneCycle);
             }
+            // The .pulse slot records what to play; a bad type code
+            // panics here, where the PGU decodes it.
             auto e = _qcc.readProgram(done->programQaddr);
-            _qcc.writePulse(done->pulseQaddr, synthesizePulse(e));
+            const auto data =
+                e.regFlag ? _qcc.readRegfile(e.data) : e.data;
+            ProgramEntry::decodeType(e.type);
+            _qcc.writePulse(done->pulseQaddr, pulseKey(e.type, data));
             e.status = EntryStatus::Valid;
             _qcc.writeProgram(done->programQaddr, e);
             in_flight.erase(std::remove(in_flight.begin(),
@@ -238,8 +220,6 @@ PulsePipeline::run(const std::vector<std::uint64_t> &work)
     }
 
     res.cycles = cycle;
-    _memoIndex.clear();
-    _memoEntries.clear();
     return res;
 }
 

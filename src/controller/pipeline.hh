@@ -11,7 +11,7 @@
  *            are busy, stall stages 1-2 (stage 4 is decoupled by a
  *            ready/valid interface)
  *   Stage 4  arbiter selects one finished PGU per cycle and writes
- *            the pulse to its .pulse QAddress
+ *            the pulse's descriptor (PulseKey) to its .pulse QAddress
  *
  * The model is cycle-stepped in the pipeline clock domain with
  * fast-forwarding across cycles where every stage is blocked on PGU
@@ -25,11 +25,9 @@
 #include <cstdint>
 #include <vector>
 
-#include "pulse_synth.hh"
 #include "qcc.hh"
 #include "slt.hh"
 #include "sim/sim_object.hh"
-#include "tag_table.hh"
 
 namespace qtenon::controller {
 
@@ -119,25 +117,9 @@ class PulsePipeline
         std::uint64_t programQaddr = 0;
     };
 
-    /**
-     * The waveform entry for a program entry, through the per-run
-     * memo when its (type, data) fits the memo key.
-     */
-    PulseEntry synthesizePulse(const ProgramEntry &e);
-
     QuantumControllerCache &_qcc;
     SkipLookupTable &_slt;
     PipelineConfig _cfg;
-    PulseSynthesizer _synth;
-    /**
-     * Per-run synthesis memo. entryFor() is a pure function of
-     * (type, data) (per-qubit calibration is not modeled), so a
-     * remembered entry is the one synthesis would produce. Keyed by
-     * type << 27 | data, it indexes _memoEntries; both grow with the
-     * run's distinct parameters and are emptied when run() returns.
-     */
-    TagTable _memoIndex;
-    std::vector<PulseEntry> _memoEntries;
 };
 
 } // namespace qtenon::controller

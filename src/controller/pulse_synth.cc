@@ -160,4 +160,11 @@ PulseSynthesizer::entryFor(quantum::GateType type, double angle) const
     return entry;
 }
 
+PulseEntry
+PulseSynthesizer::entryFor(PulseKey key) const
+{
+    return entryFor(ProgramEntry::decodeType(pulseKeyType(key)),
+                    ProgramEntry::decodeAngle(pulseKeyData(key)));
+}
+
 } // namespace qtenon::controller

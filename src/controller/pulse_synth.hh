@@ -1,6 +1,7 @@
 /**
  * @file
- * Control-pulse waveform synthesis: what a PGU actually computes.
+ * Control-pulse waveform synthesis: the PGU's arithmetic,
+ * materialized on demand.
  *
  * Models the standard superconducting single-qubit drive: a Gaussian
  * envelope with a DRAG quadrature correction, amplitude-scaled by
@@ -21,6 +22,9 @@
 #include "quantum/gate.hh"
 
 namespace qtenon::controller {
+
+/** A 640-bit control pulse: the samples a .pulse entry names. */
+using PulseEntry = std::array<std::uint64_t, 10>;
 
 /** Synthesis parameters. */
 struct PulseSynthConfig {
@@ -82,6 +86,12 @@ class PulseSynthesizer
      * angle)), which stays the full-waveform reference.
      */
     PulseEntry entryFor(quantum::GateType type, double angle) const;
+
+    /**
+     * The packed entry a stored .pulse descriptor names:
+     * entryFor(decodeType(type), decodeAngle(data)).
+     */
+    PulseEntry entryFor(PulseKey key) const;
 
     /** Samples one .pulse entry holds per channel. */
     static constexpr std::uint32_t samplesPerEntry = 20;

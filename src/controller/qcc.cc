@@ -39,7 +39,6 @@ QuantumControllerCache::~QuantumControllerCache()
 }
 
 const ProgramEntry QuantumControllerCache::zeroProgramEntry{};
-const PulseEntry QuantumControllerCache::zeroPulseEntry{};
 
 void
 QuantumControllerCache::notInSegment(std::uint64_t qaddr,
@@ -76,28 +75,23 @@ QuantumControllerCache::setProgramLength(std::uint32_t qubit,
     _programLength[qubit] = len;
 }
 
-const PulseEntry &
+PulseKey
 QuantumControllerCache::readPulse(std::uint64_t qaddr) const
 {
     const auto [qubit, entry] = pulsePos(qaddr);
     const auto &chunk = _pulse[qubit];
-    return entry < chunk.entries.size() ? chunk.entries[entry]
-                                        : zeroPulseEntry;
+    return entry < chunk.size() ? chunk[entry] : 0;
 }
 
 void
-QuantumControllerCache::writePulse(std::uint64_t qaddr,
-                                   const PulseEntry &p)
+QuantumControllerCache::writePulse(std::uint64_t qaddr, PulseKey key)
 {
     ++pulseWrites;
     const auto [qubit, entry] = pulsePos(qaddr);
     auto &chunk = _pulse[qubit];
-    if (entry >= chunk.entries.size()) {
-        chunk.entries.resize(std::size_t(entry) + 1);
-        chunk.valid.resize(std::size_t(entry) + 1);
-    }
-    chunk.entries[entry] = p;
-    chunk.valid[entry] = 1;
+    if (entry >= chunk.size())
+        chunk.resize(std::size_t(entry) + 1);
+    chunk[entry] = key;
 }
 
 std::uint64_t

@@ -7,6 +7,10 @@
  * public/private split (.slt and .pulse are hardware-private), and
  * models SRAM port timing in the 200 MHz controller clock domain.
  *
+ * A .pulse slot holds a 64-bit PulseKey naming the pulse a PGU wrote
+ * there, not its samples; PulseSynthesizer::entryFor(key)
+ * materializes them on demand.
+ *
  * Storage is high-water: each qubit's .program and .pulse chunks
  * grow only up to the highest entry written. The SLT bump allocator
  * and q_set both fill a chunk from entry 0 upward, so a 320-qubit
@@ -22,7 +26,6 @@
 #ifndef QTENON_CONTROLLER_QCC_HH
 #define QTENON_CONTROLLER_QCC_HH
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -32,8 +35,31 @@
 
 namespace qtenon::controller {
 
-/** A 640-bit generated control pulse (.pulse entry). */
-using PulseEntry = std::array<std::uint64_t, 10>;
+/**
+ * A .pulse slot's descriptor: written flag (bit 36), 4-bit gate type
+ * code (35..32) and the full resolved data word (31..0), as a
+ * .regfile word may exceed the 27-bit data field. Zero means never
+ * written. pulseKey() builds one; the two below read it back.
+ */
+using PulseKey = std::uint64_t;
+
+constexpr PulseKey
+pulseKey(std::uint8_t type, std::uint32_t data)
+{
+    return PulseKey{1} << 36 | PulseKey{type & 0xFu} << 32 | data;
+}
+
+constexpr std::uint8_t
+pulseKeyType(PulseKey key)
+{
+    return static_cast<std::uint8_t>(key >> 32 & 0xF);
+}
+
+constexpr std::uint32_t
+pulseKeyData(PulseKey key)
+{
+    return static_cast<std::uint32_t>(key);
+}
 
 /**
  * Functional + timing model of the QCC SRAM. QAddresses are
@@ -82,21 +108,18 @@ class QuantumControllerCache : public sim::Clocked
     void setProgramLength(std::uint32_t qubit, std::uint32_t len);
     /// @}
 
-    /**
-     * @name .pulse segment (hardware-private)
-     * A returned reference is valid until the next write to the
-     * same qubit's chunk.
-     */
+    /** @name .pulse segment (hardware-private) */
     /// @{
-    const PulseEntry &readPulse(std::uint64_t qaddr) const;
-    void writePulse(std::uint64_t qaddr, const PulseEntry &p);
+    /** The slot's descriptor; 0 when it was never written. */
+    PulseKey readPulse(std::uint64_t qaddr) const;
+    void writePulse(std::uint64_t qaddr, PulseKey key);
 
     bool
     pulseValid(std::uint64_t qaddr) const
     {
         const auto [qubit, entry] = pulsePos(qaddr);
-        const auto &valid = _pulse[qubit].valid;
-        return entry < valid.size() && valid[entry];
+        const auto &chunk = _pulse[qubit];
+        return entry < chunk.size() && chunk[entry] != 0;
     }
     /// @}
 
@@ -147,7 +170,6 @@ class QuantumControllerCache : public sim::Clocked
 
     /** What an entry above its chunk's high-water mark reads as. */
     static const ProgramEntry zeroProgramEntry;
-    static const PulseEntry zeroPulseEntry;
 
     [[noreturn]] static void notInSegment(std::uint64_t qaddr,
                                           const char *segment);
@@ -180,13 +202,6 @@ class QuantumControllerCache : public sim::Clocked
                     idx % _layout.pulseEntriesPerQubit)};
     }
 
-    /** One qubit's .pulse chunk up to its high-water mark. */
-    struct PulseChunk {
-        std::vector<PulseEntry> entries;
-        /** One byte per entry: nonzero once written. */
-        std::vector<std::uint8_t> valid;
-    };
-
     memory::QccLayout _layout;
     /** Segment bounds cached from the layout for the hot accessors. */
     std::uint64_t _programEnd;
@@ -194,8 +209,8 @@ class QuantumControllerCache : public sim::Clocked
     std::uint64_t _pulseSpan;
     /** Per-qubit .program chunks, grown to the highest write. */
     std::vector<std::vector<ProgramEntry>> _program;
-    /** Per-qubit .pulse chunks, grown to the highest write. */
-    std::vector<PulseChunk> _pulse;
+    /** Per-qubit .pulse descriptors, grown to the highest write. */
+    std::vector<std::vector<PulseKey>> _pulse;
     std::vector<std::uint64_t> _measure;
     std::vector<std::uint32_t> _regfile;
     std::vector<std::uint32_t> _programLength;

@@ -1,8 +1,7 @@
 /**
  * @file
- * An open-addressed uint32 -> uint32 table for the controller's hot
- * lookups: each qubit's QSpace (SLT tag -> .pulse entry) and the
- * pulse pipeline's per-run synthesis memo.
+ * An open-addressed uint32 -> uint32 table for each qubit's QSpace
+ * (SLT tag -> .pulse entry), a hot lookup of the controller.
  */
 
 #ifndef QTENON_CONTROLLER_TAG_TABLE_HH

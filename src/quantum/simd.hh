@@ -33,6 +33,12 @@
  *   - neg() flips sign bits (exact, including signed zeros).
  *   - load/store are unaligned (the slab partition aligns chunks to
  *     whole vectors, but gate-target runs need not be 32B-aligned).
+ *
+ * Everything here, cmulExact included, sits in a per-backend inline
+ * namespace (abi_avx2, abi_neon, abi_scalar). The namespace is what
+ * keeps the builds apart: were they to define the same inline
+ * symbols, the linker could keep one copy for every caller and run
+ * AVX2 code on a CPU without AVX2, or scalar code in the AVX2 table.
  */
 
 #ifndef QTENON_QUANTUM_SIMD_HH
@@ -43,11 +49,16 @@
 
 #if defined(QTENON_SIMD_BACKEND_AVX2)
 #include <immintrin.h>
+#define QTENON_SIMD_ABI abi_avx2
 #elif defined(QTENON_SIMD_BACKEND_NEON)
 #include <arm_neon.h>
+#define QTENON_SIMD_ABI abi_neon
+#else
+#define QTENON_SIMD_ABI abi_scalar
 #endif
 
 namespace qtenon::quantum::simd {
+inline namespace QTENON_SIMD_ABI {
 
 using Amp = std::complex<double>;
 
@@ -296,6 +307,7 @@ struct complexf64x2 {
 
 #endif
 
+} // namespace QTENON_SIMD_ABI
 } // namespace qtenon::quantum::simd
 
 #endif // QTENON_QUANTUM_SIMD_HH

@@ -182,8 +182,8 @@ TEST(JobRequestJson, BackendAliasSharesCacheEntry)
 
 TEST(JobRequestJson, InvalidRequestsThrow)
 {
-    // Each mutation must be rejected by validation before it can
-    // reach a sim::fatal inside a daemon worker.
+    // Each mutation must be rejected by validation: the daemon checks
+    // input from outside the program before it is queued.
     auto expectInvalid = [](JobRequest req) {
         EXPECT_THROW(JobRequest::fromJson(req.toJson()),
                      std::invalid_argument);

@@ -2,8 +2,8 @@
  * @file
  * Cycle-level tests of the four-stage pulse pipeline: PGU latency,
  * parallelism across the 8 PGUs, stalls when all PGUs are busy, SLT
- * skip behaviour, regfile indirection, already-valid fast paths, and
- * the per-run synthesis memo.
+ * skip behaviour, regfile indirection, already-valid fast paths, the
+ * .pulse descriptors stage 4 writes, and its gate-type check.
  */
 
 #include <gtest/gtest.h>
@@ -209,12 +209,27 @@ TEST_F(PipelineFixture, EmptyWorkCompletesInstantly)
     EXPECT_EQ(r.entriesProcessed, 0u);
 }
 
+TEST_F(PipelineFixture, BadTypeCodePanicsAtWriteback)
+{
+    // Type code 15 names no gate. Stage 2 accepts it (the SLT keys
+    // on any 4-bit code); the PGU's decode at writeback rejects it.
+    ProgramEntry e;
+    e.type = 15;
+    e.data = 7;
+    const auto qaddr = qcc.layout().programAddr(0, 0);
+    qcc.writeProgram(qaddr, e);
+    qcc.setProgramLength(0, 1);
+    PulsePipeline pipe(qcc, slt);
+    EXPECT_DEATH(pipe.run({qaddr}), "bad gate type code");
+}
+
 TEST(Pipeline, MemoizedPulsesMatchSynthesizer)
 {
-    // Stage 4 remembers each (type, data) it synthesized within a
-    // run. Drive it the way SPSA does: shared regfile angles on every
-    // qubit, rewritten between runs, then check every linked pulse
-    // against the synthesizer itself.
+    // Stage 4 records each generated pulse as its (type, resolved
+    // data) descriptor. Drive it the way SPSA does: shared regfile
+    // angles on every qubit, rewritten between runs, then check that
+    // every program entry links to its own parameter's slot and that
+    // materializing the slot equals the full-waveform synthesizer.
     using qtenon::quantum::GateType;
     EventQueue eq;
     QuantumControllerCache qcc(eq, "qcc",
@@ -283,9 +298,15 @@ TEST(Pipeline, MemoizedPulsesMatchSynthesizer)
             ASSERT_TRUE(qcc.pulseValid(e.qaddr));
             const auto data =
                 e.regFlag ? qcc.readRegfile(e.data) : e.data;
-            EXPECT_EQ(qcc.readPulse(e.qaddr),
-                      synth.entryFor(ProgramEntry::decodeType(e.type),
-                                     ProgramEntry::decodeAngle(data)))
+            const auto key = qcc.readPulse(e.qaddr);
+            EXPECT_EQ(pulseKeyType(key), e.type)
+                << "program QAddress " << pq;
+            EXPECT_EQ(pulseKeyData(key), data)
+                << "program QAddress " << pq;
+            EXPECT_EQ(synth.entryFor(key),
+                      synth.packEntry(synth.synthesize(
+                          ProgramEntry::decodeType(e.type),
+                          ProgramEntry::decodeAngle(data))))
                 << "program QAddress " << pq;
             ++checked;
         }

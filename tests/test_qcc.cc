@@ -58,11 +58,10 @@ TEST_F(QccFixture, PulseValidityTracksWrites)
 {
     const auto addr = qcc.layout().pulseAddr(2, 5);
     EXPECT_FALSE(qcc.pulseValid(addr));
-    PulseEntry p{};
-    p[0] = 0xFEED;
-    qcc.writePulse(addr, p);
+    const auto key = pulseKey(0x3, 0xFEED);
+    qcc.writePulse(addr, key);
     EXPECT_TRUE(qcc.pulseValid(addr));
-    EXPECT_EQ(qcc.readPulse(addr)[0], 0xFEEDu);
+    EXPECT_EQ(qcc.readPulse(addr), key);
 }
 
 TEST_F(QccFixture, MeasureAndRegfileStorage)
@@ -113,7 +112,7 @@ TEST_F(QccFixture, UnwrittenEntriesReadZeroAndInvalid)
     EXPECT_EQ(qcc.readProgram(layout.programAddr(0, 0)), ProgramEntry{});
     EXPECT_EQ(qcc.readProgram(layout.programAddr(63, last)),
               ProgramEntry{});
-    EXPECT_EQ(qcc.readPulse(layout.pulseAddr(5, 7)), PulseEntry{});
+    EXPECT_EQ(qcc.readPulse(layout.pulseAddr(5, 7)), PulseKey{0});
     EXPECT_FALSE(qcc.pulseValid(layout.pulseAddr(5, 7)));
 
     // Writing entry 9 grows the chunk; the entries below it (inside
@@ -121,19 +120,18 @@ TEST_F(QccFixture, UnwrittenEntriesReadZeroAndInvalid)
     ProgramEntry e;
     e.data = 77;
     qcc.writeProgram(layout.programAddr(4, 9), e);
-    PulseEntry p{};
-    p[3] = 0xABC;
-    qcc.writePulse(layout.pulseAddr(4, 9), p);
+    const auto key = pulseKey(0x2, 0xABC);
+    qcc.writePulse(layout.pulseAddr(4, 9), key);
     for (std::uint32_t i : {0u, 8u, 10u, last}) {
         EXPECT_EQ(qcc.readProgram(layout.programAddr(4, i)),
                   ProgramEntry{}) << "entry " << i;
-        EXPECT_EQ(qcc.readPulse(layout.pulseAddr(4, i)), PulseEntry{})
+        EXPECT_EQ(qcc.readPulse(layout.pulseAddr(4, i)), PulseKey{0})
             << "entry " << i;
         EXPECT_FALSE(qcc.pulseValid(layout.pulseAddr(4, i)))
             << "entry " << i;
     }
     EXPECT_EQ(qcc.readProgram(layout.programAddr(4, 9)), e);
-    EXPECT_EQ(qcc.readPulse(layout.pulseAddr(4, 9)), p);
+    EXPECT_EQ(qcc.readPulse(layout.pulseAddr(4, 9)), key);
     EXPECT_TRUE(qcc.pulseValid(layout.pulseAddr(4, 9)));
 }
 
@@ -146,18 +144,17 @@ TEST_F(QccFixture, HighWaterGrowthIsPerQubit)
     neighbour.data = 5;
     qcc.writeProgram(layout.programAddr(0, 3), neighbour);
     qcc.writeProgram(layout.programAddr(2, 3), neighbour);
-    qcc.writePulse(layout.pulseAddr(2, 3), PulseEntry{1});
+    qcc.writePulse(layout.pulseAddr(2, 3), pulseKey(0x0, 1));
     for (std::uint32_t i = 0; i < layout.programEntriesPerQubit; ++i) {
         ProgramEntry e;
         e.data = i + 1;
         qcc.writeProgram(layout.programAddr(1, i), e);
-        PulseEntry p{};
-        p[9] = i + 1;
-        qcc.writePulse(layout.pulseAddr(1, i), p);
+        qcc.writePulse(layout.pulseAddr(1, i), pulseKey(0x1, i + 1));
     }
     for (std::uint32_t i = 0; i < layout.programEntriesPerQubit; ++i) {
         ASSERT_EQ(qcc.readProgram(layout.programAddr(1, i)).data, i + 1);
-        ASSERT_EQ(qcc.readPulse(layout.pulseAddr(1, i))[9], i + 1);
+        ASSERT_EQ(qcc.readPulse(layout.pulseAddr(1, i)),
+                  pulseKey(0x1, i + 1));
         ASSERT_TRUE(qcc.pulseValid(layout.pulseAddr(1, i)));
     }
     // The neighbours keep their contents and their own marks.
@@ -169,6 +166,6 @@ TEST_F(QccFixture, HighWaterGrowthIsPerQubit)
     }
     EXPECT_FALSE(qcc.pulseValid(layout.pulseAddr(0, 3)));
     EXPECT_TRUE(qcc.pulseValid(layout.pulseAddr(2, 3)));
-    EXPECT_EQ(qcc.readPulse(layout.pulseAddr(2, 3))[0], 1u);
+    EXPECT_EQ(qcc.readPulse(layout.pulseAddr(2, 3)), pulseKey(0x0, 1));
     EXPECT_FALSE(qcc.pulseValid(layout.pulseAddr(3, 0)));
 }
