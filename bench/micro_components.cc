@@ -4,9 +4,9 @@
  * throughput, mean-field evolution, the shot path (raw draws,
  * mean-field sampling, cost scoring), SLT lookups, the pulse pipeline,
  * pulse-entry synthesis, QCC construction, event-queue lambda churn,
- * cache accesses, bus transactions, and entry packing. These measure
- * simulator performance, complementing the modeled-time figure
- * benches.
+ * cache accesses, bus transactions, one q_run round's transmission
+ * replay, and entry packing. These measure simulator performance,
+ * complementing the modeled-time figure benches.
  */
 
 #include <benchmark/benchmark.h>
@@ -17,11 +17,14 @@
 #include "controller/pulse_synth.hh"
 #include "controller/qcc.hh"
 #include "controller/slt.hh"
+#include "core/qtenon_system.hh"
+#include "isa/compiler.hh"
 #include "memory/cache.hh"
 #include "memory/dram.hh"
 #include "memory/tilelink.hh"
 #include "quantum/ansatz.hh"
 #include "quantum/backend.hh"
+#include "quantum/graph.hh"
 #include "quantum/molecule.hh"
 #include "quantum/statevector.hh"
 #include "sim/random.hh"
@@ -539,6 +542,38 @@ BM_TileLinkTransaction(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TileLinkTransaction);
+
+static void
+BM_QRunRound(benchmark::State &state)
+{
+    // One spsa-320-shaped q_run: 500 shots of a depth-2 QAOA program,
+    // one PUT per shot (Algorithm 1 gives K = 1 at 320 qubits), the
+    // shot loop plus the drain of the bus, L2 and DRAM events. No
+    // parameter changes, so the round's q_gen has no work.
+    const auto qubits = static_cast<std::uint32_t>(state.range(0));
+    core::QtenonConfig cfg;
+    cfg.numQubits = qubits;
+    core::QtenonSystem sys(cfg);
+    const auto circuit = quantum::ansatz::qaoaMaxCut(
+        quantum::Graph::threeRegular(qubits), 2);
+    runtime::VqaTrace trace;
+    trace.numQubits = qubits;
+    trace.image = isa::QtenonCompiler{}.compile(circuit);
+    const sim::Tick shot = sys.shotDuration(circuit);
+    auto &exec = sys.executor();
+    exec.execute(trace, shot);
+
+    runtime::RoundRecord round;
+    round.shots = 500;
+    round.postOpsPerShot = 40;
+    round.optimizerOps = 100;
+    for (auto _ : state) {
+        const auto bd = exec.executeRound(round, trace.image, shot);
+        benchmark::DoNotOptimize(bd.wall);
+    }
+    state.SetItemsProcessed(state.iterations() * round.shots);
+}
+BENCHMARK(BM_QRunRound)->Arg(320);
 
 static void
 BM_ProgramEntryPack(benchmark::State &state)

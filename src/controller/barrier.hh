@@ -20,20 +20,13 @@
 
 namespace qtenon::controller {
 
-/** Interval set over host addresses with synced/unsynced status. */
+/**
+ * Interval set of host addresses whose PUT has been sent through the
+ * system bus. Every address starts unsynced; markSynced covers it.
+ */
 class MemoryBarrier
 {
   public:
-    /**
-     * Declare a host range the controller will produce; queries in
-     * the range answer "not synced" until markSynced covers them.
-     */
-    void
-    declare(std::uint64_t addr, std::uint64_t size)
-    {
-        _declared.insert({addr, addr + size});
-    }
-
     /** Mark [addr, addr+size) as sent through the system bus. */
     void
     markSynced(std::uint64_t addr, std::uint64_t size)
@@ -92,7 +85,6 @@ class MemoryBarrier
     void
     reset()
     {
-        _declared.clear();
         _synced.clear();
     }
 
@@ -101,7 +93,6 @@ class MemoryBarrier
     std::size_t syncedIntervals() const { return _synced.size(); }
 
   private:
-    std::map<std::uint64_t, std::uint64_t> _declared;
     std::map<std::uint64_t, std::uint64_t> _synced;
     std::uint64_t _queries = 0;
     std::uint64_t _missQueries = 0;

@@ -258,7 +258,6 @@ QuantumController::dmaAcquire(std::uint64_t host_addr,
     const std::uint64_t total_bytes = std::uint64_t(num_entries) *
         memory::QccLayout::measureEntryBits / 8;
     acquireBytes += total_bytes;
-    _barrier.declare(host_addr, total_bytes);
 
     // Read the .measure SRAM (port-serialized), then PUT to host.
     _qcc->portAccess(num_entries);

@@ -294,11 +294,15 @@ QtenonExecutor::executeRound(const RoundRecord &round,
                : 1);
     const sim::Tick barrier_cycle = _ctrl.clockPeriod();
 
-    // Batch PUT completions; the drain() below outlives every one.
-    struct PutTotals {
-        sim::Tick lastDone;
-        sim::Tick latencySum = 0;
-    } puts{run_start};
+    // The shot loop records each batch PUT; none is scheduled yet.
+    struct PendingPut {
+        sim::Tick time;
+        std::uint64_t hostAddr;
+        std::uint32_t first;
+        std::uint32_t count;
+    };
+    std::vector<PendingPut> pending;
+    pending.reserve((shots + K - 1) / K);
 
     sim::Tick host_free = _eq.curTick();
     std::uint64_t batch_shots = 0;
@@ -324,21 +328,13 @@ QtenonExecutor::executeRound(const RoundRecord &round,
             // constant interface latency.
             const sim::Tick put_time =
                 t_shot + _ctrl.adiInputLatency();
-            const auto first = static_cast<std::uint32_t>(
-                batch_first_entry % layout.measureEntries);
             const auto count = static_cast<std::uint32_t>(
                 batch_shots * words_per_shot);
-            const auto addr = host_addr;
-            _eq.scheduleLambda(put_time,
-                [this, addr, first, count, &puts, put_time] {
-                    _ctrl.dmaAcquire(addr, first, count,
-                        [&puts, put_time](sim::Tick done) {
-                            puts.lastDone =
-                                std::max(puts.lastDone, done);
-                            puts.latencySum += done - put_time;
-                        });
-                },
-                "q_run batch PUT");
+            pending.push_back(
+                {put_time, host_addr,
+                 static_cast<std::uint32_t>(
+                     batch_first_entry % layout.measureEntries),
+                 count});
 
             if (sw.sync == SyncPolicy::FineGrained) {
                 // The host polls the barrier (1 cycle) and processes
@@ -357,9 +353,49 @@ QtenonExecutor::executeRound(const RoundRecord &round,
         }
     }
 
+    // Release the PUTs one at a time in (tick, batch) order: each
+    // schedules the next when it fires, so the queue stays shallow.
+    // ADI jitter can make put times non-monotone; the stable sort
+    // keeps batch order on ties. The release band keeps each PUT
+    // ahead of every default-priority event at its tick, as if all
+    // had been scheduled before the drain (sim/event_queue.hh).
+    std::stable_sort(pending.begin(), pending.end(),
+                     [](const PendingPut &a, const PendingPut &b) {
+                         return a.time < b.time;
+                     });
+    struct PutRelease {
+        QtenonExecutor &exec;
+        const std::vector<PendingPut> &order;
+        std::size_t next = 0;
+        // Batch PUT completions.
+        sim::Tick lastDone;
+        sim::Tick latencySum = 0;
+
+        void
+        releaseNext()
+        {
+            const PendingPut &p = order[next++];
+            exec._eq.scheduleLambda(p.time,
+                [this, &p] {
+                    if (next < order.size())
+                        releaseNext();
+                    exec._ctrl.dmaAcquire(p.hostAddr, p.first, p.count,
+                        [this, put_time = p.time](sim::Tick done) {
+                            lastDone = std::max(lastDone, done);
+                            latencySum += done - put_time;
+                        });
+                },
+                "q_run batch PUT", sim::Event::releasePrio);
+        }
+    } puts{*this, pending, 0, run_start};
+    if (!pending.empty())
+        puts.releaseNext();
+
     const sim::Tick quantum_end = run_start + shots * shot_duration;
     bd.quantum += shots * shot_duration;
 
+    // The PUTs and their completions all fire in here, while the
+    // records and totals above are still live.
     drain();
     const sim::Tick post_ops_all = _cfg.host.timeFor(
         static_cast<double>(shots) * round.postOpsPerShot);

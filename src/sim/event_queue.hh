@@ -38,6 +38,19 @@ class Event
     /** Default priority bands, lower value fires first. */
     enum Priority : int {
         clockPrio = -10,
+        /**
+         * Work released one at a time from a list sorted up front:
+         * q_run's batch PUTs (runtime/executor.cc). Each PUT, when
+         * it fires, schedules the next. Scheduling the whole list
+         * before the drain would give every PUT a sequence number
+         * below that of any event the drain creates, so at a shared
+         * tick a PUT would fire before every default-priority
+         * event. This band gives a PUT scheduled late that same
+         * precedence, so both schedules fire the same events in the
+         * same order. It is exact only while nothing else uses a
+         * band between clockPrio and defaultPrio.
+         */
+        releasePrio = -5,
         defaultPrio = 0,
         statsPrio = 10,
     };

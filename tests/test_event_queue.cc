@@ -77,6 +77,36 @@ TEST(EventQueue, PriorityBreaksTies)
     EXPECT_EQ(log, (std::vector<int>{2, 1}));
 }
 
+TEST(EventQueue, ReleaseBandFiresBetweenClockAndDefault)
+{
+    EventQueue eq;
+    std::vector<int> log;
+    RecordingEvent dflt(log, 1);
+    RecordingEvent clock(log, 2, Event::clockPrio);
+    RecordingEvent release(log, 3, Event::releasePrio);
+    eq.schedule(&dflt, 10);
+    eq.schedule(&clock, 10);
+    eq.schedule(&release, 10);
+    eq.run();
+    EXPECT_EQ(log, (std::vector<int>{2, 3, 1}));
+}
+
+TEST(EventQueue, ReleaseBandHoldsWhenScheduledLast)
+{
+    // The release-band event is scheduled from inside an earlier
+    // event, after both same-tick events are already queued.
+    EventQueue eq;
+    std::vector<int> log;
+    RecordingEvent dflt(log, 1);
+    RecordingEvent clock(log, 2, Event::clockPrio);
+    RecordingEvent release(log, 3, Event::releasePrio);
+    eq.schedule(&dflt, 10);
+    eq.schedule(&clock, 10);
+    eq.scheduleLambda(5, [&] { eq.schedule(&release, 10); });
+    eq.run();
+    EXPECT_EQ(log, (std::vector<int>{2, 3, 1}));
+}
+
 TEST(EventQueue, DescheduleRemovesEvent)
 {
     EventQueue eq;

@@ -2,15 +2,19 @@
  * @file
  * Tests of the Qtenon runtime executor: software-policy ablations
  * (FENCE vs fine-grained, immediate vs batched, full vs incremental
- * compile), overlap behaviour, and breakdown accounting.
+ * compile), overlap behaviour, breakdown accounting, and goldens
+ * of the q_run transmission replay.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <sstream>
 
 #include "core/qtenon_system.hh"
+#include "fault/fault.hh"
+#include "obs/metrics.hh"
 #include "runtime/report.hh"
 #include "quantum/ansatz.hh"
 #include "quantum/graph.hh"
@@ -225,4 +229,180 @@ TEST(Executor, PerRoundBreakdownsRecorded)
     EXPECT_NE(csv.find("round,wall_ns"), std::string::npos);
     // Header + one line per round.
     EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 4);
+}
+
+// ---- Transmission replay goldens. Each case replays three rounds on
+// an 8-qubit system and compares everything the q_run drain can
+// touch: the rounds' breakdown, bus, L2 and DRAM counts and the bus
+// tag-occupancy histogram. The expected values were recorded on the
+// replay that scheduled every batch PUT of a round up front, so they
+// pin the PUT release order (tick, then batch order, ahead of every
+// default-priority event at the same tick).
+
+namespace {
+
+struct ReplayFingerprint {
+    Tick quantum, pulseGen, comm, host, hostBusy, wall;
+    Tick commSet, commUpdate, commAcquire;
+    std::uint64_t busTransactions, busBeats, busTagStalls;
+    std::uint64_t tagOccupancyCount, tagOccupancySum;
+    std::uint64_t l2Hits, l2Misses, dramReads, dramWrites;
+    Tick endTick;
+
+    bool operator==(const ReplayFingerprint &) const = default;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const ReplayFingerprint &f)
+{
+    return os << "{" << f.quantum << ", " << f.pulseGen << ", "
+              << f.comm << ", " << f.host << ", " << f.hostBusy << ", "
+              << f.wall << ", " << f.commSet << ", " << f.commUpdate
+              << ", " << f.commAcquire << ", " << f.busTransactions
+              << ", " << f.busBeats << ", " << f.busTagStalls << ", "
+              << f.tagOccupancyCount << ", " << f.tagOccupancySum
+              << ", " << f.l2Hits << ", " << f.l2Misses << ", "
+              << f.dramReads << ", " << f.dramWrites << ", "
+              << f.endTick << "}";
+}
+
+struct ReplayCase {
+    SyncPolicy sync;
+    /** Shots per PUT (batchIntervalOverride); 0 = Algorithm 1. */
+    std::uint64_t shotsPerPut;
+    /** Max ADI readout jitter in ticks; 0 = no injector. */
+    Tick adiJitter;
+    /** Shot duration in ticks; 0 = the ansatz's own schedule. */
+    Tick shotDuration;
+};
+
+ReplayFingerprint
+replay(const ReplayCase &c)
+{
+    const bool metrics_were_on = obs::metricsEnabled();
+    obs::setMetricsEnabled(true);
+    obs::registry().reset();
+
+    fault::FaultSpec spec;
+    if (c.adiJitter)
+        spec.sites["adi"].jitter = c.adiJitter;
+    fault::FaultInjector inj(spec, 7);
+
+    core::QtenonConfig cfg;
+    cfg.numQubits = 8;
+    cfg.software.sync = c.sync;
+    cfg.batchIntervalOverride = c.shotsPerPut;
+    if (c.adiJitter)
+        cfg.injector = &inj;
+    core::QtenonSystem sys(cfg);
+    auto trace = makeTrace(8, 3, 2);
+    const auto res = sys.executor().execute(
+        trace, c.shotDuration ? c.shotDuration : shotDur(8));
+
+    const auto hists = obs::registry().histogramValues();
+    const auto occ = hists.find("mem.bus.tag_occupancy");
+    const auto &r = res.rounds;
+    ReplayFingerprint f{
+        r.quantum, r.pulseGen, r.comm, r.host, r.hostBusy, r.wall,
+        r.commSet, r.commUpdate, r.commAcquire,
+        sys.bus().transactions.value(), sys.bus().beats.value(),
+        sys.bus().tagStalls.value(),
+        occ == hists.end() ? 0 : occ->second.count,
+        occ == hists.end() ? 0 : occ->second.sum,
+        sys.l2().hits.value(), sys.l2().misses.value(),
+        sys.dram().reads.value(), sys.dram().writes.value(),
+        sys.eventQueue().curTick()};
+    obs::setMetricsEnabled(metrics_were_on);
+    return f;
+}
+
+} // namespace
+
+TEST(ExecutorReplayGolden, FineGrainedBatched)
+{
+    const ReplayFingerprint golden{
+        900000000, 7494000, 394670,
+        1782996, 27079995, 909284666,
+        0, 7670, 387000,
+        91, 182, 0, 91, 463,
+        64, 40, 40, 0, 919935666};
+    EXPECT_EQ(replay({SyncPolicy::FineGrained, 0, 0, 0}), golden);
+}
+
+TEST(ExecutorReplayGolden, FenceBatched)
+{
+    const ReplayFingerprint golden{
+        900000000, 7494000, 490004,
+        27079995, 27079995, 934964999,
+        0, 7004, 483000,
+        91, 182, 0, 91, 463,
+        64, 40, 40, 0, 945615999};
+    EXPECT_EQ(replay({SyncPolicy::Fence, 0, 0, 0}), golden);
+}
+
+TEST(ExecutorReplayGolden, FineGrainedPerShot)
+{
+    const ReplayFingerprint golden{
+        900000000, 7494000, 349892,
+        849663, 27079995, 908351555,
+        0, 7892, 342000,
+        616, 632, 0, 616, 736,
+        589, 40, 40, 0, 919002555};
+    EXPECT_EQ(replay({SyncPolicy::FineGrained, 1, 0, 0}), golden);
+}
+
+TEST(ExecutorReplayGolden, FencePerShot)
+{
+    const ReplayFingerprint golden{
+        900000000, 7494000, 8857004,
+        27079995, 27079995, 934919999,
+        0, 7004, 8850000,
+        616, 632, 0, 616, 736,
+        589, 40, 40, 0, 945570999};
+    EXPECT_EQ(replay({SyncPolicy::Fence, 1, 0, 0}), golden);
+}
+
+TEST(ExecutorReplayGolden, JitterReordersPerShotPuts)
+{
+    // Jitter of several shot durations: later shots' PUTs often
+    // overtake earlier ones.
+    const ReplayFingerprint golden{
+        900000000, 7494000, 7745668,
+        8334986, 27079995, 915836219,
+        0, 7233, 7738435,
+        616, 632, 0, 616, 741,
+        589, 40, 40, 0, 926487219};
+    EXPECT_EQ(replay({SyncPolicy::FineGrained, 1,
+                      3 * shotDur(8), 0}),
+              golden);
+}
+
+TEST(ExecutorReplayGolden, JitterTiesPutTimes)
+{
+    // PUTs 2 ticks apart (two 1-tick shots each) and up to 5 ticks
+    // of jitter: many PUTs tie on a tick or overtake the one before,
+    // and they queue for bus tags.
+    const ReplayFingerprint golden{
+        600, 7494000, 19777126,
+        27079995, 27079995, 35256005,
+        0, 6998, 19770128,
+        316, 332, 204, 316, 8248,
+        289, 40, 40, 0, 45907005};
+    EXPECT_EQ(replay({SyncPolicy::Fence, 2, 6, 1}), golden);
+}
+
+TEST(ExecutorReplayGolden, PutSharesTickWithBusResponse)
+{
+    // One PUT per shot, half a bus cycle apart: the bus runs out of
+    // tags and PUTs land on the ticks of earlier PUTs' responses. A
+    // PUT must see the bus as it was before those responses freed
+    // their tags (tag stalls and occupancy). With the PUTs released
+    // at default priority instead, both counts drop.
+    const ReplayFingerprint golden{
+        300000, 7494000, 683680,
+        27084231, 27079995, 34886411,
+        0, 8180, 675500,
+        616, 632, 488, 616, 17812,
+        589, 40, 40, 0, 45537411};
+    EXPECT_EQ(replay({SyncPolicy::FineGrained, 1, 0, 500}), golden);
 }

@@ -128,7 +128,6 @@ TEST(Wbq, PartialBeatsRotateLanes)
 TEST(Barrier, UnsyncedUntilMarked)
 {
     MemoryBarrier b;
-    b.declare(0x1000, 64);
     EXPECT_FALSE(b.query(0x1000, 8));
     b.markSynced(0x1000, 64);
     EXPECT_TRUE(b.query(0x1000, 8));
