@@ -94,11 +94,7 @@ main(int argc, char **argv)
         std::printf("%8s %16s %16s\n", "K", "bus txns",
                     "acquire time");
         for (std::size_t i = 0; i < plan.ks.size(); ++i) {
-            const auto r = store.get(plan.handles[i].id);
-            if (r.status != service::JobStatus::Ok)
-                sim::fatal("job '", r.name, "' ",
-                           service::jobStatusName(r.status), ": ",
-                           r.error);
+            const auto r = okResult(store, plan.handles[i].id);
             const auto &sys = r.systems.at(0);
             std::printf("%8llu %16.0f %16s %s\n",
                         static_cast<unsigned long long>(plan.ks[i]),

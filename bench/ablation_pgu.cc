@@ -55,11 +55,7 @@ main(int argc, char **argv)
     std::printf("%6s %16s %18s %14s\n", "#PGUs", "initial q_gen",
                 "per-round pulse", "round wall");
     for (std::size_t i = 0; i < handles.size(); ++i) {
-        const auto r = store.get(handles[i].id);
-        if (r.status != service::JobStatus::Ok)
-            sim::fatal("job '", r.name, "' ",
-                       service::jobStatusName(r.status), ": ",
-                       r.error);
+        const auto r = okResult(store, handles[i].id);
         const auto &sys = r.systems.at(0);
         const double rounds =
             static_cast<double>(r.rounds ? r.rounds : 1);

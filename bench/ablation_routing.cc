@@ -91,11 +91,7 @@ main(int argc, char **argv)
     std::size_t next = 0;
     for (auto alg : algos) {
         for (auto n : sizes) {
-            const auto r = store.get(handles[next++].id);
-            if (r.status != service::JobStatus::Ok)
-                sim::fatal("job '", r.name, "' ",
-                           service::jobStatusName(r.status), ": ",
-                           r.error);
+            const auto r = okResult(store, handles[next++].id);
             const auto &m = r.metrics;
             const auto base =
                 static_cast<sim::Tick>(m.at("all2all_ps"));

@@ -74,11 +74,7 @@ main(int argc, char **argv)
     std::printf("%-22s %10s %10s %12s %12s\n", "configuration",
                 "pulses", "hit rate", "pulse time", "rounds wall");
     for (std::size_t i = 0; i < handles.size(); ++i) {
-        const auto r = store.get(handles[i].id);
-        if (r.status != service::JobStatus::Ok)
-            sim::fatal("job '", r.name, "' ",
-                       service::jobStatusName(r.status), ": ",
-                       r.error);
+        const auto r = okResult(store, handles[i].id);
         const auto &sys = r.systems.at(0);
         const double lookups =
             static_cast<double>(sys.sltHits + sys.sltMisses);

@@ -22,22 +22,21 @@
  *   bench_statevector [--qubits N] [--reps R] [--out PATH] [--smoke]
  *
  * --smoke keeps the full row set but drops to --reps 2 and exits
- * nonzero if any criteria gate fails (CI regression tripwire).
+ * nonzero if any criteria gate fails (CI regression tripwire);
+ * tests/test_artifacts.cc re-checks the written artifact.
  */
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <functional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "artifact.hh"
+#include "option_registry.hh"
 #include "quantum/circuit.hh"
 #include "quantum/statevector.hh"
-#include "service/json.hh"
-#include "sim/logging.hh"
 #include "tests/reference_statevector.hh"
 
 using namespace qtenon;
@@ -152,33 +151,24 @@ int
 main(int argc, char **argv)
 {
     std::uint32_t n = 20;
-    unsigned reps = 3;
+    unsigned reps = 0; // 0 = not given: 3, or 2 under --smoke
     bool smoke = false;
-    bool repsSet = false;
     std::string out = "BENCH_statevector.json";
-    for (int i = 1; i < argc; ++i) {
-        auto value = [&]() -> const char * {
-            if (i + 1 >= argc)
-                sim::fatal(argv[i], " requires a value");
-            return argv[++i];
-        };
-        if (std::strcmp(argv[i], "--qubits") == 0)
-            n = static_cast<std::uint32_t>(
-                std::strtoul(value(), nullptr, 10));
-        else if (std::strcmp(argv[i], "--reps") == 0) {
-            reps = static_cast<unsigned>(
-                std::strtoul(value(), nullptr, 10));
-            repsSet = true;
-        } else if (std::strcmp(argv[i], "--out") == 0)
-            out = value();
-        else if (std::strcmp(argv[i], "--smoke") == 0)
-            smoke = true;
-        else
-            sim::fatal("usage: bench_statevector [--qubits N] "
-                       "[--reps R] [--out PATH] [--smoke]");
-    }
-    if (smoke && !repsSet)
-        reps = 2;
+    bench::cli::OptionRegistry reg;
+    reg.uns("--qubits", "N", "register width (default 20)", &n, 1,
+            "--qubits must be a positive integer");
+    reg.uns("--reps", "R", "best of R timed runs (default 3)", &reps,
+            1, "--reps must be a positive integer");
+    reg.str("--out", "PATH",
+            "write the JSON artifact (default BENCH_statevector.json)",
+            &out);
+    reg.flag("--smoke",
+             "reps 2 unless given; exit 1 unless every criterion "
+             "holds",
+             &smoke);
+    reg.parse(argc, argv);
+    if (reps == 0)
+        reps = smoke ? 2 : 3;
 
     const unsigned hw =
         std::max(1u, std::thread::hardware_concurrency());
@@ -297,13 +287,13 @@ main(int argc, char **argv)
                 scaling, scalingTarget, hw,
                 scalingOk ? "[ok]" : "[FAIL]");
 
-    service::json::Value doc = service::json::Value::object();
-    doc.set("schema", "qtenon.bench-statevector.v2");
-    doc.set("qubits", n);
-    doc.set("reps", reps);
-    service::json::Value results = service::json::Value::array();
+    using service::json::Value;
+    bench::Artifact art("qtenon.bench-statevector.v2");
+    art.set("qubits", n);
+    art.set("reps", reps);
+    Value results = Value::array();
     for (const auto &r : rows) {
-        service::json::Value row = service::json::Value::object();
+        Value row = Value::object();
         row.set("name", r.name);
         row.set("gates", static_cast<std::uint64_t>(r.gates));
         row.set("ns_per_gate", r.nsPerGate);
@@ -316,31 +306,19 @@ main(int argc, char **argv)
             row.set("vs_threads_1", r.vsThreads1);
         results.asArray().push_back(std::move(row));
     }
-    doc.set("results", std::move(results));
-    service::json::Value crit = service::json::Value::object();
-    crit.set("apply1q_fused_speedup", headline);
-    crit.set("meets_2x_target", headline >= 2.0);
-    crit.set("simd_backend", backend);
+    art.set("results", std::move(results));
+    art.info("apply1q_fused_speedup", headline);
+    art.criterion("meets_2x_target", headline >= 2.0);
+    art.info("simd_backend", backend);
     // In-binary A/B: the SIMD table vs the forced-scalar table of
     // the *same* slab kernels (the scalar table is itself compiler-
     // auto-vectorized, so this understates the win over the seed's
     // hand-written pair-loop — compare ns_per_gate across JSON
     // revisions for that).
-    crit.set("simd_vs_scalar_speedup", simdSpeedup);
-    crit.set("hw_concurrency", static_cast<std::uint64_t>(hw));
-    crit.set("threads_4_vs_threads_1", scaling);
-    crit.set("threads_scaling_target", scalingTarget);
-    crit.set("threads_scaling_ok", scalingOk);
-    doc.set("criteria", std::move(crit));
-
-    std::ofstream os(out);
-    if (!os)
-        sim::fatal("cannot open --out path '", out, "'");
-    doc.write(os, 2);
-    os << "\n";
-    std::printf("written to %s\n", out.c_str());
-
-    if (smoke && !(scalingOk && headline >= 2.0))
-        return 1;
-    return 0;
+    art.info("simd_vs_scalar_speedup", simdSpeedup);
+    art.info("hw_concurrency", static_cast<std::uint64_t>(hw));
+    art.info("threads_4_vs_threads_1", scaling);
+    art.info("threads_scaling_target", scalingTarget);
+    art.criterion("threads_scaling_ok", scalingOk);
+    return art.finish(out, smoke);
 }

@@ -1,8 +1,8 @@
 /**
  * @file
  * Shared helpers for the figure/table reproduction binaries: default
- * experiment configurations matching the paper's Sec. 7.1 setup and
- * small table-printing utilities.
+ * experiment configurations matching the paper's Sec. 7.1 setup,
+ * small table-printing utilities, and reading batch job results.
  */
 
 #ifndef QTENON_BENCH_BENCH_UTIL_HH
@@ -10,11 +10,15 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "core/experiment.hh"
 #include "core/hash.hh"
+#include "service/batch_scheduler.hh"
+#include "sim/logging.hh"
 
 namespace qtenon::bench {
 
@@ -86,6 +90,61 @@ digestFromMetrics(const std::map<std::string, double> &m)
     return core::Digest128{
         word("digest_0") | (word("digest_1") << 32),
         word("digest_2") | (word("digest_3") << 32)};
+}
+
+/** Job @p id's result; any status but Ok is fatal. */
+inline service::JobResult
+okResult(const service::ResultsStore &store, std::uint64_t id)
+{
+    auto r = store.get(id);
+    if (r.status != service::JobStatus::Ok)
+        sim::fatal("job '", r.name, "' ",
+                   service::jobStatusName(r.status), ": ", r.error);
+    return r;
+}
+
+/** Metric @p key of @p r; absent reads as zero. */
+inline double
+metric(const service::JobResult &r, const char *key)
+{
+    const auto it = r.metrics.find(key);
+    return it == r.metrics.end() ? 0.0 : it->second;
+}
+
+/** One job of a batch checked for worker-count invariance. */
+struct RerunChecked {
+    service::JobResult result;
+    /** The one-worker rerun reproduced the job's digest. */
+    bool rerunMatches = false;
+};
+
+/**
+ * Run the jobs @p build makes on @p sched, then a fresh copy of them
+ * on one worker (otherwise configured as @p cfg), and compare each
+ * job's digestToMetrics digest across the two runs. Results come
+ * back in submission order; a job of either run that is not Ok is
+ * fatal.
+ */
+inline std::vector<RerunChecked>
+runWithRerun(service::BatchScheduler &sched,
+             service::SchedulerConfig cfg,
+             const std::function<std::vector<service::JobSpec>()> &build)
+{
+    const auto handles = sched.submitAll(build());
+    const auto &store = sched.wait();
+    cfg.workers = 1;
+    service::BatchScheduler rerun(cfg);
+    const auto rerunHandles = rerun.submitAll(build());
+    const auto &rerunStore = rerun.wait();
+    std::vector<RerunChecked> out;
+    for (std::size_t i = 0; i < handles.size(); ++i) {
+        auto r = okResult(store, handles[i].id);
+        const auto rr = okResult(rerunStore, rerunHandles[i].id);
+        const bool matches = digestFromMetrics(r.metrics) ==
+            digestFromMetrics(rr.metrics);
+        out.push_back({std::move(r), matches});
+    }
+    return out;
 }
 
 } // namespace qtenon::bench

@@ -12,9 +12,9 @@
  * byte-identical to the cold compile (it must be, by contract).
  *
  * Writes a machine-checkable artifact (--out, schema
- * "qtenon.compile-sweep.v1") whose criteria block is validated by
- * test_compile_cache's artifact gate; --smoke exits nonzero unless
- * every criterion holds:
+ * "qtenon.compile-sweep.v1") whose criteria block is re-checked by
+ * tests/test_artifacts.cc; --smoke exits nonzero unless every
+ * criterion holds:
  *   - cached_vs_jit_ok: a cached parameter-only recompile costs at
  *     least 10x fewer modeled host cycles than a JIT recompile at
  *     every depth
@@ -28,17 +28,15 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
+#include "artifact.hh"
 #include "bench_util.hh"
+#include "option_registry.hh"
 
 #include "core/hash.hh"
 #include "isa/pass/compile_cache.hh"
-#include "sim/logging.hh"
 #include "quantum/ansatz.hh"
 #include "quantum/graph.hh"
 #include "service/json.hh"
@@ -52,7 +50,7 @@ struct Config {
     std::uint32_t qubits = 16;
     std::vector<std::uint32_t> depths = {1, 2, 4, 8};
     std::uint64_t rounds = 100;
-    std::size_t cacheCapacity = 64;
+    unsigned cacheCapacity = 64;
     std::string outPath;
     bool smoke = false;
 };
@@ -129,87 +127,31 @@ runDepth(std::uint32_t n, std::uint32_t depth,
     return row;
 }
 
-void
-usage(const char *argv0)
-{
-    std::printf(
-        "usage: %s [options]\n"
-        "  --qubits N       register width (default 16)\n"
-        "  --depths a,b,c   QAOA layer counts swept "
-        "(default 1,2,4,8)\n"
-        "  --rounds N       optimization rounds modeled "
-        "(default 100)\n"
-        "  --cache N        compile-cache capacity (default 64)\n"
-        "  --out PATH       write the JSON artifact\n"
-        "  --smoke          small fast run; exit 1 unless every "
-        "criterion holds\n"
-        "  --help           this text\n",
-        argv0);
-}
-
-std::vector<std::uint32_t>
-parseList(const char *flag, const std::string &arg)
-{
-    std::vector<std::uint32_t> out;
-    std::string tok;
-    for (const char *p = arg.c_str();; ++p) {
-        if (*p == ',' || *p == '\0') {
-            if (!tok.empty()) {
-                const long v = std::strtol(tok.c_str(), nullptr, 10);
-                if (v <= 0)
-                    sim::fatal(flag, ": bad value '", tok, "'");
-                out.push_back(static_cast<std::uint32_t>(v));
-            }
-            tok.clear();
-            if (*p == '\0')
-                break;
-        } else {
-            tok.push_back(*p);
-        }
-    }
-    if (out.empty())
-        sim::fatal(flag, ": empty list");
-    return out;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     Config cfg;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc)
-                sim::fatal(flag, " needs a value");
-            return argv[++i];
-        };
-        if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
-            return 0;
-        } else if (arg == "--qubits") {
-            cfg.qubits = static_cast<std::uint32_t>(
-                std::strtoul(value("--qubits"), nullptr, 10));
-        } else if (arg == "--depths") {
-            cfg.depths = parseList("--depths", value("--depths"));
-        } else if (arg == "--rounds") {
-            cfg.rounds = std::strtoull(value("--rounds"), nullptr, 10);
-        } else if (arg == "--cache") {
-            cfg.cacheCapacity =
-                std::strtoul(value("--cache"), nullptr, 10);
-        } else if (arg == "--out") {
-            cfg.outPath = value("--out");
-        } else if (arg == "--smoke") {
-            cfg.smoke = true;
-        } else {
-            std::fprintf(stderr,
-                         "compile_sweep: unknown option '%s'\n",
-                         arg.c_str());
-            usage(argv[0]);
-            return 2;
-        }
-    }
+    cli::OptionRegistry reg;
+    reg.uns("--qubits", "N", "register width (default 16)",
+            &cfg.qubits, 1, "--qubits must be a positive integer");
+    reg.list<std::uint32_t>("--depths", "a,b,c",
+                            "QAOA layer counts swept (default "
+                            "1,2,4,8)",
+                            &cfg.depths, 1, UINT32_MAX);
+    reg.u64("--rounds", "N",
+            "optimization rounds modeled (default 100)",
+            &cfg.rounds);
+    reg.uns("--cache", "N", "compile-cache capacity (default 64)",
+            &cfg.cacheCapacity, 0,
+            "--cache must be a non-negative integer");
+    reg.str("--out", "PATH", "write the JSON artifact",
+            &cfg.outPath);
+    reg.flag("--smoke",
+             "small fast run; exit 1 unless every criterion holds",
+             &cfg.smoke);
+    reg.parse(argc, argv);
     if (cfg.smoke) {
         cfg.qubits = 8;
         cfg.depths = {1, 2};
@@ -253,84 +195,53 @@ main(int argc, char **argv)
     }
 
     const auto cs = cache.stats();
-    const bool cacheHitsOk = cs.misses == rows.size() &&
-        cs.hits == rows.size() && cs.evictions == 0;
-    const bool ok = cachedVsJitOk && imagesIdentical && cacheHitsOk;
-
     std::printf("\ncache: %llu misses, %llu hits, %llu inserts "
                 "(capacity %zu)\n",
                 static_cast<unsigned long long>(cs.misses),
                 static_cast<unsigned long long>(cs.hits),
                 static_cast<unsigned long long>(cs.inserts),
                 cs.capacity);
-    std::printf("cached >= 10x cheaper than jit: %s   "
-                "images byte-identical: %s   cache hits: %s\n",
-                cachedVsJitOk ? "yes" : "NO",
-                imagesIdentical ? "yes" : "NO",
-                cacheHitsOk ? "yes" : "NO");
 
-    if (!cfg.outPath.empty()) {
-        using service::json::Value;
-        Value root = Value::object();
-        root.set("schema", "qtenon.compile-sweep.v1");
-        Value conf = Value::object();
-        conf.set("qubits", std::uint64_t{cfg.qubits});
-        Value dv = Value::array();
-        for (auto d : cfg.depths)
-            dv.asArray().push_back(Value(std::uint64_t{d}));
-        conf.set("depths", std::move(dv));
-        conf.set("rounds", cfg.rounds);
-        conf.set("cache_capacity",
-                 static_cast<std::uint64_t>(cfg.cacheCapacity));
-        root.set("config", std::move(conf));
-        Value rv = Value::array();
-        for (const auto &row : rows) {
-            Value o = Value::object();
-            o.set("depth", std::uint64_t{row.depth});
-            o.set("params", std::uint64_t{row.params});
-            o.set("entries", row.entries);
-            o.set("jit_cycles_per_round", row.jitCycles);
-            o.set("cached_compile_cycles", row.cachedCycles);
-            o.set("incremental_cycles_per_round", row.incrCycles);
-            o.set("jit_over_cached", row.ratio);
-            o.set("image_digest_cold", row.coldDigest);
-            o.set("image_digest_cached", row.cachedDigest);
-            o.set("cache_hit", row.hit);
-            o.set("cold_compile_wall_ns", row.coldWallNs);
-            o.set("cached_compile_wall_ns", row.cachedWallNs);
-            rv.asArray().push_back(std::move(o));
-        }
-        root.set("rows", std::move(rv));
-        Value cstat = Value::object();
-        cstat.set("hits", cs.hits);
-        cstat.set("misses", cs.misses);
-        cstat.set("inserts", cs.inserts);
-        cstat.set("evictions", cs.evictions);
-        root.set("cache", std::move(cstat));
-        root.set("pipeline",
-                 isa::QtenonCompiler().pipelineDescription());
-        Value criteria = Value::object();
-        criteria.set("cached_vs_jit_ok", cachedVsJitOk);
-        criteria.set("images_identical", imagesIdentical);
-        criteria.set("cache_hits_ok", cacheHitsOk);
-        root.set("criteria", std::move(criteria));
-        root.set("ok", ok);
-
-        std::ofstream os(cfg.outPath);
-        if (!os) {
-            std::fprintf(stderr,
-                         "compile_sweep: cannot open --out path "
-                         "'%s'\n",
-                         cfg.outPath.c_str());
-            return 1;
-        }
-        os << root.dump(2) << "\n";
-        std::printf("artifact: %s\n", cfg.outPath.c_str());
+    using service::json::Value;
+    Artifact art("qtenon.compile-sweep.v1");
+    Value conf = Value::object();
+    conf.set("qubits", std::uint64_t{cfg.qubits});
+    Value dv = Value::array();
+    for (auto d : cfg.depths)
+        dv.asArray().push_back(Value(std::uint64_t{d}));
+    conf.set("depths", std::move(dv));
+    conf.set("rounds", cfg.rounds);
+    conf.set("cache_capacity", std::uint64_t{cfg.cacheCapacity});
+    art.set("config", std::move(conf));
+    Value rv = Value::array();
+    for (const auto &row : rows) {
+        Value o = Value::object();
+        o.set("depth", std::uint64_t{row.depth});
+        o.set("params", std::uint64_t{row.params});
+        o.set("entries", row.entries);
+        o.set("jit_cycles_per_round", row.jitCycles);
+        o.set("cached_compile_cycles", row.cachedCycles);
+        o.set("incremental_cycles_per_round", row.incrCycles);
+        o.set("jit_over_cached", row.ratio);
+        o.set("image_digest_cold", row.coldDigest);
+        o.set("image_digest_cached", row.cachedDigest);
+        o.set("cache_hit", row.hit);
+        o.set("cold_compile_wall_ns", row.coldWallNs);
+        o.set("cached_compile_wall_ns", row.cachedWallNs);
+        rv.asArray().push_back(std::move(o));
     }
-
-    if (cfg.smoke && !ok) {
-        std::fprintf(stderr, "compile_sweep: smoke criteria FAILED\n");
-        return 1;
-    }
-    return 0;
+    art.set("rows", std::move(rv));
+    Value cstat = Value::object();
+    cstat.set("hits", cs.hits);
+    cstat.set("misses", cs.misses);
+    cstat.set("inserts", cs.inserts);
+    cstat.set("evictions", cs.evictions);
+    art.set("cache", std::move(cstat));
+    art.set("pipeline", isa::QtenonCompiler().pipelineDescription());
+    art.criterion("cached_vs_jit_ok", cachedVsJitOk);
+    art.criterion("images_identical", imagesIdentical);
+    art.criterion("cache_hits_ok", cs.misses == rows.size() &&
+                                       cs.hits == rows.size() &&
+                                       cs.evictions == 0);
+    return art.finish(cfg.outPath, cfg.smoke);
 }

@@ -20,7 +20,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -31,49 +30,17 @@
 using namespace qtenon;
 using namespace qtenon::bench;
 
-namespace {
-
-std::vector<double>
-parseRateList(const std::string &arg)
-{
-    std::vector<double> out;
-    std::string tok;
-    for (const char *p = arg.c_str();; ++p) {
-        if (*p == ',' || *p == '\0') {
-            if (!tok.empty()) {
-                char *end = nullptr;
-                const double r = std::strtod(tok.c_str(), &end);
-                if (end == tok.c_str() || *end != '\0' || r < 0.0 ||
-                    r > 1.0)
-                    sim::fatal("--loss-rates: bad rate '", tok, "'");
-                out.push_back(r);
-            }
-            tok.clear();
-            if (*p == '\0')
-                break;
-        } else {
-            tok.push_back(*p);
-        }
-    }
-    if (out.empty())
-        sim::fatal("--loss-rates: empty list");
-    return out;
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
-    std::string rates_arg = "0,0.01,0.05,0.1";
+    std::vector<double> rates = {0, 0.01, 0.05, 0.1};
     const auto cli = parseSweepCli(argc, argv,
-        [&rates_arg](cli::OptionRegistry &reg) {
-            reg.str("--loss-rates", "r0,r1,...",
-                    "Ethernet drop rates swept "
-                    "(default 0,0.01,0.05,0.1)",
-                    &rates_arg);
+        [&rates](cli::OptionRegistry &reg) {
+            reg.list("--loss-rates", "r0,r1,...",
+                     "Ethernet drop rates swept "
+                     "(default 0,0.01,0.05,0.1)",
+                     &rates, 0.0, 1.0);
         });
-    const auto rates = parseRateList(rates_arg);
     const auto sizes = cli.qubitsOr({8, 16});
 
     // One job per (size, loss rate): VQE under gradient descent,
@@ -116,11 +83,7 @@ main(int argc, char **argv)
         std::printf("%10s %12s %12s %14s %14s\n", "loss", "e2e(R)x",
                     "e2e(B)x", "retransmits", "exhausted");
         for (std::size_t i = 0; i < rates.size(); ++i, ++next) {
-            const auto r = store.get(handles[next].id);
-            if (r.status != service::JobStatus::Ok)
-                sim::fatal("job '", r.name, "' ",
-                           service::jobStatusName(r.status), ": ",
-                           r.error);
+            const auto r = okResult(store, handles[next].id);
             const auto *rocket = r.system("rocket");
             const auto *boom = r.system("boom-l");
             const auto *base = r.system("baseline");
@@ -135,14 +98,10 @@ main(int argc, char **argv)
                 ? static_cast<double>(base->total.wall) /
                     static_cast<double>(boom->total.wall)
                 : 0.0;
-            auto metric = [&r](const char *key) {
-                const auto it = r.metrics.find(key);
-                return it == r.metrics.end() ? 0.0 : it->second;
-            };
             std::printf("%10.3f %11.1fx %11.1fx %14.0f %14.0f\n",
                         rates[i], e2e_r, e2e_b,
-                        metric("fault.eth.retransmits"),
-                        metric("fault.eth.exhausted"));
+                        metric(r, "fault.eth.retransmits"),
+                        metric(r, "fault.eth.exhausted"));
         }
     }
 

@@ -135,11 +135,7 @@ main(int argc, char **argv)
     sched.wait();
     auto totalOf = [&](const service::JobHandle &h,
                        const char *label) {
-        const auto r = sched.results().get(h.id);
-        if (r.status != service::JobStatus::Ok)
-            sim::fatal("job '", r.name, "' ",
-                       service::jobStatusName(r.status), ": ",
-                       r.error);
+        const auto r = okResult(sched.results(), h.id);
         const auto *run = r.system(label);
         if (!run)
             sim::fatal("job '", r.name, "' is missing its run");

@@ -64,15 +64,6 @@ main(int argc, char **argv)
     auto core_scan = sched.submitAll(std::move(core_jobs));
     auto &store = sched.wait();
 
-    auto checked = [&](std::uint64_t id) {
-        auto r = store.get(id);
-        if (r.status != service::JobStatus::Ok)
-            sim::fatal("job '", r.name, "' ",
-                       service::jobStatusName(r.status), ": ",
-                       r.error);
-        return r;
-    };
-
     std::size_t next = 0;
     for (auto alg : {vqa::Algorithm::Qaoa, vqa::Algorithm::Vqe}) {
         banner(std::string("Figure 17: ") + vqa::algorithmName(alg) +
@@ -83,7 +74,7 @@ main(int argc, char **argv)
         runtime::TimeBreakdown breakdown256;
         bool have256 = false;
         for (auto n : sizes) {
-            const auto r = checked(scaling[next++].id);
+            const auto r = okResult(store, scaling[next++].id);
             const auto bd = r.systems.at(0).total;
             if (n == sizes.front())
                 base64 = bd;
@@ -114,7 +105,7 @@ main(int argc, char **argv)
     banner("Sec. 7.5: more host cores at 256 qubits (VQE + SPSA)");
     std::printf("%8s %14s %12s\n", "#cores", "host busy", "wall");
     for (std::size_t i = 0; i < core_scan.size(); ++i) {
-        const auto r = checked(core_scan[i].id);
+        const auto r = okResult(store, core_scan[i].id);
         const auto bd = r.systems.at(0).total;
         std::printf("%8u %14s %12s\n", 1u << i,
                     core::formatTime(bd.hostBusy).c_str(),

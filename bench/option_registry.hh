@@ -9,7 +9,8 @@
  * registry provides uniform parsing (`--name value` and
  * `--name=value` for every option), a generated `--help`, and the
  * shared error behaviour (`sim::fatal` on unknown or malformed
- * input). Binaries with extra options (e.g. `fault_sweep`'s
+ * input, including a numeric token that is not wholly a number in
+ * range). Binaries with extra options (e.g. `fault_sweep`'s
  * `--loss-rates`) register them through the `extra` hook of
  * `parseSweepCli` instead of forking the parser.
  */
@@ -17,19 +18,101 @@
 #ifndef QTENON_BENCH_OPTION_REGISTRY_HH
 #define QTENON_BENCH_OPTION_REGISTRY_HH
 
+#include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <limits>
+#include <optional>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "sim/logging.hh"
 
 namespace qtenon::bench::cli {
+
+/**
+ * @p text as a whole base-10 integer in [@p lo, @p hi], or nullopt:
+ * a sign, blanks, trailing characters, overflow and an empty token
+ * all reject.
+ */
+inline std::optional<std::uint64_t>
+toUint(const std::string &text, std::uint64_t lo, std::uint64_t hi)
+{
+    if (text.empty() ||
+        !std::isdigit(static_cast<unsigned char>(text[0])))
+        return std::nullopt;
+    errno = 0;
+    char *end = nullptr;
+    const std::uint64_t n = std::strtoull(text.c_str(), &end, 10);
+    if (*end != '\0' || errno == ERANGE || n < lo || n > hi)
+        return std::nullopt;
+    return n;
+}
+
+/** @p text as a whole finite number in [@p lo, @p hi], or nullopt. */
+inline std::optional<double>
+toReal(const std::string &text, double lo, double hi)
+{
+    if (text.empty() ||
+        std::isspace(static_cast<unsigned char>(text[0])))
+        return std::nullopt;
+    char *end = nullptr;
+    const double v = std::strtod(text.c_str(), &end);
+    if (*end != '\0' || !std::isfinite(v) || v < lo || v > hi)
+        return std::nullopt;
+    return v;
+}
+
+/** @p text as a @p T in [@p lo, @p hi]; anything else dies with
+ *  "<flag>: bad value '<text>'". */
+template <typename T>
+T
+parseValue(const std::string &flag, const std::string &text, T lo,
+           T hi)
+{
+    std::optional<T> v;
+    if constexpr (std::is_floating_point_v<T>)
+        v = toReal(text, lo, hi);
+    else if (const auto n = toUint(text, lo, hi))
+        v = static_cast<T>(*n);
+    if (!v)
+        sim::fatal(flag, ": bad value '", text, "'");
+    return *v;
+}
+
+/**
+ * A comma-separated list of @p T, each element checked by
+ * parseValue against [@p lo, @p hi]. Empty elements are skipped; a
+ * list with none left dies.
+ */
+template <typename T>
+std::vector<T>
+parseList(const std::string &flag, const std::string &text, T lo,
+          T hi)
+{
+    std::vector<T> out;
+    std::size_t begin = 0;
+    while (begin <= text.size()) {
+        std::size_t end = text.find(',', begin);
+        if (end == std::string::npos)
+            end = text.size();
+        if (end > begin)
+            out.push_back(parseValue(
+                flag, text.substr(begin, end - begin), lo, hi));
+        begin = end + 1;
+    }
+    if (out.empty())
+        sim::fatal(flag, ": empty list");
+    return out;
+}
 
 /** One registered command-line option. */
 struct Option {
@@ -74,43 +157,61 @@ class OptionRegistry
             [target](const std::string &v) { *target = v; });
     }
 
-    /** Unsigned option; values below @p min die with @p err. */
+    /** Unsigned option; a value that is not wholly an integer of
+     *  at least @p min dies with @p err. */
     void
     uns(std::string name, std::string metavar, std::string help,
-        unsigned *target, long min, std::string err)
+        unsigned *target, unsigned min, std::string err)
     {
         add(std::move(name), std::move(metavar), std::move(help),
             [target, min, err = std::move(err)](
                 const std::string &v) {
-                const long n = std::strtol(v.c_str(), nullptr, 10);
-                if (n < min)
+                const auto n = toUint(
+                    v, min, std::numeric_limits<unsigned>::max());
+                if (!n)
                     sim::fatal(err);
-                *target = static_cast<unsigned>(n);
+                *target = static_cast<unsigned>(*n);
             });
     }
 
-    /** 64-bit unsigned option (no range check; 0 allowed). */
+    /** 64-bit unsigned option (0 allowed). */
     void
     u64(std::string name, std::string metavar, std::string help,
         std::uint64_t *target)
     {
-        add(std::move(name), std::move(metavar), std::move(help),
-            [target](const std::string &v) {
-                *target = std::strtoull(v.c_str(), nullptr, 10);
+        add(name, std::move(metavar), std::move(help),
+            [name, target](const std::string &v) {
+                *target = parseValue<std::uint64_t>(
+                    name, v, 0,
+                    std::numeric_limits<std::uint64_t>::max());
             });
     }
 
-    /** Millisecond duration; non-positive values die with @p err. */
+    /** Millisecond duration; a value that is not wholly a positive
+     *  integer dies with @p err. */
     void
     ms(std::string name, std::string metavar, std::string help,
        std::chrono::milliseconds *target, std::string err)
     {
         add(std::move(name), std::move(metavar), std::move(help),
             [target, err = std::move(err)](const std::string &v) {
-                const long n = std::strtol(v.c_str(), nullptr, 10);
-                if (n <= 0)
+                const auto n = toUint(
+                    v, 1, std::numeric_limits<std::int64_t>::max());
+                if (!n)
                     sim::fatal(err);
-                *target = std::chrono::milliseconds(n);
+                *target = std::chrono::milliseconds(*n);
+            });
+    }
+
+    /** Comma-separated list option; see parseList. */
+    template <typename T>
+    void
+    list(std::string name, std::string metavar, std::string help,
+         std::vector<T> *target, T lo, T hi)
+    {
+        add(name, std::move(metavar), std::move(help),
+            [name, target, lo, hi](const std::string &v) {
+                *target = parseList(name, v, lo, hi);
             });
     }
 

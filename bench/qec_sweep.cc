@@ -8,9 +8,9 @@
  * delivered scalar (q_update) or vector (q_update.v, --isa-vector).
  *
  * Writes a machine-checkable artifact (--out, schema
- * "qtenon.qec-sweep.v1") whose criteria block is validated by
- * test_vector_isa's artifact gate; --smoke exits nonzero unless
- * every criterion holds:
+ * "qtenon.qec-sweep.v1") whose criteria block is re-checked by
+ * tests/test_artifacts.cc; --smoke exits nonzero unless every
+ * criterion holds:
  *   - jobs_invariant: re-running the whole sweep on one worker
  *     reproduces every per-config digest bit for bit
  *   - tight_beats_decoupled: the tight path's deadline-miss rate is
@@ -24,10 +24,10 @@
  */
 
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
+#include "artifact.hh"
 #include "bench_util.hh"
 #include "sweep_cli.hh"
 
@@ -35,8 +35,6 @@
 #include "isa/compiler.hh"
 #include "qec/feed_forward.hh"
 #include "service/batch_scheduler.hh"
-#include "service/json.hh"
-#include "sim/logging.hh"
 
 using namespace qtenon;
 using namespace qtenon::bench;
@@ -159,42 +157,24 @@ buildJobs(const Config &cfg, const SweepCli &cli)
     return jobs;
 }
 
-double
-metric(const service::JobResult &r, const char *key)
-{
-    const auto it = r.metrics.find(key);
-    return it == r.metrics.end() ? 0.0 : it->second;
-}
-
-void
-usage(const char *argv0)
-{
-    std::printf(
-        "usage: %s [sweep options] [--loss l1,l2,...] "
-        "[--error-rate P] [--ansatz-qubits N] [--out PATH] "
-        "[--smoke]\n",
-        argv0);
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     Config cfg;
-    std::string loss_arg;
     const auto cli = parseSweepCli(
         argc, argv, [&](cli::OptionRegistry &reg) {
-            reg.add("--loss", "l1,l2",
-                    "ethernet loss rates swept for the decoupled "
-                    "baseline (default 0,0.01,0.05)",
-                    [&](const std::string &v) { loss_arg = v; });
+            reg.list("--loss", "l1,l2",
+                     "ethernet loss rates swept for the decoupled "
+                     "baseline (default 0,0.01,0.05)",
+                     &cfg.losses, 0.0, 1.0);
             reg.add("--error-rate", "P",
                     "per-data-qubit X-error probability per round "
                     "(default 0.05)",
                     [&](const std::string &v) {
-                        cfg.dataErrorRate =
-                            std::strtod(v.c_str(), nullptr);
+                        cfg.dataErrorRate = cli::parseValue(
+                            "--error-rate", v, 0.0, 1.0);
                     });
             reg.uns("--ansatz-qubits", "N",
                     "ansatz size for the analytic RoCC instruction "
@@ -208,23 +188,6 @@ main(int argc, char **argv)
                      "criterion holds",
                      &cfg.smoke);
         });
-    (void)usage;
-    if (!loss_arg.empty()) {
-        cfg.losses.clear();
-        std::string tok;
-        for (const char *p = loss_arg.c_str();; ++p) {
-            if (*p == ',' || *p == '\0') {
-                if (!tok.empty())
-                    cfg.losses.push_back(
-                        std::strtod(tok.c_str(), nullptr));
-                tok.clear();
-                if (*p == '\0')
-                    break;
-            } else {
-                tok.push_back(*p);
-            }
-        }
-    }
     if (cfg.smoke)
         cfg.losses = {0.0, 0.1};
 
@@ -236,30 +199,10 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(cli.qecDeadlineNs),
                 cfg.dataErrorRate);
 
-    auto jobs = buildJobs(cfg, cli);
     service::BatchScheduler sched(cli.schedulerConfig());
-    const auto handles = sched.submitAll(std::move(jobs));
-    auto &store = sched.wait();
-
-    auto checked = [](const service::ResultsStore &st,
-                      std::uint64_t id) {
-        auto r = st.get(id);
-        if (r.status != service::JobStatus::Ok)
-            sim::fatal("job '", r.name, "' ",
-                       service::jobStatusName(r.status), ": ",
-                       r.error);
-        return r;
-    };
-
-    // Worker-count invariance: the whole sweep again on one worker;
-    // every per-config digest must reproduce bit for bit.
-    auto rerun_jobs = buildJobs(cfg, cli);
-    auto rerun_sched_cfg = cli.schedulerConfig();
-    rerun_sched_cfg.workers = 1;
-    service::BatchScheduler rerun_sched(rerun_sched_cfg);
-    const auto rerun_handles =
-        rerun_sched.submitAll(std::move(rerun_jobs));
-    auto &rerun_store = rerun_sched.wait();
+    const auto results = runWithRerun(
+        sched, cli.schedulerConfig(),
+        [&] { return buildJobs(cfg, cli); });
 
     std::vector<Row> rows;
     bool jobsInvariant = true;
@@ -268,10 +211,7 @@ main(int argc, char **argv)
     std::size_t idx = 0;
     for (auto loss : cfg.losses) {
         for (bool vec : {false, true}) {
-            const auto r = checked(store, handles[idx].id);
-            const auto rr =
-                checked(rerun_store, rerun_handles[idx].id);
-            ++idx;
+            const auto &[r, rerunMatches] = results[idx++];
             Row row;
             row.loss = loss;
             row.vector = vec;
@@ -293,8 +233,7 @@ main(int argc, char **argv)
                 metric(r, "corrections_applied"));
             row.logicalValue = metric(r, "logical_value") != 0.0;
             row.digest = digestFromMetrics(r.metrics);
-            row.rerunMatches =
-                row.digest == digestFromMetrics(rr.metrics);
+            row.rerunMatches = rerunMatches;
             if (!row.rerunMatches)
                 jobsInvariant = false;
             if (row.tightMissRate >= row.decoupledMissRate)
@@ -362,85 +301,55 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(
                     vector_count.total()));
 
-    const bool ok = jobsInvariant && tightBeatsDecoupled &&
-        vectorReducesRocc && vectorMovesElements;
-    std::printf("jobs invariant: %s   tight beats decoupled: %s   "
-                "vector reduces rocc: %s   vector moves elements: "
-                "%s\n",
-                jobsInvariant ? "yes" : "NO",
-                tightBeatsDecoupled ? "yes" : "NO",
-                vectorReducesRocc ? "yes" : "NO",
-                vectorMovesElements ? "yes" : "NO");
-
-    if (!cfg.outPath.empty()) {
-        using service::json::Value;
-        Value root = Value::object();
-        root.set("schema", "qtenon.qec-sweep.v1");
-        Value conf = Value::object();
-        conf.set("distance", std::uint64_t{cli.qecDistance});
-        conf.set("rounds", std::uint64_t{cli.qecRounds});
-        conf.set("deadline_ns", cli.qecDeadlineNs);
-        conf.set("error_rate", cfg.dataErrorRate);
-        Value lv = Value::array();
-        for (auto l : cfg.losses)
-            lv.asArray().push_back(Value(l));
-        conf.set("loss", std::move(lv));
-        conf.set("ansatz_qubits", std::uint64_t{cfg.ansatzQubits});
-        conf.set("seed", cli.seed);
-        conf.set("smoke", cfg.smoke);
-        root.set("config", std::move(conf));
-        Value rv = Value::array();
-        for (const auto &row : rows) {
-            Value o = Value::object();
-            o.set("loss", row.loss);
-            o.set("vector", row.vector);
-            o.set("rounds", row.rounds);
-            o.set("tight_misses", row.tightMisses);
-            o.set("decoupled_misses", row.decoupledMisses);
-            o.set("tight_miss_rate", row.tightMissRate);
-            o.set("decoupled_miss_rate", row.decoupledMissRate);
-            o.set("rocc_transfers", row.roccTransfers);
-            o.set("rocc_vector_elements", row.roccVectorElements);
-            o.set("injected_errors", row.injectedErrors);
-            o.set("corrections_applied", row.correctionsApplied);
-            o.set("logical_value", row.logicalValue);
-            o.set("digest", row.digest.hex());
-            o.set("rerun_matches", row.rerunMatches);
-            rv.asArray().push_back(std::move(o));
-        }
-        root.set("rows", std::move(rv));
-        Value ansatz = Value::object();
-        ansatz.set("qubits", std::uint64_t{cfg.ansatzQubits});
-        ansatz.set("rounds", std::uint64_t{10});
-        ansatz.set("updates_per_round", updates_per_round);
-        ansatz.set("scalar_total", scalar_count.total());
-        ansatz.set("vector_total", vector_count.total());
-        ansatz.set("vector_q_update_v", vector_count.qUpdateV);
-        ansatz.set("vector_q_gen_v", vector_count.qGenV);
-        root.set("ansatz", std::move(ansatz));
-        Value criteria = Value::object();
-        criteria.set("jobs_invariant", jobsInvariant);
-        criteria.set("tight_beats_decoupled", tightBeatsDecoupled);
-        criteria.set("vector_reduces_rocc", vectorReducesRocc);
-        criteria.set("vector_moves_elements", vectorMovesElements);
-        root.set("criteria", std::move(criteria));
-        root.set("ok", ok);
-
-        std::ofstream os(cfg.outPath);
-        if (!os) {
-            std::fprintf(stderr,
-                         "qec_sweep: cannot open --out path '%s'\n",
-                         cfg.outPath.c_str());
-            return 1;
-        }
-        os << root.dump(2) << "\n";
-        std::printf("artifact: %s\n", cfg.outPath.c_str());
+    using service::json::Value;
+    Artifact art("qtenon.qec-sweep.v1");
+    Value conf = Value::object();
+    conf.set("distance", std::uint64_t{cli.qecDistance});
+    conf.set("rounds", std::uint64_t{cli.qecRounds});
+    conf.set("deadline_ns", cli.qecDeadlineNs);
+    conf.set("error_rate", cfg.dataErrorRate);
+    Value lv = Value::array();
+    for (auto l : cfg.losses)
+        lv.asArray().push_back(Value(l));
+    conf.set("loss", std::move(lv));
+    conf.set("ansatz_qubits", std::uint64_t{cfg.ansatzQubits});
+    conf.set("seed", cli.seed);
+    conf.set("smoke", cfg.smoke);
+    art.set("config", std::move(conf));
+    Value rv = Value::array();
+    for (const auto &row : rows) {
+        Value o = Value::object();
+        o.set("loss", row.loss);
+        o.set("vector", row.vector);
+        o.set("rounds", row.rounds);
+        o.set("tight_misses", row.tightMisses);
+        o.set("decoupled_misses", row.decoupledMisses);
+        o.set("tight_miss_rate", row.tightMissRate);
+        o.set("decoupled_miss_rate", row.decoupledMissRate);
+        o.set("rocc_transfers", row.roccTransfers);
+        o.set("rocc_vector_elements", row.roccVectorElements);
+        o.set("injected_errors", row.injectedErrors);
+        o.set("corrections_applied", row.correctionsApplied);
+        o.set("logical_value", row.logicalValue);
+        o.set("digest", row.digest.hex());
+        o.set("rerun_matches", row.rerunMatches);
+        rv.asArray().push_back(std::move(o));
     }
-
+    art.set("rows", std::move(rv));
+    Value ansatz = Value::object();
+    ansatz.set("qubits", std::uint64_t{cfg.ansatzQubits});
+    ansatz.set("rounds", std::uint64_t{10});
+    ansatz.set("updates_per_round", updates_per_round);
+    ansatz.set("scalar_total", scalar_count.total());
+    ansatz.set("vector_total", vector_count.total());
+    ansatz.set("vector_q_update_v", vector_count.qUpdateV);
+    ansatz.set("vector_q_gen_v", vector_count.qGenV);
+    art.set("ansatz", std::move(ansatz));
+    art.criterion("jobs_invariant", jobsInvariant);
+    art.criterion("tight_beats_decoupled", tightBeatsDecoupled);
+    art.criterion("vector_reduces_rocc", vectorReducesRocc);
+    art.criterion("vector_moves_elements", vectorMovesElements);
+    const int rc = art.finish(cfg.outPath, cfg.smoke);
     cli.finish(sched);
-    if (cfg.smoke && !ok) {
-        std::fprintf(stderr, "qec_sweep: smoke criteria FAILED\n");
-        return 1;
-    }
-    return 0;
+    return rc;
 }

@@ -15,17 +15,14 @@
  *                      (the CI smoke job does this)
  *
  * Writes a machine-checkable artifact (--out, schema
- * "qtenon.daemon-loadgen.v1") whose criteria block is validated by
- * test_daemon's artifact gate; --smoke exits nonzero unless every
+ * "qtenon.daemon-loadgen.v1") whose criteria block is re-checked by
+ * tests/test_artifacts.cc; --smoke exits nonzero unless every
  * criterion holds.
  */
 
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -33,7 +30,9 @@
 #include <thread>
 #include <vector>
 
+#include "artifact.hh"
 #include "obs/metrics.hh"
+#include "option_registry.hh"
 #include "service/daemon/client.hh"
 #include "service/daemon/daemon.hh"
 
@@ -209,100 +208,44 @@ passJson(const PassStats &s)
     return v;
 }
 
-void
-usage(const char *argv0)
-{
-    std::printf(
-        "usage: %s [options]\n"
-        "  --socket PATH    daemon socket "
-        "(default qtenond_loadgen.sock)\n"
-        "  --spawn          run an in-process daemon\n"
-        "  --shutdown       send a shutdown frame at the end and "
-        "verify the drain\n"
-        "  --clients N      concurrent clients (default 4)\n"
-        "  --requests N     requests per client per pass "
-        "(default 8)\n"
-        "  --unique N       distinct request variants "
-        "(default 0 = all distinct)\n"
-        "  --jobs N         spawned daemon's workers (default 3)\n"
-        "  --qubits N       workload size (default 6)\n"
-        "  --shots N        shots per evaluation (default 200)\n"
-        "  --iterations N   optimizer iterations (default 4)\n"
-        "  --out PATH       write the JSON artifact\n"
-        "  --smoke          small fast run; exit 1 unless every "
-        "criterion holds\n",
-        argv0);
-}
-
-unsigned long
-parseCount(const char *flag, const char *value)
-{
-    char *end = nullptr;
-    const unsigned long n = std::strtoul(value, &end, 10);
-    if (end == value || *end != '\0') {
-        std::fprintf(stderr, "loadgen: bad value for %s: '%s'\n",
-                     flag, value);
-        std::exit(2);
-    }
-    return n;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     LoadgenConfig cfg;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "loadgen: %s needs a value\n",
-                             flag);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
-            return 0;
-        } else if (arg == "--socket") {
-            cfg.socketPath = value("--socket");
-        } else if (arg == "--spawn") {
-            cfg.spawn = true;
-        } else if (arg == "--shutdown") {
-            cfg.shutdownAtEnd = true;
-        } else if (arg == "--smoke") {
-            cfg.smoke = true;
-        } else if (arg == "--out") {
-            cfg.outPath = value("--out");
-        } else if (arg == "--clients") {
-            cfg.clients = static_cast<unsigned>(
-                parseCount("--clients", value("--clients")));
-        } else if (arg == "--requests") {
-            cfg.requestsPerClient = static_cast<unsigned>(
-                parseCount("--requests", value("--requests")));
-        } else if (arg == "--unique") {
-            cfg.unique = static_cast<unsigned>(
-                parseCount("--unique", value("--unique")));
-        } else if (arg == "--jobs") {
-            cfg.jobs = static_cast<unsigned>(
-                parseCount("--jobs", value("--jobs")));
-        } else if (arg == "--qubits") {
-            cfg.qubits = static_cast<unsigned>(
-                parseCount("--qubits", value("--qubits")));
-        } else if (arg == "--shots") {
-            cfg.shots = parseCount("--shots", value("--shots"));
-        } else if (arg == "--iterations") {
-            cfg.iterations = static_cast<unsigned>(
-                parseCount("--iterations", value("--iterations")));
-        } else {
-            std::fprintf(stderr, "loadgen: unknown option '%s'\n",
-                         arg.c_str());
-            usage(argv[0]);
-            return 2;
-        }
-    }
+    bench::cli::OptionRegistry reg;
+    reg.str("--socket", "PATH",
+            "daemon socket (default qtenond_loadgen.sock)",
+            &cfg.socketPath);
+    reg.flag("--spawn", "run an in-process daemon", &cfg.spawn);
+    reg.flag("--shutdown",
+             "send a shutdown frame at the end and verify the drain",
+             &cfg.shutdownAtEnd);
+    reg.uns("--clients", "N", "concurrent clients (default 4)",
+            &cfg.clients, 1, "--clients must be a positive integer");
+    reg.uns("--requests", "N",
+            "requests per client per pass (default 8)",
+            &cfg.requestsPerClient, 1,
+            "--requests must be a positive integer");
+    reg.uns("--unique", "N",
+            "distinct request variants (default 0 = all distinct)",
+            &cfg.unique, 0, "--unique must be a non-negative integer");
+    reg.uns("--jobs", "N", "spawned daemon's workers (default 3)",
+            &cfg.jobs, 0, "--jobs must be a non-negative integer");
+    reg.uns("--qubits", "N", "workload size (default 6)",
+            &cfg.qubits, 1, "--qubits must be a positive integer");
+    reg.u64("--shots", "N", "shots per evaluation (default 200)",
+            &cfg.shots);
+    reg.uns("--iterations", "N",
+            "optimizer iterations (default 4)", &cfg.iterations, 1,
+            "--iterations must be a positive integer");
+    reg.str("--out", "PATH", "write the JSON artifact",
+            &cfg.outPath);
+    reg.flag("--smoke",
+             "small fast run; exit 1 unless every criterion holds",
+             &cfg.smoke);
+    reg.parse(argc, argv);
     if (cfg.smoke) {
         // Small enough for CI, big enough to exercise concurrency
         // and repeat traffic.
@@ -360,14 +303,6 @@ main(int argc, char **argv)
         daemon.reset();
     }
 
-    const bool warmHitRateOk = warm.hits > 0;
-    const bool warmP50Improved =
-        warm.p50 > 0 && cold.p50 > 0 && warm.p50 < cold.p50;
-    const bool determinismOk =
-        ledger.ok.load() && cold.errors == 0 && warm.errors == 0;
-    const bool ok = warmHitRateOk && warmP50Improved &&
-        determinismOk && cleanDrain;
-
     auto ms = [](double ns) { return ns / 1e6; };
     std::printf("  pass    req   hits   p50(ms)   p99(ms)  "
                 "p999(ms)  mean(ms)\n");
@@ -381,51 +316,27 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(warm.hits),
                 ms(warm.p50), ms(warm.p99), ms(warm.p999),
                 ms(warm.meanNs()));
-    std::printf("  warm hit rate ok: %s   warm p50 improved: %s   "
-                "determinism: %s   clean drain: %s\n",
-                warmHitRateOk ? "yes" : "NO",
-                warmP50Improved ? "yes" : "NO",
-                determinismOk ? "yes" : "NO",
-                cleanDrain ? "yes" : "NO");
 
-    if (!cfg.outPath.empty()) {
-        using service::json::Value;
-        Value root = Value::object();
-        root.set("schema", "qtenon.daemon-loadgen.v1");
-        Value conf = Value::object();
-        conf.set("clients", cfg.clients);
-        conf.set("requests_per_client", cfg.requestsPerClient);
-        conf.set("unique_variants", cfg.unique);
-        conf.set("qubits", cfg.qubits);
-        conf.set("shots", cfg.shots);
-        conf.set("iterations", cfg.iterations);
-        conf.set("spawned_daemon", cfg.spawn);
-        root.set("config", std::move(conf));
-        root.set("cold", passJson(cold));
-        root.set("warm", passJson(warm));
-        root.set("daemon", std::move(daemonStats));
-        Value criteria = Value::object();
-        criteria.set("warm_hit_rate_ok", warmHitRateOk);
-        criteria.set("warm_p50_improved", warmP50Improved);
-        criteria.set("determinism_ok", determinismOk);
-        criteria.set("clean_drain", cleanDrain);
-        root.set("criteria", std::move(criteria));
-        root.set("ok", ok);
-
-        std::ofstream os(cfg.outPath);
-        if (!os) {
-            std::fprintf(stderr,
-                         "loadgen: cannot open --out path '%s'\n",
-                         cfg.outPath.c_str());
-            return 1;
-        }
-        os << root.dump(2) << "\n";
-        std::printf("  artifact: %s\n", cfg.outPath.c_str());
-    }
-
-    if (cfg.smoke && !ok) {
-        std::fprintf(stderr, "loadgen: smoke criteria FAILED\n");
-        return 1;
-    }
-    return 0;
+    using service::json::Value;
+    bench::Artifact art("qtenon.daemon-loadgen.v1");
+    Value conf = Value::object();
+    conf.set("clients", cfg.clients);
+    conf.set("requests_per_client", cfg.requestsPerClient);
+    conf.set("unique_variants", cfg.unique);
+    conf.set("qubits", cfg.qubits);
+    conf.set("shots", cfg.shots);
+    conf.set("iterations", cfg.iterations);
+    conf.set("spawned_daemon", cfg.spawn);
+    art.set("config", std::move(conf));
+    art.set("cold", passJson(cold));
+    art.set("warm", passJson(warm));
+    art.set("daemon", std::move(daemonStats));
+    art.criterion("warm_hit_rate_ok", warm.hits > 0);
+    art.criterion("warm_p50_improved", warm.p50 > 0 && cold.p50 > 0 &&
+                                           warm.p50 < cold.p50);
+    art.criterion("determinism_ok", ledger.ok.load() &&
+                                        cold.errors == 0 &&
+                                        warm.errors == 0);
+    art.criterion("clean_drain", cleanDrain);
+    return art.finish(cfg.outPath, cfg.smoke);
 }

@@ -9,8 +9,8 @@
  * plain single-controller replay exactly.
  *
  * Writes a machine-checkable artifact (--out, schema
- * "qtenon.shard-sweep.v1") whose criteria block is validated by
- * test_sharding's artifact gate; --smoke exits nonzero unless every
+ * "qtenon.shard-sweep.v1") whose criteria block is re-checked by
+ * tests/test_artifacts.cc; --smoke exits nonzero unless every
  * criterion holds:
  *   - jobs_invariant: re-running the whole sweep on one worker
  *     reproduces every per-config digest bit for bit
@@ -23,19 +23,17 @@
  */
 
 #include <cstdio>
-#include <fstream>
 #include <string>
 #include <vector>
 
+#include "artifact.hh"
 #include "bench_util.hh"
 #include "sweep_cli.hh"
 
 #include "core/experiment.hh"
 #include "core/hash.hh"
 #include "service/batch_scheduler.hh"
-#include "service/json.hh"
 #include "shard/sharded_controller.hh"
-#include "sim/logging.hh"
 
 using namespace qtenon;
 using namespace qtenon::bench;
@@ -201,50 +199,31 @@ buildJobs(const Config &cfg, const SweepCli &cli)
     return jobs;
 }
 
-double
-metric(const service::JobResult &r, const char *key)
-{
-    const auto it = r.metrics.find(key);
-    return it == r.metrics.end() ? 0.0 : it->second;
-}
-
-void
-usage(const char *argv0)
-{
-    std::printf(
-        "usage: %s [sweep options] [--shards a,b,c] [--loss "
-        "l1,l2,...] [--iterations N] [--shots N] [--out PATH] "
-        "[--smoke]\n",
-        argv0);
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     Config cfg;
-    std::string shards_arg, loss_arg;
     const auto cli = parseSweepCli(
         argc, argv, [&](cli::OptionRegistry &reg) {
-            reg.add("--shards", "a,b,c",
-                    "shard counts swept (default 1,2,4,8)",
-                    [&](const std::string &v) { shards_arg = v; });
-            reg.add("--loss", "l1,l2",
-                    "inter-chip loss rates swept "
-                    "(default 0,0.01,0.05,0.1)",
-                    [&](const std::string &v) { loss_arg = v; });
-            reg.add("--iterations", "N",
+            reg.list<std::uint32_t>(
+                "--shards", "a,b,c",
+                "shard counts swept (default 1,2,4,8)", &cfg.shards,
+                1, UINT32_MAX);
+            reg.list("--loss", "l1,l2",
+                     "inter-chip loss rates swept "
+                     "(default 0,0.01,0.05,0.1)",
+                     &cfg.losses, 0.0, 1.0);
+            reg.uns("--iterations", "N",
                     "optimizer iterations per job (default 10)",
-                    [&](const std::string &v) {
-                        cfg.iterations = static_cast<std::uint32_t>(
-                            std::strtoul(v.c_str(), nullptr, 10));
-                    });
+                    &cfg.iterations, 1,
+                    "--iterations must be a positive integer");
             reg.add("--shots", "N",
                     "shots per evaluation round (default 500)",
                     [&](const std::string &v) {
-                        cfg.shots = std::strtoull(v.c_str(),
-                                                  nullptr, 10);
+                        cfg.shots = cli::parseValue<std::uint64_t>(
+                            "--shots", v, 1, UINT64_MAX);
                     });
             reg.str("--out", "PATH", "write the JSON artifact",
                     &cfg.outPath);
@@ -253,28 +232,6 @@ main(int argc, char **argv)
                      "criterion holds",
                      &cfg.smoke);
         });
-    (void)usage;
-    if (!shards_arg.empty()) {
-        cfg.shards.clear();
-        for (auto v : bench::detail::parseQubitList(shards_arg))
-            cfg.shards.push_back(v);
-    }
-    if (!loss_arg.empty()) {
-        cfg.losses.clear();
-        std::string tok;
-        for (const char *p = loss_arg.c_str();; ++p) {
-            if (*p == ',' || *p == '\0') {
-                if (!tok.empty())
-                    cfg.losses.push_back(
-                        std::strtod(tok.c_str(), nullptr));
-                tok.clear();
-                if (*p == '\0')
-                    break;
-            } else {
-                tok.push_back(*p);
-            }
-        }
-    }
     cfg.qubits = cli.qubitsOr(cfg.qubits);
     if (cfg.smoke) {
         cfg.qubits = cli.qubitsOr({320});
@@ -291,30 +248,10 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(cfg.shots),
                 cfg.qubits.back());
 
-    auto jobs = buildJobs(cfg, cli);
     service::BatchScheduler sched(cli.schedulerConfig());
-    const auto handles = sched.submitAll(std::move(jobs));
-    auto &store = sched.wait();
-
-    auto checked = [](const service::ResultsStore &st,
-                      std::uint64_t id) {
-        auto r = st.get(id);
-        if (r.status != service::JobStatus::Ok)
-            sim::fatal("job '", r.name, "' ",
-                       service::jobStatusName(r.status), ": ",
-                       r.error);
-        return r;
-    };
-
-    // Worker-count invariance: the whole sweep again on one worker;
-    // every per-config digest must reproduce bit for bit.
-    auto rerun_jobs = buildJobs(cfg, cli);
-    auto rerun_sched_cfg = cli.schedulerConfig();
-    rerun_sched_cfg.workers = 1;
-    service::BatchScheduler rerun_sched(rerun_sched_cfg);
-    const auto rerun_handles =
-        rerun_sched.submitAll(std::move(rerun_jobs));
-    auto &rerun_store = rerun_sched.wait();
+    const auto results = runWithRerun(
+        sched, cli.schedulerConfig(),
+        [&] { return buildJobs(cfg, cli); });
 
     std::vector<Row> rows;
     bool jobsInvariant = true;
@@ -328,10 +265,7 @@ main(int argc, char **argv)
     for (auto n : cfg.qubits) {
         for (auto k : cfg.shards) {
             for (auto loss : cfg.losses) {
-                const auto r = checked(store, handles[idx].id);
-                const auto rr =
-                    checked(rerun_store, rerun_handles[idx].id);
-                ++idx;
+                const auto &[r, rerunMatches] = results[idx++];
                 Row row;
                 row.qubits = n;
                 row.shards = k;
@@ -360,8 +294,7 @@ main(int argc, char **argv)
                 row.costHistory = r.costHistory;
                 row.finalCost = r.finalCost;
                 row.digest = digestFromMetrics(r.metrics);
-                row.rerunMatches =
-                    row.digest == digestFromMetrics(rr.metrics);
+                row.rerunMatches = rerunMatches;
                 if (!row.rerunMatches)
                     jobsInvariant = false;
                 if (k > 1 && row.crossShardGates == 0)
@@ -434,84 +367,55 @@ main(int argc, char **argv)
         }
     }
 
-    const bool ok = jobsInvariant && singleShardIdentity &&
-        crossShardRouting && faultsInjected;
-    std::printf("\njobs invariant: %s   single-shard identity: %s   "
-                "cross-shard routing: %s   faults injected: %s\n",
-                jobsInvariant ? "yes" : "NO",
-                singleShardIdentity ? "yes" : "NO",
-                crossShardRouting ? "yes" : "NO",
-                faultsInjected ? "yes" : "NO");
-
-    if (!cfg.outPath.empty()) {
-        using service::json::Value;
-        Value root = Value::object();
-        root.set("schema", "qtenon.shard-sweep.v1");
-        Value conf = Value::object();
-        Value qv = Value::array();
-        for (auto n : cfg.qubits)
-            qv.asArray().push_back(Value(std::uint64_t{n}));
-        conf.set("qubits", std::move(qv));
-        Value sv = Value::array();
-        for (auto k : cfg.shards)
-            sv.asArray().push_back(Value(std::uint64_t{k}));
-        conf.set("shards", std::move(sv));
-        Value lv = Value::array();
-        for (auto l : cfg.losses)
-            lv.asArray().push_back(Value(l));
-        conf.set("loss", std::move(lv));
-        conf.set("iterations", std::uint64_t{cfg.iterations});
-        conf.set("shots", cfg.shots);
-        conf.set("seed", cli.seed);
-        conf.set("smoke", cfg.smoke);
-        root.set("config", std::move(conf));
-        Value rv = Value::array();
-        for (const auto &row : rows) {
-            Value o = Value::object();
-            o.set("qubits", std::uint64_t{row.qubits});
-            o.set("shards", std::uint64_t{row.shards});
-            o.set("loss", row.loss);
-            o.set("wall_ticks", row.total.wall);
-            o.set("comm_ticks", row.total.comm);
-            o.set("quantum_ticks", row.total.quantum);
-            o.set("host_ticks", row.total.host);
-            o.set("shot_duration_ticks", row.shotDuration);
-            o.set("cross_shard_gates", row.crossShardGates);
-            o.set("swaps_inserted", row.swapsInserted);
-            o.set("xlink_messages", row.xlinkMessages);
-            o.set("xlink_bytes", row.xlinkBytes);
-            o.set("xlink_retransmits", row.xlinkRetransmits);
-            o.set("xlink_exhausted", row.xlinkExhausted);
-            o.set("final_cost", row.finalCost);
-            o.set("digest", row.digest.hex());
-            o.set("rerun_matches", row.rerunMatches);
-            rv.asArray().push_back(std::move(o));
-        }
-        root.set("rows", std::move(rv));
-        Value criteria = Value::object();
-        criteria.set("jobs_invariant", jobsInvariant);
-        criteria.set("single_shard_identity", singleShardIdentity);
-        criteria.set("cross_shard_routing", crossShardRouting);
-        criteria.set("faults_injected", faultsInjected);
-        root.set("criteria", std::move(criteria));
-        root.set("ok", ok);
-
-        std::ofstream os(cfg.outPath);
-        if (!os) {
-            std::fprintf(stderr,
-                         "shard_sweep: cannot open --out path "
-                         "'%s'\n",
-                         cfg.outPath.c_str());
-            return 1;
-        }
-        os << root.dump(2) << "\n";
-        std::printf("artifact: %s\n", cfg.outPath.c_str());
+    using service::json::Value;
+    Artifact art("qtenon.shard-sweep.v1");
+    Value conf = Value::object();
+    Value qv = Value::array();
+    for (auto n : cfg.qubits)
+        qv.asArray().push_back(Value(std::uint64_t{n}));
+    conf.set("qubits", std::move(qv));
+    Value sv = Value::array();
+    for (auto k : cfg.shards)
+        sv.asArray().push_back(Value(std::uint64_t{k}));
+    conf.set("shards", std::move(sv));
+    Value lv = Value::array();
+    for (auto l : cfg.losses)
+        lv.asArray().push_back(Value(l));
+    conf.set("loss", std::move(lv));
+    conf.set("iterations", std::uint64_t{cfg.iterations});
+    conf.set("shots", cfg.shots);
+    conf.set("seed", cli.seed);
+    conf.set("smoke", cfg.smoke);
+    art.set("config", std::move(conf));
+    Value rv = Value::array();
+    for (const auto &row : rows) {
+        Value o = Value::object();
+        o.set("qubits", std::uint64_t{row.qubits});
+        o.set("shards", std::uint64_t{row.shards});
+        o.set("loss", row.loss);
+        o.set("wall_ticks", row.total.wall);
+        o.set("comm_ticks", row.total.comm);
+        o.set("quantum_ticks", row.total.quantum);
+        o.set("host_ticks", row.total.host);
+        o.set("shot_duration_ticks", row.shotDuration);
+        o.set("cross_shard_gates", row.crossShardGates);
+        o.set("swaps_inserted", row.swapsInserted);
+        o.set("xlink_messages", row.xlinkMessages);
+        o.set("xlink_bytes", row.xlinkBytes);
+        o.set("xlink_retransmits", row.xlinkRetransmits);
+        o.set("xlink_exhausted", row.xlinkExhausted);
+        o.set("final_cost", row.finalCost);
+        o.set("digest", row.digest.hex());
+        o.set("rerun_matches", row.rerunMatches);
+        rv.asArray().push_back(std::move(o));
     }
-
+    art.set("rows", std::move(rv));
+    art.criterion("jobs_invariant", jobsInvariant);
+    art.criterion("single_shard_identity", singleShardIdentity);
+    art.criterion("cross_shard_routing", crossShardRouting);
+    art.criterion("faults_injected", faultsInjected);
+    std::printf("\n");
+    const int rc = art.finish(cfg.outPath, cfg.smoke);
     cli.finish(sched);
-    if (cfg.smoke && !ok) {
-        std::fprintf(stderr, "shard_sweep: smoke criteria FAILED\n");
-        return 1;
-    }
-    return 0;
+    return rc;
 }

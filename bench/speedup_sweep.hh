@@ -103,11 +103,7 @@ printSpeedupFigure(vqa::OptimizerKind opt, const SweepCli &cli)
         double sum_classical = 0.0;
         double max_e2e = 0.0;
         for (std::size_t i = 0; i < sizes.size(); ++i, ++next) {
-            const auto r = store.get(handles[next].id);
-            if (r.status != service::JobStatus::Ok)
-                sim::fatal("job '", r.name, "' ",
-                           service::jobStatusName(r.status), ": ",
-                           r.error);
+            const auto r = okResult(store, handles[next].id);
             const auto row = speedupRow(r);
             sum_classical += row.classicalBoom;
             max_e2e = std::max(max_e2e,

@@ -47,7 +47,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <memory>
@@ -197,35 +196,6 @@ struct SweepCli {
     }
 };
 
-namespace detail {
-
-inline std::vector<std::uint32_t>
-parseQubitList(const std::string &arg)
-{
-    std::vector<std::uint32_t> out;
-    std::string tok;
-    for (const char *p = arg.c_str();; ++p) {
-        if (*p == ',' || *p == '\0') {
-            if (!tok.empty()) {
-                const long n = std::strtol(tok.c_str(), nullptr, 10);
-                if (n <= 0)
-                    sim::fatal("--qubits: bad size '", tok, "'");
-                out.push_back(static_cast<std::uint32_t>(n));
-            }
-            tok.clear();
-            if (*p == '\0')
-                break;
-        } else {
-            tok.push_back(*p);
-        }
-    }
-    if (out.empty())
-        sim::fatal("--qubits: empty list");
-    return out;
-}
-
-} // namespace detail
-
 /** Register the shared sweep options against @p cli. */
 inline void
 registerSweepOptions(cli::OptionRegistry &reg, SweepCli &cli)
@@ -234,10 +204,9 @@ registerSweepOptions(cli::OptionRegistry &reg, SweepCli &cli)
             "worker threads (default: QTENON_JOBS env, then "
             "hardware concurrency)",
             &cli.jobs, 1, "--jobs must be a positive integer");
-    reg.add("--qubits", "a,b,c", "override the qubit sizes swept",
-            [&cli](const std::string &v) {
-                cli.qubits = detail::parseQubitList(v);
-            });
+    reg.list<std::uint32_t>("--qubits", "a,b,c",
+                            "override the qubit sizes swept",
+                            &cli.qubits, 1, UINT32_MAX);
     reg.u64("--seed", "S",
             "base RNG seed (each job derives its own)", &cli.seed);
     reg.str("--json", "PATH",
@@ -258,7 +227,8 @@ registerSweepOptions(cli::OptionRegistry &reg, SweepCli &cli)
     reg.uns("--sv-threads", "N",
             "statevector kernel threads (1 = serial, 0 = auto up "
             "to the batch budget)",
-            &cli.svThreads, 0, "--sv-threads must be >= 0");
+            &cli.svThreads, 0,
+            "--sv-threads must be a non-negative integer");
     reg.add("--sv-simd", "MODE",
             "statevector kernel backend (auto, scalar); all "
             "backends are bit-identical",
@@ -298,11 +268,8 @@ registerSweepOptions(cli::OptionRegistry &reg, SweepCli &cli)
             "structural images across the batch (0 = no cache, "
             "the default; images are byte-identical either way)",
             [&cli](const std::string &v) {
-                const long n = std::strtol(v.c_str(), nullptr, 10);
-                if (n < 0)
-                    sim::fatal("--compile-cache must be >= 0");
-                cli.compileCacheCap =
-                    static_cast<std::size_t>(n);
+                cli.compileCacheCap = cli::parseValue<std::size_t>(
+                    "--compile-cache", v, 0, SIZE_MAX);
             });
     reg.add("--fault-spec", "SPEC",
             "deterministic fault plan, e.g. "
@@ -312,18 +279,11 @@ registerSweepOptions(cli::OptionRegistry &reg, SweepCli &cli)
             [&cli](const std::string &v) {
                 cli.faultSpec = fault::FaultSpec::parse(v);
             });
-    reg.add("--retry-attempts", "N",
+    reg.uns("--retry-attempts", "N",
             "job-level retry budget, attempts including the first "
             "(default 1 = no retry)",
-            [&cli](const std::string &v) {
-                const long n = std::strtol(v.c_str(), nullptr, 10);
-                if (n <= 0)
-                    sim::fatal(
-                        "--retry-attempts must be a positive "
-                        "integer");
-                cli.retry.maxAttempts =
-                    static_cast<std::uint32_t>(n);
-            });
+            &cli.retry.maxAttempts, 1,
+            "--retry-attempts must be a positive integer");
     reg.u64("--retry-backoff-ms", "N",
             "base backoff before the first job retry "
             "(doubles per further retry)",
@@ -331,10 +291,10 @@ registerSweepOptions(cli::OptionRegistry &reg, SweepCli &cli)
     reg.add("--retry-jitter", "F",
             "deterministic backoff jitter fraction in [0, 1)",
             [&cli](const std::string &v) {
-                const double f = std::strtod(v.c_str(), nullptr);
-                if (f < 0.0 || f >= 1.0)
+                const auto f = cli::toReal(v, 0.0, 1.0);
+                if (!f || *f >= 1.0)
                     sim::fatal("--retry-jitter must be in [0, 1)");
-                cli.retry.jitter = f;
+                cli.retry.jitter = *f;
             });
 }
 

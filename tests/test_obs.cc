@@ -4,16 +4,12 @@
  * log2-bucketed histogram), the process-wide registry, the Chrome
  * trace-event sink, and — the part CI leans on — validation of
  * emitted trace JSON against the trace-event schema subset this
- * repo produces. When QTENON_TRACE_CHECK names a file, the schema
- * test also validates that artifact (the CI job points it at the
- * fig13 trace output).
+ * repo produces (tests/trace_schema.hh; tests/test_artifacts.cc
+ * applies the same check to the fig13 trace artifact).
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
-#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -22,9 +18,11 @@
 #include "obs/metrics.hh"
 #include "obs/trace_sink.hh"
 #include "service/json.hh"
+#include "trace_schema.hh"
 
 using namespace qtenon;
 using qtenon::service::json::Value;
+using qtenon::tests::validateTraceDocument;
 
 namespace {
 
@@ -49,61 +47,6 @@ class ObsTest : public ::testing::Test
         obs::registry().reset();
     }
 };
-
-/**
- * Validate one parsed document against the Chrome trace-event
- * schema subset this repo emits: {"traceEvents":[...]} where every
- * event has a known phase, integral pid/tid, a name, a numeric ts
- * (except metadata), a numeric dur for complete events, and
- * object-shaped args. Returns a failure description or "".
- */
-std::string
-validateTraceDocument(const Value &doc)
-{
-    if (!doc.isObject())
-        return "document is not an object";
-    const Value *events = doc.find("traceEvents");
-    if (!events || !events->isArray())
-        return "missing traceEvents array";
-
-    const std::set<std::string> phases = {"X", "B", "E", "i", "C",
-                                          "M"};
-    std::size_t idx = 0;
-    for (const auto &ev : events->asArray()) {
-        const std::string where =
-            "event " + std::to_string(idx++) + ": ";
-        if (!ev.isObject())
-            return where + "not an object";
-        const Value *ph = ev.find("ph");
-        if (!ph || !ph->isString() || !phases.count(ph->asString()))
-            return where + "bad ph";
-        const Value *pid = ev.find("pid");
-        const Value *tid = ev.find("tid");
-        if (!pid || !pid->isNumber() || !tid || !tid->isNumber())
-            return where + "bad pid/tid";
-        const Value *name = ev.find("name");
-        if (!name || !name->isString() || name->asString().empty())
-            return where + "bad name";
-        const bool meta = ph->asString() == "M";
-        const Value *ts = ev.find("ts");
-        if (!meta && (!ts || !ts->isNumber()))
-            return where + "missing ts";
-        if (ph->asString() == "X") {
-            const Value *dur = ev.find("dur");
-            if (!dur || !dur->isNumber() || dur->asDouble() < 0.0)
-                return where + "bad dur";
-        }
-        if (const Value *args = ev.find("args"))
-            if (!args->isObject())
-                return where + "args is not an object";
-        if (meta) {
-            const Value *args = ev.find("args");
-            if (!args || !args->find("name"))
-                return where + "metadata without args.name";
-        }
-    }
-    return "";
-}
 
 } // namespace
 
@@ -460,36 +403,4 @@ TEST_F(ObsTest, TraceJsonMatchesSchema)
             EXPECT_TRUE(ev.at("args").at("kind").isString());
         }
     }
-}
-
-TEST_F(ObsTest, TraceArtifactFromEnvironmentValidates)
-{
-    const char *path = std::getenv("QTENON_TRACE_CHECK");
-    if (!path || !*path)
-        GTEST_SKIP() << "QTENON_TRACE_CHECK not set";
-    std::ifstream is(path);
-    ASSERT_TRUE(is) << "cannot open " << path;
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    const auto doc = Value::parse(buf.str());
-    EXPECT_EQ(validateTraceDocument(doc), "") << path;
-
-    // The fig13 acceptance bar: spans for all four controller
-    // pipeline stages and at least one per-worker job row.
-    std::set<std::string> names;
-    bool worker_row = false;
-    for (const auto &ev : doc.at("traceEvents").asArray()) {
-        names.insert(ev.at("name").asString());
-        if (ev.at("ph").asString() == "M" &&
-            ev.at("name").asString() == "thread_name" &&
-            ev.at("args").at("name").asString().rfind("worker", 0) ==
-                0) {
-            worker_row = true;
-        }
-    }
-    EXPECT_TRUE(names.count("stage1.fetch"));
-    EXPECT_TRUE(names.count("stage2.decode-slt"));
-    EXPECT_TRUE(names.count("stage3.pgu-dispatch"));
-    EXPECT_TRUE(names.count("stage4.arbiter"));
-    EXPECT_TRUE(worker_row) << "no per-worker thread_name rows";
 }

@@ -3,17 +3,13 @@
  * The multi-chip shard layer (src/shard/): partition-map validation,
  * the shard-derived coupling topology, the shard-aware compile-cache
  * key, image splitting, cross-shard SWAP bit-identity against the
- * single-chip lowering, worker-count determinism of sharded batch
- * jobs, and the CI artifact gate for bench/shard_sweep output
- * (env-driven, QTENON_SHARD_CHECK).
+ * single-chip lowering, and worker-count determinism of sharded
+ * batch jobs.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 
 #include "config_error.hh"
 #include "core/qtenon_system.hh"
@@ -409,63 +405,4 @@ TEST(ShardedController, ByteIdenticalAtAnyWorkerCount)
     const auto parallel = shardedJobMetrics(8);
     EXPECT_EQ(serial, parallel);
     EXPECT_FALSE(serial.empty());
-}
-
-// ---------------------------------------------------------------
-// CI artifact gate: QTENON_SHARD_CHECK points at a shard_sweep
-// --out JSON; validate the schema and fail on any regressed
-// criterion.
-
-TEST(ShardSweepArtifact, FromEnvironmentValidates)
-{
-    const char *path = std::getenv("QTENON_SHARD_CHECK");
-    if (!path || !*path)
-        GTEST_SKIP() << "QTENON_SHARD_CHECK not set";
-    std::ifstream is(path);
-    ASSERT_TRUE(is) << "cannot open " << path;
-    std::ostringstream text;
-    text << is.rdbuf();
-    const auto doc = service::json::Value::parse(text.str());
-
-    ASSERT_TRUE(doc.isObject());
-    ASSERT_NE(doc.find("schema"), nullptr);
-    EXPECT_EQ(doc.find("schema")->asString(),
-              "qtenon.shard-sweep.v1");
-
-    const auto *criteria = doc.find("criteria");
-    ASSERT_NE(criteria, nullptr);
-    EXPECT_TRUE(criteria->at("jobs_invariant").asBool())
-        << "per-config digests must be worker-count independent";
-    EXPECT_TRUE(criteria->at("single_shard_identity").asBool())
-        << "the 1-shard composition must equal the direct replay";
-    EXPECT_TRUE(criteria->at("cross_shard_routing").asBool());
-    EXPECT_TRUE(criteria->at("faults_injected").asBool());
-    ASSERT_NE(doc.find("ok"), nullptr);
-    EXPECT_TRUE(doc.find("ok")->asBool());
-
-    // Coverage: the sweep must span the 1/2/4/8-shard configs and
-    // reach 320 qubits.
-    const auto *conf = doc.find("config");
-    ASSERT_NE(conf, nullptr);
-    std::uint64_t maxQubits = 0;
-    for (const auto &q : conf->at("qubits").asArray())
-        maxQubits = std::max(maxQubits, q.asUint());
-    EXPECT_GE(maxQubits, 320u);
-    std::vector<std::uint64_t> shards;
-    for (const auto &s : conf->at("shards").asArray())
-        shards.push_back(s.asUint());
-    for (const std::uint64_t want : {1, 2, 4, 8})
-        EXPECT_NE(std::find(shards.begin(), shards.end(), want),
-                  shards.end())
-            << "missing " << want << "-shard config";
-
-    const auto *rows = doc.find("rows");
-    ASSERT_NE(rows, nullptr);
-    ASSERT_GE(rows->asArray().size(), shards.size());
-    for (const auto &row : rows->asArray()) {
-        EXPECT_TRUE(row.at("rerun_matches").asBool());
-        if (row.at("shards").asUint() > 1)
-            EXPECT_GT(row.at("cross_shard_gates").asUint(), 0u);
-        EXPECT_EQ(row.at("digest").asString().size(), 32u);
-    }
 }
