@@ -71,7 +71,11 @@ main(int argc, char **argv)
 
         std::vector<service::SweepVariant> k_axis;
         for (auto k : plan.ks) {
-            k_axis.push_back({"K" + std::to_string(k),
+            // Appended, not "K" + ...: GCC 12 -O3 reports a false
+            // -Wrestrict on a literal + std::string temporary.
+            std::string label = "K";
+            label += std::to_string(k);
+            k_axis.push_back({std::move(label),
                               [k](service::JobSpec &s) {
                                   s.qtenon.batchIntervalOverride = k;
                               }});

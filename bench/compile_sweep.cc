@@ -208,7 +208,7 @@ main(int argc, char **argv)
     conf.set("qubits", std::uint64_t{cfg.qubits});
     Value dv = Value::array();
     for (auto d : cfg.depths)
-        dv.asArray().push_back(Value(std::uint64_t{d}));
+        dv.asArray().emplace_back(std::uint64_t{d});
     conf.set("depths", std::move(dv));
     conf.set("rounds", cfg.rounds);
     conf.set("cache_capacity", std::uint64_t{cfg.cacheCapacity});

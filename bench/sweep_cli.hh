@@ -100,8 +100,9 @@ struct SweepCli {
     /** --compile-cache capacity; 0 = no cache (the default). */
     std::size_t compileCacheCap = 0;
     /** The process-global compile cache --compile-cache installed
-     *  (kept alive for the binary's lifetime). */
-    std::shared_ptr<isa::CompileCache> compileCache;
+     *  (kept alive until writeObservability() releases it, which
+     *  publishes its counts before the metrics dump). */
+    mutable std::shared_ptr<isa::CompileCache> compileCache;
 
     /** Apply the backend/kernel knobs to one job's driver config. */
     void
@@ -166,13 +167,18 @@ struct SweepCli {
     }
 
     /**
-     * Dump --metrics-json / --trace-out (when given) and uninstall
-     * the trace sink. Call once, after the batch finished; finish()
-     * does it for scheduler-backed binaries.
+     * Uninstall and release the compile cache, dump --metrics-json /
+     * --trace-out (when given) and uninstall the trace sink. Call
+     * once, after the batch finished; finish() does it for
+     * scheduler-backed binaries.
      */
     void
     writeObservability() const
     {
+        if (compileCache) {
+            isa::setProcessCompileCache(nullptr);
+            compileCache.reset();
+        }
         if (!metricsJsonPath.empty()) {
             std::ofstream os(metricsJsonPath);
             if (!os)

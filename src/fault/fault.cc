@@ -188,6 +188,19 @@ FaultInjector::FaultInjector(FaultSpec spec, std::uint64_t seed)
         site(name);
 }
 
+FaultInjector::~FaultInjector()
+{
+    if (!obs::metricsEnabled())
+        return;
+    for (const auto &st : _sites) {
+        for (const auto &[kind, n] : st.counts)
+            obs::counter("fault." + st.name + "." + kind,
+                         "injected " + kind + " faults at site " +
+                             st.name)
+                .add(n);
+    }
+}
+
 SiteId
 FaultInjector::site(const std::string &name)
 {
@@ -227,12 +240,6 @@ FaultInjector::record(SiteState &st, const std::string &kind,
                       std::uint64_t n)
 {
     st.counts[kind] += n;
-    if (obs::metricsEnabled()) {
-        obs::counter("fault." + st.name + "." + kind,
-                     "injected " + kind + " faults at site " +
-                         st.name)
-            .add(n);
-    }
     if (auto *sink = obs::traceSink()) {
         sink->instant(obs::TraceEventSink::wallPid, obs::currentTid(),
                       "fault." + st.name + "." + kind, "fault",

@@ -107,7 +107,9 @@ using SiteId = std::uint32_t;
 
 /**
  * Per-site deterministic fault decisions. One injector per job;
- * single-threaded use (jobs never share an injector).
+ * single-threaded use (jobs never share an injector). Its per-site
+ * counts are the one count of each fault; it publishes them to the
+ * obs registry as `fault.<site>.<kind>` when destroyed.
  */
 class FaultInjector
 {
@@ -119,6 +121,10 @@ class FaultInjector
      *        service::deriveJobSeed) for worker-count independence.
      */
     explicit FaultInjector(FaultSpec spec, std::uint64_t seed = 1);
+    ~FaultInjector();
+
+    FaultInjector(const FaultInjector &) = delete;
+    FaultInjector &operator=(const FaultInjector &) = delete;
 
     const FaultSpec &spec() const { return _spec; }
     std::uint64_t seed() const { return _seed; }
@@ -154,8 +160,8 @@ class FaultInjector
 
     /**
      * Count an injection-adjacent event (e.g. "retransmits",
-     * "retry_exhausted") under @p what for @p s: per-site counter,
-     * obs counter `fault.<site>.<what>`, trace instant.
+     * "retry_exhausted") under @p what for @p s: per-site count and
+     * trace instant.
      */
     void count(SiteId s, const std::string &what, std::uint64_t n = 1);
 

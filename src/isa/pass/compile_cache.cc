@@ -68,6 +68,21 @@ imageBytes(const ProgramImage &image)
 CompileCache::CompileCache(std::size_t capacity) : _capacity(capacity)
 {}
 
+CompileCache::~CompileCache()
+{
+    const bool ran = _hits + _misses > 0;
+    obs::publish({
+        {"isa.compile_cache.hits", "structural compiles skipped",
+         _hits, ran},
+        {"isa.compile_cache.misses", "full pipeline compiles run",
+         _misses, ran},
+        {"isa.compile_cache.inserts", "structural images retained",
+         _inserts, ran},
+        {"isa.compile_cache.evictions", "LRU structural evictions",
+         _evictions, ran},
+    });
+}
+
 core::Digest128
 CompileCache::keyOf(const quantum::QuantumCircuit &c,
                     const QtenonCompiler &compiler)
@@ -88,17 +103,6 @@ CompileCache::compile(const quantum::QuantumCircuit &c,
     if (!enabled())
         return compiler.compile(c);
 
-    static auto &hits = obs::counter(
-        "isa.compile_cache.hits", "structural compiles skipped");
-    static auto &misses = obs::counter(
-        "isa.compile_cache.misses", "full pipeline compiles run");
-    static auto &inserts = obs::counter(
-        "isa.compile_cache.inserts", "structural images retained");
-    static auto &evictions = obs::counter(
-        "isa.compile_cache.evictions", "LRU structural evictions");
-    static auto &entries_g = obs::gauge(
-        "isa.compile_cache.entries", "live structural entries");
-
     const Key key = keyOf(c, compiler);
 
     std::shared_ptr<Slot> slot;
@@ -111,11 +115,9 @@ CompileCache::compile(const quantum::QuantumCircuit &c,
             _byKey.emplace(key, slot);
             computer = true;
             ++_misses;
-            misses.add(1);
         } else {
             slot = it->second;
             ++_hits;
-            hits.add(1);
             auto pos = _lruPos.find(key);
             if (pos != _lruPos.end())
                 _lru.splice(_lru.begin(), _lru, pos->second);
@@ -138,7 +140,6 @@ CompileCache::compile(const quantum::QuantumCircuit &c,
         {
             std::lock_guard<std::mutex> lock(_mutex);
             ++_inserts;
-            inserts.add(1);
             _lruPos.emplace(key, _lru.insert(_lru.begin(), key));
             while (_lru.size() > _capacity) {
                 const Key victim = _lru.back();
@@ -146,9 +147,10 @@ CompileCache::compile(const quantum::QuantumCircuit &c,
                 _lruPos.erase(victim);
                 _byKey.erase(victim);
                 ++_evictions;
-                evictions.add(1);
             }
-            entries_g.set(static_cast<std::int64_t>(_lru.size()));
+            static auto &entries = obs::gauge(
+                "isa.compile_cache.entries", "live structural entries");
+            entries.set(static_cast<std::int64_t>(_lru.size()));
         }
         return image;
     }

@@ -27,6 +27,9 @@
  * time-neutral CPU work is skipped (modeled host cycles are charged
  * by CompileMode, a pure function of the run's configuration, never
  * of runtime cache state — see runtime/policies.hh).
+ *
+ * The cache is the one count of its hits, misses, inserts and
+ * evictions; it publishes them as isa.compile_cache.* when destroyed.
  */
 
 #ifndef QTENON_ISA_PASS_COMPILE_CACHE_HH
@@ -79,6 +82,10 @@ class CompileCache
     /** @param capacity max structural entries; 0 disables (every
      *  compile runs the full pipeline, nothing is retained). */
     explicit CompileCache(std::size_t capacity = 256);
+    ~CompileCache();
+
+    CompileCache(const CompileCache &) = delete;
+    CompileCache &operator=(const CompileCache &) = delete;
 
     bool enabled() const { return _capacity > 0; }
     std::size_t capacity() const { return _capacity; }

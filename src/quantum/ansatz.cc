@@ -39,6 +39,18 @@ edgeWaves(const Graph &g)
     return waves;
 }
 
+/** "<prefix><layer>_<qubit>", appended piecewise: GCC 12 -O3 reports
+ *  a false -Wrestrict on `"t" + std::to_string(l)`. */
+std::string
+paramName(char prefix, std::uint32_t layer, std::uint32_t qubit)
+{
+    std::string name(1, prefix);
+    name += std::to_string(layer);
+    name += '_';
+    name += std::to_string(qubit);
+    return name;
+}
+
 } // namespace
 
 QuantumCircuit
@@ -80,9 +92,7 @@ hardwareEfficient(std::uint32_t num_qubits, std::uint32_t layers,
 
     for (std::uint32_t l = 0; l < layers; ++l) {
         for (std::uint32_t q = 0; q < num_qubits; ++q) {
-            const auto p = c.addParameter(
-                0.1,
-                "t" + std::to_string(l) + "_" + std::to_string(q));
+            const auto p = c.addParameter(0.1, paramName('t', l, q));
             c.ry(q, ParamRef::symbol(p));
         }
         // Linear CZ ladder: even pairs then odd pairs so disjoint
@@ -115,9 +125,7 @@ qnn(std::uint32_t num_qubits, const std::vector<double> &features,
 
     for (std::uint32_t l = 0; l < layers; ++l) {
         for (std::uint32_t q = 0; q < num_qubits; ++q) {
-            const auto p = c.addParameter(
-                0.1,
-                "w" + std::to_string(l) + "_" + std::to_string(q));
+            const auto p = c.addParameter(0.1, paramName('w', l, q));
             c.ry(q, ParamRef::symbol(p));
         }
         for (std::uint32_t q = 0; q + 1 < num_qubits; q += 2)

@@ -359,39 +359,32 @@ BatchScheduler::workerLoop(unsigned index)
             job = _queue.front();
             _queue.pop_front();
         }
-        executeJob(*job);
+        if (obs::metricsEnabled()) {
+            static auto &queue_wait = obs::histogram(
+                "service.job.queue_wait_ns",
+                "submit-to-start queue wait per job");
+            queue_wait.record(static_cast<std::uint64_t>(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    std::chrono::steady_clock::now() - job->submitted)
+                    .count()));
+        }
+        finishJob(*job, executeJob(job->spec, job->id,
+                                   _cfg.defaultTimeout,
+                                   &job->cancelRequested));
     }
 }
 
-void
-BatchScheduler::executeJob(Job &job)
+JobResult
+executeJob(const JobSpec &spec, std::uint64_t job_id,
+           std::chrono::milliseconds default_timeout,
+           const std::atomic<bool> *cancelled)
 {
     const auto started = std::chrono::steady_clock::now();
-
-    if (obs::metricsEnabled()) {
-        static auto &queue_wait = obs::histogram(
-            "service.job.queue_wait_ns",
-            "submit-to-start queue wait per job");
-        queue_wait.record(static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                started - job.submitted)
-                .count()));
-    }
-
-    if (job.cancelRequested.load()) {
-        JobResult r;
-        r.jobId = job.id;
-        r.name = job.spec.name;
-        r.status = JobStatus::Cancelled;
-        finishJob(job, std::move(r), started);
-        return;
-    }
-
-    const bool job_override = job.spec.timeout.count() > 0;
-    const auto timeout =
-        job_override ? job.spec.timeout : _cfg.defaultTimeout;
-    const std::uint32_t budget =
-        std::max(1u, job.spec.retry.maxAttempts);
+    const bool job_override = spec.timeout.count() > 0;
+    const auto timeout = job_override ? spec.timeout : default_timeout;
+    // A job cancelled before it started runs no attempt.
+    const std::uint32_t budget = cancelled && cancelled->load()
+        ? 0 : std::max(1u, spec.retry.maxAttempts);
 
     static auto &busy = obs::gauge(
         "service.workers.busy",
@@ -399,6 +392,7 @@ BatchScheduler::executeJob(Job &job)
     busy.add(1);
 
     JobResult r;
+    r.status = JobStatus::Cancelled;
     for (std::uint32_t attempt = 1; attempt <= budget; ++attempt) {
         bool user_error = false;
         const auto attempt_started = attempt == 1
@@ -406,10 +400,10 @@ BatchScheduler::executeJob(Job &job)
         const auto deadline = timeout.count() > 0
             ? attempt_started + timeout
             : std::chrono::steady_clock::time_point{};
-        CancelToken token(&job.cancelRequested, deadline);
+        CancelToken token(cancelled, deadline);
 
         try {
-            r = runJobSpec(job.spec, job.id, token);
+            r = runJobSpec(spec, job_id, token);
             r.status = JobStatus::Ok;
         } catch (const JobCancelledError &) {
             r = JobResult{};
@@ -447,7 +441,7 @@ BatchScheduler::executeJob(Job &job)
         // cancel that raced the failing attempt.
         if (r.status == JobStatus::Ok ||
             r.status == JobStatus::Cancelled || user_error ||
-            attempt >= budget || job.cancelRequested.load())
+            attempt >= budget || token.cancelRequested())
             break;
 
         if (obs::metricsEnabled()) {
@@ -464,28 +458,19 @@ BatchScheduler::executeJob(Job &job)
         // Deterministic backoff schedule: a pure function of the
         // job's derived seed and the attempt number, so it is
         // identical at every worker count.
-        const std::uint64_t backoff_ms = job.spec.retry.backoffBefore(
-            attempt,
-            deriveJobSeed(job.spec.driver.seed, job.id));
+        const std::uint64_t backoff_ms = spec.retry.backoffBefore(
+            attempt, deriveJobSeed(spec.driver.seed, job_id));
         if (backoff_ms > 0) {
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(backoff_ms));
         }
     }
     busy.add(-1);
-    r.jobId = job.id;
-    r.name = job.spec.name;
-    finishJob(job, std::move(r), started);
-}
-
-void
-BatchScheduler::finishJob(Job &job, JobResult r,
-                          std::chrono::steady_clock::time_point started)
-{
-    const auto ended = std::chrono::steady_clock::now();
+    r.jobId = job_id;
+    r.name = spec.name;
     r.wallNs = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
-            ended - started)
+            std::chrono::steady_clock::now() - started)
             .count());
 
     if (obs::metricsEnabled()) {
@@ -515,7 +500,12 @@ BatchScheduler::finishJob(Job &job, JobResult r,
                        {{"job_id", std::to_string(r.jobId)},
                         {"status", jobStatusName(r.status)}});
     }
+    return r;
+}
 
+void
+BatchScheduler::finishJob(Job &job, JobResult r)
+{
     _store.add(r);
     job.done.store(true);
 
@@ -534,7 +524,7 @@ BatchScheduler::finishJob(Job &job, JobResult r,
         _metrics.totalJobWallNs += r.wallNs;
         _metrics.totalSimTicks += r.simTicks;
         if (--_inFlight == 0) {
-            _batchEnd = ended;
+            _batchEnd = std::chrono::steady_clock::now();
             batch_finished = true;
         }
     }

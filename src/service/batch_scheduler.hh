@@ -187,9 +187,7 @@ class BatchScheduler
     };
 
     void workerLoop(unsigned index);
-    void executeJob(Job &job);
-    void finishJob(Job &job, JobResult r,
-                   std::chrono::steady_clock::time_point started);
+    void finishJob(Job &job, JobResult r);
 
     SchedulerConfig _cfg;
     unsigned _workers = 0;
@@ -201,8 +199,8 @@ class BatchScheduler
     std::deque<std::shared_ptr<Job>> _queue;
     /**
      * Unfinished jobs by id, for cancel(). A job leaves when it
-     * finishes, so a long-lived scheduler (the daemon's) does not
-     * keep every spec and result it ever ran.
+     * finishes, so a long-lived scheduler does not keep every spec
+     * it ever ran.
      */
     std::unordered_map<std::uint64_t, std::shared_ptr<Job>> _jobs;
     bool _stopping = false;
@@ -222,11 +220,24 @@ unsigned resolveWorkerCount(unsigned requested);
 
 /**
  * Run one declarative job spec to completion on the calling thread
- * (the scheduler's own per-job body; also usable standalone).
- * Throws CancelToken errors and whatever the simulation throws.
+ * (one attempt of executeJob; also usable standalone). Throws
+ * CancelToken errors and whatever the simulation throws.
  */
 JobResult runJobSpec(const JobSpec &spec, std::uint64_t job_id,
                      const CancelToken &token = CancelToken::none());
+
+/**
+ * Run one job to its final status on the calling thread: the body
+ * the scheduler's workers and the daemon's submitters share. Each
+ * attempt gets its own deadline (spec.timeout, else
+ * @p default_timeout); failures other than a sim::ConfigError retry
+ * under spec.retry. Records service.job.run_ns, service.jobs.*, the
+ * service.workers.busy gauge and the job's trace span. Never throws
+ * a job's exception.
+ */
+JobResult executeJob(const JobSpec &spec, std::uint64_t job_id,
+                     std::chrono::milliseconds default_timeout,
+                     const std::atomic<bool> *cancelled = nullptr);
 
 } // namespace qtenon::service
 

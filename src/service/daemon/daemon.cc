@@ -12,20 +12,13 @@
 
 #include "obs/metrics.hh"
 #include "obs/trace_sink.hh"
+#include "service/batch_scheduler.hh"
 
 namespace qtenon::service::daemon {
 
 namespace {
 
 struct DaemonMetrics {
-    obs::Counter &requests =
-        obs::counter("daemon.requests", "submit frames received");
-    obs::Counter &served =
-        obs::counter("daemon.served", "result frames sent");
-    obs::Counter &rejected =
-        obs::counter("daemon.rejected", "rejected submissions");
-    obs::Counter &errors =
-        obs::counter("daemon.errors", "error frames sent");
     obs::Gauge &clients =
         obs::gauge("daemon.clients.connected", "open connections");
     obs::Histogram &latency = obs::histogram(
@@ -41,6 +34,20 @@ dmetrics()
 {
     static DaemonMetrics m;
     return m;
+}
+
+json::Value
+cacheJson(const CacheStats &s)
+{
+    json::Value v = json::Value::object();
+    v.set("hits", s.hits);
+    v.set("misses", s.misses);
+    v.set("inserts", s.inserts);
+    v.set("evictions", s.evictions);
+    v.set("entries", static_cast<std::uint64_t>(s.entries));
+    v.set("capacity", static_cast<std::uint64_t>(s.capacity));
+    v.set("hit_rate", s.hitRate());
+    return v;
 }
 
 std::uint64_t
@@ -98,7 +105,7 @@ Daemon::Connection::~Connection()
 
 Daemon::Daemon(DaemonConfig cfg)
     : _cfg(std::move(cfg)),
-      _sched(SchedulerConfig{_cfg.workers, _cfg.defaultTimeout}),
+      _workers(resolveWorkerCount(_cfg.workers)),
       _queue(AdmissionConfig{_cfg.maxQueueDepth,
                              _cfg.perClientQuota}),
       _cache(_cfg.cacheCapacity),
@@ -109,6 +116,18 @@ Daemon::~Daemon()
 {
     if (_running.load() && !_stopped.load())
         stop();
+    // The caches publish their own totals as they are destroyed.
+    const DaemonStats s = stats();
+    const bool ran = s.connections > 0;
+    obs::publish({
+        {"daemon.requests", "submit frames received", s.requests,
+         ran},
+        {"daemon.served", "result frames sent", s.served, ran},
+        {"daemon.rejected", "rejected submissions",
+         s.rejectedQueueFull + s.rejectedQuota + s.rejectedDraining,
+         ran},
+        {"daemon.errors", "error frames sent", s.errors, ran},
+    });
 }
 
 void
@@ -123,9 +142,8 @@ Daemon::start()
             std::strerror(errno));
     _listenFd = bindListenSocket(_cfg.socketPath);
 
-    const unsigned submitters = _sched.workers();
-    _submitters.reserve(submitters);
-    for (unsigned i = 0; i < submitters; ++i)
+    _submitters.reserve(_workers);
+    for (unsigned i = 0; i < _workers; ++i)
         _submitters.emplace_back([this] { submitterLoop(); });
     _acceptThread = std::thread([this] { acceptLoop(); });
 }
@@ -212,11 +230,15 @@ Daemon::acceptLoop()
         if (!(fds[0].revents & POLLIN))
             continue;
 
+        reapConnections();
         int cfd = ::accept(_listenFd, nullptr, nullptr);
         if (cfd < 0) {
-            if (errno == EINTR)
-                continue;
-            break;
+            // EMFILE, ENFILE, ECONNABORTED, ENOBUFS, ENOMEM pass:
+            // back off and keep serving until the drain.
+            if (errno != EINTR)
+                std::this_thread::sleep_for(
+                    std::chrono::milliseconds(10));
+            continue;
         }
 
         auto conn = std::make_shared<Connection>();
@@ -226,10 +248,7 @@ Daemon::acceptLoop()
             conn->id = ++_nextConnId;
             _connections.push_back(conn);
         }
-        {
-            std::lock_guard<std::mutex> lock(_statsMutex);
-            ++_connectionsAccepted;
-        }
+        ++_connectionsAccepted;
         dmetrics().clients.add(1);
         conn->reader =
             std::thread([this, conn] { readerLoop(conn); });
@@ -256,6 +275,26 @@ Daemon::readerLoop(const std::shared_ptr<Connection> &conn)
     }
     conn->open.store(false);
     dmetrics().clients.add(-1);
+    conn->done.store(true);
+}
+
+void
+Daemon::reapConnections()
+{
+    std::vector<std::shared_ptr<Connection>> finished;
+    {
+        std::lock_guard<std::mutex> lock(_connMutex);
+        auto live = _connections.begin();
+        for (auto &c : _connections) {
+            if (c->done.load())
+                finished.push_back(std::move(c));
+            else
+                *live++ = std::move(c);
+        }
+        _connections.erase(live, _connections.end());
+    }
+    for (auto &c : finished)
+        c->reader.join();
 }
 
 void
@@ -271,17 +310,7 @@ Daemon::handleFrame(const std::shared_ptr<Connection> &conn,
             id = idv->asUint();
         type = msg.at("type").asString();
     } catch (const std::exception &e) {
-        json::Value err = json::Value::object();
-        err.set("type", "error");
-        err.set("id", id);
-        err.set("error",
-                std::string("malformed frame: ") + e.what());
-        {
-            std::lock_guard<std::mutex> lock(_statsMutex);
-            ++_errors;
-        }
-        dmetrics().errors.inc();
-        sendJson(*conn, err);
+        sendError(*conn, id, std::string("malformed frame: ") + e.what());
         return;
     }
 
@@ -303,16 +332,7 @@ Daemon::handleFrame(const std::shared_ptr<Connection> &conn,
         sendJson(*conn, bye);
         requestDrain();
     } else {
-        json::Value err = json::Value::object();
-        err.set("type", "error");
-        err.set("id", id);
-        err.set("error", "unknown message type: " + type);
-        {
-            std::lock_guard<std::mutex> lock(_statsMutex);
-            ++_errors;
-        }
-        dmetrics().errors.inc();
-        sendJson(*conn, err);
+        sendError(*conn, id, "unknown message type: " + type);
     }
 }
 
@@ -324,11 +344,7 @@ Daemon::handleSubmit(const std::shared_ptr<Connection> &conn,
     std::uint64_t id = 0;
     if (const auto *idv = msg.find("id"))
         id = idv->asUint();
-    {
-        std::lock_guard<std::mutex> lock(_statsMutex);
-        ++_requests;
-    }
-    dmetrics().requests.inc();
+    ++_requests;
 
     Pending pending;
     Priority priority = Priority::Normal;
@@ -349,16 +365,7 @@ Daemon::handleSubmit(const std::shared_ptr<Connection> &conn,
         pending.spec.compileCache = &_compileCache;
         pending.received = received;
     } catch (const std::exception &e) {
-        json::Value err = json::Value::object();
-        err.set("type", "error");
-        err.set("id", id);
-        err.set("error", std::string(e.what()));
-        {
-            std::lock_guard<std::mutex> lock(_statsMutex);
-            ++_errors;
-        }
-        dmetrics().errors.inc();
-        sendJson(*conn, err);
+        sendError(*conn, id, e.what());
         return;
     }
 
@@ -367,7 +374,10 @@ Daemon::handleSubmit(const std::shared_ptr<Connection> &conn,
     if (_cache.enabled()) {
         if (auto bytes = _cache.lookup(pending.key)) {
             obs::ScopedSpan span("daemon.serve.hit", "daemon");
-            countServed();
+            // Counted before the result frame goes out: a client
+            // that reads its result and then asks for stats must see
+            // it served.
+            ++_served;
             sendResult(*conn, id, "hit", pending.key, *bytes);
             recordLatency(received);
             return;
@@ -386,29 +396,19 @@ Daemon::handleSubmit(const std::shared_ptr<Connection> &conn,
         case Admission::RejectedQueueFull:
             rej.set("detail",
                     "admission queue at capacity; retry later");
-            {
-                std::lock_guard<std::mutex> lock(_statsMutex);
-                ++_rejectedQueueFull;
-            }
+            ++_rejectedQueueFull;
             break;
         case Admission::RejectedQuota:
             rej.set("detail", "per-client in-flight quota reached");
-            {
-                std::lock_guard<std::mutex> lock(_statsMutex);
-                ++_rejectedQuota;
-            }
+            ++_rejectedQuota;
             break;
         case Admission::RejectedDraining:
             rej.set("detail", "daemon is draining");
-            {
-                std::lock_guard<std::mutex> lock(_statsMutex);
-                ++_rejectedDraining;
-            }
+            ++_rejectedDraining;
             break;
         case Admission::Admitted:
             break;
         }
-        dmetrics().rejected.inc();
         sendJson(*conn, rej);
         recordLatency(received);
     }
@@ -423,29 +423,21 @@ Daemon::submitterLoop()
         dmetrics().queueWait.record(nsSince(p.received));
 
         JobResult r;
-        try {
+        {
             obs::ScopedSpan span("daemon.serve.miss", "daemon");
-            JobHandle handle = _sched.submit(std::move(p.spec));
-            r = handle.result.get();
-            // The reply and the result cache carry the result from
-            // here; the scheduler's store would keep every one.
-            _sched.results().erase(handle.id);
-        } catch (const std::exception &e) {
-            r.status = JobStatus::Failed;
-            r.error = e.what();
+            r = executeJob(p.spec, 0, _cfg.defaultTimeout);
         }
 
-        // Normalize the identity fields the daemon assigned, so the
-        // serialized bytes depend only on the request content — the
-        // cache's byte-identity contract.
-        r.jobId = 0;
+        // Clear the display name, so the serialized bytes depend
+        // only on the request content — the cache's byte-identity
+        // contract (the job id is already 0).
         r.name.clear();
         const std::string bytes =
             jobResultToJson(r, /*deterministic_only=*/true).dump(0);
         if (r.status == JobStatus::Ok)
             _cache.insert(p.key, bytes);
 
-        countServed();
+        ++_served;
         if (p.conn->open.load()) {
             try {
                 sendResult(*p.conn, p.requestId, "miss", p.key,
@@ -458,18 +450,6 @@ Daemon::submitterLoop()
         _queue.release(p.client);
         p = Pending{};
     }
-}
-
-void
-Daemon::countServed()
-{
-    // Counted before the result frame goes out: a client that reads
-    // its result and then asks for stats must see it served.
-    {
-        std::lock_guard<std::mutex> lock(_statsMutex);
-        ++_served;
-    }
-    dmetrics().served.inc();
 }
 
 void
@@ -487,6 +467,18 @@ Daemon::sendJson(Connection &conn, const json::Value &v)
     } catch (const std::exception &) {
         conn.open.store(false);
     }
+}
+
+void
+Daemon::sendError(Connection &conn, std::uint64_t request_id,
+                  const std::string &message)
+{
+    ++_errors;
+    json::Value err = json::Value::object();
+    err.set("type", "error");
+    err.set("id", request_id);
+    err.set("error", message);
+    sendJson(conn, err);
 }
 
 void
@@ -535,27 +527,8 @@ Daemon::statsJson() const
     rej.set("draining", s.rejectedDraining);
     v.set("rejected", std::move(rej));
     v.set("errors", s.errors);
-    json::Value cache = json::Value::object();
-    cache.set("hits", s.cache.hits);
-    cache.set("misses", s.cache.misses);
-    cache.set("inserts", s.cache.inserts);
-    cache.set("evictions", s.cache.evictions);
-    cache.set("entries",
-              static_cast<std::uint64_t>(s.cache.entries));
-    cache.set("capacity",
-              static_cast<std::uint64_t>(s.cache.capacity));
-    cache.set("hit_rate", s.cache.hitRate());
-    v.set("cache", std::move(cache));
-    const auto cc = _compileCache.stats();
-    json::Value ccv = json::Value::object();
-    ccv.set("hits", cc.hits);
-    ccv.set("misses", cc.misses);
-    ccv.set("inserts", cc.inserts);
-    ccv.set("evictions", cc.evictions);
-    ccv.set("entries", static_cast<std::uint64_t>(cc.entries));
-    ccv.set("capacity", static_cast<std::uint64_t>(cc.capacity));
-    ccv.set("hit_rate", cc.hitRate());
-    v.set("compile_cache", std::move(ccv));
+    v.set("cache", cacheJson(s.cache));
+    v.set("compile_cache", cacheJson(_compileCache.stats()));
     return v;
 }
 
@@ -563,20 +536,16 @@ DaemonStats
 Daemon::stats() const
 {
     DaemonStats s;
-    {
-        std::lock_guard<std::mutex> lock(_statsMutex);
-        s.connections = _connectionsAccepted;
-        s.requests = _requests;
-        s.served = _served;
-        s.rejectedQueueFull = _rejectedQueueFull;
-        s.rejectedQuota = _rejectedQuota;
-        s.rejectedDraining = _rejectedDraining;
-        s.errors = _errors;
-    }
+    s.connections = _connectionsAccepted;
+    s.requests = _requests;
+    s.served = _served;
+    s.rejectedQueueFull = _rejectedQueueFull;
+    s.rejectedQuota = _rejectedQuota;
+    s.rejectedDraining = _rejectedDraining;
+    s.errors = _errors;
     s.cache = _cache.stats();
     s.queueDepth = _queue.depth();
-    s.retainedJobs = _sched.unfinished() + _sched.results().size();
-    s.workers = _sched.workers();
+    s.workers = _workers;
     s.draining = _draining.load();
     return s;
 }

@@ -4,10 +4,11 @@
  *
  * A long-running server that accepts VQA job requests over a local
  * (AF_UNIX) stream socket speaking the length-prefixed JSON frame
- * protocol (protocol.hh), and multiplexes them onto one shared
- * BatchScheduler — the production-shape alternative to launching a
- * whole CLI process per sweep. Around the scheduler it adds the
- * serving machinery the one-shot binaries never needed:
+ * protocol (protocol.hh), and runs them on one pool of submitter
+ * threads — the production-shape alternative to launching a whole
+ * CLI process per sweep. Around the job body it shares with the
+ * batch scheduler (service::executeJob) it adds the serving
+ * machinery the one-shot binaries never needed:
  *
  *   - admission control: a bounded three-band priority queue with
  *     per-client quotas; over-limit submissions get an explicit
@@ -23,11 +24,15 @@
  *
  * Threading model: one accept loop, one reader thread per client
  * connection (parses frames; serves pings, stats, and cache hits
- * inline), and one submitter thread per scheduler worker (pops the
- * admission queue, runs the job through the BatchScheduler, caches
- * and responds). Submitter count == worker count, so the scheduler
- * is never oversubscribed and priority order is respected at
- * dispatch time.
+ * inline), and N submitter threads (pop the admission queue, run
+ * the job on the popping thread through service::executeJob, cache
+ * and respond). The submitters are the only job pool, so N jobs run
+ * at most and priority order is respected at dispatch time. The
+ * accept loop joins and drops each connection whose reader has
+ * returned, so a disconnected client holds no fd or thread.
+ *
+ * The daemon and its two caches each count their own facts and
+ * publish the totals to the obs registry once, when destroyed.
  */
 
 #ifndef QTENON_SERVICE_DAEMON_DAEMON_HH
@@ -35,7 +40,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -46,7 +50,6 @@
 #include "admission.hh"
 #include "protocol.hh"
 #include "result_cache.hh"
-#include "service/batch_scheduler.hh"
 
 namespace qtenon::service::daemon {
 
@@ -54,7 +57,7 @@ namespace qtenon::service::daemon {
 struct DaemonConfig {
     /** AF_UNIX socket path (must fit sockaddr_un, ~107 bytes). */
     std::string socketPath = "qtenond.sock";
-    /** Scheduler workers; 0 = QTENON_JOBS env, then hardware. */
+    /** Submitter threads; 0 = QTENON_JOBS env, then hardware. */
     unsigned workers = 0;
     /** Bounded admission queue depth. */
     std::size_t maxQueueDepth = 64;
@@ -67,7 +70,8 @@ struct DaemonConfig {
      *  without re-running the pass pipeline (images byte-identical
      *  either way, so result bytes are unaffected). */
     std::size_t compileCacheCapacity = 256;
-    /** Scheduler-default per-job deadline; zero = none. */
+    /** Per-job deadline for requests without timeout_ms; zero =
+     *  none. */
     std::chrono::milliseconds defaultTimeout{0};
 };
 
@@ -82,11 +86,6 @@ struct DaemonStats {
     std::uint64_t errors = 0;
     CacheStats cache;
     std::size_t queueDepth = 0;
-    /**
-     * Jobs the scheduler still holds (unfinished plus stored
-     * results); served requests must not accumulate here.
-     */
-    std::size_t retainedJobs = 0;
     unsigned workers = 0;
     bool draining = false;
 };
@@ -95,6 +94,7 @@ class Daemon
 {
   public:
     explicit Daemon(DaemonConfig cfg);
+    /** Stops a running daemon, then publishes its totals. */
     ~Daemon();
 
     Daemon(const Daemon &) = delete;
@@ -131,13 +131,15 @@ class Daemon
      * (pings, rejections, cache hits) and the submitters (computed
      * results). The fd is owned by the Connection and closed with
      * it, so a submitter holding a shared_ptr can never write into
-     * a recycled descriptor.
+     * a recycled descriptor. `done` is set as the reader returns;
+     * the accept loop then joins and drops the connection.
      */
     struct Connection {
         int fd = -1;
         std::uint64_t id = 0;
         std::mutex writeMutex;
         std::atomic<bool> open{true};
+        std::atomic<bool> done{false};
         std::thread reader;
 
         ~Connection();
@@ -154,6 +156,8 @@ class Daemon
     };
 
     void acceptLoop();
+    /** Join and drop every connection whose reader returned. */
+    void reapConnections();
     void readerLoop(const std::shared_ptr<Connection> &conn);
     void submitterLoop();
 
@@ -162,10 +166,11 @@ class Daemon
     void handleSubmit(const std::shared_ptr<Connection> &conn,
                       const json::Value &msg);
 
-    /** Count one result as served, before its frame is written. */
-    void countServed();
     void sendPayload(Connection &conn, const std::string &payload);
     void sendJson(Connection &conn, const json::Value &v);
+    /** Count one error and send its error frame. */
+    void sendError(Connection &conn, std::uint64_t request_id,
+                   const std::string &message);
     void sendResult(Connection &conn, std::uint64_t request_id,
                     const char *cache_state, const CacheKey &key,
                     const std::string &result_bytes);
@@ -183,7 +188,7 @@ class Daemon
     std::atomic<bool> _draining{false};
     std::atomic<bool> _stopped{false};
 
-    BatchScheduler _sched;
+    const unsigned _workers;
     AdmissionQueue<Pending> _queue;
     ResultCache _cache;
     isa::CompileCache _compileCache;
@@ -195,14 +200,13 @@ class Daemon
     std::vector<std::shared_ptr<Connection>> _connections;
     std::uint64_t _nextConnId = 0;
 
-    mutable std::mutex _statsMutex;
-    std::uint64_t _connectionsAccepted = 0;
-    std::uint64_t _requests = 0;
-    std::uint64_t _served = 0;
-    std::uint64_t _rejectedQueueFull = 0;
-    std::uint64_t _rejectedQuota = 0;
-    std::uint64_t _rejectedDraining = 0;
-    std::uint64_t _errors = 0;
+    std::atomic<std::uint64_t> _connectionsAccepted{0};
+    std::atomic<std::uint64_t> _requests{0};
+    std::atomic<std::uint64_t> _served{0};
+    std::atomic<std::uint64_t> _rejectedQueueFull{0};
+    std::atomic<std::uint64_t> _rejectedQuota{0};
+    std::atomic<std::uint64_t> _rejectedDraining{0};
+    std::atomic<std::uint64_t> _errors{0};
 
     std::mutex _joinMutex;
 };

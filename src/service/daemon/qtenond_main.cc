@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 
@@ -37,7 +38,7 @@ usage(const char *argv0)
         "usage: %s [options]\n"
         "  --socket PATH       AF_UNIX socket path "
         "(default qtenond.sock)\n"
-        "  --jobs N            scheduler workers "
+        "  --jobs N            job threads "
         "(default: QTENON_JOBS, then hardware)\n"
         "  --queue-depth N     admission queue depth (default 64)\n"
         "  --quota N           per-client in-flight quota "
@@ -125,9 +126,9 @@ main(int argc, char **argv)
     std::signal(SIGINT, onSignal);
     std::signal(SIGPIPE, SIG_IGN);
 
-    service::daemon::Daemon daemon(cfg);
+    auto daemon = std::make_unique<service::daemon::Daemon>(cfg);
     try {
-        daemon.start();
+        daemon->start();
     } catch (const std::exception &e) {
         std::fprintf(stderr, "qtenond: %s\n", e.what());
         return 1;
@@ -135,13 +136,13 @@ main(int argc, char **argv)
     std::fprintf(stderr,
                  "qtenond: serving on %s (%u workers, queue %zu, "
                  "quota %zu, cache %zu)\n",
-                 daemon.socketPath().c_str(),
-                 daemon.stats().workers, cfg.maxQueueDepth,
+                 daemon->socketPath().c_str(),
+                 daemon->stats().workers, cfg.maxQueueDepth,
                  cfg.perClientQuota, cfg.cacheCapacity);
 
     // Serve until a signal arrives or a client frame started the
     // drain; then complete everything admitted and exit.
-    while (g_signal.load() == 0 && !daemon.stats().draining)
+    while (g_signal.load() == 0 && !daemon->stats().draining)
         std::this_thread::sleep_for(
             std::chrono::milliseconds(50));
     if (const int sig = g_signal.load())
@@ -150,9 +151,11 @@ main(int argc, char **argv)
     else
         std::fprintf(stderr,
                      "qtenond: shutdown requested, draining...\n");
-    daemon.stop();
+    daemon->stop();
 
-    const auto s = daemon.stats();
+    const auto s = daemon->stats();
+    daemon.reset(); // publishes its and its caches' totals
+
     std::fprintf(stderr,
                  "qtenond: drained (served %llu of %llu requests, "
                  "cache %llu/%llu hits)\n",

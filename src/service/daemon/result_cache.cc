@@ -4,32 +4,6 @@
 
 namespace qtenon::service::daemon {
 
-namespace {
-
-struct CacheCounters {
-    obs::Counter &hits =
-        obs::counter("daemon.cache.hits", "result-cache hits");
-    obs::Counter &misses =
-        obs::counter("daemon.cache.misses", "result-cache misses");
-    obs::Counter &inserts =
-        obs::counter("daemon.cache.inserts",
-                     "result-cache insertions");
-    obs::Counter &evictions =
-        obs::counter("daemon.cache.evictions",
-                     "result-cache LRU evictions");
-    obs::Gauge &entries =
-        obs::gauge("daemon.cache.entries", "live cache entries");
-};
-
-CacheCounters &
-counters()
-{
-    static CacheCounters c;
-    return c;
-}
-
-} // namespace
-
 CacheKey
 cacheKeyOf(const JobRequest &req)
 {
@@ -39,6 +13,19 @@ cacheKeyOf(const JobRequest &req)
 ResultCache::ResultCache(std::size_t capacity) : _capacity(capacity)
 {}
 
+ResultCache::~ResultCache()
+{
+    const bool ran = _hits + _misses + _inserts > 0;
+    obs::publish({
+        {"daemon.cache.hits", "result-cache hits", _hits, ran},
+        {"daemon.cache.misses", "result-cache misses", _misses, ran},
+        {"daemon.cache.inserts", "result-cache insertions", _inserts,
+         ran},
+        {"daemon.cache.evictions", "result-cache LRU evictions",
+         _evictions, ran},
+    });
+}
+
 std::shared_ptr<const std::string>
 ResultCache::lookup(const CacheKey &key)
 {
@@ -46,13 +33,11 @@ ResultCache::lookup(const CacheKey &key)
     auto it = _byKey.find(key);
     if (it == _byKey.end()) {
         ++_misses;
-        counters().misses.inc();
         return nullptr;
     }
     // Refresh recency: splice the entry to the front.
     _lru.splice(_lru.begin(), _lru, it->second);
     ++_hits;
-    counters().hits.inc();
     return it->second->bytes;
 }
 
@@ -74,15 +59,14 @@ ResultCache::insert(const CacheKey &key, std::string bytes)
         _byKey.erase(victim.key);
         _lru.pop_back();
         ++_evictions;
-        counters().evictions.inc();
     }
     _lru.push_front(Entry{
         key, std::make_shared<const std::string>(std::move(bytes))});
     _byKey[key] = _lru.begin();
     ++_inserts;
-    counters().inserts.inc();
-    counters().entries.set(
-        static_cast<std::int64_t>(_byKey.size()));
+    static auto &entries =
+        obs::gauge("daemon.cache.entries", "live cache entries");
+    entries.set(static_cast<std::int64_t>(_byKey.size()));
 }
 
 CacheStats

@@ -17,6 +17,9 @@
  *
  * Thread-safe; one mutex, since entries are shared_ptr'd out and
  * the critical sections are pointer shuffles, not byte copies.
+ *
+ * The cache is the one count of its hits, misses, inserts and
+ * evictions; it publishes them as daemon.cache.* when destroyed.
  */
 
 #ifndef QTENON_SERVICE_DAEMON_RESULT_CACHE_HH
@@ -30,6 +33,7 @@
 #include <string>
 
 #include "core/hash.hh"
+#include "isa/pass/compile_cache.hh"
 #include "protocol.hh"
 
 namespace qtenon::service::daemon {
@@ -40,24 +44,8 @@ using CacheKey = core::Digest128;
 /** Digest a request's canonical text into its cache key. */
 CacheKey cacheKeyOf(const JobRequest &req);
 
-/** Point-in-time cache accounting. */
-struct CacheStats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t inserts = 0;
-    std::uint64_t evictions = 0;
-    std::size_t entries = 0;
-    std::size_t capacity = 0;
-
-    double
-    hitRate() const
-    {
-        const auto total = hits + misses;
-        return total ? static_cast<double>(hits) /
-                static_cast<double>(total)
-                     : 0.0;
-    }
-};
+/** Point-in-time cache accounting, the compile cache's fields. */
+using CacheStats = isa::CompileCacheStats;
 
 class ResultCache
 {
@@ -65,6 +53,10 @@ class ResultCache
     /** @param capacity max entries; 0 disables the cache entirely
      *  (every lookup misses, inserts are dropped). */
     explicit ResultCache(std::size_t capacity);
+    ~ResultCache();
+
+    ResultCache(const ResultCache &) = delete;
+    ResultCache &operator=(const ResultCache &) = delete;
 
     bool enabled() const { return _capacity > 0; }
     std::size_t capacity() const { return _capacity; }

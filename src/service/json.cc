@@ -121,6 +121,14 @@ formatDouble(double d)
 
 } // namespace
 
+// Out of line: inlined at a call site, GCC 12 reports a false
+// -Wmaybe-uninitialized on the variant move.
+void
+Value::set(std::string key, Value v)
+{
+    asObject().emplace_back(std::move(key), std::move(v));
+}
+
 void
 Value::writeIndented(std::ostream &os, int indent, int depth) const
 {

@@ -79,11 +79,7 @@ class Value
     const Value *find(const std::string &key) const;
 
     /** Append a member to an object value. */
-    void
-    set(std::string key, Value v)
-    {
-        asObject().emplace_back(std::move(key), std::move(v));
-    }
+    void set(std::string key, Value v);
 
     /**
      * Serialize. @p indent > 0 pretty-prints with that many spaces

@@ -114,8 +114,8 @@ Sweep::build() const
                     std::string name = _name;
                     if (!_algorithms.empty()) {
                         spec.workload.algorithm = _algorithms[a];
-                        name += "/" + vqa::algorithmName(
-                                          _algorithms[a]);
+                        name += '/';
+                        name += vqa::algorithmName(_algorithms[a]);
                     }
                     if (!_optimizers.empty()) {
                         spec.driver.optimizer = _optimizers[o];

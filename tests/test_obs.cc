@@ -92,8 +92,9 @@ TEST_F(ObsTest, HistogramBucketBoundaries)
     for (std::size_t b = 0; b < H::numBuckets; ++b) {
         const auto lo = H::bucketLow(b);
         EXPECT_EQ(H::bucketOf(lo), b) << "bucket " << b;
-        if (b >= 2)
+        if (b >= 2) {
             EXPECT_EQ(H::bucketOf(lo - 1), b - 1) << "bucket " << b;
+        }
     }
 }
 

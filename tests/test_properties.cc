@@ -374,8 +374,9 @@ TEST(Property, QasmRoundTripPreservesArbitraryCircuits)
             EXPECT_EQ(r.type, g.type) << "trial " << trial
                                       << " gate " << i;
             EXPECT_EQ(r.qubit0, g.qubit0);
-            if (quantum::isTwoQubit(g.type))
+            if (quantum::isTwoQubit(g.type)) {
                 EXPECT_EQ(r.qubit1, g.qubit1);
+            }
             if (quantum::isParameterized(g.type)) {
                 // %.17g round-trips every double exactly.
                 EXPECT_EQ(back.resolveAngle(r), c.resolveAngle(g))
@@ -440,8 +441,9 @@ TEST(Property, DynamicQasmRoundTripPreservesFeedForward)
                                       << i;
             EXPECT_EQ(r.gate.type, o.gate.type);
             EXPECT_EQ(r.gate.qubit0, o.gate.qubit0);
-            if (quantum::isTwoQubit(o.gate.type))
+            if (quantum::isTwoQubit(o.gate.type)) {
                 EXPECT_EQ(r.gate.qubit1, o.gate.qubit1);
+            }
             EXPECT_EQ(r.gate.param.value, o.gate.param.value)
                 << "trial " << trial << " op " << i;
             EXPECT_EQ(r.cbit, o.cbit);

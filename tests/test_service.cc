@@ -13,11 +13,14 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
+#include <map>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "fault/fault.hh"
+#include "obs/metrics.hh"
 #include "quantum/statevector.hh"
 #include "service/batch_scheduler.hh"
 #include "service/json.hh"
@@ -457,6 +460,36 @@ TEST(Scheduler, FinishedJobsLeaveTheJobTable)
     EXPECT_EQ(sched.unfinished(), 0u);
     for (const auto &h : handles)
         EXPECT_FALSE(sched.cancel(h.id));
+}
+
+TEST(Scheduler, FaultRegistryCountersEqualJobMetrics)
+{
+    // The injector is the one count of each fault: what it publishes
+    // when the job drops it equals what the job exported.
+    obs::registry().reset();
+    obs::setMetricsEnabled(true);
+    JobSpec spec = smallSweep().front();
+    spec.faultSpec = fault::FaultSpec::parse(
+        "eth.drop=0.2,eth.jitter=150,readout.flip=0.02,"
+        "bus.error=0.05,adi.jitter=50");
+    spec.runBaseline = true;
+    const JobResult r = runJobSpec(spec, 3);
+    const auto counters = obs::registry().counterValues();
+    obs::setMetricsEnabled(false);
+    obs::registry().reset();
+
+    std::map<std::string, double> published;
+    for (const auto &[name, n] : counters) {
+        if (name.rfind("fault.", 0) == 0 && n > 0)
+            published[name] = static_cast<double>(n);
+    }
+    std::map<std::string, double> exported;
+    for (const auto &[name, v] : r.metrics) {
+        if (name.rfind("fault.", 0) == 0)
+            exported[name] = v;
+    }
+    EXPECT_FALSE(exported.empty());
+    EXPECT_EQ(published, exported);
 }
 
 TEST(Scheduler, FaultInjectionIsByteIdenticalAcrossWorkerCounts)

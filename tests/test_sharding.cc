@@ -124,8 +124,9 @@ TEST(ShardCoupling, BoundaryCouplersOnly)
     // No other cross-shard pair is connected.
     for (std::uint32_t a = 0; a < 4; ++a)
         for (std::uint32_t b = 4; b < 8; ++b)
-            if (!(a == 3 && b == 4))
+            if (!(a == 3 && b == 4)) {
                 EXPECT_FALSE(cm.connected(a, b)) << a << "," << b;
+            }
 }
 
 // ---------------------------------------------------------------
@@ -256,9 +257,11 @@ TEST(CrossShardRouting, BitIdenticalToSingleChipLowering)
     ASSERT_GT(ctx.routing.swapsInserted, 0u);
     // Every routed two-qubit gate respects the shard topology.
     const auto cm = map.couplingMap();
-    for (const auto &g : ctx.routing.circuit.gates())
-        if (quantum::isTwoQubit(g.type))
+    for (const auto &g : ctx.routing.circuit.gates()) {
+        if (quantum::isTwoQubit(g.type)) {
             EXPECT_TRUE(cm.connected(g.qubit0, g.qubit1));
+        }
+    }
 
     // Undo the routing permutation with exact SWAPs and sample: the
     // bits must equal the unrouted circuit's, shot for shot.
