@@ -58,15 +58,10 @@ main(int argc, char **argv)
     for (auto n : sizes) {
         Plan plan{n, kValues(n), {}};
 
-        service::JobSpec proto;
-        auto cfg = paperConfig(vqa::Algorithm::Vqe,
-                               vqa::OptimizerKind::Spsa, n);
-        proto.workload = cfg.workload;
-        proto.driver = cfg.driver;
+        auto proto = paperConfig(vqa::Algorithm::Vqe,
+                                 vqa::OptimizerKind::Spsa, n);
         proto.driver.seed = cli.seed;
         cli.applyDriver(proto.driver);
-        proto.deriveSeedFromJobId = false; // figure parity
-        proto.qtenon = cfg.qtenon;
         proto.qtenon.software.sync = runtime::SyncPolicy::Fence;
 
         std::vector<service::SweepVariant> k_axis;

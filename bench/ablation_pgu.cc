@@ -25,16 +25,11 @@ main(int argc, char **argv)
 
     banner("Ablation: PGU count, 64-qubit VQE");
 
-    service::JobSpec proto;
-    auto cfg = paperConfig(vqa::Algorithm::Vqe,
-                           vqa::OptimizerKind::GradientDescent,
-                           sizes.front());
-    proto.workload = cfg.workload;
-    proto.driver = cfg.driver;
+    auto proto = paperConfig(vqa::Algorithm::Vqe,
+                             vqa::OptimizerKind::GradientDescent,
+                             sizes.front());
     proto.driver.seed = cli.seed;
     cli.applyDriver(proto.driver);
-    proto.deriveSeedFromJobId = false; // figure parity
-    proto.qtenon = cfg.qtenon;
 
     std::vector<service::SweepVariant> pgu_axis;
     for (auto pgus : pgu_counts) {

@@ -43,15 +43,10 @@ main(int argc, char **argv)
         {"4 ways x 256", true, 4, 256},
     };
 
-    service::JobSpec proto;
-    auto cfg = paperConfig(vqa::Algorithm::Qaoa,
-                           vqa::OptimizerKind::GradientDescent, n);
-    proto.workload = cfg.workload;
-    proto.driver = cfg.driver;
+    auto proto = paperConfig(vqa::Algorithm::Qaoa,
+                             vqa::OptimizerKind::GradientDescent, n);
     proto.driver.seed = cli.seed;
     cli.applyDriver(proto.driver);
-    proto.deriveSeedFromJobId = false; // figure parity
-    proto.qtenon = cfg.qtenon;
 
     std::vector<service::SweepVariant> slt_axis;
     for (const auto &g : geometries) {

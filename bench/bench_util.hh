@@ -15,28 +15,31 @@
 #include <string>
 #include <vector>
 
-#include "core/experiment.hh"
 #include "core/hash.hh"
 #include "service/batch_scheduler.hh"
 #include "sim/logging.hh"
 
 namespace qtenon::bench {
 
-/** The paper's benchmark setup: 500 shots, 10 iterations. */
-inline core::ComparisonConfig
+/**
+ * The paper's benchmark setup: 500 shots, 10 iterations, and the
+ * driver seed used verbatim (one fixed seed per figure point).
+ */
+inline service::JobSpec
 paperConfig(vqa::Algorithm alg, vqa::OptimizerKind opt,
             std::uint32_t num_qubits,
             runtime::HostCoreModel host = runtime::HostCoreModel::rocket())
 {
-    core::ComparisonConfig cfg;
-    cfg.workload.algorithm = alg;
-    cfg.workload.numQubits = num_qubits;
-    cfg.driver.shots = 500;
-    cfg.driver.iterations = 10;
-    cfg.driver.optimizer = opt;
-    cfg.driver.recordShotData = false; // timing replay needs no words
-    cfg.qtenon.host = host;
-    return cfg;
+    service::JobSpec spec;
+    spec.workload.algorithm = alg;
+    spec.workload.numQubits = num_qubits;
+    spec.driver.shots = 500;
+    spec.driver.iterations = 10;
+    spec.driver.optimizer = opt;
+    spec.driver.recordShotData = false; // timing replay needs no words
+    spec.qtenon.host = host;
+    spec.deriveSeedFromJobId = false;
+    return spec;
 }
 
 inline const char *

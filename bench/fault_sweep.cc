@@ -48,21 +48,16 @@ main(int argc, char **argv)
     std::vector<service::JobSpec> specs;
     for (const auto q : sizes) {
         for (const auto rate : rates) {
-            auto cfg = paperConfig(vqa::Algorithm::Vqe,
-                                   vqa::OptimizerKind::GradientDescent,
-                                   q);
+            auto spec = paperConfig(vqa::Algorithm::Vqe,
+                                    vqa::OptimizerKind::GradientDescent,
+                                    q);
             char loss[32];
             std::snprintf(loss, sizeof(loss), "%g", rate);
-            service::JobSpec spec;
             spec.name = "vqe/gd/q" + std::to_string(q) + "/loss" +
                 loss;
-            spec.workload = cfg.workload;
-            spec.driver = cfg.driver;
-            spec.qtenon = cfg.qtenon;
             spec.driver.seed = cli.seed;
             cli.applyDriver(spec.driver);
             cli.applyFaults(spec);
-            spec.deriveSeedFromJobId = false;
             spec.hosts = {runtime::HostCoreModel::rocket(),
                           runtime::HostCoreModel::boomLarge()};
             spec.runBaseline = true;

@@ -32,10 +32,11 @@ main()
         {vqa::Algorithm::Qnn, 48},  {vqa::Algorithm::Qnn, 64},
     };
     for (const auto &p : points) {
-        auto cfg = paperConfig(p.alg, vqa::OptimizerKind::GradientDescent,
-                               p.qubits);
-        auto cmp = core::compareSystems(cfg);
-        const auto &bd = cmp.baseline;
+        auto spec = paperConfig(p.alg, vqa::OptimizerKind::GradientDescent,
+                                p.qubits);
+        spec.runBaseline = true;
+        const auto r = service::runJobSpec(spec, 0);
+        const auto &bd = r.system("baseline")->total;
         std::printf("%-6s %8u %9.1f%% %9.1f%% %12s\n",
                     vqa::algorithmName(p.alg).c_str(), p.qubits,
                     bd.percent(bd.quantum),
@@ -44,10 +45,11 @@ main()
     }
 
     banner("Figure 1(b): 64-qubit VQE baseline time breakdown");
-    auto cfg = paperConfig(vqa::Algorithm::Vqe,
-                           vqa::OptimizerKind::Spsa, 64);
-    auto cmp = core::compareSystems(cfg);
-    const auto &bd = cmp.baseline;
+    auto spec = paperConfig(vqa::Algorithm::Vqe,
+                            vqa::OptimizerKind::Spsa, 64);
+    spec.runBaseline = true;
+    const auto r = service::runJobSpec(spec, 0);
+    const auto &bd = r.system("baseline")->total;
     std::printf("quantum execution    %6.1f%%   (paper:  7.9%%)\n",
                 bd.percent(bd.quantum));
     std::printf("pulse generation     %6.1f%%   (paper:  4.4%%)\n",

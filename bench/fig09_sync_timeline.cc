@@ -15,7 +15,7 @@ using namespace qtenon::bench;
 namespace {
 
 runtime::TimeBreakdown
-runOne(runtime::SyncPolicy sync, sim::Tick &round_wall)
+runOne(runtime::SyncPolicy sync)
 {
     core::QtenonConfig cfg;
     cfg.numQubits = 16;
@@ -32,11 +32,8 @@ runOne(runtime::SyncPolicy sync, sim::Tick &round_wall)
     dcfg.shots = 64;
     dcfg.optimizer = vqa::OptimizerKind::Spsa;
     dcfg.recordShotData = false;
-    auto res = sys.runVqa(w, dcfg);
-    round_wall = res.timing.rounds.wall /
-        res.trace.rounds.size();
-    runtime::TimeBreakdown per_round = res.timing.rounds;
-    return per_round;
+    const auto trace = vqa::VqaDriver(dcfg).run(w);
+    return sys.execute(trace, w.circuit).rounds;
 }
 
 void
@@ -60,10 +57,8 @@ main()
 {
     banner("Figure 9: FENCE vs fine-grained synchronization");
 
-    sim::Tick fence_wall = 0;
-    sim::Tick fine_wall = 0;
-    auto fence = runOne(runtime::SyncPolicy::Fence, fence_wall);
-    auto fine = runOne(runtime::SyncPolicy::FineGrained, fine_wall);
+    auto fence = runOne(runtime::SyncPolicy::Fence);
+    auto fine = runOne(runtime::SyncPolicy::FineGrained);
 
     const auto rounds_fence = fence.wall;
     const auto scale = rounds_fence;

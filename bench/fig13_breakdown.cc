@@ -83,11 +83,8 @@ main(int argc, char **argv)
     auto make_job = [&](std::string name,
                         std::function<runtime::TimeBreakdown(
                             service::SystemRun &)> body) {
-        service::JobSpec spec;
+        auto spec = cfg;
         spec.name = std::move(name);
-        spec.workload = cfg.workload;
-        spec.driver = cfg.driver;
-        spec.deriveSeedFromJobId = false;
         spec.custom = [body = std::move(body)](
                           service::JobContext &ctx) {
             service::SystemRun run;

@@ -20,19 +20,12 @@ namespace {
 void
 commRow(vqa::Algorithm alg, vqa::OptimizerKind opt)
 {
-    auto cfg = paperConfig(alg, opt, 64,
-                           runtime::HostCoreModel::boomLarge());
-    auto workload = vqa::Workload::build(cfg.workload);
-    vqa::VqaDriver driver(cfg.driver);
-    auto trace = driver.run(workload);
-
-    auto qcfg = cfg.qtenon;
-    qcfg.numQubits = 64;
-    core::QtenonSystem sys(qcfg);
-    auto qt = sys.execute(trace, workload.circuit).total();
-
-    baseline::DecoupledSystem base(cfg.baselineCfg);
-    auto bl = base.execute(workload.circuit, trace);
+    auto spec = paperConfig(alg, opt, 64,
+                            runtime::HostCoreModel::boomLarge());
+    spec.runBaseline = true;
+    const auto r = service::runJobSpec(spec, 0);
+    const auto &qt = r.systems.front().total;
+    const auto &bl = r.system("baseline")->total;
 
     const double speedup = qt.comm
         ? static_cast<double>(bl.comm) / static_cast<double>(qt.comm)

@@ -18,29 +18,16 @@ namespace {
 void
 hostRow(vqa::Algorithm alg, vqa::OptimizerKind opt)
 {
-    auto cfg = paperConfig(alg, opt, 64);
-    auto workload = vqa::Workload::build(cfg.workload);
-    vqa::VqaDriver driver(cfg.driver);
-    auto trace = driver.run(workload);
+    auto spec = paperConfig(alg, opt, 64);
+    spec.hosts = {runtime::HostCoreModel::rocket(),
+                  runtime::HostCoreModel::boomLarge()};
+    spec.runBaseline = true;
+    const auto r = service::runJobSpec(spec, 0);
 
-    sim::Tick host_rocket = 0;
-    sim::Tick host_boom = 0;
-    for (auto host : {runtime::HostCoreModel::rocket(),
-                      runtime::HostCoreModel::boomLarge()}) {
-        auto qcfg = cfg.qtenon;
-        qcfg.numQubits = 64;
-        qcfg.host = host;
-        core::QtenonSystem sys(qcfg);
-        auto exec = sys.execute(trace, workload.circuit);
-        // Host busy time (what the host core actually computes).
-        if (host.name == "rocket")
-            host_rocket = exec.total().hostBusy;
-        else
-            host_boom = exec.total().hostBusy;
-    }
-
-    baseline::DecoupledSystem base(cfg.baselineCfg);
-    auto bl = base.execute(workload.circuit, trace);
+    // Host busy time (what the host core actually computes).
+    const sim::Tick host_rocket = r.systems[0].total.hostBusy;
+    const sim::Tick host_boom = r.systems[1].total.hostBusy;
+    const auto &bl = r.system("baseline")->total;
 
     const double sp_boom = host_boom
         ? static_cast<double>(bl.host) /

@@ -19,7 +19,7 @@ using namespace qtenon::bench;
 namespace {
 
 runtime::TimeBreakdown
-runWithSoftware(const core::ComparisonConfig &cfg,
+runWithSoftware(const service::JobSpec &cfg,
                 const vqa::Workload &workload,
                 const runtime::VqaTrace &trace,
                 runtime::SoftwareConfig sw)

@@ -26,13 +26,10 @@ main(int argc, char **argv)
     const auto cli = parseSweepCli(argc, argv);
     const auto sizes = cli.qubitsOr({64, 128, 192, 256, 320});
 
-    service::JobSpec proto;
-    proto.driver = paperConfig(vqa::Algorithm::Qaoa,
-                               vqa::OptimizerKind::Spsa, 64)
-                       .driver;
+    auto proto = paperConfig(vqa::Algorithm::Qaoa,
+                             vqa::OptimizerKind::Spsa, 64);
     proto.driver.seed = cli.seed;
     cli.applyDriver(proto.driver);
-    proto.deriveSeedFromJobId = false; // figure parity, see fig11
 
     auto scaling_jobs =
         service::Sweep("fig17")

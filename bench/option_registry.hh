@@ -19,7 +19,6 @@
 #define QTENON_BENCH_OPTION_REGISTRY_HH
 
 #include <cctype>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -35,27 +34,9 @@
 #include <vector>
 
 #include "sim/logging.hh"
+#include "sim/parse.hh"
 
 namespace qtenon::bench::cli {
-
-/**
- * @p text as a whole base-10 integer in [@p lo, @p hi], or nullopt:
- * a sign, blanks, trailing characters, overflow and an empty token
- * all reject.
- */
-inline std::optional<std::uint64_t>
-toUint(const std::string &text, std::uint64_t lo, std::uint64_t hi)
-{
-    if (text.empty() ||
-        !std::isdigit(static_cast<unsigned char>(text[0])))
-        return std::nullopt;
-    errno = 0;
-    char *end = nullptr;
-    const std::uint64_t n = std::strtoull(text.c_str(), &end, 10);
-    if (*end != '\0' || errno == ERANGE || n < lo || n > hi)
-        return std::nullopt;
-    return n;
-}
 
 /** @p text as a whole finite number in [@p lo, @p hi], or nullopt. */
 inline std::optional<double>
@@ -81,7 +62,7 @@ parseValue(const std::string &flag, const std::string &text, T lo,
     std::optional<T> v;
     if constexpr (std::is_floating_point_v<T>)
         v = toReal(text, lo, hi);
-    else if (const auto n = toUint(text, lo, hi))
+    else if (const auto n = sim::toUint(text, lo, hi))
         v = static_cast<T>(*n);
     if (!v)
         sim::fatal(flag, ": bad value '", text, "'");
@@ -166,7 +147,7 @@ class OptionRegistry
         add(std::move(name), std::move(metavar), std::move(help),
             [target, min, err = std::move(err)](
                 const std::string &v) {
-                const auto n = toUint(
+                const auto n = sim::toUint(
                     v, min, std::numeric_limits<unsigned>::max());
                 if (!n)
                     sim::fatal(err);
@@ -195,7 +176,7 @@ class OptionRegistry
     {
         add(std::move(name), std::move(metavar), std::move(help),
             [target, err = std::move(err)](const std::string &v) {
-                const auto n = toUint(
+                const auto n = sim::toUint(
                     v, 1, std::numeric_limits<std::int64_t>::max());
                 if (!n)
                     sim::fatal(err);

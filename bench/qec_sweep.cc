@@ -255,10 +255,10 @@ main(int argc, char **argv)
 
     // The analytic count on a >= 32-qubit ansatz: a full-parameter
     // update round under the scalar and the vector lowering.
-    auto comparison = paperConfig(vqa::Algorithm::Qaoa,
-                                  vqa::OptimizerKind::Spsa,
-                                  cfg.ansatzQubits);
-    auto workload = vqa::Workload::build(comparison.workload);
+    const auto workload = vqa::Workload::build(
+        paperConfig(vqa::Algorithm::Qaoa, vqa::OptimizerKind::Spsa,
+                    cfg.ansatzQubits)
+            .workload);
     isa::QtenonCompiler scalar_comp;
     const auto scalar_img = scalar_comp.compile(workload.circuit);
     isa::PipelineConfig vpipe;

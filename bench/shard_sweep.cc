@@ -24,13 +24,13 @@
 
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "artifact.hh"
 #include "bench_util.hh"
 #include "sweep_cli.hh"
 
-#include "core/experiment.hh"
 #include "core/hash.hh"
 #include "service/batch_scheduler.hh"
 #include "shard/sharded_controller.hh"
@@ -68,6 +68,24 @@ struct Row {
     core::Digest128 digest;
     bool rerunMatches = false;
 };
+
+/** The paper's QAOA + SPSA workload on @p n qubits, optimized once:
+ *  the trace every configuration of that register replays. */
+std::pair<vqa::Workload, runtime::VqaTrace>
+functionalRun(std::uint32_t n, std::uint64_t seed,
+              std::uint32_t iterations, std::uint64_t shots,
+              const SweepCli &cli)
+{
+    auto spec = paperConfig(vqa::Algorithm::Qaoa,
+                            vqa::OptimizerKind::Spsa, n);
+    spec.driver.seed = seed;
+    spec.driver.iterations = iterations;
+    spec.driver.shots = shots;
+    cli.applyDriver(spec.driver);
+    auto workload = vqa::Workload::build(spec.workload);
+    auto trace = vqa::VqaDriver(spec.driver).run(workload);
+    return {std::move(workload), std::move(trace)};
+}
 
 /** Content digest of everything a sharded run reports. */
 core::Digest128
@@ -119,18 +137,8 @@ buildJobs(const Config &cfg, const SweepCli &cli)
                 const auto shots = cfg.shots;
                 spec.custom = [n, k, loss, iterations, shots,
                                cli](service::JobContext &ctx) {
-                    auto comparison = paperConfig(
-                        vqa::Algorithm::Qaoa,
-                        vqa::OptimizerKind::Spsa, n);
-                    auto driver_cfg = comparison.driver;
-                    driver_cfg.seed = ctx.seed;
-                    driver_cfg.iterations = iterations;
-                    driver_cfg.shots = shots;
-                    cli.applyDriver(driver_cfg);
-                    auto workload = vqa::Workload::build(
-                        comparison.workload);
-                    vqa::VqaDriver driver(driver_cfg);
-                    auto trace = driver.run(workload);
+                    auto [workload, trace] = functionalRun(
+                        n, ctx.seed, iterations, shots, cli);
 
                     shard::ShardedConfig scfg;
                     scfg.map = shard::ShardMap::uniform(n, k);
@@ -315,16 +323,8 @@ main(int argc, char **argv)
     // field (same seed => same functional trace by construction).
     bool singleShardIdentity = true;
     for (auto n : cfg.qubits) {
-        auto comparison = paperConfig(vqa::Algorithm::Qaoa,
-                                      vqa::OptimizerKind::Spsa, n);
-        auto driver_cfg = comparison.driver;
-        driver_cfg.seed = cli.seed;
-        driver_cfg.iterations = cfg.iterations;
-        driver_cfg.shots = cfg.shots;
-        cli.applyDriver(driver_cfg);
-        auto workload = vqa::Workload::build(comparison.workload);
-        vqa::VqaDriver driver(driver_cfg);
-        auto trace = driver.run(workload);
+        auto [workload, trace] = functionalRun(
+            n, cli.seed, cfg.iterations, cfg.shots, cli);
         core::QtenonConfig chip;
         chip.numQubits = n;
         core::QtenonSystem sys(chip);

@@ -59,14 +59,9 @@ speedupJobs(vqa::OptimizerKind opt,
             const std::vector<std::uint32_t> &sizes,
             const SweepCli &cli)
 {
-    service::JobSpec proto;
-    proto.driver = paperConfig(vqa::Algorithm::Qaoa, opt, 8).driver;
+    auto proto = paperConfig(vqa::Algorithm::Qaoa, opt, 8);
     proto.driver.seed = cli.seed;
     cli.applyDriver(proto.driver);
-    // The paper's tables use one fixed seed per point; the job id
-    // already isolates RNG streams because every job runs its own
-    // driver, so keep the legacy seeding for figure parity.
-    proto.deriveSeedFromJobId = false;
 
     return service::Sweep(optimizerName(opt))
         .base(std::move(proto))

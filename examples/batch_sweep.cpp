@@ -15,7 +15,6 @@
 
 #include <cstdio>
 
-#include "core/experiment.hh"
 #include "service/batch_scheduler.hh"
 #include "service/sweep.hh"
 

@@ -11,7 +11,7 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "core/experiment.hh"
+#include "core/qtenon_system.hh"
 #include "quantum/backend.hh"
 #include "quantum/sat.hh"
 #include "vqa/cost.hh"

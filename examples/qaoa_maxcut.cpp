@@ -39,12 +39,13 @@ main()
     dcfg.iterations = 8;
     dcfg.shots = 600;
     dcfg.optimizer = vqa::OptimizerKind::GradientDescent;
-    auto result = sys.runVqa(workload, dcfg);
+    const auto trace = vqa::VqaDriver(dcfg).run(workload);
+    const auto timing = sys.execute(trace, workload.circuit);
 
     std::printf("\noptimization trajectory (mean cut value):\n");
-    for (std::size_t i = 0; i < result.trace.costHistory.size(); ++i) {
+    for (std::size_t i = 0; i < trace.costHistory.size(); ++i) {
         std::printf("  iter %2zu: %.3f\n", i + 1,
-                    -result.trace.costHistory[i]);
+                    -trace.costHistory[i]);
     }
 
     // Sample the trained circuit and report the best observed cut.
@@ -89,10 +90,10 @@ main()
                     sys.bus().beats.value()));
     std::printf("  q_updates issued : %llu across %zu rounds\n",
                 static_cast<unsigned long long>(
-                    result.trace.totalUpdates()),
-                result.trace.rounds.size());
+                    trace.totalUpdates()),
+                trace.rounds.size());
 
-    const auto bd = result.timing.total();
+    const auto bd = timing.total();
     std::printf("\nmodeled wall time %.2f ms (quantum %.1f%%)\n",
                 sim::ticksToMs(bd.wall), bd.percent(bd.quantum));
     return 0;

@@ -125,8 +125,8 @@ main()
     dcfg.iterations = epochs;
     dcfg.shots = 300;
     dcfg.optimizer = vqa::OptimizerKind::Spsa;
-    auto result = sys.runVqa(workload, dcfg);
-    const auto bd = result.timing.total();
+    const auto trace = vqa::VqaDriver(dcfg).run(workload);
+    const auto bd = sys.execute(trace, workload.circuit).total();
     std::printf("\nmodeled Qtenon time for one training run: %.2f ms "
                 "(quantum %.1f%%)\n",
                 sim::ticksToMs(bd.wall) *

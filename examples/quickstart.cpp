@@ -3,29 +3,31 @@
  * Quickstart: optimize an 8-qubit QAOA MAX-CUT instance on the
  * modeled Qtenon system and compare against the decoupled baseline.
  *
- * Demonstrates the three layers of the public API:
- *   1. vqa::Workload      - build a benchmark circuit + cost function
- *   2. core::QtenonSystem - the assembled tightly-coupled system
- *   3. core::compareSystems - run both systems from one trace
+ * The experiment is one service::JobSpec: the workload, the driver
+ * and the systems to replay on. service::runJobSpec optimizes the
+ * workload functionally once, then replays the recorded trace on the
+ * Qtenon system and on the decoupled baseline.
  */
 
 #include <cstdio>
 
-#include "core/experiment.hh"
 #include "quantum/ansatz.hh"
 #include "quantum/draw.hh"
+#include "service/batch_scheduler.hh"
 
 int
 main()
 {
     using namespace qtenon;
 
-    core::ComparisonConfig cfg;
-    cfg.workload.algorithm = vqa::Algorithm::Qaoa;
-    cfg.workload.numQubits = 8;
-    cfg.driver.iterations = 5;
-    cfg.driver.shots = 500;
-    cfg.driver.optimizer = vqa::OptimizerKind::GradientDescent;
+    service::JobSpec spec;
+    spec.workload.algorithm = vqa::Algorithm::Qaoa;
+    spec.workload.numQubits = 8;
+    spec.driver.iterations = 5;
+    spec.driver.shots = 500;
+    spec.driver.optimizer = vqa::OptimizerKind::GradientDescent;
+    spec.runBaseline = true;
+    spec.deriveSeedFromJobId = false; // use driver.seed as given
 
     std::printf("Qtenon quickstart: 8-qubit QAOA MAX-CUT, "
                 "5 GD iterations, 500 shots\n\n");
@@ -38,20 +40,16 @@ main()
                     quantum::draw(preview, 10).c_str());
     }
 
-    auto cmp = core::compareSystems(cfg);
+    const auto r = service::runJobSpec(spec, 0);
 
     std::printf("cost history (negated mean cut value):\n");
-    for (std::size_t i = 0; i < cmp.trace.costHistory.size(); ++i) {
-        std::printf("  iter %zu: %.3f\n", i + 1,
-                    cmp.trace.costHistory[i]);
-    }
+    for (std::size_t i = 0; i < r.costHistory.size(); ++i)
+        std::printf("  iter %zu: %.3f\n", i + 1, r.costHistory[i]);
 
-    std::printf("\nrounds executed: %zu, q_updates issued: %llu\n",
-                cmp.trace.rounds.size(),
-                static_cast<unsigned long long>(
-                    cmp.trace.totalUpdates()));
+    std::printf("\nrounds executed: %llu\n",
+                static_cast<unsigned long long>(r.rounds));
     std::printf("one shot takes %s on the quantum chip\n\n",
-                core::formatTime(cmp.shotDuration).c_str());
+                core::formatTime(r.shotDuration).c_str());
 
     auto report = [](const char *name,
                      const runtime::TimeBreakdown &bd) {
@@ -61,11 +59,16 @@ main()
                     bd.percent(bd.quantum), bd.percent(bd.pulseGen),
                     bd.percent(bd.comm), bd.percent(bd.host));
     };
-    report("baseline", cmp.baseline);
-    report("qtenon", cmp.qtenon);
+    const auto &qt = r.systems.front().total;
+    const auto &bl = r.system("baseline")->total;
+    report("baseline", bl);
+    report("qtenon", qt);
 
     std::printf("\nend-to-end speedup: %.1fx, classical speedup: "
                 "%.1fx\n",
-                cmp.endToEndSpeedup(), cmp.classicalSpeedup());
+                static_cast<double>(bl.wall) /
+                    static_cast<double>(qt.wall),
+                static_cast<double>(bl.classical()) /
+                    static_cast<double>(qt.classical()));
     return 0;
 }

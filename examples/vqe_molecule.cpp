@@ -42,10 +42,6 @@ main()
     wcfg.vqeLayers = 2;
     auto workload = vqa::Workload::build(wcfg);
 
-    core::QtenonConfig qcfg;
-    qcfg.numQubits = 2;
-    core::QtenonSystem sys(qcfg);
-
     vqa::DriverConfig dcfg;
     dcfg.iterations = 60;
     dcfg.shots = 800;
@@ -54,15 +50,16 @@ main()
     // Evaluate all Hamiltonian terms (incl. X0X1) exactly, as an
     // experiment measuring every required basis would.
     dcfg.useExactCost = true;
-    auto result = sys.runVqa(workload, dcfg);
+    // The H2 part checks the optimizer's answer; it replays no
+    // timing (part 2 does).
+    const auto trace = vqa::VqaDriver(dcfg).run(workload);
 
     const double energy = exactEnergy(workload.circuit, h2);
     std::printf("energy after %u GD iterations: %.4f Ha "
                 "(exact state evaluation)\n",
                 dcfg.iterations, energy);
     std::printf("sampled-cost trajectory: first %.4f -> last %.4f\n",
-                result.trace.costHistory.front(),
-                result.trace.costHistory.back());
+                trace.costHistory.front(), trace.costHistory.back());
 
     // ---- Part 2: a 16-spin-orbital synthetic molecule.
     std::printf("\nVQE on a synthetic 16-spin-orbital molecule\n");
@@ -83,13 +80,13 @@ main()
     dcfg16.iterations = 10;
     dcfg16.shots = 500;
     dcfg16.optimizer = vqa::OptimizerKind::Spsa;
-    auto result16 = sys16.runVqa(workload16, dcfg16);
+    const auto trace16 = vqa::VqaDriver(dcfg16).run(workload16);
+    const auto bd = sys16.execute(trace16, workload16.circuit).total();
 
     std::printf("diagonal-energy estimate: first %.4f -> best %.4f\n",
-                result16.trace.costHistory.front(),
-                *std::min_element(result16.trace.costHistory.begin(),
-                                  result16.trace.costHistory.end()));
-    const auto bd = result16.timing.total();
+                trace16.costHistory.front(),
+                *std::min_element(trace16.costHistory.begin(),
+                                  trace16.costHistory.end()));
     std::printf("modeled wall %.2f ms; quantum %.1f%%, pulse %.1f%%, "
                 "comm %.2f%%, host %.1f%%\n",
                 sim::ticksToMs(bd.wall), bd.percent(bd.quantum),

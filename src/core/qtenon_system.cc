@@ -1,5 +1,7 @@
 #include "qtenon_system.hh"
 
+#include <cstdio>
+
 namespace qtenon::core {
 
 QtenonSystem::QtenonSystem(QtenonConfig cfg) : _cfg(cfg)
@@ -58,17 +60,20 @@ QtenonSystem::execute(const runtime::VqaTrace &trace,
     return _executor->execute(trace, shotDuration(c));
 }
 
-VqaRunResult
-QtenonSystem::runVqa(vqa::Workload &w, vqa::DriverConfig driver_cfg)
+std::string
+formatTime(sim::Tick t)
 {
-    VqaRunResult res;
-    vqa::VqaDriver driver(driver_cfg);
-    res.trace = driver.run(w);
-    res.shotDuration = shotDuration(w.circuit);
-    res.timing = _executor->execute(res.trace, res.shotDuration);
-    res.finalCost = res.trace.costHistory.empty()
-        ? 0.0 : res.trace.costHistory.back();
-    return res;
+    char buf[64];
+    const double ns = sim::ticksToNs(t);
+    if (ns < 1e3)
+        std::snprintf(buf, sizeof(buf), "%.1f ns", ns);
+    else if (ns < 1e6)
+        std::snprintf(buf, sizeof(buf), "%.2f us", ns / 1e3);
+    else if (ns < 1e9)
+        std::snprintf(buf, sizeof(buf), "%.2f ms", ns / 1e6);
+    else
+        std::snprintf(buf, sizeof(buf), "%.3f s", ns / 1e9);
+    return buf;
 }
 
 } // namespace qtenon::core

@@ -5,19 +5,23 @@
  * host runtime) from one configuration struct and executes VQA
  * traces against it.
  *
- * Typical use (see examples/quickstart.cpp):
+ * Typical use (see examples/qaoa_maxcut.cpp); to compare against
+ * the decoupled baseline, describe the experiment as a
+ * service::JobSpec instead (examples/quickstart.cpp):
  *
  *   core::QtenonConfig cfg;
  *   cfg.numQubits = 8;
  *   core::QtenonSystem sys(cfg);
  *   auto workload = vqa::Workload::build({...});
- *   auto result = sys.runVqa(workload, {...});
+ *   auto trace = vqa::VqaDriver({...}).run(workload);
+ *   auto result = sys.execute(trace, workload.circuit);
  */
 
 #ifndef QTENON_CORE_QTENON_SYSTEM_HH
 #define QTENON_CORE_QTENON_SYSTEM_HH
 
 #include <memory>
+#include <string>
 
 #include "controller/controller.hh"
 #include "fault/fault.hh"
@@ -56,14 +60,6 @@ struct QtenonConfig {
                                 .backoff = 10 * sim::nsTicks};
 };
 
-/** Result of one end-to-end VQA run on Qtenon. */
-struct VqaRunResult {
-    runtime::ExecutionResult timing;
-    runtime::VqaTrace trace;
-    sim::Tick shotDuration = 0;
-    double finalCost = 0.0;
-};
-
 /** The assembled system. */
 class QtenonSystem
 {
@@ -86,13 +82,6 @@ class QtenonSystem
     runtime::ExecutionResult execute(const runtime::VqaTrace &trace,
                                      const quantum::QuantumCircuit &c);
 
-    /**
-     * End-to-end convenience: run the functional optimization and
-     * replay the resulting trace on this system.
-     */
-    VqaRunResult runVqa(vqa::Workload &w,
-                        vqa::DriverConfig driver_cfg = {});
-
   private:
     QtenonConfig _cfg;
     sim::EventQueue _eq;
@@ -102,6 +91,9 @@ class QtenonSystem
     std::unique_ptr<controller::QuantumController> _controller;
     std::unique_ptr<runtime::QtenonExecutor> _executor;
 };
+
+/** Format ticks with an adaptive unit (ns/us/ms/s). */
+std::string formatTime(sim::Tick t);
 
 } // namespace qtenon::core
 

@@ -441,12 +441,8 @@ QtenonExecutor::execute(const VqaTrace &trace, sim::Tick shot_duration)
 {
     ExecutionResult res;
     res.setup = installProgram(trace.image);
-    res.perRound.reserve(trace.rounds.size());
-    for (const auto &r : trace.rounds) {
-        res.perRound.push_back(
-            executeRound(r, trace.image, shot_duration));
-        res.rounds += res.perRound.back();
-    }
+    for (const auto &r : trace.rounds)
+        res.rounds += executeRound(r, trace.image, shot_duration);
     return res;
 }
 

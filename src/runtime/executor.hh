@@ -40,12 +40,10 @@ struct ExecutorConfig {
     std::uint64_t hostProgramBase = 0x2000'0000ull;
 };
 
-/** Per-round + aggregate results of a trace replay. */
+/** Setup + summed-round results of a trace replay. */
 struct ExecutionResult {
     TimeBreakdown setup;
     TimeBreakdown rounds;
-    /** One breakdown per executed round (CSV-able, report.hh). */
-    std::vector<TimeBreakdown> perRound;
 
     TimeBreakdown
     total() const

@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cstdlib>
 #include <exception>
+#include <limits>
 
 #include "obs/metrics.hh"
 #include "obs/trace_sink.hh"
 #include "quantum/statevector.hh"
 #include "sim/logging.hh"
+#include "sim/parse.hh"
 
 namespace qtenon::service {
 
@@ -70,9 +72,9 @@ resolveWorkerCount(unsigned requested)
     if (requested > 0)
         return requested;
     if (const char *env = std::getenv("QTENON_JOBS")) {
-        const long n = std::strtol(env, nullptr, 10);
-        if (n > 0)
-            return static_cast<unsigned>(n);
+        if (const auto n = sim::toUint(
+                env, 1, std::numeric_limits<unsigned>::max()))
+            return static_cast<unsigned>(*n);
         sim::warn("QTENON_JOBS='", env, "' is not a positive ",
                   "integer; falling back to hardware concurrency");
     }

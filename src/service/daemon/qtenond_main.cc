@@ -14,12 +14,14 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
 
 #include "daemon.hh"
 #include "obs/metrics.hh"
+#include "sim/parse.hh"
 
 namespace {
 
@@ -53,17 +55,20 @@ usage(const char *argv0)
         argv0);
 }
 
-unsigned long
+/** @p value as a whole unsigned number that fits @p T; anything
+ *  else exits with the usage code. */
+template <typename T>
+T
 parseCount(const char *flag, const char *value)
 {
-    char *end = nullptr;
-    const unsigned long n = std::strtoul(value, &end, 10);
-    if (end == value || *end != '\0') {
+    const auto n = qtenon::sim::toUint(value, 0,
+                                       std::numeric_limits<T>::max());
+    if (!n) {
         std::fprintf(stderr, "qtenond: bad value for %s: '%s'\n",
                      flag, value);
         std::exit(2);
     }
-    return n;
+    return static_cast<T>(*n);
 }
 
 } // namespace
@@ -92,23 +97,24 @@ main(int argc, char **argv)
         } else if (arg == "--socket") {
             cfg.socketPath = value("--socket");
         } else if (arg == "--jobs") {
-            cfg.workers = static_cast<unsigned>(
-                parseCount("--jobs", value("--jobs")));
+            cfg.workers =
+                parseCount<unsigned>("--jobs", value("--jobs"));
         } else if (arg == "--queue-depth") {
-            cfg.maxQueueDepth =
-                parseCount("--queue-depth", value("--queue-depth"));
+            cfg.maxQueueDepth = parseCount<std::size_t>(
+                "--queue-depth", value("--queue-depth"));
         } else if (arg == "--quota") {
             cfg.perClientQuota =
-                parseCount("--quota", value("--quota"));
+                parseCount<std::size_t>("--quota", value("--quota"));
         } else if (arg == "--cache") {
             cfg.cacheCapacity =
-                parseCount("--cache", value("--cache"));
+                parseCount<std::size_t>("--cache", value("--cache"));
         } else if (arg == "--compile-cache") {
-            cfg.compileCacheCapacity = parseCount(
+            cfg.compileCacheCapacity = parseCount<std::size_t>(
                 "--compile-cache", value("--compile-cache"));
         } else if (arg == "--timeout-ms") {
             cfg.defaultTimeout = std::chrono::milliseconds(
-                parseCount("--timeout-ms", value("--timeout-ms")));
+                parseCount<std::chrono::milliseconds::rep>(
+                    "--timeout-ms", value("--timeout-ms")));
         } else if (arg == "--metrics-json") {
             metricsJsonPath = value("--metrics-json");
         } else {

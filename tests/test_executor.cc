@@ -8,14 +8,11 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <ostream>
-#include <sstream>
 
 #include "core/qtenon_system.hh"
 #include "fault/fault.hh"
 #include "obs/metrics.hh"
-#include "runtime/report.hh"
 #include "quantum/ansatz.hh"
 #include "quantum/graph.hh"
 
@@ -207,28 +204,6 @@ TEST(Executor, ShotDataLandsInMeasureSegment)
     sys.executor().execute(trace, shotDur(8));
     EXPECT_EQ(sys.controller().qcc().readMeasure(0), 0x11u);
     EXPECT_EQ(sys.controller().qcc().readMeasure(3), 0x44u);
-}
-
-TEST(Executor, PerRoundBreakdownsRecorded)
-{
-    core::QtenonConfig cfg;
-    cfg.numQubits = 8;
-    core::QtenonSystem sys(cfg);
-    auto trace = makeTrace(8, 3, 2);
-    auto res = sys.executor().execute(trace, shotDur(8));
-    ASSERT_EQ(res.perRound.size(), 3u);
-    TimeBreakdown sum;
-    for (const auto &r : res.perRound)
-        sum += r;
-    EXPECT_EQ(sum.wall, res.rounds.wall);
-    EXPECT_EQ(sum.quantum, res.rounds.quantum);
-
-    std::ostringstream os;
-    writeBreakdownCsv(os, res.perRound);
-    const auto csv = os.str();
-    EXPECT_NE(csv.find("round,wall_ns"), std::string::npos);
-    // Header + one line per round.
-    EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 4);
 }
 
 // ---- Transmission replay goldens. Each case replays three rounds on

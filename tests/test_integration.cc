@@ -7,34 +7,53 @@
 
 #include <gtest/gtest.h>
 
-#include "core/experiment.hh"
+#include "service/batch_scheduler.hh"
 
 using namespace qtenon;
 
 namespace {
 
-core::ComparisonConfig
-smallConfig(vqa::Algorithm alg, vqa::OptimizerKind opt,
-            std::uint32_t n = 8)
+/** Qtenon's (Rocket) and the baseline's totals over one trace. */
+struct Comparison {
+    runtime::TimeBreakdown qtenon;
+    runtime::TimeBreakdown baseline;
+    std::uint64_t rounds = 0;
+
+    double
+    endToEndSpeedup() const
+    {
+        return static_cast<double>(baseline.wall) /
+            static_cast<double>(qtenon.wall);
+    }
+};
+
+Comparison
+compare(vqa::Algorithm alg, vqa::OptimizerKind opt,
+        std::uint32_t n = 8)
 {
-    core::ComparisonConfig cfg;
-    cfg.workload.algorithm = alg;
-    cfg.workload.numQubits = n;
-    cfg.driver.iterations = 2;
-    cfg.driver.shots = 100;
-    cfg.driver.optimizer = opt;
-    return cfg;
+    service::JobSpec spec;
+    spec.workload.algorithm = alg;
+    spec.workload.numQubits = n;
+    spec.driver.iterations = 2;
+    spec.driver.shots = 100;
+    spec.driver.optimizer = opt;
+    spec.runBaseline = true;
+    spec.deriveSeedFromJobId = false;
+    const auto r = service::runJobSpec(spec, 0);
+    return {r.systems.front().total, r.system("baseline")->total,
+            r.rounds};
 }
 
 } // namespace
 
 TEST(Integration, QtenonBeatsBaselineEndToEnd)
 {
-    auto cmp = core::compareSystems(
-        smallConfig(vqa::Algorithm::Qaoa,
-                    vqa::OptimizerKind::GradientDescent));
+    auto cmp = compare(vqa::Algorithm::Qaoa,
+                       vqa::OptimizerKind::GradientDescent);
     EXPECT_GT(cmp.endToEndSpeedup(), 1.5);
-    EXPECT_GT(cmp.classicalSpeedup(), 10.0);
+    EXPECT_GT(static_cast<double>(cmp.baseline.classical()) /
+                  static_cast<double>(cmp.qtenon.classical()),
+              10.0);
 }
 
 TEST(Integration, SpeedupGrowsWithQubits)
@@ -42,12 +61,10 @@ TEST(Integration, SpeedupGrowsWithQubits)
     // GD comm rounds scale with parameter count, so the decoupled
     // system's classical share (and Qtenon's advantage) grows with
     // the register (Fig. 11's trend).
-    auto small = core::compareSystems(
-        smallConfig(vqa::Algorithm::Vqe,
-                    vqa::OptimizerKind::GradientDescent, 8));
-    auto large = core::compareSystems(
-        smallConfig(vqa::Algorithm::Vqe,
-                    vqa::OptimizerKind::GradientDescent, 32));
+    auto small = compare(vqa::Algorithm::Vqe,
+                         vqa::OptimizerKind::GradientDescent, 8);
+    auto large = compare(vqa::Algorithm::Vqe,
+                         vqa::OptimizerKind::GradientDescent, 32);
     EXPECT_GT(large.endToEndSpeedup(), small.endToEndSpeedup());
 }
 
@@ -57,9 +74,10 @@ TEST(Integration, AllAlgorithmsAndOptimizersRun)
                      vqa::Algorithm::Qnn}) {
         for (auto opt : {vqa::OptimizerKind::GradientDescent,
                          vqa::OptimizerKind::Spsa}) {
-            auto cmp = core::compareSystems(smallConfig(alg, opt));
-            EXPECT_GT(cmp.qtenon.wall, 0u) << cmp.name;
-            EXPECT_GT(cmp.baseline.wall, cmp.qtenon.wall) << cmp.name;
+            auto cmp = compare(alg, opt);
+            const auto name = vqa::algorithmName(alg);
+            EXPECT_GT(cmp.qtenon.wall, 0u) << name;
+            EXPECT_GT(cmp.baseline.wall, cmp.qtenon.wall) << name;
         }
     }
 }
@@ -68,21 +86,18 @@ TEST(Integration, QuantumFractionsMatchPaperShape)
 {
     // Fig. 13 shape: quantum is a small slice of the baseline wall
     // but dominates the Qtenon wall.
-    auto cmp = core::compareSystems(
-        smallConfig(vqa::Algorithm::Vqe, vqa::OptimizerKind::Spsa,
-                    32));
+    auto cmp =
+        compare(vqa::Algorithm::Vqe, vqa::OptimizerKind::Spsa, 32);
     EXPECT_LT(cmp.baseline.percent(cmp.baseline.quantum), 40.0);
     EXPECT_GT(cmp.qtenon.percent(cmp.qtenon.quantum), 60.0);
 }
 
 TEST(Integration, GdIssuesMoreRoundsThanSpsa)
 {
-    auto gd = core::compareSystems(
-        smallConfig(vqa::Algorithm::Vqe,
-                    vqa::OptimizerKind::GradientDescent));
-    auto spsa = core::compareSystems(
-        smallConfig(vqa::Algorithm::Vqe, vqa::OptimizerKind::Spsa));
-    EXPECT_GT(gd.trace.rounds.size(), spsa.trace.rounds.size());
+    auto gd = compare(vqa::Algorithm::Vqe,
+                      vqa::OptimizerKind::GradientDescent);
+    auto spsa = compare(vqa::Algorithm::Vqe, vqa::OptimizerKind::Spsa);
+    EXPECT_GT(gd.rounds, spsa.rounds);
 }
 
 TEST(Integration, QtenonSystemExposesComponentStats)
@@ -97,14 +112,15 @@ TEST(Integration, QtenonSystemExposesComponentStats)
     vqa::DriverConfig dcfg;
     dcfg.iterations = 1;
     dcfg.shots = 50;
-    auto result = sys.runVqa(w, dcfg);
+    const auto trace = vqa::VqaDriver(dcfg).run(w);
+    const auto timing = sys.execute(trace, w.circuit);
 
-    EXPECT_GT(result.timing.total().wall, 0u);
+    EXPECT_GT(timing.total().wall, 0u);
     EXPECT_GT(sys.controller().pulsesGenerated.value(), 0u);
     EXPECT_GT(sys.bus().transactions.value(), 0u);
     EXPECT_GT(sys.controller().slt().hits +
               sys.controller().slt().misses, 0u);
-    EXPECT_EQ(result.trace.costHistory.size(), 1u);
+    EXPECT_EQ(trace.costHistory.size(), 1u);
 }
 
 TEST(Integration, SltSkipRateIsHighAcrossRounds)
@@ -122,7 +138,7 @@ TEST(Integration, SltSkipRateIsHighAcrossRounds)
     vqa::DriverConfig dcfg;
     dcfg.iterations = 3;
     dcfg.shots = 50;
-    sys.runVqa(w, dcfg);
+    sys.execute(vqa::VqaDriver(dcfg).run(w), w.circuit);
 
     const auto &slt = sys.controller().slt();
     const double lookups =

@@ -155,7 +155,7 @@ TEST(StatsDump, SystemDumpNamesEveryComponent)
         vqa::DriverConfig dcfg;
         dcfg.iterations = 1;
         dcfg.shots = 20;
-        sys.runVqa(w, dcfg);
+        sys.execute(vqa::VqaDriver(dcfg).run(w), w.circuit);
     }
     const auto counters = obs::registry().counterValues();
     obs::setMetricsEnabled(false);

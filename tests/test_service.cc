@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -26,6 +27,7 @@
 #include "service/json.hh"
 #include "service/sweep.hh"
 #include "sim/logging.hh"
+#include "sim/parse.hh"
 
 using namespace qtenon;
 using namespace qtenon::service;
@@ -120,7 +122,57 @@ TEST(Scheduler, ResolvesWorkerCount)
     EXPECT_EQ(resolveWorkerCount(0), 5u);
     EXPECT_EQ(resolveWorkerCount(2), 2u); // explicit beats env
     ASSERT_EQ(unsetenv("QTENON_JOBS"), 0);
-    EXPECT_GE(resolveWorkerCount(0), 1u);
+    const unsigned fallback = resolveWorkerCount(0);
+    EXPECT_GE(fallback, 1u);
+
+    // A QTENON_JOBS that is not wholly a positive unsigned warns and
+    // falls back to the hardware count. Only the count is resolved
+    // here; no pool of that size is started. n is never the fallback,
+    // so a parser that reads a prefix of a row fails it.
+    const std::string n = std::to_string(fallback + 1);
+    const bool warned = sim::setWarningsEnabled(false);
+    for (const std::string &bad :
+         {std::string("0"), std::string(""), std::string("-1"), "+" + n,
+          " " + n, n + "x", n + "e3", "0x" + n,
+          std::string("4294967296"),
+          std::string("99999999999999999999")}) {
+        ASSERT_EQ(setenv("QTENON_JOBS", bad.c_str(), 1), 0);
+        EXPECT_EQ(resolveWorkerCount(0), fallback) << "'" << bad << "'";
+    }
+    ASSERT_EQ(unsetenv("QTENON_JOBS"), 0);
+    sim::setWarningsEnabled(warned);
+}
+
+TEST(ParseUint, AcceptsOnlyAWholeTokenInRange)
+{
+    struct Row {
+        const char *text;
+        std::uint64_t lo, hi;
+        std::optional<std::uint64_t> want;
+    };
+    const std::uint64_t u32 = 4294967295u;
+    const std::uint64_t u64 = ~0ull;
+    for (const Row &row : std::initializer_list<Row>{
+             {"0", 0, u32, 0},
+             {"7", 1, u32, 7},
+             {"4294967295", 0, u32, u32},
+             {"18446744073709551615", 0, u64, u64},
+             {"0", 1, u32, std::nullopt},
+             {"4294967296", 0, u32, std::nullopt},
+             {"18446744073709551616", 0, u64, std::nullopt},
+             {"", 0, u64, std::nullopt},
+             {"-1", 0, u64, std::nullopt},
+             {"+1", 0, u64, std::nullopt},
+             {" 1", 0, u64, std::nullopt},
+             {"1 ", 0, u64, std::nullopt},
+             {"4x", 0, u64, std::nullopt},
+             {"1e3", 0, u64, std::nullopt},
+             {"0x10", 0, u64, std::nullopt},
+         }) {
+        EXPECT_EQ(sim::toUint(row.text, row.lo, row.hi), row.want)
+            << "'" << row.text << "' in [" << row.lo << ", "
+            << row.hi << "]";
+    }
 }
 
 TEST(Scheduler, KernelThreadBudgetPreventsOversubscription)
@@ -197,6 +249,79 @@ TEST(Scheduler, SchedulerSeedingMatchesStandaloneRun)
     EXPECT_EQ(inline_r.seed, pooled_r.seed);
     EXPECT_EQ(inline_r.costHistory, pooled_r.costHistory);
     EXPECT_EQ(inline_r.simTicks, pooled_r.simTicks);
+}
+
+TEST(RunJobSpec, EqualsTheReplayPrimitives)
+{
+    // Figures 1, 14 and 15 read runJobSpec's SystemRuns, while
+    // fig13, fig16 and table5 replay with the layer primitives; both
+    // must agree: runJobSpec replays exactly as VqaDriver::run,
+    // QtenonSystem::execute per host and DecoupledSystem::execute do
+    // on the same spec.
+    using runtime::HostCoreModel;
+    struct Row {
+        vqa::OptimizerKind opt;
+        std::vector<HostCoreModel> hosts;
+        bool baseline;
+    };
+    const std::vector<HostCoreModel> both = {HostCoreModel::rocket(),
+                                             HostCoreModel::boomLarge()};
+    for (const Row &row : std::initializer_list<Row>{
+             {vqa::OptimizerKind::GradientDescent, {}, false},
+             {vqa::OptimizerKind::Spsa, {}, false},
+             {vqa::OptimizerKind::GradientDescent, both, true},
+             {vqa::OptimizerKind::Spsa, both, true},
+         }) {
+        JobSpec spec;
+        spec.workload.algorithm = vqa::Algorithm::Vqe;
+        spec.workload.numQubits = 6;
+        spec.driver.iterations = 2;
+        spec.driver.shots = 50;
+        spec.driver.optimizer = row.opt;
+        spec.hosts = row.hosts;
+        spec.runBaseline = row.baseline;
+        spec.deriveSeedFromJobId = false;
+        const auto r = runJobSpec(spec, 0);
+        const auto label = r.optimizer + "/" +
+            std::to_string(row.hosts.size()) + " hosts";
+
+        auto w = vqa::Workload::build(spec.workload);
+        const auto trace = vqa::VqaDriver(spec.driver).run(w);
+        EXPECT_EQ(r.costHistory, trace.costHistory) << label;
+
+        std::vector<SystemRun> want;
+        for (const auto &host :
+             row.hosts.empty() ? std::vector{spec.qtenon.host}
+                               : row.hosts) {
+            auto qcfg = spec.qtenon;
+            qcfg.numQubits = spec.workload.numQubits;
+            qcfg.host = host;
+            core::QtenonSystem sys(qcfg);
+            SystemRun run;
+            run.total = sys.execute(trace, w.circuit).total();
+            run.simTicks = sys.eventQueue().curTick();
+            want.push_back(run);
+        }
+        if (row.baseline) {
+            SystemRun run;
+            run.total = baseline::DecoupledSystem(spec.baselineCfg)
+                            .execute(w.circuit, trace);
+            want.push_back(run);
+        }
+
+        // Every TimeBreakdown field, then the simulated ticks.
+        auto fields = [](const SystemRun &s) {
+            const auto &t = s.total;
+            return std::vector<sim::Tick>{
+                t.quantum, t.pulseGen, t.comm,
+                t.host, t.hostBusy, t.wall,
+                t.commSet, t.commUpdate, t.commAcquire, s.simTicks};
+        };
+        ASSERT_EQ(r.systems.size(), want.size()) << label;
+        for (std::size_t i = 0; i < want.size(); ++i)
+            EXPECT_EQ(fields(r.systems[i]), fields(want[i]))
+                << label << ", system " << r.systems[i].label;
+    }
 }
 
 TEST(Scheduler, FailingJobIsIsolated)
