@@ -58,10 +58,8 @@ main(int argc, char **argv)
     for (auto n : sizes) {
         Plan plan{n, kValues(n), {}};
 
-        auto proto = paperConfig(vqa::Algorithm::Vqe,
-                                 vqa::OptimizerKind::Spsa, n);
-        proto.driver.seed = cli.seed;
-        cli.applyDriver(proto.driver);
+        auto proto =
+            cli.job(vqa::Algorithm::Vqe, vqa::OptimizerKind::Spsa, n);
         proto.qtenon.software.sync = runtime::SyncPolicy::Fence;
 
         std::vector<service::SweepVariant> k_axis;

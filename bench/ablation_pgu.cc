@@ -25,11 +25,9 @@ main(int argc, char **argv)
 
     banner("Ablation: PGU count, 64-qubit VQE");
 
-    auto proto = paperConfig(vqa::Algorithm::Vqe,
-                             vqa::OptimizerKind::GradientDescent,
-                             sizes.front());
-    proto.driver.seed = cli.seed;
-    cli.applyDriver(proto.driver);
+    auto proto = cli.job(vqa::Algorithm::Vqe,
+                         vqa::OptimizerKind::GradientDescent,
+                         sizes.front());
 
     std::vector<service::SweepVariant> pgu_axis;
     for (auto pgus : pgu_counts) {

@@ -23,17 +23,15 @@ using namespace qtenon::bench;
 namespace {
 
 service::JobSpec
-routingJob(vqa::Algorithm alg, std::uint32_t n)
+routingJob(const SweepCli &cli, vqa::Algorithm alg, std::uint32_t n)
 {
-    service::JobSpec spec;
+    // Routing draws no randomness; the job records a seed derived
+    // from its id, as a default JobSpec does.
+    auto spec = cli.job(alg, vqa::OptimizerKind::GradientDescent, n);
     spec.name = "ablation-routing/" + vqa::algorithmName(alg) + "/q" +
                 std::to_string(n);
-    spec.workload.algorithm = alg;
-    spec.workload.numQubits = n;
-    spec.custom = [alg, n](service::JobContext &ctx) {
-        vqa::WorkloadConfig wcfg;
-        wcfg.algorithm = alg;
-        wcfg.numQubits = n;
+    spec.deriveSeedFromJobId = true;
+    spec.custom = [wcfg = spec.workload, n](service::JobContext &ctx) {
         auto w = vqa::Workload::build(wcfg);
 
         quantum::QuantumTimingModel timing;
@@ -82,7 +80,7 @@ main(int argc, char **argv)
     std::vector<service::JobHandle> handles;
     for (auto alg : algos) {
         for (auto n : sizes)
-            handles.push_back(sched.submit(routingJob(alg, n)));
+            handles.push_back(sched.submit(routingJob(cli, alg, n)));
     }
     auto &store = sched.wait();
 

@@ -43,10 +43,8 @@ main(int argc, char **argv)
         {"4 ways x 256", true, 4, 256},
     };
 
-    auto proto = paperConfig(vqa::Algorithm::Qaoa,
-                             vqa::OptimizerKind::GradientDescent, n);
-    proto.driver.seed = cli.seed;
-    cli.applyDriver(proto.driver);
+    auto proto = cli.job(vqa::Algorithm::Qaoa,
+                         vqa::OptimizerKind::GradientDescent, n);
 
     std::vector<service::SweepVariant> slt_axis;
     for (const auto &g : geometries) {

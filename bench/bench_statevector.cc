@@ -34,9 +34,9 @@
 #include <vector>
 
 #include "artifact.hh"
-#include "option_registry.hh"
 #include "quantum/circuit.hh"
 #include "quantum/statevector.hh"
+#include "sim/option_registry.hh"
 #include "tests/reference_statevector.hh"
 
 using namespace qtenon;
@@ -154,7 +154,7 @@ main(int argc, char **argv)
     unsigned reps = 0; // 0 = not given: 3, or 2 under --smoke
     bool smoke = false;
     std::string out = "BENCH_statevector.json";
-    bench::cli::OptionRegistry reg;
+    cli::OptionRegistry reg;
     reg.uns("--qubits", "N", "register width (default 20)", &n, 1,
             "--qubits must be a positive integer");
     reg.uns("--reps", "R", "best of R timed runs (default 3)", &reps,

@@ -33,13 +33,13 @@
 
 #include "artifact.hh"
 #include "bench_util.hh"
-#include "option_registry.hh"
 
 #include "core/hash.hh"
 #include "isa/pass/compile_cache.hh"
 #include "quantum/ansatz.hh"
 #include "quantum/graph.hh"
 #include "service/json.hh"
+#include "sim/option_registry.hh"
 
 using namespace qtenon;
 using namespace qtenon::bench;

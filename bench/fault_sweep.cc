@@ -48,16 +48,13 @@ main(int argc, char **argv)
     std::vector<service::JobSpec> specs;
     for (const auto q : sizes) {
         for (const auto rate : rates) {
-            auto spec = paperConfig(vqa::Algorithm::Vqe,
-                                    vqa::OptimizerKind::GradientDescent,
-                                    q);
+            auto spec = cli.job(vqa::Algorithm::Vqe,
+                                vqa::OptimizerKind::GradientDescent,
+                                q);
             char loss[32];
             std::snprintf(loss, sizeof(loss), "%g", rate);
             spec.name = "vqe/gd/q" + std::to_string(q) + "/loss" +
                 loss;
-            spec.driver.seed = cli.seed;
-            cli.applyDriver(spec.driver);
-            cli.applyFaults(spec);
             spec.hosts = {runtime::HostCoreModel::rocket(),
                           runtime::HostCoreModel::boomLarge()};
             spec.runBaseline = true;

@@ -62,10 +62,8 @@ main(int argc, char **argv)
     obs::registry().reset();
 
     const auto num_qubits = cli.qubitsOr({64}).front();
-    auto cfg = paperConfig(vqa::Algorithm::Vqe,
-                           vqa::OptimizerKind::Spsa, num_qubits);
-    cfg.driver.seed = cli.seed;
-    cli.applyDriver(cfg.driver);
+    const auto cfg = cli.job(vqa::Algorithm::Vqe,
+                             vqa::OptimizerKind::Spsa, num_qubits);
 
     // The functional optimization runs once; all three replays
     // share the recorded trace.

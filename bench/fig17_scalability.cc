@@ -26,10 +26,8 @@ main(int argc, char **argv)
     const auto cli = parseSweepCli(argc, argv);
     const auto sizes = cli.qubitsOr({64, 128, 192, 256, 320});
 
-    auto proto = paperConfig(vqa::Algorithm::Qaoa,
-                             vqa::OptimizerKind::Spsa, 64);
-    proto.driver.seed = cli.seed;
-    cli.applyDriver(proto.driver);
+    const auto proto =
+        cli.job(vqa::Algorithm::Qaoa, vqa::OptimizerKind::Spsa, 64);
 
     auto scaling_jobs =
         service::Sweep("fig17")

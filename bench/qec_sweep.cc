@@ -42,6 +42,12 @@ using namespace qtenon::bench;
 namespace {
 
 struct Config {
+    /** Stabilizer-measurement rounds per job. */
+    std::uint32_t rounds = 10;
+    /** Repetition-code distance (data qubits). */
+    std::uint32_t distance = 5;
+    /** Per-round feed-forward deadline. */
+    std::uint64_t deadlineNs = 10000;
     std::vector<double> losses = {0.0, 0.01, 0.05};
     double dataErrorRate = 0.05;
     std::uint32_t ansatzQubits = 32;
@@ -97,22 +103,23 @@ buildJobs(const Config &cfg, const SweepCli &cli)
     std::vector<service::JobSpec> jobs;
     for (auto loss : cfg.losses) {
         for (bool vec : {false, true}) {
-            service::JobSpec spec;
+            // The harness runs no VQA workload: the spec carries the
+            // shared options, of which the job reads the seed.
+            auto spec = cli.job(vqa::Algorithm::Qaoa,
+                                vqa::OptimizerKind::GradientDescent,
+                                2 * cfg.distance - 1);
             spec.name = std::string("qec-sweep/") +
                 (vec ? "vector" : "scalar") + "/loss" +
                 std::to_string(loss);
-            // Figure parity: every configuration replays the same
-            // functional QEC trace, so loss and ISA mode are the
-            // only variables.
-            spec.deriveSeedFromJobId = false;
-            const auto error_rate = cfg.dataErrorRate;
-            spec.custom = [loss, vec, error_rate,
-                           cli](service::JobContext &ctx) {
+            // Figure parity: the seed is used verbatim, so every
+            // configuration replays the same functional QEC trace
+            // and loss and ISA mode are the only variables.
+            spec.custom = [loss, vec, cfg](service::JobContext &ctx) {
                 qec::FeedForwardConfig fcfg;
-                fcfg.distance = cli.qecDistance;
-                fcfg.rounds = cli.qecRounds;
-                fcfg.deadlineNs = cli.qecDeadlineNs;
-                fcfg.dataErrorRate = error_rate;
+                fcfg.distance = cfg.distance;
+                fcfg.rounds = cfg.rounds;
+                fcfg.deadlineNs = cfg.deadlineNs;
+                fcfg.dataErrorRate = cfg.dataErrorRate;
                 fcfg.vectorIsa = vec;
                 fcfg.seed = ctx.seed;
 
@@ -127,7 +134,6 @@ buildJobs(const Config &cfg, const SweepCli &cli)
                 const auto res = harness.run();
 
                 auto &r = ctx.result;
-                r.numQubits = 2 * fcfg.distance - 1;
                 r.rounds = res.rounds.size();
                 r.metrics["loss"] = loss;
                 r.metrics["vector"] = vec ? 1.0 : 0.0;
@@ -165,6 +171,17 @@ main(int argc, char **argv)
     Config cfg;
     const auto cli = parseSweepCli(
         argc, argv, [&](cli::OptionRegistry &reg) {
+            reg.uns("--qec-rounds", "N",
+                    "stabilizer-measurement rounds per QEC "
+                    "feed-forward job",
+                    &cfg.rounds, 1, "--qec-rounds must be positive");
+            reg.uns("--qec-distance", "D",
+                    "repetition-code distance (data qubits per block)",
+                    &cfg.distance, 2, "--qec-distance must be >= 2");
+            reg.u64("--qec-deadline-ns", "N",
+                    "per-round decode->correct feed-forward deadline "
+                    "in nanoseconds",
+                    &cfg.deadlineNs);
             reg.list("--loss", "l1,l2",
                      "ethernet loss rates swept for the decoupled "
                      "baseline (default 0,0.01,0.05)",
@@ -195,8 +212,8 @@ main(int argc, char **argv)
            "per-round deadline");
     std::printf("distance-%u repetition code, %u rounds, deadline "
                 "%llu ns, error rate %.3f\n",
-                cli.qecDistance, cli.qecRounds,
-                static_cast<unsigned long long>(cli.qecDeadlineNs),
+                cfg.distance, cfg.rounds,
+                static_cast<unsigned long long>(cfg.deadlineNs),
                 cfg.dataErrorRate);
 
     service::BatchScheduler sched(cli.schedulerConfig());
@@ -304,9 +321,9 @@ main(int argc, char **argv)
     using service::json::Value;
     Artifact art("qtenon.qec-sweep.v1");
     Value conf = Value::object();
-    conf.set("distance", std::uint64_t{cli.qecDistance});
-    conf.set("rounds", std::uint64_t{cli.qecRounds});
-    conf.set("deadline_ns", cli.qecDeadlineNs);
+    conf.set("distance", std::uint64_t{cfg.distance});
+    conf.set("rounds", std::uint64_t{cfg.rounds});
+    conf.set("deadline_ns", cfg.deadlineNs);
     conf.set("error_rate", cfg.dataErrorRate);
     Value lv = Value::array();
     for (auto l : cfg.losses)

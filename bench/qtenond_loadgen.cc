@@ -32,9 +32,9 @@
 
 #include "artifact.hh"
 #include "obs/metrics.hh"
-#include "option_registry.hh"
 #include "service/daemon/client.hh"
 #include "service/daemon/daemon.hh"
+#include "sim/option_registry.hh"
 
 namespace {
 
@@ -214,7 +214,7 @@ int
 main(int argc, char **argv)
 {
     LoadgenConfig cfg;
-    bench::cli::OptionRegistry reg;
+    cli::OptionRegistry reg;
     reg.str("--socket", "PATH",
             "daemon socket (default qtenond_loadgen.sock)",
             &cfg.socketPath);

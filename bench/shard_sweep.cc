@@ -69,21 +69,28 @@ struct Row {
     bool rerunMatches = false;
 };
 
-/** The paper's QAOA + SPSA workload on @p n qubits, optimized once:
- *  the trace every configuration of that register replays. */
-std::pair<vqa::Workload, runtime::VqaTrace>
-functionalRun(std::uint32_t n, std::uint64_t seed,
-              std::uint32_t iterations, std::uint64_t shots,
-              const SweepCli &cli)
+/** The spec every configuration of the @p n-qubit register starts
+ *  from: QAOA + SPSA at the sweep's iteration and shot counts. */
+service::JobSpec
+baseJob(const Config &cfg, const SweepCli &cli, std::uint32_t n)
 {
-    auto spec = paperConfig(vqa::Algorithm::Qaoa,
-                            vqa::OptimizerKind::Spsa, n);
-    spec.driver.seed = seed;
-    spec.driver.iterations = iterations;
-    spec.driver.shots = shots;
-    cli.applyDriver(spec.driver);
+    auto spec =
+        cli.job(vqa::Algorithm::Qaoa, vqa::OptimizerKind::Spsa, n);
+    spec.driver.iterations = cfg.iterations;
+    spec.driver.shots = cfg.shots;
+    return spec;
+}
+
+/** @p spec's workload optimized once under its driver settings at
+ *  @p seed: the trace every configuration of that register
+ *  replays. */
+std::pair<vqa::Workload, runtime::VqaTrace>
+functionalRun(const service::JobSpec &spec, std::uint64_t seed)
+{
+    auto driver = spec.driver;
+    driver.seed = seed;
     auto workload = vqa::Workload::build(spec.workload);
-    auto trace = vqa::VqaDriver(spec.driver).run(workload);
+    auto trace = vqa::VqaDriver(driver).run(workload);
     return {std::move(workload), std::move(trace)};
 }
 
@@ -124,21 +131,18 @@ buildJobs(const Config &cfg, const SweepCli &cli)
     for (auto n : cfg.qubits) {
         for (auto k : cfg.shards) {
             for (auto loss : cfg.losses) {
-                service::JobSpec spec;
+                auto spec = baseJob(cfg, cli, n);
                 spec.name = "shard-sweep/n" + std::to_string(n) +
                     "/k" + std::to_string(k) + "/loss" +
                     std::to_string(loss);
-                // Figure parity (see fig17): every configuration of
-                // the same register replays the same functional
-                // trace, so shard count and loss are the only
-                // variables.
-                spec.deriveSeedFromJobId = false;
-                const auto iterations = cfg.iterations;
-                const auto shots = cfg.shots;
-                spec.custom = [n, k, loss, iterations, shots,
-                               cli](service::JobContext &ctx) {
-                    auto [workload, trace] = functionalRun(
-                        n, ctx.seed, iterations, shots, cli);
+                // Figure parity (see fig17): the seed is used
+                // verbatim, so every configuration of the same
+                // register replays the same functional trace and
+                // shard count and loss are the only variables.
+                spec.custom = [n, k, loss, proto = spec](
+                                  service::JobContext &ctx) {
+                    auto [workload, trace] =
+                        functionalRun(proto, ctx.seed);
 
                     shard::ShardedConfig scfg;
                     scfg.map = shard::ShardMap::uniform(n, k);
@@ -323,8 +327,8 @@ main(int argc, char **argv)
     // field (same seed => same functional trace by construction).
     bool singleShardIdentity = true;
     for (auto n : cfg.qubits) {
-        auto [workload, trace] = functionalRun(
-            n, cli.seed, cfg.iterations, cfg.shots, cli);
+        auto [workload, trace] =
+            functionalRun(baseJob(cfg, cli, n), cli.seed);
         core::QtenonConfig chip;
         chip.numQubits = n;
         core::QtenonSystem sys(chip);

@@ -59,12 +59,8 @@ speedupJobs(vqa::OptimizerKind opt,
             const std::vector<std::uint32_t> &sizes,
             const SweepCli &cli)
 {
-    auto proto = paperConfig(vqa::Algorithm::Qaoa, opt, 8);
-    proto.driver.seed = cli.seed;
-    cli.applyDriver(proto.driver);
-
     return service::Sweep(optimizerName(opt))
-        .base(std::move(proto))
+        .base(cli.job(vqa::Algorithm::Qaoa, opt, 8))
         .algorithms({vqa::Algorithm::Qaoa, vqa::Algorithm::Vqe,
                      vqa::Algorithm::Qnn})
         .qubits(sizes)

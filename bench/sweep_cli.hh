@@ -17,6 +17,7 @@
  *   --sv-simd MODE   statevector kernel backend (auto = widest
  *                    instruction set the CPU supports, scalar =
  *                    force the portable backend)
+ *   --isa-vector     compile + replay with the vector ISA
  *   --metrics-json PATH  enable the obs metrics registry and dump
  *                    its JSON snapshot at exit
  *   --trace-out PATH install a Chrome trace-event sink and write
@@ -35,7 +36,11 @@
  * so sweeps are reconfigurable without recompiling. Options are
  * declared against `cli::OptionRegistry` (one registration each,
  * generated --help); binaries add private options via the `extra`
- * hook of parseSweepCli. The statevector knobs default to the
+ * hook of parseSweepCli. Every job spec a sweep binary runs comes
+ * from SweepCli::job, so every option that describes a job reaches
+ * every job; a job with a custom body fails with a ConfigError when
+ * --fault-spec is given (service::runJobSpec cannot inject into a
+ * body it does not run). The statevector knobs default to the
  * bit-identical configuration (auto backend, no fusion, serial
  * kernels) and the fault plan defaults to empty, so figure outputs
  * only change when a knob is passed explicitly.
@@ -53,16 +58,16 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.hh"
 #include "fault/fault.hh"
 #include "isa/pass/compile_cache.hh"
 #include "isa/pass/pass_manager.hh"
 #include "obs/metrics.hh"
 #include "obs/trace_sink.hh"
-#include "option_registry.hh"
 #include "quantum/backend.hh"
 #include "service/batch_scheduler.hh"
 #include "sim/logging.hh"
-#include "vqa/driver.hh"
+#include "sim/option_registry.hh"
 
 namespace qtenon::bench {
 
@@ -81,12 +86,6 @@ struct SweepCli {
      *  ISA (q_update.v / q_gen.v); off keeps the byte-stable scalar
      *  instruction stream. */
     bool isaVector = false;
-    /** --qec-rounds: stabilizer-measurement rounds per QEC job. */
-    std::uint32_t qecRounds = 10;
-    /** --qec-distance: repetition-code distance (data qubits). */
-    std::uint32_t qecDistance = 5;
-    /** --qec-deadline-ns: per-round feed-forward deadline. */
-    std::uint64_t qecDeadlineNs = 10000;
     std::string metricsJsonPath;
     std::string traceOutPath;
     /** Parsed --fault-spec; empty = perfect links. */
@@ -99,28 +98,36 @@ struct SweepCli {
     std::string dumpAfter;
     /** --compile-cache capacity; 0 = no cache (the default). */
     std::size_t compileCacheCap = 0;
-    /** The process-global compile cache --compile-cache installed
+    /** The compile cache --compile-cache made, shared by every job
      *  (kept alive until writeObservability() releases it, which
      *  publishes its counts before the metrics dump). */
     mutable std::shared_ptr<isa::CompileCache> compileCache;
 
-    /** Apply the backend/kernel knobs to one job's driver config. */
-    void
-    applyDriver(vqa::DriverConfig &cfg) const
+    /**
+     * paperConfig(@p alg, @p opt, @p qubits, @p host) with every
+     * shared option that describes a job applied: the seed, the
+     * engine and kernel knobs, --isa-vector, the --compile-cache
+     * cache, --fault-spec and --retry-*. Every job a sweep binary
+     * runs starts here.
+     */
+    service::JobSpec
+    job(vqa::Algorithm alg, vqa::OptimizerKind opt,
+        std::uint32_t qubits,
+        runtime::HostCoreModel host =
+            runtime::HostCoreModel::rocket()) const
     {
-        cfg.backend = backend;
-        cfg.kernel.fuse1q = svFusion;
-        cfg.kernel.threads = svThreads;
-        cfg.kernel.simd = svSimd;
-        cfg.isaVector = isaVector;
-    }
-
-    /** Apply --fault-spec / --retry-* to one proto job spec. */
-    void
-    applyFaults(service::JobSpec &spec) const
-    {
+        auto spec = paperConfig(alg, opt, qubits, std::move(host));
+        auto &d = spec.driver;
+        d.seed = seed;
+        d.backend = backend;
+        d.kernel.fuse1q = svFusion;
+        d.kernel.threads = svThreads;
+        d.kernel.simd = svSimd;
+        d.isaVector = isaVector;
+        d.compileCache = compileCache.get();
         spec.faultSpec = faultSpec;
         spec.retry = retry;
+        return spec;
     }
 
     /** Scheduler config honouring --jobs and --timeout-ms. */
@@ -167,7 +174,7 @@ struct SweepCli {
     }
 
     /**
-     * Uninstall and release the compile cache, dump --metrics-json /
+     * Release the compile cache, dump --metrics-json /
      * --trace-out (when given) and uninstall the trace sink. Call
      * once, after the batch finished; finish() does it for
      * scheduler-backed binaries.
@@ -175,10 +182,7 @@ struct SweepCli {
     void
     writeObservability() const
     {
-        if (compileCache) {
-            isa::setProcessCompileCache(nullptr);
-            compileCache.reset();
-        }
+        compileCache.reset();
         if (!metricsJsonPath.empty()) {
             std::ofstream os(metricsJsonPath);
             if (!os)
@@ -246,16 +250,6 @@ registerSweepOptions(cli::OptionRegistry &reg, SweepCli &cli)
              "(q_update.v / q_gen.v); off keeps the byte-stable "
              "scalar instruction stream",
              &cli.isaVector);
-    reg.uns("--qec-rounds", "N",
-            "stabilizer-measurement rounds per QEC feed-forward job",
-            &cli.qecRounds, 1, "--qec-rounds must be positive");
-    reg.uns("--qec-distance", "D",
-            "repetition-code distance (data qubits per block)",
-            &cli.qecDistance, 2, "--qec-distance must be >= 2");
-    reg.u64("--qec-deadline-ns", "N",
-            "per-round decode->correct feed-forward deadline in "
-            "nanoseconds",
-            &cli.qecDeadlineNs);
     reg.str("--metrics-json", "PATH",
             "enable the obs metrics registry and dump its JSON "
             "snapshot at exit",
@@ -324,11 +318,9 @@ parseSweepCli(int argc, char **argv,
         obs::setMetricsEnabled(true);
     if (!cli.dumpAfter.empty())
         isa::pass::setDumpAfter(cli.dumpAfter);
-    if (cli.compileCacheCap > 0) {
+    if (cli.compileCacheCap > 0)
         cli.compileCache = std::make_shared<isa::CompileCache>(
             cli.compileCacheCap);
-        isa::setProcessCompileCache(cli.compileCache.get());
-    }
     if (!cli.traceOutPath.empty()) {
         cli.trace = std::make_shared<obs::TraceEventSink>();
         obs::setTraceSink(cli.trace.get());

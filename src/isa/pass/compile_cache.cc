@@ -1,7 +1,5 @@
 #include "compile_cache.hh"
 
-#include <atomic>
-
 #include "isa/instr_builder.hh"
 #include "obs/metrics.hh"
 
@@ -15,8 +13,6 @@ appendU64(std::string &out, std::uint64_t v)
     for (int i = 0; i < 8; ++i)
         out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
 }
-
-std::atomic<CompileCache *> g_processCache{nullptr};
 
 } // namespace
 
@@ -192,18 +188,6 @@ CompileCache::size() const
 {
     std::lock_guard<std::mutex> lock(_mutex);
     return _lru.size();
-}
-
-CompileCache *
-processCompileCache()
-{
-    return g_processCache.load(std::memory_order_acquire);
-}
-
-void
-setProcessCompileCache(CompileCache *cache)
-{
-    g_processCache.store(cache, std::memory_order_release);
 }
 
 } // namespace qtenon::isa

@@ -30,6 +30,11 @@
  *
  * The cache is the one count of its hits, misses, inserts and
  * evictions; it publishes them as isa.compile_cache.* when destroyed.
+ *
+ * Whoever owns a cache hands it to jobs through
+ * vqa::DriverConfig::compileCache: the shared sweep CLI's
+ * `--compile-cache N` (bench/sweep_cli.hh) sets it on every job
+ * spec it builds, and qtenond sets its own on every decoded job.
  */
 
 #ifndef QTENON_ISA_PASS_COMPILE_CACHE_HH
@@ -130,15 +135,6 @@ class CompileCache
     std::uint64_t _inserts = 0;
     std::uint64_t _evictions = 0;
 };
-
-/**
- * Process-global cache installed by the shared bench CLI's
- * `--compile-cache N` flag (null = none). VqaDriver consults it when
- * the DriverConfig carries no explicit cache, so every sweep binary
- * gets the flag without per-binary plumbing.
- */
-CompileCache *processCompileCache();
-void setProcessCompileCache(CompileCache *cache);
 
 } // namespace qtenon::isa
 

@@ -121,8 +121,6 @@ runJobSpec(const JobSpec &spec, std::uint64_t job_id,
     r.name = spec.name;
 
     auto driver_cfg = spec.driver;
-    if (spec.compileCache)
-        driver_cfg.compileCache = spec.compileCache;
     if (spec.deriveSeedFromJobId)
         driver_cfg.seed = deriveJobSeed(driver_cfg.seed, job_id);
     r.seed = driver_cfg.seed;
@@ -133,6 +131,9 @@ runJobSpec(const JobSpec &spec, std::uint64_t job_id,
         ? "GD" : "SPSA";
 
     if (spec.custom) {
+        if (!spec.faultSpec.empty())
+            sim::fatal("a job with a custom body cannot honour a "
+                       "fault spec");
         JobContext ctx{job_id, r.seed, token, r};
         spec.custom(ctx);
         return r;

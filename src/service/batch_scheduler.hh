@@ -221,7 +221,8 @@ unsigned resolveWorkerCount(unsigned requested);
 /**
  * Run one declarative job spec to completion on the calling thread
  * (one attempt of executeJob; also usable standalone). Throws
- * CancelToken errors and whatever the simulation throws.
+ * CancelToken errors and whatever the simulation throws; a spec
+ * with both a custom body and a fault spec throws sim::ConfigError.
  */
 JobResult runJobSpec(const JobSpec &spec, std::uint64_t job_id,
                      const CancelToken &token = CancelToken::none());

@@ -362,7 +362,7 @@ Daemon::handleSubmit(const std::shared_ptr<Connection> &conn,
         // Structural compiles are shared across submissions; only
         // the cache pointer changes, never the compile mode, so
         // result bytes are identical with the cache on or off.
-        pending.spec.compileCache = &_compileCache;
+        pending.spec.driver.compileCache = &_compileCache;
         pending.received = received;
     } catch (const std::exception &e) {
         sendError(*conn, id, e.what());

@@ -5,23 +5,25 @@
  * admitted job completes and flushes its response before exit.
  *
  *   qtenond --socket qtenond.sock --jobs 4 --cache 1024
+ *
+ * Options are declared on cli::OptionRegistry like every bench's:
+ * `--help` is generated, and a bad value ends the run with a
+ * `fatal:` line and exit code 1.
  */
 
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
 
 #include "daemon.hh"
 #include "obs/metrics.hh"
-#include "sim/parse.hh"
+#include "sim/option_registry.hh"
 
 namespace {
 
@@ -31,44 +33,6 @@ void
 onSignal(int sig)
 {
     g_signal.store(sig);
-}
-
-void
-usage(const char *argv0)
-{
-    std::printf(
-        "usage: %s [options]\n"
-        "  --socket PATH       AF_UNIX socket path "
-        "(default qtenond.sock)\n"
-        "  --jobs N            job threads "
-        "(default: QTENON_JOBS, then hardware)\n"
-        "  --queue-depth N     admission queue depth (default 64)\n"
-        "  --quota N           per-client in-flight quota "
-        "(default 16)\n"
-        "  --cache N           result-cache entries; 0 disables "
-        "(default 1024)\n"
-        "  --compile-cache N   compile-cache structural entries; "
-        "0 disables (default 256)\n"
-        "  --timeout-ms N      default per-job deadline; 0 = none\n"
-        "  --metrics-json PATH enable metrics, dump on exit\n"
-        "  --help              this text\n",
-        argv0);
-}
-
-/** @p value as a whole unsigned number that fits @p T; anything
- *  else exits with the usage code. */
-template <typename T>
-T
-parseCount(const char *flag, const char *value)
-{
-    const auto n = qtenon::sim::toUint(value, 0,
-                                       std::numeric_limits<T>::max());
-    if (!n) {
-        std::fprintf(stderr, "qtenond: bad value for %s: '%s'\n",
-                     flag, value);
-        std::exit(2);
-    }
-    return static_cast<T>(*n);
 }
 
 } // namespace
@@ -81,49 +45,39 @@ main(int argc, char **argv)
     service::daemon::DaemonConfig cfg;
     std::string metricsJsonPath;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        auto value = [&](const char *flag) -> const char * {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr,
-                             "qtenond: %s needs a value\n", flag);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--help" || arg == "-h") {
-            usage(argv[0]);
-            return 0;
-        } else if (arg == "--socket") {
-            cfg.socketPath = value("--socket");
-        } else if (arg == "--jobs") {
-            cfg.workers =
-                parseCount<unsigned>("--jobs", value("--jobs"));
-        } else if (arg == "--queue-depth") {
-            cfg.maxQueueDepth = parseCount<std::size_t>(
-                "--queue-depth", value("--queue-depth"));
-        } else if (arg == "--quota") {
-            cfg.perClientQuota =
-                parseCount<std::size_t>("--quota", value("--quota"));
-        } else if (arg == "--cache") {
-            cfg.cacheCapacity =
-                parseCount<std::size_t>("--cache", value("--cache"));
-        } else if (arg == "--compile-cache") {
-            cfg.compileCacheCapacity = parseCount<std::size_t>(
-                "--compile-cache", value("--compile-cache"));
-        } else if (arg == "--timeout-ms") {
-            cfg.defaultTimeout = std::chrono::milliseconds(
-                parseCount<std::chrono::milliseconds::rep>(
-                    "--timeout-ms", value("--timeout-ms")));
-        } else if (arg == "--metrics-json") {
-            metricsJsonPath = value("--metrics-json");
-        } else {
-            std::fprintf(stderr, "qtenond: unknown option '%s'\n",
-                         arg.c_str());
-            usage(argv[0]);
-            return 2;
-        }
-    }
+    cli::OptionRegistry reg;
+    // A count option bounded only by its type; 0 is allowed.
+    auto count = [&reg](const char *name, const char *help,
+                        std::size_t *target) {
+        reg.add(name, "N", help, [name, target](const std::string &v) {
+            *target = cli::parseValue<std::size_t>(name, v, 0,
+                                                   SIZE_MAX);
+        });
+    };
+    reg.str("--socket", "PATH",
+            "AF_UNIX socket path (default qtenond.sock)",
+            &cfg.socketPath);
+    reg.uns("--jobs", "N",
+            "job threads (default: QTENON_JOBS, then hardware)",
+            &cfg.workers, 0, "--jobs must be a non-negative integer");
+    count("--queue-depth", "admission queue depth (default 64)",
+          &cfg.maxQueueDepth);
+    count("--quota", "per-client in-flight quota (default 16)",
+          &cfg.perClientQuota);
+    count("--cache", "result-cache entries; 0 disables (default 1024)",
+          &cfg.cacheCapacity);
+    count("--compile-cache",
+          "compile-cache structural entries; 0 disables (default 256)",
+          &cfg.compileCacheCapacity);
+    reg.add("--timeout-ms", "N", "default per-job deadline; 0 = none",
+            [&cfg](const std::string &v) {
+                cfg.defaultTimeout = std::chrono::milliseconds(
+                    cli::parseValue<std::chrono::milliseconds::rep>(
+                        "--timeout-ms", v, 0, INT64_MAX));
+            });
+    reg.str("--metrics-json", "PATH", "enable metrics, dump on exit",
+            &metricsJsonPath);
+    reg.parse(argc, argv);
 
     if (!metricsJsonPath.empty())
         obs::setMetricsEnabled(true);

@@ -126,19 +126,12 @@ struct JobSpec {
     fault::RetryPolicy retry;
 
     /**
-     * Optional shared compile cache (not owned; thread-safe). Copied
-     * into driver.compileCache for declarative jobs, so repeat
-     * submissions of structurally identical circuits skip the pass
-     * pipeline. Null = compile cold (the byte-stable default: cached
-     * and cold images are byte-identical by contract anyway).
-     */
-    isa::CompileCache *compileCache = nullptr;
-
-    /**
      * Escape hatch: when set, this body runs instead of the
      * declarative spec (used e.g. by the routing ablation, which
      * exercises the router rather than a QtenonSystem). Throwing
-     * marks the job failed without killing the batch.
+     * marks the job failed without killing the batch. A body cannot
+     * honour `faultSpec`: a job with both fails with a
+     * sim::ConfigError.
      */
     std::function<void(JobContext &)> custom;
 };

@@ -55,10 +55,9 @@ VqaDriver::run(Workload &w)
     isa::PipelineConfig pipe;
     pipe.vectorIsa = _cfg.isaVector;
     isa::QtenonCompiler compiler(isa::CompilerCostModel{}, pipe);
-    auto *cache = _cfg.compileCache ? _cfg.compileCache
-                                    : isa::processCompileCache();
-    trace.image = cache ? cache->compile(w.circuit, compiler)
-                        : compiler.compile(w.circuit);
+    trace.image = _cfg.compileCache
+        ? _cfg.compileCache->compile(w.circuit, compiler)
+        : compiler.compile(w.circuit);
 
     EvaluatorConfig ecfg;
     ecfg.backend.kind = _cfg.backend;

@@ -58,12 +58,10 @@ struct DriverConfig {
     /** Evaluation re-queue budget when faults are injected. */
     fault::RetryPolicy evalRetry{.maxAttempts = 3};
     /**
-     * Optional content-addressed compile cache (not owned). When set
-     * (or when a process-global cache is installed — see
-     * isa/pass/compile_cache.hh), the trace's program image is
-     * served from the cache on a structural hit; images are byte-
-     * identical either way, so this is excluded from canonicalText
-     * like the injector.
+     * Optional content-addressed compile cache (not owned). When
+     * set, the trace's program image is served from the cache on a
+     * structural hit; images are byte-identical either way, so this
+     * is excluded from canonicalText like the injector.
      */
     isa::CompileCache *compileCache = nullptr;
     /**

@@ -293,26 +293,73 @@ checkArtifact(const Value &doc)
     }
 }
 
+/** The paths QTENON_ARTIFACTS names; empty when it is unset. */
+std::vector<std::string>
+listedArtifacts()
+{
+    std::vector<std::string> out;
+    const char *list = std::getenv("QTENON_ARTIFACTS");
+    std::stringstream paths(list ? list : "");
+    for (std::string path; std::getline(paths, path, ':');)
+        if (!path.empty())
+            out.push_back(path);
+    return out;
+}
+
+Value
+readDocument(const std::string &path)
+{
+    std::ifstream is(path);
+    if (!is)
+        throw std::runtime_error("cannot open " + path);
+    std::ostringstream text;
+    text << is.rdbuf();
+    return Value::parse(text.str());
+}
+
 } // namespace
 
 TEST(ArtifactGate, ListedArtifactsPass)
 {
-    const char *list = std::getenv("QTENON_ARTIFACTS");
-    if (!list || !*list)
+    const auto paths = listedArtifacts();
+    if (paths.empty())
         GTEST_SKIP() << "QTENON_ARTIFACTS not set";
-    std::stringstream paths(list);
-    std::size_t checked = 0;
-    for (std::string path; std::getline(paths, path, ':');) {
-        if (path.empty())
+    for (const auto &path : paths)
+        EXPECT_EQ(checkArtifact(readDocument(path)), "") << path;
+}
+
+TEST(ArtifactGate, SeedReachesJobs)
+{
+    // The shard and QEC sweeps are produced at the default seed (7)
+    // and at --seed 5. Every row's digest must differ between the
+    // two, or the seed never reached that row's job.
+    std::map<std::string, std::string> byName;
+    for (const auto &path : listedArtifacts())
+        byName[path.substr(path.find_last_of('/') + 1)] = path;
+    std::size_t pairs = 0;
+    for (const std::string stem : {"shard_sweep", "qec_sweep"}) {
+        const auto seed7 = byName.find(stem + ".json");
+        const auto seed5 = byName.find(stem + "_seed5.json");
+        if (seed7 == byName.end() && seed5 == byName.end())
             continue;
-        ++checked;
-        std::ifstream is(path);
-        ASSERT_TRUE(is) << "cannot open " << path;
-        std::ostringstream text;
-        text << is.rdbuf();
-        EXPECT_EQ(checkArtifact(Value::parse(text.str())), "") << path;
+        ASSERT_TRUE(seed7 != byName.end() && seed5 != byName.end())
+            << stem << ": only one of the seed pair is listed";
+        ++pairs;
+        const Value a = readDocument(seed7->second);
+        const Value b = readDocument(seed5->second);
+        EXPECT_NE(a.at("config").at("seed").asUint(),
+                  b.at("config").at("seed").asUint())
+            << stem;
+        const auto &rowsA = a.at("rows").asArray();
+        const auto &rowsB = b.at("rows").asArray();
+        ASSERT_EQ(rowsA.size(), rowsB.size()) << stem;
+        for (std::size_t i = 0; i < rowsA.size(); ++i)
+            EXPECT_NE(rowsA[i].at("digest").asString(),
+                      rowsB[i].at("digest").asString())
+                << stem << " row " << i;
     }
-    EXPECT_GT(checked, 0u);
+    if (pairs == 0)
+        GTEST_SKIP() << "no seed pair listed in QTENON_ARTIFACTS";
 }
 
 // -----------------------------------------------------------------
@@ -557,7 +604,7 @@ bench::SweepCli
 parseSweepArgs(std::vector<std::string> args)
 {
     bench::SweepCli cli;
-    bench::cli::OptionRegistry reg;
+    cli::OptionRegistry reg;
     bench::registerSweepOptions(reg, cli);
     std::vector<char *> argv = {const_cast<char *>("bench")};
     for (auto &a : args)
@@ -578,8 +625,8 @@ TEST(CliParse, NumericOptionsRejectPartialTokens)
         {"--timeout-ms", "5ms"},  {"--timeout-ms", "0"},
         {"--compile-cache", "3x"}, {"--retry-attempts", "2x"},
         {"--retry-jitter", "0.5x"}, {"--retry-jitter", "1"},
-        {"--qec-rounds", "3.5"},  {"--qubits", "8,x"},
-        {"--qubits", "8,0"},      {"--qubits", ","},
+        {"--qubits", "8,x"},      {"--qubits", "8,0"},
+        {"--qubits", ","},
     };
     for (const auto &args : bad)
         EXPECT_THROW(parseSweepArgs(args), sim::ConfigError)
@@ -603,9 +650,39 @@ TEST(CliParse, NumericOptionsAcceptWholeTokens)
     EXPECT_EQ(cli.qubits, (std::vector<std::uint32_t>{8, 16}));
 }
 
+TEST(CliParse, JobCarriesEveryOption)
+{
+    std::vector<std::string> args = {
+        "bench",          "--seed",          "5",
+        "--backend",      "statevector",     "--sv-fusion",
+        "--sv-threads",   "0",               "--isa-vector",
+        "--compile-cache", "4",              "--fault-spec",
+        "eth.drop=0.1",   "--retry-attempts", "3"};
+    std::vector<char *> argv;
+    for (auto &a : args)
+        argv.push_back(a.data());
+    const auto cli = bench::parseSweepCli(static_cast<int>(argv.size()),
+                                          argv.data());
+    const auto spec = cli.job(vqa::Algorithm::Vqe,
+                              vqa::OptimizerKind::Spsa, 8);
+    EXPECT_EQ(spec.workload.algorithm, vqa::Algorithm::Vqe);
+    EXPECT_EQ(spec.workload.numQubits, 8u);
+    EXPECT_EQ(spec.driver.optimizer, vqa::OptimizerKind::Spsa);
+    EXPECT_EQ(spec.driver.seed, 5u);
+    EXPECT_EQ(spec.driver.backend, quantum::BackendKind::Statevector);
+    EXPECT_TRUE(spec.driver.kernel.fuse1q);
+    EXPECT_EQ(spec.driver.kernel.threads, 0u);
+    EXPECT_TRUE(spec.driver.isaVector);
+    ASSERT_NE(cli.compileCache, nullptr);
+    EXPECT_EQ(spec.driver.compileCache, cli.compileCache.get());
+    EXPECT_EQ(cli.compileCache->capacity(), 4u);
+    EXPECT_EQ(spec.faultSpec.toString(), "eth.drop=0.1");
+    EXPECT_EQ(spec.retry.maxAttempts, 3u);
+}
+
 TEST(CliParse, ListsCheckEveryElement)
 {
-    using bench::cli::parseList;
+    using cli::parseList;
     EXPECT_EQ(parseList("--loss", "0,0.05,1", 0.0, 1.0),
               (std::vector<double>{0.0, 0.05, 1.0}));
     EXPECT_THROW(parseList("--loss", "0,2", 0.0, 1.0), sim::ConfigError);

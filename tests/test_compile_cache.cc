@@ -311,7 +311,7 @@ TEST(CompileCacheScheduler, SharedCacheIsByteIdenticalAcrossJobs)
         for (int j = 0; j < 6; ++j) {
             auto spec = smallJob(
                 ("job" + std::to_string(j)).c_str());
-            spec.compileCache = cache;
+            spec.driver.compileCache = cache;
             jobs.push_back(std::move(spec));
         }
         sched.submitAll(std::move(jobs));

@@ -497,6 +497,28 @@ TEST(Scheduler, ConfigErrorFailsOnFirstAttemptWithoutRetry)
     EXPECT_EQ(sched.submit(next).result.get().status, JobStatus::Ok);
 }
 
+TEST(Scheduler, CustomJobWithFaultSpecFailsOnce)
+{
+    // A custom body cannot honour a fault plan, so the job fails as
+    // a user error before the body runs instead of dropping the plan.
+    SchedulerConfig cfg;
+    cfg.workers = 1;
+    BatchScheduler sched(cfg);
+
+    auto runs = std::make_shared<std::atomic<int>>(0);
+    JobSpec spec;
+    spec.name = "custom-faulted";
+    spec.retry.maxAttempts = 3;
+    spec.faultSpec = fault::FaultSpec::parse("eth.drop=0.1");
+    spec.custom = [runs](JobContext &) { runs->fetch_add(1); };
+    const auto r = sched.submit(spec).result.get();
+    EXPECT_EQ(r.status, JobStatus::Failed);
+    EXPECT_EQ(r.attempts, 1u);
+    EXPECT_EQ(r.error,
+              "a job with a custom body cannot honour a fault spec");
+    EXPECT_EQ(runs->load(), 0);
+}
+
 TEST(Scheduler, RetryOutcomeIsIdenticalAcrossWorkerCounts)
 {
     // Four flaky jobs, each failing exactly twice before succeeding:
