@@ -5,8 +5,9 @@
  * mean-field sampling, cost scoring), SLT lookups, the pulse pipeline,
  * pulse-entry synthesis, QCC construction, event-queue lambda churn,
  * cache accesses, bus transactions, one q_run round's transmission
- * replay, and entry packing. These measure simulator performance,
- * complementing the modeled-time figure benches.
+ * replay, a whole job on one and two hosts, and entry packing. These
+ * measure simulator performance, complementing the modeled-time
+ * figure benches.
  */
 
 #include <benchmark/benchmark.h>
@@ -27,6 +28,7 @@
 #include "quantum/graph.hh"
 #include "quantum/molecule.hh"
 #include "quantum/statevector.hh"
+#include "service/batch_scheduler.hh"
 #include "sim/random.hh"
 #include "tests/reference_statevector.hh"
 #include "vqa/cost.hh"
@@ -574,6 +576,34 @@ BM_QRunRound(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * round.shots);
 }
 BENCHMARK(BM_QRunRound)->Arg(320);
+
+static void
+BM_RunJobSpecHosts(benchmark::State &state)
+{
+    // A small spsa-320-shaped job (QAOA, SPSA, 500 shots, no shot
+    // records) replayed on the first N hosts of Rocket, BOOM-L: the
+    // N = 2 minus N = 1 time is a later host's marginal cost, which
+    // recalls the first host's q_gen results instead of rerunning
+    // the pipeline.
+    service::JobSpec spec;
+    spec.workload.algorithm = vqa::Algorithm::Qaoa;
+    spec.workload.numQubits = 64;
+    spec.driver.optimizer = vqa::OptimizerKind::Spsa;
+    spec.driver.shots = 500;
+    spec.driver.iterations = 4;
+    spec.driver.recordShotData = false;
+    spec.driver.kernel.threads = 1;
+    spec.deriveSeedFromJobId = false;
+    spec.hosts = {runtime::HostCoreModel::rocket(),
+                  runtime::HostCoreModel::boomLarge()};
+    spec.hosts.resize(static_cast<std::size_t>(state.range(0)));
+    for (auto _ : state) {
+        const auto r = service::runJobSpec(spec, 0);
+        benchmark::DoNotOptimize(r.simTicks);
+    }
+}
+BENCHMARK(BM_RunJobSpecHosts)->Arg(1)->Arg(2)
+    ->Unit(benchmark::kMillisecond);
 
 static void
 BM_ProgramEntryPack(benchmark::State &state)

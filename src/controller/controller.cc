@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 
+#include "core/hash.hh"
 #include "obs/metrics.hh"
 #include "obs/trace_sink.hh"
 #include "sim/logging.hh"
@@ -297,14 +298,52 @@ QuantumController::generate(std::vector<std::uint64_t> work,
                                                sim::Tick)> done)
 {
     ++generateRuns;
-    auto result = _pipeline->run(work);
-    pulsesGenerated += result.pulsesGenerated;
+    // Shared, so the event's captures stay within its inline bytes.
+    const auto result =
+        std::make_shared<const PipelineResult>(runOrRecall(work));
+    pulsesGenerated += result->pulsesGenerated;
     clearStale();
-    const sim::Tick fin = clockEdge(result.cycles);
-    observeGenerate(result, fin);
+    const sim::Tick fin = clockEdge(result->cycles);
+    observeGenerate(*result, fin);
     eventq().scheduleLambda(fin,
-        [done = std::move(done), result, fin] { done(result, fin); },
+        [done = std::move(done), result, fin] { done(*result, fin); },
         "q_gen done");
+}
+
+void
+QuantumController::shareQgen(QgenLog *log)
+{
+    _qgenLog = log;
+    _qgenFollows = log && log->size() != 0;
+    _qgenNext = 0;
+}
+
+PipelineResult
+QuantumController::runOrRecall(const std::vector<std::uint64_t> &work)
+{
+    if (!_qgenLog)
+        return _pipeline->run(work);
+    auto &log = _qgenLog->_entries;
+    const auto hash = core::fnv1aWords(work.data(), work.size());
+    if (!_qgenFollows) {
+        log.push_back({_pipeline->run(work), work.size(), hash});
+        return log.back().result;
+    }
+    if (_qgenNext >= log.size() || log[_qgenNext].workLen != work.size() ||
+        log[_qgenNext].workHash != hash)
+        sim::panic("q_gen recall ", _qgenNext, " of ", log.size(),
+                   " does not match the logged work list");
+    const auto &result = log[_qgenNext++].result;
+    // Leave this controller's counters and .program statuses as the
+    // logged run left its leader's.
+    _slt.hits += result.sltHits;
+    _slt.misses += result.sltMisses;
+    _slt.qspaceHits += result.qspaceHits;
+    _qcc->programReads += result.programReads;
+    _qcc->programWrites += result.programWrites;
+    _qcc->pulseWrites += result.pulseWrites;
+    _qcc->markProgramValid(work);
+    return result;
 }
 
 void
@@ -348,6 +387,17 @@ QuantumController::observeGenerate(const PipelineResult &result,
         s3.add(result.stage3BusyCycles);
         s4.add(result.stage4BusyCycles);
         run_cycles.record(result.cycles);
+        // Registered at the first dispatch, as when the pipeline
+        // recorded each dispatch itself.
+        const auto &tally = result.dispatchesAtOccupancy;
+        for (std::size_t busy = 0; busy < tally.size(); ++busy) {
+            if (tally[busy] == 0)
+                continue;
+            static auto &occupancy = obs::histogram(
+                "controller.pipeline.pgu_occupancy",
+                "busy PGUs after each dispatch");
+            occupancy.record(busy, tally[busy]);
+        }
     }
 
     auto *sink = obs::traceSink();

@@ -49,6 +49,38 @@ struct ControllerConfig {
 /** Completion callback carrying the finish tick. */
 using DoneCallback = std::function<void(sim::Tick)>;
 
+/**
+ * One job's q_gen results, shared by the controllers that replay the
+ * same trace (service::runJobSpec's hosts). The first controller to
+ * share an empty log leads: its n-th q_gen runs the pipeline and
+ * appends the result. A controller that shares a filled log follows:
+ * its n-th q_gen recalls the n-th result instead. This is exact
+ * because q_gen is functional state only: the host model moves
+ * neither the work lists nor the QCC and SLT contents, and the
+ * pipeline touches neither the bus nor the ADI.
+ *
+ * Each entry keeps its work list's length and word FNV-1a; a recall
+ * whose work list differs panics. Controllers use a log one at a
+ * time: a follower must not pass its leader's progress.
+ */
+class QgenLog
+{
+  public:
+    /** Logged q_gen runs. */
+    std::size_t size() const { return _entries.size(); }
+
+  private:
+    friend class QuantumController;
+
+    struct Entry {
+        PipelineResult result;
+        std::size_t workLen;
+        std::uint64_t workHash;
+    };
+
+    std::vector<Entry> _entries;
+};
+
 /** The controller proper. */
 class QuantumController : public sim::Clocked
 {
@@ -149,6 +181,12 @@ class QuantumController : public sim::Clocked
     /** q_gen over every installed program entry. */
     void generateAll(std::function<void(const PipelineResult &,
                                         sim::Tick)> done);
+
+    /**
+     * Share @p log's q_gen results (see QgenLog): lead when it is
+     * empty, else follow. Call before the first q_gen.
+     */
+    void shareQgen(QgenLog *log);
     /// @}
 
     /** Functional helper: record one shot's readout in .measure. */
@@ -214,6 +252,12 @@ class QuantumController : public sim::Clocked
     /** Drop every stale mark (q_gen consumed them). */
     void clearStale();
 
+    /**
+     * The q_gen result for @p work: the pipeline's, or the shared
+     * log's when this controller follows.
+     */
+    PipelineResult runOrRecall(const std::vector<std::uint64_t> &work);
+
     /** Flush per-run q_gen obs metrics and emit per-stage spans. */
     void observeGenerate(const PipelineResult &result, sim::Tick fin);
 
@@ -243,6 +287,12 @@ class QuantumController : public sim::Clocked
     std::vector<std::uint64_t> _staleSummary;
     /** Lazily allocated trace-sink process id (0 = none yet). */
     std::uint32_t _tracePid = 0;
+    /** The shared q_gen log (none: every q_gen runs the pipeline). */
+    QgenLog *_qgenLog = nullptr;
+    /** Whether this controller recalls, and the entry it recalls
+     *  next. */
+    bool _qgenFollows = false;
+    std::size_t _qgenNext = 0;
 };
 
 } // namespace qtenon::controller

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "obs/metrics.hh"
 #include "sim/logging.hh"
 
 namespace qtenon::controller {
@@ -32,7 +31,11 @@ PipelineResult
 PulsePipeline::run(const std::vector<std::uint64_t> &work)
 {
     PipelineResult res;
+    res.dispatchesAtOccupancy.assign(std::size_t(_cfg.numPgus) + 1, 0);
     const auto &layout = _qcc.layout();
+    const auto reads0 = _qcc.programReads.value();
+    const auto writes0 = _qcc.programWrites.value();
+    const auto pulses0 = _qcc.pulseWrites.value();
 
     std::size_t pc = 0; // stage 1 program counter over the work list
     // Stage latches, modeled as value + valid bit like RTL registers.
@@ -111,12 +114,7 @@ PulsePipeline::run(const std::vector<std::uint64_t> &work)
                 next_done = std::min(next_done, it->doneCycle);
                 stage2_valid = false;
                 ++res.stage3BusyCycles;
-                if (obs::metricsEnabled()) {
-                    static auto &occ = obs::histogram(
-                        "controller.pipeline.pgu_occupancy",
-                        "busy PGUs after each dispatch");
-                    occ.record(busy);
-                }
+                ++res.dispatchesAtOccupancy[busy];
                 progress = true;
             } else {
                 stall = true;
@@ -220,6 +218,9 @@ PulsePipeline::run(const std::vector<std::uint64_t> &work)
     }
 
     res.cycles = cycle;
+    res.programReads = _qcc.programReads.value() - reads0;
+    res.programWrites = _qcc.programWrites.value() - writes0;
+    res.pulseWrites = _qcc.pulseWrites.value() - pulses0;
     return res;
 }
 

@@ -62,6 +62,15 @@ struct PipelineResult {
     sim::Cycles stage2BusyCycles = 0;
     sim::Cycles stage3BusyCycles = 0;
     sim::Cycles stage4BusyCycles = 0;
+    /**
+     * PGU dispatches by the busy-PGU count right after them (index
+     * 1..numPgus; index 0 stays 0): the pgu_occupancy records.
+     */
+    std::vector<std::uint64_t> dispatchesAtOccupancy;
+    /** QCC SRAM accesses the run made (the QCC counts them too). */
+    std::uint64_t programReads = 0;
+    std::uint64_t programWrites = 0;
+    std::uint64_t pulseWrites = 0;
 
     double
     skipRate() const

@@ -75,6 +75,28 @@ QuantumControllerCache::setProgramLength(std::uint32_t qubit,
     _programLength[qubit] = len;
 }
 
+void
+QuantumControllerCache::markProgramValid(
+    const std::vector<std::uint64_t> &work)
+{
+    // Work lists ascend, so the chunk lookup (a division) runs once
+    // per qubit rather than once per entry.
+    std::uint64_t lo = 1, hi = 0;
+    std::vector<ProgramEntry> *chunk = nullptr;
+    for (const auto qaddr : work) {
+        if (qaddr < lo || qaddr >= hi) {
+            const auto [qubit, entry] = programPos(qaddr);
+            chunk = &_program[qubit];
+            lo = qaddr - entry;
+            hi = lo + _layout.programEntriesPerQubit;
+        }
+        const auto entry = static_cast<std::size_t>(qaddr - lo);
+        if (entry >= chunk->size())
+            chunk->resize(entry + 1);
+        (*chunk)[entry].status = EntryStatus::Valid;
+    }
+}
+
 PulseKey
 QuantumControllerCache::readPulse(std::uint64_t qaddr) const
 {

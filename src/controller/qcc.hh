@@ -103,6 +103,14 @@ class QuantumControllerCache : public sim::Clocked
         chunk[entry] = e;
     }
 
+    /**
+     * Set the status of every entry in @p work to Valid, as a
+     * recalled q_gen run left them. Counts no access: the QCC
+     * counters take the logged run's own accesses from its
+     * PipelineResult.
+     */
+    void markProgramValid(const std::vector<std::uint64_t> &work);
+
     /** Number of valid program entries installed for @p qubit. */
     std::uint32_t programLength(std::uint32_t qubit) const;
     void setProgramLength(std::uint32_t qubit, std::uint32_t len);

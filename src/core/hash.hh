@@ -2,8 +2,9 @@
  * @file
  * The repository's one FNV-1a implementation, shared by everything
  * that needs a stable content digest: the ResultsStore determinism
- * digest, the fault injector's site-name stream derivation, and the
- * daemon's content-addressed result-cache keys.
+ * digest, the fault injector's site-name stream derivation, the
+ * daemon's content-addressed result-cache keys, and the controller's
+ * q_gen recall guard.
  *
  * Header-only and dependency-free on purpose: any layer may include
  * it without linking qtenon_core, so the base libraries (sim, fault)
@@ -15,6 +16,7 @@
  *   - `Fnv1a` / `fnv1a()`: the classic 64-bit stream (offset basis
  *     0xcbf29ce484222325, prime 0x100000001b3). Byte-compatible with
  *     the historical ResultsStore digest and fault::hashName.
+ *     `fnv1aWords()` runs the same constants over 64-bit words.
  *   - `Fnv1a128` / `fnv1a128()` → `Digest128`: two independent
  *     64-bit streams (the second runs over the same bytes from a
  *     different offset basis), for keys where 64-bit birthday
@@ -78,6 +80,22 @@ fnv1a(const std::string &s)
     Fnv1a h;
     h.update(s);
     return h.digest();
+}
+
+/**
+ * 64-bit FNV-1a over @p n 64-bit words, one xor-multiply per word
+ * rather than per byte: 8x cheaper than Fnv1a::update on each word,
+ * and a different digest. For fingerprints of long word lists.
+ */
+inline std::uint64_t
+fnv1aWords(const std::uint64_t *words, std::size_t n)
+{
+    std::uint64_t h = Fnv1a::offsetBasis;
+    for (std::size_t i = 0; i < n; ++i) {
+        h ^= words[i];
+        h *= Fnv1a::prime;
+    }
+    return h;
 }
 
 /** A 128-bit content digest (two independent FNV-1a streams). */

@@ -93,7 +93,9 @@ struct FaultSpec {
     /** Injection seed; 0 = derive from the owning job's seed. */
     std::uint64_t seed = 0;
 
-    bool empty() const { return sites.empty(); }
+    /** No plan given: no site and no seed (`seed=3` alone is a
+     *  plan that injects nothing). */
+    bool empty() const { return sites.empty() && seed == 0; }
 
     /** Parse the textual form; sim::fatal on a malformed entry. */
     static FaultSpec parse(const std::string &text);

@@ -171,13 +171,14 @@ class Histogram
         return b == 0 ? 0 : std::uint64_t{1} << (b - 1);
     }
 
-    void record(std::uint64_t v)
+    /** Record the value @p v, @p n times over. */
+    void record(std::uint64_t v, std::uint64_t n = 1)
     {
-        if (!metricsEnabled())
+        if (!metricsEnabled() || n == 0)
             return;
-        _count.fetch_add(1, std::memory_order_relaxed);
-        _sum.fetch_add(v, std::memory_order_relaxed);
-        _buckets[bucketOf(v)].fetch_add(1, std::memory_order_relaxed);
+        _count.fetch_add(n, std::memory_order_relaxed);
+        _sum.fetch_add(v * n, std::memory_order_relaxed);
+        _buckets[bucketOf(v)].fetch_add(n, std::memory_order_relaxed);
         casMin(v);
         casMax(v);
     }

@@ -140,11 +140,7 @@ QtenonExecutor::installProgram(const isa::ProgramImage &image)
 
     // Initial full q_gen.
     const sim::Tick gen_t0 = _eq.curTick();
-    controller::PipelineResult pres;
-    _ctrl.generateAll(
-        [&pres](const controller::PipelineResult &r, sim::Tick) {
-            pres = r;
-        });
+    _ctrl.generateAll([](const controller::PipelineResult &, sim::Tick) {});
     drain();
     bd.pulseGen += _eq.curTick() - gen_t0;
 
@@ -270,9 +266,7 @@ QtenonExecutor::executeRound(const RoundRecord &round,
     auto work = (sw.compile != CompileMode::FullRecompile)
         ? _ctrl.staleProgramEntries()
         : std::vector<std::uint64_t>{};
-    controller::PipelineResult pres;
-    auto on_gen = [&pres](const controller::PipelineResult &r,
-                          sim::Tick) { pres = r; };
+    auto on_gen = [](const controller::PipelineResult &, sim::Tick) {};
     if (sw.compile != CompileMode::FullRecompile)
         _ctrl.generate(std::move(work), on_gen);
     else

@@ -147,8 +147,9 @@ runJobSpec(const JobSpec &spec, std::uint64_t job_id,
     // One private injector per job, seeded from the job's derived
     // seed (unless the spec pins one), so injection sequences are
     // bit-identical regardless of worker count or completion order.
+    // A seed without sites injects nothing and runs as no plan.
     std::unique_ptr<fault::FaultInjector> inj;
-    if (!spec.faultSpec.empty()) {
+    if (!spec.faultSpec.sites.empty()) {
         const std::uint64_t fseed = spec.faultSpec.seed != 0
             ? spec.faultSpec.seed : fault::mix64(r.seed);
         inj = std::make_unique<fault::FaultInjector>(spec.faultSpec,
@@ -171,6 +172,9 @@ runJobSpec(const JobSpec &spec, std::uint64_t job_id,
     if (hosts.empty())
         hosts.push_back(spec.qtenon.host);
 
+    // The host model moves only the executor's timing, so the first
+    // host's q_gen results serve the later ones (QgenLog).
+    controller::QgenLog qgen;
     for (const auto &host : hosts) {
         auto qcfg = spec.qtenon;
         qcfg.numQubits = spec.workload.numQubits;
@@ -180,6 +184,7 @@ runJobSpec(const JobSpec &spec, std::uint64_t job_id,
         // dispatch it the same way (scalar or wave-granular vector).
         qcfg.software.vectorIsa = driver_cfg.isaVector;
         core::QtenonSystem sys(qcfg);
+        sys.controller().shareQgen(&qgen);
         r.shotDuration = sys.shotDuration(workload.circuit);
         r.systems.push_back(replayOnQtenon(
             sys, workload, trace, host.name, token));

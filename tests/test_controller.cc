@@ -305,3 +305,86 @@ TEST_F(ControllerFixture, StaleListMatchesSortUniqueReference)
     QuantumController ctrl320(eq, "qc320", wide, bus.get());
     checkStaleListAgainstReference(eq, ctrl320, 64, 400);
 }
+
+namespace {
+
+/**
+ * Install ten reg-flagged entries on qubit 0 of @p ctrl (entry i
+ * reads regfile slot i % 4), q_gen them all, then change slot
+ * @p reg and q_gen its two dependents. Returns the last result.
+ */
+PipelineResult
+installThenUpdate(EventQueue &eq, QuantumController &ctrl,
+                  const std::vector<ProgramEntry> &entries,
+                  std::uint32_t reg)
+{
+    const auto &layout = ctrl.config().layout;
+    ctrl.dmaSetProgram(0x10000, 0, entries, [](Tick) {});
+    eq.run();
+    for (std::uint32_t i = 0; i < entries.size(); ++i)
+        ctrl.linkRegfile(i % 4, layout.programAddr(0, i));
+    for (std::uint32_t r = 0; r < 4; ++r)
+        ctrl.roccWrite(layout.regfileAddr(r), 100 + r);
+    ctrl.generateAll([](const PipelineResult &, Tick) {});
+    eq.run();
+    ctrl.roccWrite(layout.regfileAddr(reg), 0xBEEF);
+    PipelineResult res;
+    ctrl.generate(ctrl.staleProgramEntries(),
+                  [&](const PipelineResult &r, Tick) { res = r; });
+    eq.run();
+    return res;
+}
+
+} // namespace
+
+TEST_F(ControllerFixture, QgenFollowerRecallsTheLeadersResults)
+{
+    // The first controller sharing a log runs the pipeline; a second
+    // one fed the same updates recalls the results and ends with the
+    // same counts, though its own .pulse segment is never written.
+    QgenLog log;
+    const auto entries = makeEntries(10, /*reg_flag=*/true);
+    ctrl->shareQgen(&log);
+    const auto lead = installThenUpdate(eq, *ctrl, entries, 2);
+    ASSERT_EQ(log.size(), 2u);
+
+    QuantumController follower(eq, "qc2", ctrl->config(), bus.get());
+    follower.shareQgen(&log);
+    const auto recalled = installThenUpdate(eq, follower, entries, 2);
+    EXPECT_EQ(log.size(), 2u);
+    EXPECT_EQ(recalled.cycles, lead.cycles);
+    EXPECT_EQ(recalled.pulsesGenerated, lead.pulsesGenerated);
+    EXPECT_EQ(recalled.dispatchesAtOccupancy, lead.dispatchesAtOccupancy);
+    EXPECT_EQ(follower.pulsesGenerated.value(),
+              ctrl->pulsesGenerated.value());
+    EXPECT_EQ(follower.slt().hits, ctrl->slt().hits);
+    EXPECT_EQ(follower.slt().misses, ctrl->slt().misses);
+    EXPECT_EQ(follower.qcc().programReads.value(),
+              ctrl->qcc().programReads.value());
+    EXPECT_EQ(follower.qcc().programWrites.value(),
+              ctrl->qcc().programWrites.value());
+    EXPECT_EQ(follower.qcc().pulseWrites.value(),
+              ctrl->qcc().pulseWrites.value());
+    const auto pq = ctrl->config().layout.programAddr(0, 0);
+    const auto pulse = ctrl->qcc().readProgram(pq).qaddr;
+    EXPECT_TRUE(ctrl->qcc().pulseValid(pulse));
+    EXPECT_FALSE(follower.qcc().pulseValid(pulse));
+    EXPECT_EQ(follower.qcc().readProgram(pq).status, EntryStatus::Valid);
+}
+
+TEST_F(ControllerFixture, QgenRecallOfAnotherWorkListPanics)
+{
+    // A follower fed another update has another stale list (entries
+    // 3 and 7, not 2 and 6): same length, different addresses. Its
+    // recall must not hand it the leader's result.
+    QgenLog log;
+    const auto entries = makeEntries(10, /*reg_flag=*/true);
+    ctrl->shareQgen(&log);
+    installThenUpdate(eq, *ctrl, entries, 2);
+
+    QuantumController follower(eq, "qc2", ctrl->config(), bus.get());
+    follower.shareQgen(&log);
+    EXPECT_DEATH(installThenUpdate(eq, follower, entries, 3),
+                 "q_gen recall 1 of 2 does not match the logged work "
+                 "list");
+}

@@ -208,6 +208,22 @@ TEST(JobRequestJson, RoundTripsAllFields)
     EXPECT_EQ(cacheKeyOf(back), cacheKeyOf(req));
 }
 
+TEST(JobRequestJson, SeedOnlyFaultSpecRoundTrips)
+{
+    // A seed-only plan survives the wire and reaches the job spec,
+    // where a custom body would reject it rather than drop it.
+    JobRequest req = smallRequest();
+    req.faultSpec = "seed=3";
+    const JobRequest back = JobRequest::fromJson(req.toJson());
+    EXPECT_EQ(back.faultSpec, "seed=3");
+    EXPECT_EQ(back.canonicalText(), req.canonicalText());
+    const auto spec = back.toJobSpec();
+    EXPECT_FALSE(spec.faultSpec.empty());
+    EXPECT_TRUE(spec.faultSpec.sites.empty());
+    EXPECT_EQ(spec.faultSpec.seed, 3u);
+    EXPECT_EQ(spec.faultSpec.toString(), "seed=3");
+}
+
 TEST(JobRequestJson, BackendAliasSharesCacheEntry)
 {
     // The library's backend parser accepts aliases; the cache key

@@ -206,4 +206,12 @@ TEST_F(MetricsDeterminism, PublishedCountersSumTheSystemsCounts)
                   counters.at("controller.pipeline.pulses_generated")),
               pulses);
     EXPECT_FALSE(counters.count("controller.rocc.vector_elements"));
+    // One pgu_occupancy record per PGU dispatch, and each dispatch
+    // yields one pulse: the later host replays the records of the
+    // q_gen runs it recalls.
+    const auto hists = obs::registry().histogramValues();
+    ASSERT_TRUE(hists.count("controller.pipeline.pgu_occupancy"));
+    EXPECT_EQ(static_cast<double>(
+                  hists.at("controller.pipeline.pgu_occupancy").count),
+              pulses);
 }

@@ -13,7 +13,9 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
+#include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <stdexcept>
@@ -25,6 +27,7 @@
 #include "quantum/statevector.hh"
 #include "service/batch_scheduler.hh"
 #include "service/json.hh"
+#include "service/results_store.hh"
 #include "service/sweep.hh"
 #include "sim/logging.hh"
 #include "sim/parse.hh"
@@ -257,20 +260,43 @@ TEST(RunJobSpec, EqualsTheReplayPrimitives)
     // fig13, fig16 and table5 replay with the layer primitives; both
     // must agree: runJobSpec replays exactly as VqaDriver::run,
     // QtenonSystem::execute per host and DecoupledSystem::execute do
-    // on the same spec.
+    // on the same spec. The reference builds every host on its own,
+    // so the rows with two hosts also check that the later host's
+    // recalled q_gen results (controller::QgenLog) equal a replay
+    // that runs its own pipeline.
     using runtime::HostCoreModel;
     struct Row {
+        std::string label;
         vqa::OptimizerKind opt;
         std::vector<HostCoreModel> hosts;
         bool baseline;
+        std::function<void(JobSpec &)> tweak = [](JobSpec &) {};
     };
+    const auto gd = vqa::OptimizerKind::GradientDescent;
+    const auto spsa = vqa::OptimizerKind::Spsa;
     const std::vector<HostCoreModel> both = {HostCoreModel::rocket(),
                                              HostCoreModel::boomLarge()};
     for (const Row &row : std::initializer_list<Row>{
-             {vqa::OptimizerKind::GradientDescent, {}, false},
-             {vqa::OptimizerKind::Spsa, {}, false},
-             {vqa::OptimizerKind::GradientDescent, both, true},
-             {vqa::OptimizerKind::Spsa, both, true},
+             {"GD/1 host", gd, {}, false},
+             {"SPSA/1 host", spsa, {}, false},
+             {"GD/2 hosts", gd, both, true},
+             {"SPSA/2 hosts", spsa, both, true},
+             {"full recompile", gd, both, false,
+              [](JobSpec &s) {
+                  s.qtenon.software.compile =
+                      runtime::CompileMode::FullRecompile;
+              }},
+             {"SLT off", spsa, both, false,
+              [](JobSpec &s) { s.qtenon.pipeline.sltEnabled = false; }},
+             {"one PGU", spsa, both, false,
+              [](JobSpec &s) { s.qtenon.pipeline.numPgus = 1; }},
+             {"vector ISA", spsa, both, false,
+              [](JobSpec &s) { s.driver.isaVector = true; }},
+             {"faults", spsa, both, true,
+              [](JobSpec &s) {
+                  s.faultSpec = fault::FaultSpec::parse(
+                      "bus.error=0.05,adi.jitter=50,seed=11");
+              }},
          }) {
         JobSpec spec;
         spec.workload.algorithm = vqa::Algorithm::Vqe;
@@ -281,12 +307,20 @@ TEST(RunJobSpec, EqualsTheReplayPrimitives)
         spec.hosts = row.hosts;
         spec.runBaseline = row.baseline;
         spec.deriveSeedFromJobId = false;
+        row.tweak(spec);
         const auto r = runJobSpec(spec, 0);
-        const auto label = r.optimizer + "/" +
-            std::to_string(row.hosts.size()) + " hosts";
+        const auto &label = row.label;
 
+        // The driver, then each host and the baseline in order, draw
+        // from one injector seeded as runJobSpec seeds its own.
+        std::unique_ptr<fault::FaultInjector> inj;
+        if (!spec.faultSpec.empty())
+            inj = std::make_unique<fault::FaultInjector>(
+                spec.faultSpec, spec.faultSpec.seed);
+        auto driver_cfg = spec.driver;
+        driver_cfg.injector = inj.get();
         auto w = vqa::Workload::build(spec.workload);
-        const auto trace = vqa::VqaDriver(spec.driver).run(w);
+        const auto trace = vqa::VqaDriver(driver_cfg).run(w);
         EXPECT_EQ(r.costHistory, trace.costHistory) << label;
 
         std::vector<SystemRun> want;
@@ -296,26 +330,40 @@ TEST(RunJobSpec, EqualsTheReplayPrimitives)
             auto qcfg = spec.qtenon;
             qcfg.numQubits = spec.workload.numQubits;
             qcfg.host = host;
+            qcfg.injector = inj.get();
+            qcfg.software.vectorIsa = spec.driver.isaVector;
             core::QtenonSystem sys(qcfg);
             SystemRun run;
             run.total = sys.execute(trace, w.circuit).total();
+            run.busTransactions =
+                static_cast<double>(sys.bus().transactions.value());
+            run.pulsesGenerated = static_cast<double>(
+                sys.controller().pulsesGenerated.value());
+            run.sltHits = sys.controller().slt().hits;
+            run.sltMisses = sys.controller().slt().misses;
             run.simTicks = sys.eventQueue().curTick();
             want.push_back(run);
         }
         if (row.baseline) {
+            auto bcfg = spec.baselineCfg;
+            bcfg.injector = inj.get();
             SystemRun run;
-            run.total = baseline::DecoupledSystem(spec.baselineCfg)
-                            .execute(w.circuit, trace);
+            run.total =
+                baseline::DecoupledSystem(bcfg).execute(w.circuit, trace);
             want.push_back(run);
         }
 
-        // Every TimeBreakdown field, then the simulated ticks.
+        // Every TimeBreakdown field, the simulated ticks, then the
+        // controller and bus counts.
         auto fields = [](const SystemRun &s) {
             const auto &t = s.total;
-            return std::vector<sim::Tick>{
-                t.quantum, t.pulseGen, t.comm,
-                t.host, t.hostBusy, t.wall,
-                t.commSet, t.commUpdate, t.commAcquire, s.simTicks};
+            return std::vector<double>{
+                double(t.quantum), double(t.pulseGen), double(t.comm),
+                double(t.host), double(t.hostBusy), double(t.wall),
+                double(t.commSet), double(t.commUpdate),
+                double(t.commAcquire), double(s.simTicks),
+                s.busTransactions, s.pulsesGenerated,
+                double(s.sltHits), double(s.sltMisses)};
         };
         ASSERT_EQ(r.systems.size(), want.size()) << label;
         for (std::size_t i = 0; i < want.size(); ++i)
@@ -501,22 +549,43 @@ TEST(Scheduler, CustomJobWithFaultSpecFailsOnce)
 {
     // A custom body cannot honour a fault plan, so the job fails as
     // a user error before the body runs instead of dropping the plan.
+    // A seed alone is a plan too.
     SchedulerConfig cfg;
     cfg.workers = 1;
     BatchScheduler sched(cfg);
 
-    auto runs = std::make_shared<std::atomic<int>>(0);
+    for (const char *plan : {"eth.drop=0.1", "seed=3"}) {
+        auto runs = std::make_shared<std::atomic<int>>(0);
+        JobSpec spec;
+        spec.name = "custom-faulted";
+        spec.retry.maxAttempts = 3;
+        spec.faultSpec = fault::FaultSpec::parse(plan);
+        spec.custom = [runs](JobContext &) { runs->fetch_add(1); };
+        const auto r = sched.submit(spec).result.get();
+        EXPECT_EQ(r.status, JobStatus::Failed) << plan;
+        EXPECT_EQ(r.attempts, 1u) << plan;
+        EXPECT_EQ(r.error,
+                  "a job with a custom body cannot honour a fault spec")
+            << plan;
+        EXPECT_EQ(runs->load(), 0) << plan;
+    }
+}
+
+TEST(RunJobSpec, SeedOnlyFaultSpecRunsAsNoPlan)
+{
+    // `seed=3` names no site, so it injects nothing: the job's
+    // result bytes equal those of the same job without a spec.
     JobSpec spec;
-    spec.name = "custom-faulted";
-    spec.retry.maxAttempts = 3;
-    spec.faultSpec = fault::FaultSpec::parse("eth.drop=0.1");
-    spec.custom = [runs](JobContext &) { runs->fetch_add(1); };
-    const auto r = sched.submit(spec).result.get();
-    EXPECT_EQ(r.status, JobStatus::Failed);
-    EXPECT_EQ(r.attempts, 1u);
-    EXPECT_EQ(r.error,
-              "a job with a custom body cannot honour a fault spec");
-    EXPECT_EQ(runs->load(), 0);
+    spec.workload.numQubits = 6;
+    spec.driver.iterations = 2;
+    spec.driver.shots = 50;
+    spec.hosts = {runtime::HostCoreModel::rocket(),
+                  runtime::HostCoreModel::boomLarge()};
+    spec.runBaseline = true;
+    const auto plain = jobResultToJson(runJobSpec(spec, 4), true).dump();
+    spec.faultSpec = fault::FaultSpec::parse("seed=3");
+    ASSERT_FALSE(spec.faultSpec.empty());
+    EXPECT_EQ(jobResultToJson(runJobSpec(spec, 4), true).dump(), plain);
 }
 
 TEST(Scheduler, RetryOutcomeIsIdenticalAcrossWorkerCounts)
