@@ -10,6 +10,8 @@
  * figure benches.
  */
 
+#include <algorithm>
+
 #include <benchmark/benchmark.h>
 
 #include "controller/controller.hh"
@@ -329,7 +331,7 @@ BM_PipelineIncrementalGen(benchmark::State &state)
     // qubit (SLT hits) and across rounds (QSpace hits).
     const auto qubits = static_cast<std::uint32_t>(state.range(0));
     sim::EventQueue eq;
-    memory::Dram dram(eq, "dram", memory::DramConfig{});
+    memory::Dram dram(memory::DramConfig{});
     memory::TileLinkBus bus(eq, "bus",
                             sim::ClockDomain::fromHz(1'000'000'000),
                             memory::TileLinkConfig{}, &dram);
@@ -509,17 +511,15 @@ BENCHMARK(BM_QccConstruct)->Arg(320);
 static void
 BM_CacheHit(benchmark::State &state)
 {
-    sim::EventQueue eq;
-    memory::Dram dram(eq, "dram");
-    memory::Cache cache(eq, "l2", sim::ClockDomain(1000),
+    memory::Dram dram;
+    memory::Cache cache("l2", sim::ClockDomain(1000),
                         memory::CacheConfig{}, &dram);
     memory::MemPacket p;
     p.addr = 0x40;
-    cache.access(p, [](sim::Tick) {});
-    eq.run();
+    sim::Tick now = cache.access(p, 0).done;
     for (auto _ : state) {
-        cache.access(p, [](sim::Tick) {});
-        eq.run();
+        now = cache.access(p, now).done;
+        benchmark::DoNotOptimize(now);
     }
     state.SetItemsProcessed(state.iterations());
 }
@@ -529,7 +529,7 @@ static void
 BM_TileLinkTransaction(benchmark::State &state)
 {
     sim::EventQueue eq;
-    memory::Dram dram(eq, "dram");
+    memory::Dram dram;
     memory::TileLinkBus bus(eq, "bus", sim::ClockDomain(1000),
                             memory::TileLinkConfig{}, &dram);
     memory::MemPacket p;
@@ -538,7 +538,7 @@ BM_TileLinkTransaction(benchmark::State &state)
     for (auto _ : state) {
         p.addr = addr;
         addr += 64;
-        bus.access(p, [](sim::Tick) {});
+        bus.accessTagged(p, [](const memory::BusResponse &) {});
         eq.run();
     }
     state.SetItemsProcessed(state.iterations());
@@ -569,11 +569,20 @@ BM_QRunRound(benchmark::State &state)
     round.shots = 500;
     round.postOpsPerShot = 40;
     round.optimizerOps = 100;
+    const std::uint64_t events0 = sys.eventQueue().eventsProcessed();
+    const std::uint64_t puts0 = sys.bus().transactions.value();
     for (auto _ : state) {
         const auto bd = exec.executeRound(round, trace.image, shot);
         benchmark::DoNotOptimize(bd.wall);
     }
     state.SetItemsProcessed(state.iterations() * round.shots);
+    // Every bus transaction of a round is a PUT (nothing is stale),
+    // so this is the events fired per q_run PUT.
+    state.counters["events_per_put"] =
+        static_cast<double>(sys.eventQueue().eventsProcessed() -
+                            events0) /
+        static_cast<double>(std::max<std::uint64_t>(
+            1, sys.bus().transactions.value() - puts0));
 }
 BENCHMARK(BM_QRunRound)->Arg(320);
 

@@ -46,7 +46,9 @@ main()
     pkt.addr = 0x1000;
     pkt.size = 64;
     const sim::Tick tl_start = sys.eventQueue().curTick();
-    sys.bus().access(pkt, [&](sim::Tick t) { tl_done = t; });
+    sys.bus().accessTagged(pkt, [&](const memory::BusResponse &r) {
+        tl_done = r.completed;
+    });
     sys.eventQueue().run();
     const sim::Tick tl_latency = tl_done - tl_start;
 

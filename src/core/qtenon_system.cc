@@ -8,9 +8,9 @@ QtenonSystem::QtenonSystem(QtenonConfig cfg) : _cfg(cfg)
 {
     const auto core_clock = sim::ClockDomain::fromHz(_cfg.coreFreqHz);
 
-    _dram = std::make_unique<memory::Dram>(_eq, "dram", _cfg.dram);
-    _l2 = std::make_unique<memory::Cache>(_eq, "l2", core_clock,
-                                          _cfg.l2, _dram.get());
+    _dram = std::make_unique<memory::Dram>(_cfg.dram);
+    _l2 = std::make_unique<memory::Cache>("l2", core_clock, _cfg.l2,
+                                          _dram.get());
     _bus = std::make_unique<memory::TileLinkBus>(
         _eq, "bus", core_clock, _cfg.bus, _l2.get());
     if (_cfg.injector)

@@ -1,24 +1,21 @@
 #include "cache.hh"
 
 #include <algorithm>
-#include <memory>
 
 #include "obs/metrics.hh"
 #include "sim/logging.hh"
 
 namespace qtenon::memory {
 
-Cache::Cache(sim::EventQueue &eq, std::string name,
-             sim::ClockDomain clock, CacheConfig cfg,
-             MemDevice *downstream)
-    : SimObject(eq, std::move(name)), _clock(clock), _cfg(cfg),
-      _downstream(downstream)
+Cache::Cache(const std::string &name, sim::ClockDomain clock,
+             CacheConfig cfg, MemDevice *downstream)
+    : _clock(clock), _cfg(cfg), _downstream(downstream)
 {
     if (!downstream)
-        sim::fatal("cache '", this->name(), "' needs a downstream level");
+        sim::fatal("cache '", name, "' needs a downstream level");
     const auto lines = _cfg.sizeBytes / _cfg.lineBytes;
     if (lines == 0 || lines % _cfg.associativity != 0)
-        sim::fatal("cache '", this->name(), "' has bad geometry");
+        sim::fatal("cache '", name, "' has bad geometry");
     _numSets = static_cast<std::uint32_t>(lines / _cfg.associativity);
     _lines.assign(lines, Line{});
 }
@@ -67,15 +64,13 @@ Cache::victimWay(std::uint32_t set) const
     return victim;
 }
 
-void
-Cache::accessLine(std::uint64_t line_addr, bool is_write,
-                  MemCallback on_complete)
+MemTiming
+Cache::accessLine(std::uint64_t line_addr, bool is_write, sim::Tick now)
 {
     const auto set = setOf(line_addr);
     const auto tag = tagOf(line_addr);
 
     // Model port bandwidth: accesses serialize on the tag/data port.
-    const sim::Tick now = curTick();
     const sim::Tick start = std::max(now, _portFree);
     _portFree = start + _clock.cyclesToTicks(_cfg.portBusy);
 
@@ -86,12 +81,7 @@ Cache::accessLine(std::uint64_t line_addr, bool is_write,
             l.lastUse = ++_useCounter;
             if (is_write)
                 l.dirty = true;
-            const sim::Tick done =
-                start + _clock.cyclesToTicks(_cfg.hitLatency);
-            eventq().scheduleLambda(done,
-                [cb = std::move(on_complete), done] { cb(done); },
-                "cache hit");
-            return;
+            return {start + _clock.cyclesToTicks(_cfg.hitLatency), now};
         }
     }
 
@@ -105,8 +95,8 @@ Cache::accessLine(std::uint64_t line_addr, bool is_write,
         wb.cmd = MemCmd::Write;
         wb.addr = (victim.tag * _numSets + set) * _cfg.lineBytes;
         wb.size = _cfg.lineBytes;
-        // Writebacks drain in the background; no completion needed.
-        _downstream->access(wb, [](sim::Tick) {});
+        // Writebacks drain in the background; nothing waits for them.
+        _downstream->access(wb, now);
     }
     victim.valid = true;
     victim.dirty = is_write;
@@ -117,44 +107,26 @@ Cache::accessLine(std::uint64_t line_addr, bool is_write,
     fill.cmd = MemCmd::Read;
     fill.addr = line_addr * _cfg.lineBytes;
     fill.size = _cfg.lineBytes;
-    const sim::Tick fill_ticks =
-        _clock.cyclesToTicks(_cfg.hitLatency + _cfg.fillLatency);
-    _downstream->access(fill,
-        [this, cb = std::move(on_complete),
-         fill_ticks](sim::Tick down_done) mutable {
-            const sim::Tick done = down_done + fill_ticks;
-            eventq().scheduleLambda(done,
-                [cb = std::move(cb), done] { cb(done); }, "cache fill");
-        });
+    const sim::Tick filled = _downstream->access(fill, now).done;
+    return {filled +
+                _clock.cyclesToTicks(_cfg.hitLatency + _cfg.fillLatency),
+            filled};
 }
 
-void
-Cache::access(const MemPacket &pkt, MemCallback on_complete)
+MemTiming
+Cache::access(const MemPacket &pkt, sim::Tick now)
 {
     const auto first = lineAddr(pkt.addr);
     const auto last = lineAddr(pkt.addr + std::max(1u, pkt.size) - 1);
-    const auto count = last - first + 1;
-
-    if (count == 1) {
-        accessLine(first, pkt.isWrite(), std::move(on_complete));
-        return;
-    }
-
-    // Multi-line request: complete when the slowest line completes.
-    struct Join {
-        std::uint64_t remaining;
-        sim::Tick latest = 0;
-        MemCallback cb;
-    };
-    auto join = std::make_shared<Join>(
-        Join{count, 0, std::move(on_complete)});
+    // A multi-line request completes with its slowest line; of lines
+    // that finish together, the one known last decides.
+    MemTiming t{now, now};
     for (auto line = first; line <= last; ++line) {
-        accessLine(line, pkt.isWrite(), [join](sim::Tick done) {
-            join->latest = std::max(join->latest, done);
-            if (--join->remaining == 0)
-                join->cb(join->latest);
-        });
+        const MemTiming l = accessLine(line, pkt.isWrite(), now);
+        if (l.done > t.done || (l.done == t.done && l.known > t.known))
+            t = l;
     }
+    return t;
 }
 
 } // namespace qtenon::memory

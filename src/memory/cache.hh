@@ -8,6 +8,7 @@
 #define QTENON_MEMORY_CACHE_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "packet.hh"
@@ -30,19 +31,20 @@ struct CacheConfig {
 
 /**
  * Set-associative LRU write-back cache. Requests larger than one line
- * split into per-line accesses; the completion callback fires when
- * the last line finishes.
+ * split into per-line accesses; a request completes with its slowest
+ * line. A miss sends a dirty victim's writeback and then the fill
+ * downstream at the same `now`; nothing waits for the writeback.
  */
-class Cache : public sim::SimObject, public MemDevice
+class Cache : public MemDevice
 {
   public:
-    Cache(sim::EventQueue &eq, std::string name, sim::ClockDomain clock,
+    Cache(const std::string &name, sim::ClockDomain clock,
           CacheConfig cfg, MemDevice *downstream);
 
     /** Publishes hits/misses into obs (when enabled). */
     ~Cache() override;
 
-    void access(const MemPacket &pkt, MemCallback on_complete) override;
+    MemTiming access(const MemPacket &pkt, sim::Tick now) override;
 
     const CacheConfig &config() const { return _cfg; }
     std::uint32_t numSets() const { return _numSets; }
@@ -89,11 +91,11 @@ class Cache : public sim::SimObject, public MemDevice
     }
 
     /**
-     * Access one line; returns the completion tick and issues any
-     * downstream traffic.
+     * Access one line arriving at @p now, timing any downstream
+     * traffic.
      */
-    void accessLine(std::uint64_t line_addr, bool is_write,
-                    MemCallback on_complete);
+    MemTiming accessLine(std::uint64_t line_addr, bool is_write,
+                         sim::Tick now);
 
     /** Find a victim way in @p set (LRU, invalid first). */
     std::uint32_t victimWay(std::uint32_t set) const;

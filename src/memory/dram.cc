@@ -6,9 +6,7 @@
 
 namespace qtenon::memory {
 
-Dram::Dram(sim::EventQueue &eq, std::string name, DramConfig cfg)
-    : SimObject(eq, std::move(name)), _cfg(cfg),
-      _bankFree(cfg.numBanks, 0)
+Dram::Dram(DramConfig cfg) : _cfg(cfg), _bankFree(cfg.numBanks, 0)
 {}
 
 Dram::~Dram()
@@ -23,8 +21,8 @@ Dram::bankOf(std::uint64_t addr) const
     return (addr / _cfg.interleaveBytes) % _cfg.numBanks;
 }
 
-void
-Dram::access(const MemPacket &pkt, MemCallback on_complete)
+MemTiming
+Dram::access(const MemPacket &pkt, sim::Tick now)
 {
     if (pkt.isWrite())
         ++writes;
@@ -32,7 +30,6 @@ Dram::access(const MemPacket &pkt, MemCallback on_complete)
         ++reads;
 
     const auto bank = bankOf(pkt.addr);
-    const sim::Tick now = curTick();
     const sim::Tick start = std::max(now, _bankFree[bank]);
 
     // Large requests occupy the bank for multiple bursts.
@@ -53,9 +50,7 @@ Dram::access(const MemPacket &pkt, MemCallback on_complete)
         lat.record(done - now);
         queue.record(start - now);
     }
-    eventq().scheduleLambda(done,
-        [cb = std::move(on_complete), done] { cb(done); },
-        "dram completion");
+    return {done, now};
 }
 
 } // namespace qtenon::memory

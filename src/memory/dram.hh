@@ -27,16 +27,15 @@ struct DramConfig {
 };
 
 /** Bank-interleaved DRAM with per-bank queuing delay. */
-class Dram : public sim::SimObject, public MemDevice
+class Dram : public MemDevice
 {
   public:
-    Dram(sim::EventQueue &eq, std::string name,
-         DramConfig cfg = DramConfig{});
+    explicit Dram(DramConfig cfg = DramConfig{});
 
     /** Publishes reads + writes into obs (when enabled). */
     ~Dram() override;
 
-    void access(const MemPacket &pkt, MemCallback on_complete) override;
+    MemTiming access(const MemPacket &pkt, sim::Tick now) override;
 
     const DramConfig &config() const { return _cfg; }
 

@@ -7,7 +7,6 @@
 #define QTENON_MEMORY_PACKET_HH
 
 #include <cstdint>
-#include <functional>
 
 #include "sim/types.hh"
 
@@ -29,22 +28,35 @@ struct MemPacket {
     bool isRead() const { return cmd == MemCmd::Read; }
 };
 
-/** Callback invoked when a request completes, with the finish tick. */
-using MemCallback = std::function<void(sim::Tick)>;
+/** The timing of one access. */
+struct MemTiming {
+    /** Tick at which the request completes. */
+    sim::Tick done = 0;
+    /**
+     * Tick at which `done` became known: the arrival for a cache hit
+     * or a DRAM access, the fill's return for a cache miss. A
+     * requester orders responses that share a tick by it.
+     */
+    sim::Tick known = 0;
+};
 
 /**
- * Timing interface every memory component implements. access() may
- * complete the request at any tick >= now by invoking the callback
- * (possibly synchronously via a scheduled event).
+ * Timing interface of the devices behind the system bus (L2, DRAM).
+ * access() updates the device's state (port and bank occupancy,
+ * tags, LRU order, dirty bits, counters, obs histograms) for a
+ * request arriving at @p now and returns its timing, with now <=
+ * known <= done. It schedules no event and takes no callback, so a
+ * caller may time a request before the simulation reaches @p now;
+ * the timing is exact while every access arrives in order (@p now
+ * non-decreasing).
  */
 class MemDevice
 {
   public:
     virtual ~MemDevice() = default;
 
-    /** Issue a request; @p on_complete fires when it finishes. */
-    virtual void access(const MemPacket &pkt,
-                        MemCallback on_complete) = 0;
+    /** Time a request arriving at @p now. */
+    virtual MemTiming access(const MemPacket &pkt, sim::Tick now) = 0;
 };
 
 } // namespace qtenon::memory

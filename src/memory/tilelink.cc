@@ -21,7 +21,10 @@ TileLinkBus::TileLinkBus(sim::EventQueue &eq, std::string name,
         sim::fatal("tag width must be 1..5 bits");
     _freeTagMask = (numTags() >= 32)
         ? ~std::uint32_t(0) : ((1u << numTags()) - 1);
-    _inflight.resize(numTags());
+    for (std::uint32_t t = 0; t < numTags(); ++t) {
+        _inflight[t].response.bus = this;
+        _inflight[t].response.tag = static_cast<std::uint8_t>(t);
+    }
     _port = std::make_unique<TileLinkPort>(*this);
 }
 
@@ -56,15 +59,6 @@ TileLinkBus::allocateTag()
     const int tag = std::countr_zero(_freeTagMask);
     _freeTagMask &= ~(1u << tag);
     return static_cast<std::uint8_t>(tag);
-}
-
-void
-TileLinkBus::access(const MemPacket &pkt, MemCallback on_complete)
-{
-    accessTagged(pkt,
-        [cb = std::move(on_complete)](const BusResponse &r) {
-            cb(r.completed);
-        });
 }
 
 void
@@ -129,7 +123,8 @@ TileLinkBus::tryIssue()
         sim::Tick start = std::max(now, _requestChannelFree);
         auto *inj = _port->injector();
         const fault::SiteId site = _port->siteId();
-        if (inj && inj->active(site) && inj->shouldStall(site)) {
+        const bool faults = inj && inj->active(site);
+        if (faults && inj->shouldStall(site)) {
             // An injected stall occupies the request channel, so it
             // back-pressures every queued transaction behind it.
             start += inj->faults(site).stallTicks;
@@ -144,21 +139,97 @@ TileLinkBus::tryIssue()
         slot.cb = std::move(p.cb);
         slot.issued = now;
         slot.attempt = 1;
-        issueDownstream(tag, arrive);
+        if (faults) {
+            issueDownstream(tag, arrive);
+            continue;
+        }
+        const MemTiming t = _downstream->access(slot.pkt, arrive);
+        slot.known = t.known;
+        slot.knownOnArrival = t.known == arrive;
+        slot.knownAfter = slot.knownOnArrival ? now : arrive;
+        slot.issueStamp = eventq().scheduleStamp();
+        respondInOrder(tag, t.done +
+            clockDomain().cyclesToTicks(_cfg.channelLatency));
     }
+}
+
+bool
+TileLinkBus::respondsAhead(const InFlight &x, const InFlight &o) const
+{
+    // An event per hop put responses at one tick in the order of the
+    // events that scheduled them: by when each completion was known,
+    // then by when the hop before was scheduled (the issue of a hit,
+    // the arrival of a miss). A hit issued just as a tied miss
+    // arrives goes first only if the event issuing it fired ahead of
+    // the miss's arrival event, which a response of this bus never
+    // did and a call from outside the run never does.
+    if (x.known != o.known)
+        return x.known < o.known;
+    if (x.knownAfter != o.knownAfter)
+        return x.knownAfter < o.knownAfter;
+    return x.knownOnArrival && !o.knownOnArrival && !_delivering &&
+        eventq().firingAhead(sim::Event::defaultPrio, o.issueStamp);
+}
+
+void
+TileLinkBus::respondInOrder(std::uint8_t tag, sim::Tick when)
+{
+    // Responses at one tick fire in scheduling order and the pending
+    // ones are in order already, so those this one must precede are
+    // the last few: move them behind it, keeping their order. (Tags
+    // past numTags() never have a response scheduled.)
+    std::array<std::uint8_t, 32> later;
+    std::size_t n = 0;
+    for (std::uint32_t busy = ~_freeTagMask; busy != 0;
+         busy &= busy - 1) {
+        const auto other =
+            static_cast<std::uint8_t>(std::countr_zero(busy));
+        const InFlight &o = _inflight[other];
+        if (other == tag || !o.response.scheduled() ||
+            o.response.when() != when ||
+            !respondsAhead(_inflight[tag], o))
+            continue;
+        std::size_t i = n++;
+        for (; i > 0 &&
+               _inflight[later[i - 1]].responseStamp > o.responseStamp;
+             --i)
+            later[i] = later[i - 1];
+        later[i] = other;
+    }
+    scheduleResponse(tag, when);
+    for (std::size_t i = 0; i < n; ++i)
+        scheduleResponse(later[i], when);
+}
+
+void
+TileLinkBus::scheduleResponse(std::uint8_t tag, sim::Tick when)
+{
+    auto &slot = _inflight[tag];
+    slot.responseStamp = eventq().scheduleStamp();
+    eventq().reschedule(&slot.response, when);
 }
 
 void
 TileLinkBus::issueDownstream(std::uint8_t tag, sim::Tick arrive)
 {
-    // Hand the request to the downstream device once it has fully
-    // crossed the request channel.
+    // A retry re-enters the downstream device off the request
+    // channel, out of issue order, so on this path every request is
+    // timed when it arrives, and its events fire where a request,
+    // a DRAM completion and a hit or fill event used to.
     eventq().scheduleLambda(arrive,
-        [this, tag] {
-            const MemPacket pkt = _inflight[tag].pkt;
-            _downstream->access(pkt, [this, tag](sim::Tick down_done) {
-                downstreamDone(tag, down_done);
-            });
+        [this, tag, arrive] {
+            const MemTiming t =
+                _downstream->access(_inflight[tag].pkt, arrive);
+            const auto done_at = [this, tag, done = t.done] {
+                eventq().scheduleLambda(done,
+                    [this, tag, done] { downstreamDone(tag, done); },
+                    "downstream done");
+            };
+            if (t.known == arrive)
+                done_at();
+            else
+                eventq().scheduleLambda(t.known, done_at,
+                                        "downstream known");
         },
         "bus request");
 }
@@ -171,7 +242,7 @@ TileLinkBus::downstreamDone(std::uint8_t tag, sim::Tick down_done)
         down_done + clockDomain().cyclesToTicks(_cfg.channelLatency);
     auto *inj = _port->injector();
     const fault::SiteId site = _port->siteId();
-    if (inj && inj->active(site) && inj->shouldError(site)) {
+    if (inj->shouldError(site)) {
         if (slot.attempt < std::max(1u, _retry.maxAttempts)) {
             inj->count(site, "retries");
             const sim::Tick backoff = _retry.backoffBefore(
@@ -184,24 +255,29 @@ TileLinkBus::downstreamDone(std::uint8_t tag, sim::Tick down_done)
         // wedge the tag.
         inj->count(site, "retry_exhausted");
     }
-    eventq().scheduleLambda(done,
-        [this, tag, done] {
-            auto &slot = _inflight[tag];
-            ++transactions;
-            observeTransaction(slot.pkt, tag, slot.issued, done);
-            BusResponse r;
-            r.tag = tag;
-            r.issued = slot.issued;
-            r.completed = done;
-            r.pkt = slot.pkt;
-            // The callback may issue a request that reuses this tag,
-            // so take it out of the slot before freeing the tag.
-            auto cb = std::move(slot.cb);
-            _freeTagMask |= (1u << tag);
-            cb(r);
-            tryIssue();
-        },
-        "bus response");
+    scheduleResponse(tag, done);
+}
+
+void
+TileLinkBus::deliver(std::uint8_t tag)
+{
+    auto &slot = _inflight[tag];
+    const sim::Tick done = curTick();
+    ++transactions;
+    observeTransaction(slot.pkt, tag, slot.issued, done);
+    BusResponse r;
+    r.tag = tag;
+    r.issued = slot.issued;
+    r.completed = done;
+    r.pkt = slot.pkt;
+    // The callback may issue a request that reuses this tag, so take
+    // it out of the slot before freeing the tag.
+    auto cb = std::move(slot.cb);
+    _freeTagMask |= (1u << tag);
+    _delivering = true;
+    cb(r);
+    tryIssue();
+    _delivering = false;
 }
 
 } // namespace qtenon::memory

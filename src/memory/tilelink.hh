@@ -12,11 +12,11 @@
 #ifndef QTENON_MEMORY_TILELINK_HH
 #define QTENON_MEMORY_TILELINK_HH
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
-#include <vector>
 
 #include "fault/fault.hh"
 #include "link/channel.hh"
@@ -48,8 +48,17 @@ struct BusResponse {
  * Requests acquire a tag and serialize on the request channel for
  * ceil(size / beat) cycles; responses complete whenever the
  * downstream device answers, i.e. out of order.
+ *
+ * A transaction is timed when it is issued: the bus is the only
+ * client of its downstream device and its request channel is FIFO,
+ * so tryIssue() calls `MemDevice::access(pkt, arrive)` at once and
+ * schedules only the tag's response. While the "bus" fault site is
+ * active a retry bypasses the channel, so every request keeps an
+ * event per hop: its arrival, a miss's fill, its completion (where
+ * the error draw happens). DESIGN.md §16, "Transactions timed at
+ * issue", argues both paths exact.
  */
-class TileLinkBus : public sim::Clocked, public MemDevice
+class TileLinkBus : public sim::Clocked
 {
   public:
     using TaggedCallback = std::function<void(const BusResponse &)>;
@@ -83,9 +92,6 @@ class TileLinkBus : public sim::Clocked, public MemDevice
     void attachInjector(fault::FaultInjector *inj,
                         fault::RetryPolicy retry = {});
 
-    /** MemDevice entry point (tag handled internally). */
-    void access(const MemPacket &pkt, MemCallback on_complete) override;
-
     /** Issue a request and observe the tag in the response. */
     void accessTagged(const MemPacket &pkt, TaggedCallback on_complete,
                       IssueCallback on_issue = nullptr);
@@ -118,6 +124,20 @@ class TileLinkBus : public sim::Clocked, public MemDevice
         IssueCallback issueCb;
     };
 
+    /** The response event of one tag's transaction. */
+    class ResponseEvent final : public sim::Event
+    {
+      public:
+        void process() override { bus->deliver(tag); }
+        std::string description() const override
+        {
+            return "bus response";
+        }
+
+        TileLinkBus *bus = nullptr;
+        std::uint8_t tag = 0;
+    };
+
     /**
      * An issued transaction. It holds its tag from issue to response
      * (retries included), so its state lives in the tag's slot and
@@ -128,19 +148,43 @@ class TileLinkBus : public sim::Clocked, public MemDevice
         TaggedCallback cb;
         sim::Tick issued = 0;
         std::uint32_t attempt = 0;
+        /** For respondsAhead: MemTiming::known, the tick the hop
+         *  before it was scheduled, and the scheduling stamps of the
+         *  issue and of the response. */
+        sim::Tick known = 0;
+        sim::Tick knownAfter = 0;
+        bool knownOnArrival = false;
+        std::uint64_t issueStamp = 0;
+        std::uint64_t responseStamp = 0;
+        ResponseEvent response;
     };
 
     void tryIssue();
     std::uint8_t allocateTag();
 
     /**
-     * Hand the transaction on @p tag to the downstream device at
-     * @p arrive; on an injected response error, re-issue (same tag)
-     * until the retry budget is spent.
+     * Whether @p x's response, issued now, fires before @p o's
+     * pending response at the same tick, as with an event per hop.
+     */
+    bool respondsAhead(const InFlight &x, const InFlight &o) const;
+
+    /** Schedule @p tag's response at @p when, in respondsAhead order. */
+    void respondInOrder(std::uint8_t tag, sim::Tick when);
+
+    /** (Re)schedule the response event on @p tag at @p when. */
+    void scheduleResponse(std::uint8_t tag, sim::Tick when);
+
+    /** The response event on @p tag fired: complete the transaction. */
+    void deliver(std::uint8_t tag);
+
+    /**
+     * Fault path: hand the transaction on @p tag to the downstream
+     * device at @p arrive; on an injected response error, re-issue
+     * (same tag) until the retry budget is spent.
      */
     void issueDownstream(std::uint8_t tag, sim::Tick arrive);
 
-    /** The downstream device answered the transaction on @p tag. */
+    /** Fault path: the downstream device answered on @p tag. */
     void downstreamDone(std::uint8_t tag, sim::Tick down_done);
 
     /** Record the latency histogram and emit the trace span. */
@@ -152,8 +196,10 @@ class TileLinkBus : public sim::Clocked, public MemDevice
     std::uint32_t _freeTagMask;
     std::deque<Pending> _waiting;
     /** Per-tag transaction slots, indexed by tag. */
-    std::vector<InFlight> _inflight;
+    std::array<InFlight, 32> _inflight;
     sim::Tick _requestChannelFree = 0;
+    /** Inside deliver(): requests issued now come from a response. */
+    bool _delivering = false;
     /** Lazily allocated trace-sink process id (0 = none yet). */
     std::uint32_t _tracePid = 0;
     fault::RetryPolicy _retry;

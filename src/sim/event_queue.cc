@@ -121,7 +121,10 @@ EventQueue::step()
     ev->_queue = nullptr;
     _curTick = e.when;
     ++_processed;
+    const Entry *outer = _firing;
+    _firing = &e;
     ev->process();
+    _firing = outer;
     if (ev->_pooled)
         releaseLambda(static_cast<LambdaEvent *>(ev));
     return true;

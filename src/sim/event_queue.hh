@@ -210,6 +210,25 @@ class EventQueue
     /** Total number of events processed so far. */
     std::uint64_t eventsProcessed() const { return _processed; }
 
+    /**
+     * A point in the scheduling order: every event scheduled from
+     * here on gets a sequence number at or above it.
+     */
+    std::uint64_t scheduleStamp() const { return _nextSequence; }
+
+    /**
+     * Whether the event being processed fires, at its tick, ahead of
+     * an event of @p priority scheduled at @p stamp for that tick;
+     * false outside an event.
+     */
+    bool
+    firingAhead(int priority, std::uint64_t stamp) const
+    {
+        return _firing &&
+            (_firing->priority != priority ? _firing->priority < priority
+                                           : _firing->sequence < stamp);
+    }
+
   private:
     struct Entry {
         Tick when;
@@ -244,6 +263,8 @@ class EventQueue
     Tick _curTick = 0;
     std::uint64_t _nextSequence = 0;
     std::uint64_t _processed = 0;
+    /** The entry of the event being processed, if any. */
+    const Entry *_firing = nullptr;
     std::size_t _live = 0;
     /** Every lambda node ever created; nodes are never freed early. */
     std::vector<std::unique_ptr<LambdaEvent>> _lambdaPool;

@@ -25,7 +25,7 @@ namespace {
 struct ControllerFixture : public ::testing::Test {
     ControllerFixture()
     {
-        dram = std::make_unique<Dram>(eq, "dram", DramConfig{});
+        dram = std::make_unique<Dram>(DramConfig{});
         bus = std::make_unique<TileLinkBus>(
             eq, "bus", ClockDomain::fromHz(1'000'000'000),
             TileLinkConfig{}, dram.get());

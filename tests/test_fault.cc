@@ -383,21 +383,18 @@ namespace {
 class FixedMem : public memory::MemDevice
 {
   public:
-    explicit FixedMem(sim::EventQueue &eq,
-                      sim::Tick latency = 100 * sim::nsTicks)
-        : _eq(eq), _latency(latency)
+    explicit FixedMem(sim::Tick latency = 100 * sim::nsTicks)
+        : _latency(latency)
     {}
 
-    void
-    access(const memory::MemPacket &pkt, memory::MemCallback cb) override
+    memory::MemTiming
+    access(const memory::MemPacket &pkt, sim::Tick now) override
     {
         ++accesses;
         (void)pkt;
-        const sim::Tick done = _eq.curTick() + _latency;
-        _eq.scheduleLambda(done, [cb, done] { cb(done); });
+        return {now + _latency, now};
     }
 
-    sim::EventQueue &_eq;
     sim::Tick _latency;
     int accesses = 0;
 };
@@ -410,7 +407,9 @@ busAccess(sim::EventQueue &eq, memory::TileLinkBus &bus)
     p.addr = 0x40;
     p.size = 64;
     sim::Tick done = 0;
-    bus.access(p, [&](sim::Tick t) { done = t; });
+    bus.accessTagged(p, [&](const memory::BusResponse &r) {
+        done = r.completed;
+    });
     eq.run();
     return done;
 }
@@ -420,13 +419,13 @@ busAccess(sim::EventQueue &eq, memory::TileLinkBus &bus)
 TEST(BusRetry, InjectedErrorsAreRetriedWithBackoff)
 {
     sim::EventQueue plain_eq;
-    FixedMem plain_mem(plain_eq);
+    FixedMem plain_mem;
     memory::TileLinkBus plain(plain_eq, "bus", sim::ClockDomain(1000),
                               memory::TileLinkConfig{}, &plain_mem);
     const sim::Tick clean = busAccess(plain_eq, plain);
 
     sim::EventQueue eq;
-    FixedMem mem(eq);
+    FixedMem mem;
     memory::TileLinkBus bus(eq, "bus", sim::ClockDomain(1000),
                             memory::TileLinkConfig{}, &mem);
     FaultInjector inj(FaultSpec::parse("bus.error=1"), 1);
@@ -453,13 +452,13 @@ TEST(BusRetry, InjectedErrorsAreRetriedWithBackoff)
 TEST(BusRetry, InjectedStallDelaysTheRequestChannel)
 {
     sim::EventQueue plain_eq;
-    FixedMem plain_mem(plain_eq);
+    FixedMem plain_mem;
     memory::TileLinkBus plain(plain_eq, "bus", sim::ClockDomain(1000),
                               memory::TileLinkConfig{}, &plain_mem);
     const sim::Tick clean = busAccess(plain_eq, plain);
 
     sim::EventQueue eq;
-    FixedMem mem(eq);
+    FixedMem mem;
     memory::TileLinkBus bus(eq, "bus", sim::ClockDomain(1000),
                             memory::TileLinkConfig{}, &mem);
     FaultInjector inj(

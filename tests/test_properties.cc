@@ -160,12 +160,12 @@ TEST(Property, BarrierMatchesReferenceBitset)
 
 TEST(Property, CacheCountsAreConsistent)
 {
-    EventQueue eq;
-    memory::Dram dram(eq, "dram");
+    memory::Dram dram;
     memory::CacheConfig cfg;
     cfg.sizeBytes = 1024; // 16 lines, tiny on purpose
     cfg.associativity = 2;
-    memory::Cache cache(eq, "c", ClockDomain(1000), cfg, &dram);
+    memory::Cache cache("c", ClockDomain(1000), cfg, &dram);
+    Tick now = 0;
 
     Rng rng(45);
     const int accesses = 500;
@@ -174,8 +174,8 @@ TEST(Property, CacheCountsAreConsistent)
         p.addr = rng.index(64) * 64; // 64 distinct lines
         p.cmd = rng.coin(0.3) ? memory::MemCmd::Write
                               : memory::MemCmd::Read;
-        cache.access(p, [](Tick) {});
-        eq.run();
+        // Each access arrives once the previous one has completed.
+        now = cache.access(p, now).done;
     }
     EXPECT_EQ(cache.hits.value() + cache.misses.value(),
               static_cast<std::uint64_t>(accesses));

@@ -372,6 +372,88 @@ TEST(RunJobSpec, EqualsTheReplayPrimitives)
     }
 }
 
+namespace {
+
+/** One system of a job: TimeBreakdown fields, ticks, transactions. */
+using SystemRow = std::vector<std::uint64_t>;
+
+/**
+ * The injector path the bus keeps: a two-host SPSA QAOA job and its
+ * baseline under `bus.error=0.2,bus.stall=0.2,seed=9`. Returns, per
+ * system, every TimeBreakdown field, the simulated ticks and the bus
+ * transactions, and the job's `fault.bus.*` counters.
+ */
+std::pair<std::vector<SystemRow>, std::map<std::string, double>>
+busFaultJob(std::uint32_t qubits)
+{
+    JobSpec spec;
+    spec.workload.algorithm = vqa::Algorithm::Qaoa;
+    spec.workload.numQubits = qubits;
+    spec.driver.optimizer = vqa::OptimizerKind::Spsa;
+    spec.driver.iterations = 2;
+    spec.driver.shots = 100;
+    spec.hosts = {runtime::HostCoreModel::rocket(),
+                  runtime::HostCoreModel::boomLarge()};
+    spec.runBaseline = true;
+    spec.deriveSeedFromJobId = false;
+    spec.faultSpec =
+        fault::FaultSpec::parse("bus.error=0.2,bus.stall=0.2,seed=9");
+    const auto r = runJobSpec(spec, 0);
+    std::vector<SystemRow> systems;
+    for (const auto &s : r.systems) {
+        const auto &t = s.total;
+        systems.push_back({t.quantum, t.pulseGen, t.comm, t.host,
+                           t.hostBusy, t.wall, t.commSet, t.commUpdate,
+                           t.commAcquire, s.simTicks,
+                           static_cast<std::uint64_t>(s.busTransactions)});
+    }
+    std::map<std::string, double> faults;
+    for (const auto &[name, value] : r.metrics)
+        if (name.rfind("fault.bus.", 0) == 0)
+            faults[name] = value;
+    return {systems, faults};
+}
+
+} // namespace
+
+TEST(RunJobSpec, BusFaultJobMatchesTheEventDrivenModel)
+{
+    // Recorded on the bus whose every hop was an event. With the
+    // "bus" site active a request still waits for events at its
+    // arrival and its completion, so every stall and error draw,
+    // retry and response happens at the same tick and in the same
+    // order: rocket, boom-l, baseline.
+    const auto [small, small_faults] = busFaultJob(8);
+    EXPECT_EQ(small, (std::vector<SystemRow>{
+            {768000000, 18275000, 3796782, 13852884, 20844436,
+             802874666, 2696000, 50782, 1050000, 802874666, 92},
+            {768000000, 18275000, 3798005, 9049708, 13399992,
+             798072713, 2696000, 52005, 1050000, 798072713, 92},
+            {848000000, 1926880000, 56056805120, 11904499996, 11904499996,
+             70736185116, 28032752640, 0, 28024052480, 0, 0},
+        }));
+    EXPECT_EQ(small_faults, (std::map<std::string, double>{
+                                {"fault.bus.error", 51},
+                                {"fault.bus.retries", 47},
+                                {"fault.bus.retry_exhausted", 4},
+                                {"fault.bus.stall", 41}}));
+
+    const auto [large, large_faults] = busFaultJob(64);
+    EXPECT_EQ(large, (std::vector<SystemRow>{
+            {768000000, 131403000, 21946450, 53461771, 117911103,
+             974093221, 21176000, 52450, 718000, 974093221, 372},
+            {768000000, 131403000, 21966863, 34512564, 75799992,
+             955244427, 21276000, 52863, 638000, 955244427, 372},
+            {848000000, 15414800000, 56150146556, 25234790908, 25234790908,
+             97647737464, 28125870076, 0, 28024276480, 0, 0},
+        }));
+    EXPECT_EQ(large_faults, (std::map<std::string, double>{
+                                {"fault.bus.error", 195},
+                                {"fault.bus.retries", 189},
+                                {"fault.bus.retry_exhausted", 6},
+                                {"fault.bus.stall", 166}}));
+}
+
 TEST(Scheduler, FailingJobIsIsolated)
 {
     SchedulerConfig cfg;
