@@ -11,6 +11,10 @@
  */
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <utility>
 
 #include <benchmark/benchmark.h>
 
@@ -36,6 +40,39 @@
 #include "vqa/cost.hh"
 
 using namespace qtenon;
+
+namespace {
+
+/** Calls of the global operator new (scalar and array forms). */
+std::atomic<std::uint64_t> heapAllocs{0};
+
+} // namespace
+
+// Count every heap allocation, so a benchmark can report how many its
+// operation makes. The nothrow and array forms reach this one; the
+// aligned forms keep their library definitions. Kept out of line: GCC
+// would otherwise see a pointer from operator new reach free() and
+// warn of a mismatched deallocation.
+[[gnu::noinline]] void *
+operator new(std::size_t bytes)
+{
+    heapAllocs.fetch_add(1, std::memory_order_relaxed);
+    if (void *p = std::malloc(bytes ? bytes : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void
+operator delete(void *p) noexcept
+{
+    std::free(p);
+}
+
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
 
 static void
 BM_StatevectorHadamardLayer(benchmark::State &state)
@@ -571,10 +608,12 @@ BM_QRunRound(benchmark::State &state)
     round.optimizerOps = 100;
     const std::uint64_t events0 = sys.eventQueue().eventsProcessed();
     const std::uint64_t puts0 = sys.bus().transactions.value();
+    const std::uint64_t allocs0 = heapAllocs.load();
     for (auto _ : state) {
         const auto bd = exec.executeRound(round, trace.image, shot);
         benchmark::DoNotOptimize(bd.wall);
     }
+    const std::uint64_t allocs = heapAllocs.load() - allocs0;
     state.SetItemsProcessed(state.iterations() * round.shots);
     // Every bus transaction of a round is a PUT (nothing is stale),
     // so this is the events fired per q_run PUT.
@@ -583,6 +622,29 @@ BM_QRunRound(benchmark::State &state)
                             events0) /
         static_cast<double>(std::max<std::uint64_t>(
             1, sys.bus().transactions.value() - puts0));
+    state.counters["allocs_per_round"] =
+        static_cast<double>(allocs) /
+        static_cast<double>(std::max<benchmark::IterationCount>(
+            1, state.iterations()));
+    // The allocations a PUT adds: a round of twice the shots against
+    // one of the benchmark's, each timed after a warm-up round, so
+    // the round's fixed allocations (q_gen's result, the PUT list)
+    // cancel.
+    const auto counted = [&](std::uint64_t shots) {
+        runtime::RoundRecord r = round;
+        r.shots = shots;
+        exec.executeRound(r, trace.image, shot);
+        const std::uint64_t a = heapAllocs.load();
+        const std::uint64_t p = sys.bus().transactions.value();
+        exec.executeRound(r, trace.image, shot);
+        return std::pair{heapAllocs.load() - a,
+                         sys.bus().transactions.value() - p};
+    };
+    const auto [allocs1, puts1] = counted(round.shots);
+    const auto [allocs2, puts2] = counted(2 * round.shots);
+    state.counters["allocs_per_put"] =
+        (static_cast<double>(allocs2) - static_cast<double>(allocs1)) /
+        static_cast<double>(puts2 - puts1);
 }
 BENCHMARK(BM_QRunRound)->Arg(320);
 

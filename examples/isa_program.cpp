@@ -110,11 +110,11 @@ main()
     // q_run: record four shots' readouts, then q_acquire them.
     for (std::uint32_t s = 0; s < 4; ++s)
         ctrl.recordMeasurement(s, s % 2);
-    ctrl.dmaAcquire(0x20000, 0, 4, [&](sim::Tick t) {
-        std::printf("q_acquire complete at %.0f ns\n",
-                    sim::ticksToNs(t));
-    });
+    controller::AcquireTally acquire;
+    ctrl.dmaAcquire(0x20000, 4, acquire);
     eq.run();
+    std::printf("q_acquire complete at %.0f ns\n",
+                sim::ticksToNs(acquire.done));
 
     std::printf("barrier query on destination: %s\n",
                 ctrl.barrierQuery(0x20000, 32) ? "synced"

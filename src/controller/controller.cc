@@ -182,7 +182,7 @@ QuantumController::dmaSetProgram(std::uint64_t host_addr,
     // The entries install when the last chunk lands; timing is
     // carried by the bus events.
     auto t = std::make_shared<DmaTransfer>(DmaTransfer{
-        num_chunks, 0, std::move(done), std::move(entries), qubit});
+        num_chunks, std::move(done), std::move(entries), qubit});
 
     for (std::uint64_t c = 0; c < num_chunks; ++c) {
         memory::MemPacket pkt;
@@ -252,9 +252,8 @@ QuantumController::drainSetBeat(const memory::BusResponse &r)
 
 void
 QuantumController::dmaAcquire(std::uint64_t host_addr,
-                              std::uint32_t first_entry,
                               std::uint32_t num_entries,
-                              DoneCallback done)
+                              AcquireTally &tally)
 {
     const std::uint64_t total_bytes = std::uint64_t(num_entries) *
         memory::QccLayout::measureEntryBits / 8;
@@ -262,13 +261,11 @@ QuantumController::dmaAcquire(std::uint64_t host_addr,
 
     // Read the .measure SRAM (port-serialized), then PUT to host.
     _qcc->portAccess(num_entries);
-    (void)first_entry;
 
     const std::uint32_t chunk = _cfg.dmaChunkBytes;
     const std::uint64_t num_chunks =
         std::max<std::uint64_t>(1, (total_bytes + chunk - 1) / chunk);
-    auto t = std::make_shared<DmaTransfer>(
-        DmaTransfer{num_chunks, 0, std::move(done), {}, 0});
+    tally = {num_chunks, 0};
 
     for (std::uint64_t c = 0; c < num_chunks; ++c) {
         memory::MemPacket pkt;
@@ -277,11 +274,12 @@ QuantumController::dmaAcquire(std::uint64_t host_addr,
         pkt.size = static_cast<std::uint32_t>(
             std::min<std::uint64_t>(chunk, total_bytes - c * chunk));
 
+        // Both callbacks capture one pointer, which std::function
+        // holds without allocating.
         _bus->accessTagged(pkt,
-            [t](const memory::BusResponse &resp) {
-                t->latest = std::max(t->latest, resp.completed);
-                if (--t->remaining == 0)
-                    t->done(t->latest);
+            [&tally](const memory::BusResponse &resp) {
+                tally.done = std::max(tally.done, resp.completed);
+                --tally.remaining;
             },
             [this](std::uint8_t, sim::Tick,
                    const memory::MemPacket &put) {

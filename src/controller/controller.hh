@@ -50,6 +50,19 @@ struct ControllerConfig {
 using DoneCallback = std::function<void(sim::Tick)>;
 
 /**
+ * A q_acquire's completion, owned by the caller and tallied by the
+ * transfer's bus responses. It must stay put until they have all
+ * arrived.
+ */
+struct AcquireTally {
+    /** Chunks whose bus response is still outstanding. */
+    std::uint64_t remaining = 0;
+    /** Latest chunk completion tick: the transfer's, once
+     *  `remaining` is 0. */
+    sim::Tick done = 0;
+};
+
+/**
  * One job's q_gen results, shared by the controllers that replay the
  * same trace (service::runJobSpec's hosts). The first controller to
  * share an empty log leads: its n-th q_gen runs the pipeline and
@@ -162,12 +175,13 @@ class QuantumController : public sim::Clocked
                        DoneCallback done);
 
     /**
-     * q_acquire: transfer @p num_entries of .measure starting at
-     * @p first_entry to host memory at @p host_addr. Marks the host
-     * range synced in the barrier as each PUT leaves on the bus.
+     * q_acquire: transfer @p num_entries of .measure to host memory
+     * at @p host_addr. Marks the host range synced in the barrier as
+     * each PUT leaves on the bus, and tallies the PUTs' responses in
+     * @p tally (reset here). Allocates nothing.
      */
-    void dmaAcquire(std::uint64_t host_addr, std::uint32_t first_entry,
-                    std::uint32_t num_entries, DoneCallback done);
+    void dmaAcquire(std::uint64_t host_addr, std::uint32_t num_entries,
+                    AcquireTally &tally);
     /// @}
 
     /** @name Computation */
@@ -224,16 +238,14 @@ class QuantumController : public sim::Clocked
 
   private:
     /**
-     * One in-flight q_set or q_acquire: the state its bus chunks
-     * share, owned jointly by their callbacks.
+     * One in-flight q_set: the state its bus chunks share, owned
+     * jointly by their callbacks.
      */
     struct DmaTransfer {
         /** Chunks whose bus response is still outstanding. */
         std::uint64_t remaining;
-        /** Latest chunk completion tick. */
-        sim::Tick latest;
         DoneCallback done;
-        /** q_set: the entries installed when the last chunk lands. */
+        /** The entries installed when the last chunk lands. */
         std::vector<ProgramEntry> entries;
         std::uint32_t qubit;
     };

@@ -66,8 +66,13 @@ TileLinkBus::accessTagged(const MemPacket &pkt,
                           TaggedCallback on_complete,
                           IssueCallback on_issue)
 {
-    if (_freeTagMask == 0)
+    if (_freeTagMask == 0) {
         ++tagStalls;
+    } else if (_waiting.empty()) {
+        // Nothing queued ahead of it: skip the queue.
+        issue(pkt, std::move(on_complete), on_issue);
+        return;
+    }
     _waiting.push_back(
         Pending{pkt, std::move(on_complete), std::move(on_issue)});
     tryIssue();
@@ -106,51 +111,56 @@ TileLinkBus::tryIssue()
     while (!_waiting.empty() && _freeTagMask != 0) {
         Pending p = std::move(_waiting.front());
         _waiting.pop_front();
-
-        const std::uint8_t tag = allocateTag();
-        if (obs::metricsEnabled()) {
-            static auto &occ = obs::histogram(
-                "mem.bus.tag_occupancy", "tags in use when issuing");
-            occ.record(numTags() - freeTags());
-        }
-        if (p.issueCb)
-            p.issueCb(tag, curTick(), p.pkt);
-
-        const sim::Cycles req_beats = beatsFor(p.pkt.size);
-        beats += req_beats;
-
-        const sim::Tick now = curTick();
-        sim::Tick start = std::max(now, _requestChannelFree);
-        auto *inj = _port->injector();
-        const fault::SiteId site = _port->siteId();
-        const bool faults = inj && inj->active(site);
-        if (faults && inj->shouldStall(site)) {
-            // An injected stall occupies the request channel, so it
-            // back-pressures every queued transaction behind it.
-            start += inj->faults(site).stallTicks;
-        }
-        _requestChannelFree = start +
-            clockDomain().cyclesToTicks(req_beats);
-        const sim::Tick arrive = _requestChannelFree +
-            clockDomain().cyclesToTicks(_cfg.channelLatency);
-
-        auto &slot = _inflight[tag];
-        slot.pkt = p.pkt;
-        slot.cb = std::move(p.cb);
-        slot.issued = now;
-        slot.attempt = 1;
-        if (faults) {
-            issueDownstream(tag, arrive);
-            continue;
-        }
-        const MemTiming t = _downstream->access(slot.pkt, arrive);
-        slot.known = t.known;
-        slot.knownOnArrival = t.known == arrive;
-        slot.knownAfter = slot.knownOnArrival ? now : arrive;
-        slot.issueStamp = eventq().scheduleStamp();
-        respondInOrder(tag, t.done +
-            clockDomain().cyclesToTicks(_cfg.channelLatency));
+        issue(p.pkt, std::move(p.cb), p.issueCb);
     }
+}
+
+void
+TileLinkBus::issue(const MemPacket &pkt, TaggedCallback cb,
+                   const IssueCallback &on_issue)
+{
+    const std::uint8_t tag = allocateTag();
+    if (obs::metricsEnabled()) {
+        static auto &occ = obs::histogram(
+            "mem.bus.tag_occupancy", "tags in use when issuing");
+        occ.record(numTags() - freeTags());
+    }
+    if (on_issue)
+        on_issue(tag, curTick(), pkt);
+
+    const sim::Cycles req_beats = beatsFor(pkt.size);
+    beats += req_beats;
+
+    const sim::Tick now = curTick();
+    sim::Tick start = std::max(now, _requestChannelFree);
+    auto *inj = _port->injector();
+    const fault::SiteId site = _port->siteId();
+    const bool faults = inj && inj->active(site);
+    if (faults && inj->shouldStall(site)) {
+        // An injected stall occupies the request channel, so it
+        // back-pressures every queued transaction behind it.
+        start += inj->faults(site).stallTicks;
+    }
+    _requestChannelFree = start + clockDomain().cyclesToTicks(req_beats);
+    const sim::Tick arrive = _requestChannelFree +
+        clockDomain().cyclesToTicks(_cfg.channelLatency);
+
+    auto &slot = _inflight[tag];
+    slot.pkt = pkt;
+    slot.cb = std::move(cb);
+    slot.issued = now;
+    slot.attempt = 1;
+    if (faults) {
+        issueDownstream(tag, arrive);
+        return;
+    }
+    const MemTiming t = _downstream->access(slot.pkt, arrive);
+    slot.known = t.known;
+    slot.knownOnArrival = t.known == arrive;
+    slot.knownAfter = slot.knownOnArrival ? now : arrive;
+    slot.issueStamp = eventq().scheduleStamp();
+    respondInOrder(tag, t.done +
+        clockDomain().cyclesToTicks(_cfg.channelLatency));
 }
 
 bool

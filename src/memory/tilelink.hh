@@ -92,7 +92,11 @@ class TileLinkBus : public sim::Clocked
     void attachInjector(fault::FaultInjector *inj,
                         fault::RetryPolicy retry = {});
 
-    /** Issue a request and observe the tag in the response. */
+    /**
+     * Issue a request and observe the tag in the response. It issues
+     * at once when a tag is free and no request waits; otherwise it
+     * waits, in arrival order, for a tag.
+     */
     void accessTagged(const MemPacket &pkt, TaggedCallback on_complete,
                       IssueCallback on_issue = nullptr);
 
@@ -159,7 +163,13 @@ class TileLinkBus : public sim::Clocked
         ResponseEvent response;
     };
 
+    /** Issue waiting requests while tags are free. */
     void tryIssue();
+
+    /** Issue @p pkt on a free tag: time it, or, while the bus fault
+     *  site is active, send it downstream as an event. */
+    void issue(const MemPacket &pkt, TaggedCallback cb,
+               const IssueCallback &on_issue);
     std::uint8_t allocateTag();
 
     /**

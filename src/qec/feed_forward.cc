@@ -94,11 +94,10 @@ FeedForwardHarness::run() const
         // over RoCC, incremental q_gen.
         const sim::Tick t0 = eq.curTick();
         advanceTo(eq, t0 + ctrl.adiInputLatency());
-        sim::Tick dma_done = eq.curTick();
-        ctrl.dmaAcquire(host_base, 0, code.numAncilla(),
-                        [&dma_done](sim::Tick d) { dma_done = d; });
+        controller::AcquireTally dma;
+        ctrl.dmaAcquire(host_base, code.numAncilla(), dma);
         eq.run();
-        advanceTo(eq, dma_done);
+        advanceTo(eq, dma.done);
 
         const sim::Tick decode_t =
             _cfg.tightHost.timeFor(decode_ops);

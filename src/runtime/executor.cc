@@ -1,7 +1,6 @@
 #include "executor.hh"
 
 #include <algorithm>
-#include <memory>
 
 #include "obs/metrics.hh"
 #include "obs/trace_sink.hh"
@@ -288,12 +287,13 @@ QtenonExecutor::executeRound(const RoundRecord &round,
                : 1);
     const sim::Tick barrier_cycle = _ctrl.clockPeriod();
 
-    // The shot loop records each batch PUT; none is scheduled yet.
+    // The shot loop records each batch PUT; none is released yet.
     struct PendingPut {
         sim::Tick time;
         std::uint64_t hostAddr;
-        std::uint32_t first;
         std::uint32_t count;
+        /** Filled in by the PUT's bus responses. */
+        controller::AcquireTally acquire;
     };
     std::vector<PendingPut> pending;
     pending.reserve((shots + K - 1) / K);
@@ -301,7 +301,6 @@ QtenonExecutor::executeRound(const RoundRecord &round,
     sim::Tick host_free = _eq.curTick();
     std::uint64_t batch_shots = 0;
     std::uint32_t entry = 0;
-    std::uint64_t batch_first_entry = 0;
     std::uint64_t host_addr = _cfg.hostMeasureBase;
 
     for (std::uint64_t s = 0; s < shots; ++s) {
@@ -324,11 +323,7 @@ QtenonExecutor::executeRound(const RoundRecord &round,
                 t_shot + _ctrl.adiInputLatency();
             const auto count = static_cast<std::uint32_t>(
                 batch_shots * words_per_shot);
-            pending.push_back(
-                {put_time, host_addr,
-                 static_cast<std::uint32_t>(
-                     batch_first_entry % layout.measureEntries),
-                 count});
+            pending.push_back({put_time, host_addr, count, {}});
 
             if (sw.sync == SyncPolicy::FineGrained) {
                 // The host polls the barrier (1 cycle) and processes
@@ -342,55 +337,41 @@ QtenonExecutor::executeRound(const RoundRecord &round,
             }
 
             host_addr += std::uint64_t(count) * 8;
-            batch_first_entry += count;
             batch_shots = 0;
         }
     }
 
-    // Release the PUTs one at a time in (tick, batch) order: each
-    // schedules the next when it fires, so the queue stays shallow.
-    // ADI jitter can make put times non-monotone; the stable sort
-    // keeps batch order on ties. The release band keeps each PUT
-    // ahead of every default-priority event at its tick, as if all
-    // had been scheduled before the drain (sim/event_queue.hh).
-    std::stable_sort(pending.begin(), pending.end(),
-                     [](const PendingPut &a, const PendingPut &b) {
-                         return a.time < b.time;
-                     });
-    struct PutRelease {
-        QtenonExecutor &exec;
-        const std::vector<PendingPut> &order;
-        std::size_t next = 0;
-        // Batch PUT completions.
-        sim::Tick lastDone;
-        sim::Tick latencySum = 0;
-
-        void
-        releaseNext()
-        {
-            const PendingPut &p = order[next++];
-            exec._eq.scheduleLambda(p.time,
-                [this, &p] {
-                    if (next < order.size())
-                        releaseNext();
-                    exec._ctrl.dmaAcquire(p.hostAddr, p.first, p.count,
-                        [this, put_time = p.time](sim::Tick done) {
-                            lastDone = std::max(lastDone, done);
-                            latencySum += done - put_time;
-                        });
-                },
-                "q_run batch PUT", sim::Event::releasePrio);
-        }
-    } puts{*this, pending, 0, run_start};
-    if (!pending.empty())
-        puts.releaseNext();
+    // Release the PUTs one at a time in (tick, batch) order, each
+    // where it would fire had the whole round been scheduled before
+    // the drain: the release band puts it ahead of every
+    // default-priority event at its tick (sim/event_queue.hh). ADI
+    // jitter can make put times non-monotone; the stable sort keeps
+    // batch order on ties. Without jitter they are already in order.
+    const auto by_time = [](const PendingPut &a, const PendingPut &b) {
+        return a.time < b.time;
+    };
+    if (!std::is_sorted(pending.begin(), pending.end(), by_time))
+        std::stable_sort(pending.begin(), pending.end(), by_time);
+    for (auto &p : pending) {
+        _eq.fireInline(p.time, sim::Event::releasePrio, [&] {
+            _ctrl.dmaAcquire(p.hostAddr, p.count, p.acquire);
+        });
+    }
 
     const sim::Tick quantum_end = run_start + shots * shot_duration;
     bd.quantum += shots * shot_duration;
 
-    // The PUTs and their completions all fire in here, while the
-    // records and totals above are still live.
+    // The PUTs' bus responses fire in here, filling their tallies.
+    // Each PUT's latency counts once, at its slowest chunk.
     drain();
+    sim::Tick last_done = run_start;
+    sim::Tick latency_sum = 0;
+    for (const auto &p : pending) {
+        if (p.acquire.remaining != 0)
+            sim::panic("q_run PUT did not drain");
+        last_done = std::max(last_done, p.acquire.done);
+        latency_sum += p.acquire.done - p.time;
+    }
     const sim::Tick post_ops_all = _cfg.host.timeFor(
         static_cast<double>(shots) * round.postOpsPerShot);
 
@@ -398,23 +379,23 @@ QtenonExecutor::executeRound(const RoundRecord &round,
     if (sw.sync == SyncPolicy::Fence) {
         // FENCE #1: host stalls until the quantum program and every
         // transmission retire, then post-processes everything.
-        const sim::Tick fence1 = std::max(quantum_end, puts.lastDone);
-        bd.commAcquire += puts.latencySum;
+        const sim::Tick fence1 = std::max(quantum_end, last_done);
+        bd.commAcquire += latency_sum;
         bd.host += post_ops_all;
         bd.hostBusy += post_ops_all;
         round_end = fence1 + post_ops_all;
     } else {
         // Fine-grained: only the non-overlapped transmission tail is
         // exposed on the critical path.
-        bd.commAcquire += puts.lastDone > quantum_end
-            ? puts.lastDone - quantum_end : 0;
+        bd.commAcquire += last_done > quantum_end
+            ? last_done - quantum_end : 0;
         bd.commAcquire += barrier_cycle;
         bd.hostBusy += post_ops_all;
         // Visible host time: post-processing overflow past the end of
         // quantum execution (the rest hides behind the shots).
         if (host_free > quantum_end)
             bd.host += host_free - quantum_end;
-        round_end = std::max({quantum_end, host_free, puts.lastDone});
+        round_end = std::max({quantum_end, host_free, last_done});
     }
 
     // ---- Optimizer step.

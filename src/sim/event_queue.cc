@@ -97,6 +97,24 @@ EventQueue::prune()
     }
 }
 
+void
+EventQueue::runBefore(const Entry &bound)
+{
+    if (_firing)
+        panic("inline event fired inside an event");
+    if (bound.when < _curTick) {
+        panic("inline event fired in the past (", bound.when, " < ",
+              _curTick, ")");
+    }
+    // Sequence numbers are unique, so no entry ties with the bound.
+    while (true) {
+        prune();
+        if (_heap.empty() || !EntryCompare{}(bound, _heap.top()))
+            break;
+        step();
+    }
+}
+
 Tick
 EventQueue::nextTick() const
 {

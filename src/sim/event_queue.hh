@@ -40,15 +40,15 @@ class Event
         clockPrio = -10,
         /**
          * Work released one at a time from a list sorted up front:
-         * q_run's batch PUTs (runtime/executor.cc). Each PUT, when
-         * it fires, schedules the next. Scheduling the whole list
-         * before the drain would give every PUT a sequence number
-         * below that of any event the drain creates, so at a shared
-         * tick a PUT would fire before every default-priority
-         * event. This band gives a PUT scheduled late that same
-         * precedence, so both schedules fire the same events in the
-         * same order. It is exact only while nothing else uses a
-         * band between clockPrio and defaultPrio.
+         * q_run's batch PUTs (runtime/executor.cc), fired with
+         * EventQueue::fireInline. Scheduling the whole list before
+         * the drain would give every PUT a sequence number below
+         * that of any event the drain creates, so at a shared tick
+         * a PUT would fire before every default-priority event.
+         * This band gives a PUT released late that same precedence,
+         * so both schedules fire the same events in the same order.
+         * It is exact only while nothing else uses a band between
+         * clockPrio and defaultPrio.
          */
         releasePrio = -5,
         defaultPrio = 0,
@@ -189,6 +189,29 @@ class EventQueue
         schedule(ev, when);
     }
 
+    /**
+     * Fire @p fn where a lambda scheduled now at (@p when,
+     * @p priority) would fire, without queueing it: run every event
+     * ordered before it, set the current tick to @p when, then call
+     * @p fn as the event being processed (it holds the sequence
+     * number taken here, so firingAhead() answers for it). The same
+     * events fire in the same order as with `scheduleLambda(when,
+     * fn, desc, priority)` and a run until it fired, but no node is
+     * queued, @p fn is never copied, and eventsProcessed() does not
+     * count it. Call it outside any event.
+     */
+    template <typename F>
+    void
+    fireInline(Tick when, int priority, F &&fn)
+    {
+        const Entry self{when, priority, _nextSequence++, nullptr};
+        runBefore(self);
+        _curTick = when;
+        _firing = &self;
+        fn();
+        _firing = nullptr;
+    }
+
     /** Whether any events are pending. */
     bool empty() const { return _live == 0; }
 
@@ -251,6 +274,12 @@ class EventQueue
 
     /** Pop cancelled (descheduled/rescheduled) heap entries. */
     void prune();
+
+    /**
+     * fireInline's checks and catch-up: panic inside an event or for
+     * a past tick, then fire every event ordered before @p bound.
+     */
+    void runBefore(const Entry &bound);
 
     /** A free pooled lambda node, growing the pool when empty. */
     LambdaEvent *acquireLambda();

@@ -132,9 +132,10 @@ TEST_F(ControllerFixture, DmaSetLargerProgramsTakeLonger)
 TEST_F(ControllerFixture, DmaAcquireSyncsBarrier)
 {
     EXPECT_FALSE(ctrl->barrierQuery(0x20000, 8));
-    Tick done = 0;
-    ctrl->dmaAcquire(0x20000, 0, 16, [&](Tick t) { done = t; });
+    AcquireTally acquire;
+    ctrl->dmaAcquire(0x20000, 16, acquire);
     eq.run();
+    const Tick done = acquire.done;
     EXPECT_GT(done, 0u);
     // All 16 x 8 bytes marked synced once PUTs left on the bus.
     EXPECT_TRUE(ctrl->barrierQuery(0x20000, 128));

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <functional>
 #include <memory>
@@ -15,6 +16,7 @@
 #include <random>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -105,6 +107,95 @@ TEST(EventQueue, ReleaseBandHoldsWhenScheduledLast)
     eq.scheduleLambda(5, [&] { eq.schedule(&release, 10); });
     eq.run();
     EXPECT_EQ(log, (std::vector<int>{2, 3, 1}));
+}
+
+TEST(EventQueue, FireInlineOrdersAgainstBandsAtItsTick)
+{
+    // Inline at (10, releasePrio): what is ordered before it fires
+    // first, including a release-band event queued earlier; nothing
+    // ordered after it fires until the queue runs.
+    EventQueue eq;
+    std::vector<int> log;
+    RecordingEvent early(log, 1);
+    RecordingEvent clock(log, 2, Event::clockPrio);
+    RecordingEvent release(log, 3, Event::releasePrio);
+    RecordingEvent dflt(log, 4);
+    RecordingEvent stats(log, 5, Event::statsPrio);
+    RecordingEvent late(log, 6, Event::clockPrio);
+    eq.schedule(&dflt, 10);
+    eq.schedule(&stats, 10);
+    eq.schedule(&late, 11);
+    eq.schedule(&release, 10);
+    eq.schedule(&clock, 10);
+    eq.schedule(&early, 9);
+    eq.fireInline(10, Event::releasePrio, [&] { log.push_back(0); });
+    EXPECT_EQ(log, (std::vector<int>{1, 2, 3, 0}));
+    EXPECT_EQ(eq.curTick(), 10u);
+    EXPECT_EQ(eq.size(), 3u);
+    eq.run();
+    EXPECT_EQ(log, (std::vector<int>{1, 2, 3, 0, 4, 5, 6}));
+    // Only queued events count as processed.
+    EXPECT_EQ(eq.eventsProcessed(), 6u);
+}
+
+TEST(EventQueue, FireInlineRunsAsTheEventBeingProcessed)
+{
+    EventQueue eq;
+    eq.scheduleLambda(4, [] {});
+    const std::uint64_t stamp = eq.scheduleStamp();
+    bool called = false;
+    eq.fireInline(7, Event::releasePrio, [&] {
+        called = true;
+        EXPECT_EQ(eq.curTick(), 7u);
+        // It took the sequence number `stamp`.
+        EXPECT_EQ(eq.scheduleStamp(), stamp + 1);
+        EXPECT_TRUE(eq.firingAhead(Event::defaultPrio, 0));
+        EXPECT_TRUE(eq.firingAhead(Event::statsPrio, 0));
+        EXPECT_FALSE(eq.firingAhead(Event::clockPrio, stamp + 1));
+        EXPECT_TRUE(eq.firingAhead(Event::releasePrio, stamp + 1));
+        EXPECT_FALSE(eq.firingAhead(Event::releasePrio, stamp));
+    });
+    EXPECT_TRUE(called);
+    EXPECT_FALSE(eq.firingAhead(Event::defaultPrio, ~0ull));
+    EXPECT_EQ(eq.eventsProcessed(), 1u);
+}
+
+TEST(EventQueue, FireInlineSchedulesAtItsOwnTick)
+{
+    // Events the callable schedules at its own tick fire after it,
+    // by band, and after queued events of their band.
+    EventQueue eq;
+    std::vector<int> log;
+    RecordingEvent queued(log, 1);
+    eq.schedule(&queued, 10);
+    eq.fireInline(10, Event::releasePrio, [&] {
+        log.push_back(0);
+        eq.scheduleLambda(10, [&] { log.push_back(2); }, "dflt");
+        eq.scheduleLambda(10, [&] { log.push_back(3); }, "release",
+                          Event::releasePrio);
+        eq.scheduleLambda(10, [&] { log.push_back(4); }, "clock",
+                          Event::clockPrio);
+    });
+    eq.run();
+    EXPECT_EQ(log, (std::vector<int>{0, 4, 3, 1, 2}));
+}
+
+TEST(EventQueueDeath, FireInlineInThePastPanics)
+{
+    EventQueue eq;
+    eq.scheduleLambda(100, [] {});
+    eq.run();
+    EXPECT_DEATH(eq.fireInline(50, Event::releasePrio, [] {}),
+                 "in the past");
+}
+
+TEST(EventQueueDeath, FireInlineInsideAnEventPanics)
+{
+    EventQueue eq;
+    eq.scheduleLambda(5, [&] {
+        eq.fireInline(6, Event::releasePrio, [] {});
+    });
+    EXPECT_DEATH(eq.run(), "inside an event");
 }
 
 TEST(EventQueue, DescheduleRemovesEvent)
@@ -590,5 +681,118 @@ TEST(EventQueue, PooledQueueMatchesReferenceOnRandomCorpus)
         EXPECT_EQ(pooled.curTick(), ref.curTick());
         EXPECT_EQ(pooled.nextSequence, ref.nextSequence);
         EXPECT_GT(ref.fired.size(), std::size_t(ops / 2));
+    }
+}
+
+/**
+ * Differential test of fireInline against the schedule it replaces:
+ * a sorted list of release-band lambdas, each scheduling the next
+ * when it fires, then a drain. Every release spawns events in the
+ * other bands (some at its own tick, some spawning more), and events
+ * are queued before the first release; both schedules must fire the
+ * same events at the same ticks in the same order.
+ */
+namespace {
+
+class ReleaseCorpus
+{
+  public:
+    explicit ReleaseCorpus(std::uint64_t seed) : _seed(seed) {}
+
+    EventQueue eq;
+    /** (tick, id) per firing; releases are tagged by releaseBit. */
+    std::vector<std::pair<Tick, std::uint64_t>> log;
+    static constexpr std::uint64_t releaseBit = 1ull << 63;
+
+    /** Queue a corpus event at @p when, labelled by spawn order. */
+    void
+    spawn(Tick when, unsigned depth)
+    {
+        static const int bands[] = {Event::clockPrio, Event::defaultPrio,
+                                    Event::statsPrio};
+        const std::uint64_t id = _spawned++;
+        const auto x = mix(id ^ (_seed * 0x9E3779B97F4A7C15ull));
+        eq.scheduleLambda(when,
+            [this, id, depth, x] {
+                log.push_back({eq.curTick(), id});
+                if (depth < 3 && x % 3 == 0)
+                    spawn(eq.curTick() + (x >> 8) % 30, depth + 1);
+                if (depth < 3 && x % 5 == 0)
+                    spawn(eq.curTick(), depth + 1);
+            },
+            "corpus", bands[(x >> 20) % 3]);
+    }
+
+    /** Release @p k: log it and spawn events, one at its tick. */
+    void
+    release(std::uint64_t k)
+    {
+        log.push_back({eq.curTick(), releaseBit | k});
+        const auto x = mix(k + _seed);
+        spawn(eq.curTick(), 0);
+        if (x % 2 == 0)
+            spawn(eq.curTick() + (x >> 4) % 25, 0);
+    }
+
+  private:
+    std::uint64_t _seed;
+    std::uint64_t _spawned = 0;
+};
+
+/** Seeded release ticks (sorted, with ties) and queued-first events. */
+std::vector<Tick>
+seedCorpus(ReleaseCorpus &c, std::uint64_t seed)
+{
+    std::mt19937_64 rng(seed);
+    for (int i = 0; i < 40; ++i)
+        c.spawn(rng() % 200, 0);
+    std::vector<Tick> times(60);
+    for (auto &t : times)
+        t = rng() % 250;
+    std::sort(times.begin(), times.end());
+    return times;
+}
+
+} // namespace
+
+TEST(EventQueue, FireInlineMatchesChainedReleaseLambdas)
+{
+    for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+        ReleaseCorpus queued(seed);
+        const auto times = seedCorpus(queued, seed);
+        struct Chain {
+            ReleaseCorpus &c;
+            const std::vector<Tick> &times;
+            std::size_t next = 0;
+
+            void
+            releaseNext()
+            {
+                const std::size_t k = next++;
+                c.eq.scheduleLambda(times[k],
+                    [this, k] {
+                        if (next < times.size())
+                            releaseNext();
+                        c.release(k);
+                    },
+                    "release", Event::releasePrio);
+            }
+        } chain{queued, times, 0};
+        chain.releaseNext();
+        queued.eq.run();
+
+        ReleaseCorpus inlined(seed);
+        ASSERT_EQ(seedCorpus(inlined, seed), times);
+        for (std::size_t k = 0; k < times.size(); ++k) {
+            inlined.eq.fireInline(times[k], Event::releasePrio,
+                                  [&] { inlined.release(k); });
+        }
+        inlined.eq.run();
+
+        ASSERT_EQ(inlined.log, queued.log) << "seed " << seed;
+        EXPECT_EQ(inlined.eq.curTick(), queued.eq.curTick());
+        EXPECT_EQ(inlined.eq.eventsProcessed() + times.size(),
+                  queued.eq.eventsProcessed());
+        EXPECT_GT(queued.log.size(), 2 * times.size());
     }
 }

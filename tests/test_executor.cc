@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <ostream>
+#include <string>
 
 #include "core/qtenon_system.hh"
 #include "fault/fault.hh"
@@ -249,10 +251,17 @@ struct ReplayCase {
     Tick adiJitter;
     /** Shot duration in ticks; 0 = the ansatz's own schedule. */
     Tick shotDuration;
+    /** Bus response-error rate (retried on the same tag); 0 = none. */
+    double busError = 0;
 };
 
+/**
+ * Replay @p c; with @p faults, also export the injector's counters
+ * (`fault.<site>.<kind>`) into it.
+ */
 ReplayFingerprint
-replay(const ReplayCase &c)
+replay(const ReplayCase &c,
+       std::map<std::string, double> *faults = nullptr)
 {
     const bool metrics_were_on = obs::metricsEnabled();
     obs::setMetricsEnabled(true);
@@ -261,13 +270,15 @@ replay(const ReplayCase &c)
     fault::FaultSpec spec;
     if (c.adiJitter)
         spec.sites["adi"].jitter = c.adiJitter;
+    if (c.busError)
+        spec.sites["bus"].error = c.busError;
     fault::FaultInjector inj(spec, 7);
 
     core::QtenonConfig cfg;
     cfg.numQubits = 8;
     cfg.software.sync = c.sync;
     cfg.batchIntervalOverride = c.shotsPerPut;
-    if (c.adiJitter)
+    if (!spec.empty())
         cfg.injector = &inj;
     core::QtenonSystem sys(cfg);
     auto trace = makeTrace(8, 3, 2);
@@ -287,6 +298,8 @@ replay(const ReplayCase &c)
         sys.l2().hits.value(), sys.l2().misses.value(),
         sys.dram().reads.value(), sys.dram().writes.value(),
         sys.eventQueue().curTick()};
+    if (faults)
+        inj.exportCounters(*faults);
     obs::setMetricsEnabled(metrics_were_on);
     return f;
 }
@@ -380,4 +393,49 @@ TEST(ExecutorReplayGolden, PutSharesTickWithBusResponse)
         616, 632, 488, 616, 17812,
         589, 40, 40, 0, 45537411};
     EXPECT_EQ(replay({SyncPolicy::FineGrained, 1, 0, 500}), golden);
+}
+
+// Batched PUTs of 8 bus chunks each, with bus response errors retried
+// on the same tag: every request takes the event-per-hop fault path,
+// and a PUT's chunks finish out of order. A PUT completes at its
+// slowest chunk and its latency counts once (Fence sums it into
+// commAcquire; fine-grained sync exposes the last completion). Both
+// sync policies draw the same faults.
+
+namespace {
+
+const std::map<std::string, double> busRetryFaults{
+    {"fault.bus.error", 33},
+    {"fault.bus.retries", 32},
+    {"fault.bus.retry_exhausted", 1},
+};
+
+} // namespace
+
+TEST(ExecutorReplayGolden, FineGrainedBatchedBusRetries)
+{
+    const ReplayFingerprint golden{
+        900000000, 7494000, 414670,
+        1782996, 27079995, 909284666,
+        0, 7670, 407000,
+        91, 182, 0, 91, 463,
+        102, 40, 40, 0, 919935666};
+    std::map<std::string, double> faults;
+    EXPECT_EQ(replay({SyncPolicy::FineGrained, 0, 0, 0, 0.3}, &faults),
+              golden);
+    EXPECT_EQ(faults, busRetryFaults);
+}
+
+TEST(ExecutorReplayGolden, FenceBatchedBusRetries)
+{
+    const ReplayFingerprint golden{
+        900000000, 7494000, 732004,
+        27079995, 27079995, 934984999,
+        0, 7004, 725000,
+        91, 182, 0, 91, 463,
+        102, 40, 40, 0, 945635999};
+    std::map<std::string, double> faults;
+    EXPECT_EQ(replay({SyncPolicy::Fence, 0, 0, 0, 0.3}, &faults),
+              golden);
+    EXPECT_EQ(faults, busRetryFaults);
 }
