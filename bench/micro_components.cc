@@ -410,10 +410,7 @@ BM_PipelineIncrementalGen(benchmark::State &state)
         }
         qcc.setProgramLength(q, static_cast<std::uint32_t>(prog.size()));
     }
-    const auto done = [](const controller::PipelineResult &,
-                         sim::Tick) {};
-    ctrl.generateAll(done);
-    eq.run();
+    eq.run(ctrl.generateAll());
 
     sim::Rng rng(7);
     std::uint64_t entries = 0;
@@ -423,10 +420,9 @@ BM_PipelineIncrementalGen(benchmark::State &state)
             ctrl.roccWrite(layout.regfileAddr(reg),
                            controller::ProgramEntry::encodeAngle(angle));
         }
-        auto stale = ctrl.staleProgramEntries();
+        const auto stale = ctrl.staleProgramEntries();
         entries += stale.size();
-        ctrl.generate(std::move(stale), done);
-        eq.run();
+        eq.run(ctrl.generate(stale));
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(entries));
 }
@@ -452,6 +448,7 @@ BM_PipelineFullGen(benchmark::State &state)
         qcc.writeProgram(qaddr, e);
         work.push_back(qaddr);
     }
+    controller::PipelineResult r;
     for (auto _ : state) {
         // Re-invalidate so every iteration regenerates.
         for (auto qaddr : work) {
@@ -460,7 +457,7 @@ BM_PipelineFullGen(benchmark::State &state)
             qcc.writeProgram(qaddr, e);
         }
         slt.reset();
-        auto r = pipe.run(work);
+        pipe.run(work, r);
         benchmark::DoNotOptimize(r.cycles);
     }
     state.SetItemsProcessed(state.iterations() * entries);
@@ -606,6 +603,9 @@ BM_QRunRound(benchmark::State &state)
     round.shots = 500;
     round.postOpsPerShot = 40;
     round.optimizerOps = 100;
+    // One round first, so containers that grow once (the event heap)
+    // are not counted against the timed rounds.
+    exec.executeRound(round, trace.image, shot);
     const std::uint64_t events0 = sys.eventQueue().eventsProcessed();
     const std::uint64_t puts0 = sys.bus().transactions.value();
     const std::uint64_t allocs0 = heapAllocs.load();
@@ -628,8 +628,8 @@ BM_QRunRound(benchmark::State &state)
             1, state.iterations()));
     // The allocations a PUT adds: a round of twice the shots against
     // one of the benchmark's, each timed after a warm-up round, so
-    // the round's fixed allocations (q_gen's result, the PUT list)
-    // cancel.
+    // the round's fixed allocation (the PUT list, the only one:
+    // `allocs_per_round` is 1) cancels.
     const auto counted = [&](std::uint64_t shots) {
         runtime::RoundRecord r = round;
         r.shots = shots;

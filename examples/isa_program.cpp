@@ -87,25 +87,25 @@ main()
     // ---- 3. Execute the semantics of that stream on the model.
     auto &eq = sys.eventQueue();
 
-    ctrl.dmaSetProgram(0x10000, 0, prog, [](sim::Tick t) {
-        std::printf("\nq_set complete at %.0f ns\n",
-                    sim::ticksToNs(t));
-    });
+    controller::SetTally set;
+    ctrl.dmaSetProgram(0x10000, 0, prog, set);
+    // Drain the bus, then wait for the WBQ to empty into the SRAM.
     eq.run();
+    eq.run(set.done);
+    std::printf("\nq_set complete at %.0f ns\n",
+                sim::ticksToNs(set.done));
 
     ctrl.linkRegfile(0, layout.programAddr(0, 0));
     const auto angle = controller::ProgramEntry::encodeAngle(1.234);
     ctrl.roccWrite(layout.regfileAddr(0), angle);
     std::printf("q_update wrote encoded angle 0x%x\n", angle);
 
-    ctrl.generateAll([](const controller::PipelineResult &r,
-                        sim::Tick t) {
-        std::printf("q_gen: %llu pulses in %llu cycles, done at "
-                    "%.0f ns\n",
-                    (unsigned long long)r.pulsesGenerated,
-                    (unsigned long long)r.cycles, sim::ticksToNs(t));
-    });
-    eq.run();
+    const sim::Tick gen_done = ctrl.generateAll();
+    const auto &gen = ctrl.qgenResult();
+    std::printf("q_gen: %llu pulses in %llu cycles, done at %.0f ns\n",
+                (unsigned long long)gen.pulsesGenerated,
+                (unsigned long long)gen.cycles, sim::ticksToNs(gen_done));
+    eq.run(gen_done);
 
     // q_run: record four shots' readouts, then q_acquire them.
     for (std::uint32_t s = 0; s < 4; ++s)

@@ -161,8 +161,8 @@ QuantumController::barrierQuery(std::uint64_t host_addr,
 void
 QuantumController::dmaSetProgram(std::uint64_t host_addr,
                                  std::uint32_t qubit,
-                                 std::vector<ProgramEntry> entries,
-                                 DoneCallback done)
+                                 std::span<const ProgramEntry> entries,
+                                 SetTally &tally)
 {
     const auto &layout = _cfg.layout;
     if (qubit >= layout.numQubits)
@@ -181,8 +181,7 @@ QuantumController::dmaSetProgram(std::uint64_t host_addr,
 
     // The entries install when the last chunk lands; timing is
     // carried by the bus events.
-    auto t = std::make_shared<DmaTransfer>(DmaTransfer{
-        num_chunks, std::move(done), std::move(entries), qubit});
+    tally = {num_chunks, qubit, entries, 0};
 
     for (std::uint64_t c = 0; c < num_chunks; ++c) {
         memory::MemPacket pkt;
@@ -191,28 +190,27 @@ QuantumController::dmaSetProgram(std::uint64_t host_addr,
         pkt.size = static_cast<std::uint32_t>(
             std::min<std::uint64_t>(chunk, total_bytes - c * chunk));
 
+        // Two pointers, which std::function holds without
+        // allocating.
         _bus->accessTagged(pkt,
-            [this, t](const memory::BusResponse &resp) {
+            [this, &tally](const memory::BusResponse &resp) {
                 _rbq.arrive(resp.tag, resp,
                     [this](std::uint8_t, const memory::BusResponse &r) {
                         drainSetBeat(r);
                     });
-                if (--t->remaining == 0) {
+                if (--tally.remaining == 0) {
                     // Install entries and finish when the WBQ drains.
                     const auto &layout = _cfg.layout;
-                    for (std::size_t i = 0; i < t->entries.size(); ++i) {
+                    for (std::size_t i = 0; i < tally.entries.size(); ++i) {
                         _qcc->writeProgram(
                             layout.programAddr(
-                                t->qubit, static_cast<std::uint32_t>(i)),
-                            t->entries[i]);
+                                tally.qubit, static_cast<std::uint32_t>(i)),
+                            tally.entries[i]);
                     }
                     _qcc->setProgramLength(
-                        t->qubit,
-                        static_cast<std::uint32_t>(t->entries.size()));
-                    const sim::Tick fin =
-                        std::max(curTick(), _wbqDrainFree);
-                    eventq().scheduleLambda(fin,
-                        [t, fin] { t->done(fin); }, "q_set done");
+                        tally.qubit,
+                        static_cast<std::uint32_t>(tally.entries.size()));
+                    tally.done = std::max(curTick(), _wbqDrainFree);
                 }
             },
             [this](std::uint8_t tag, sim::Tick,
@@ -290,22 +288,21 @@ QuantumController::dmaAcquire(std::uint64_t host_addr,
     }
 }
 
-void
-QuantumController::generate(std::vector<std::uint64_t> work,
-                            std::function<void(const PipelineResult &,
-                                               sim::Tick)> done)
+sim::Tick
+QuantumController::generate(const std::vector<std::uint64_t> &work)
 {
+    // The caller advances to the returned tick, where a completion
+    // event would have fired: nothing else may fire before it.
+    if (!eventq().empty())
+        sim::panic("q_gen with ", eventq().size(), " events pending");
     ++generateRuns;
-    // Shared, so the event's captures stay within its inline bytes.
-    const auto result =
-        std::make_shared<const PipelineResult>(runOrRecall(work));
-    pulsesGenerated += result->pulsesGenerated;
+    const auto &result = runOrRecall(work);
+    _qgenResult = &result;
+    pulsesGenerated += result.pulsesGenerated;
     clearStale();
-    const sim::Tick fin = clockEdge(result->cycles);
-    observeGenerate(*result, fin);
-    eventq().scheduleLambda(fin,
-        [done = std::move(done), result, fin] { done(*result, fin); },
-        "q_gen done");
+    const sim::Tick fin = clockEdge(result.cycles);
+    observeGenerate(result, fin);
+    return fin;
 }
 
 void
@@ -316,16 +313,21 @@ QuantumController::shareQgen(QgenLog *log)
     _qgenNext = 0;
 }
 
-PipelineResult
+const PipelineResult &
 QuantumController::runOrRecall(const std::vector<std::uint64_t> &work)
 {
-    if (!_qgenLog)
-        return _pipeline->run(work);
+    if (!_qgenLog) {
+        _pipeline->run(work, _ownResult);
+        return _ownResult;
+    }
     auto &log = _qgenLog->_entries;
     const auto hash = core::fnv1aWords(work.data(), work.size());
     if (!_qgenFollows) {
-        log.push_back({_pipeline->run(work), work.size(), hash});
-        return log.back().result;
+        auto &entry = log.emplace_back();
+        entry.workLen = work.size();
+        entry.workHash = hash;
+        _pipeline->run(work, entry.result);
+        return entry.result;
     }
     if (_qgenNext >= log.size() || log[_qgenNext].workLen != work.size() ||
         log[_qgenNext].workHash != hash)
@@ -428,20 +430,6 @@ QuantumController::observeGenerate(const PipelineResult &result,
     stage(2, "stage2.decode-slt", result.stage2BusyCycles);
     stage(3, "stage3.pgu-dispatch", result.stage3BusyCycles);
     stage(4, "stage4.arbiter", result.stage4BusyCycles);
-}
-
-void
-QuantumController::generateAll(
-    std::function<void(const PipelineResult &, sim::Tick)> done)
-{
-    const auto &layout = _cfg.layout;
-    std::vector<std::uint64_t> work;
-    for (std::uint32_t q = 0; q < layout.numQubits; ++q) {
-        const auto len = _qcc->programLength(q);
-        for (std::uint32_t i = 0; i < len; ++i)
-            work.push_back(layout.programAddr(q, i));
-    }
-    generate(std::move(work), std::move(done));
 }
 
 void

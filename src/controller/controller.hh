@@ -15,8 +15,8 @@
 #define QTENON_CONTROLLER_CONTROLLER_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "adi.hh"
@@ -46,9 +46,6 @@ struct ControllerConfig {
     std::uint32_t dmaChunkBytes = 64;
 };
 
-/** Completion callback carrying the finish tick. */
-using DoneCallback = std::function<void(sim::Tick)>;
-
 /**
  * A q_acquire's completion, owned by the caller and tallied by the
  * transfer's bus responses. It must stay put until they have all
@@ -59,6 +56,21 @@ struct AcquireTally {
     std::uint64_t remaining = 0;
     /** Latest chunk completion tick: the transfer's, once
      *  `remaining` is 0. */
+    sim::Tick done = 0;
+};
+
+/**
+ * A q_set's completion, owned by the caller and tallied by the
+ * transfer's bus responses. It and the entries must stay put until
+ * they have all arrived.
+ */
+struct SetTally {
+    /** Chunks whose bus response is still outstanding. */
+    std::uint64_t remaining = 0;
+    std::uint32_t qubit = 0;
+    /** The entries installed when the last chunk lands. */
+    std::span<const ProgramEntry> entries;
+    /** When the WBQ has drained, set once `remaining` is 0. */
     sim::Tick done = 0;
 };
 
@@ -168,11 +180,12 @@ class QuantumController : public sim::Clocked
      * q_set: install @p entries at the program chunk of @p qubit,
      * transferring from host memory at @p host_addr. The RBQ realigns
      * out-of-order bus responses and the WBQ staging drains into the
-     * SRAM at one 32-bit word per SRAM cycle.
+     * SRAM at one 32-bit word per SRAM cycle. The transfer fills
+     * @p tally (reset here). Allocates nothing.
      */
     void dmaSetProgram(std::uint64_t host_addr, std::uint32_t qubit,
-                       std::vector<ProgramEntry> entries,
-                       DoneCallback done);
+                       std::span<const ProgramEntry> entries,
+                       SetTally &tally);
 
     /**
      * q_acquire: transfer @p num_entries of .measure to host memory
@@ -187,14 +200,18 @@ class QuantumController : public sim::Clocked
     /** @name Computation */
     /// @{
 
-    /** q_gen over explicit work items. */
-    void generate(std::vector<std::uint64_t> work,
-                  std::function<void(const PipelineResult &,
-                                     sim::Tick)> done);
+    /**
+     * q_gen over explicit work items. Returns the finish tick; no
+     * event may be pending when it starts, so advancing to that tick
+     * is exact.
+     */
+    sim::Tick generate(const std::vector<std::uint64_t> &work);
 
     /** q_gen over every installed program entry. */
-    void generateAll(std::function<void(const PipelineResult &,
-                                        sim::Tick)> done);
+    sim::Tick generateAll() { return generate(_qcc->installedPrograms()); }
+
+    /** The last q_gen's result, valid until the next q_gen. */
+    const PipelineResult &qgenResult() const { return *_qgenResult; }
 
     /**
      * Share @p log's q_gen results (see QgenLog): lead when it is
@@ -237,19 +254,6 @@ class QuantumController : public sim::Clocked
     /// @}
 
   private:
-    /**
-     * One in-flight q_set: the state its bus chunks share, owned
-     * jointly by their callbacks.
-     */
-    struct DmaTransfer {
-        /** Chunks whose bus response is still outstanding. */
-        std::uint64_t remaining;
-        DoneCallback done;
-        /** The entries installed when the last chunk lands. */
-        std::vector<ProgramEntry> entries;
-        std::uint32_t qubit;
-    };
-
     /** Stage one q_set beat in the WBQ (RBQ in-order delivery). */
     void drainSetBeat(const memory::BusResponse &r);
 
@@ -268,7 +272,8 @@ class QuantumController : public sim::Clocked
      * The q_gen result for @p work: the pipeline's, or the shared
      * log's when this controller follows.
      */
-    PipelineResult runOrRecall(const std::vector<std::uint64_t> &work);
+    const PipelineResult &
+    runOrRecall(const std::vector<std::uint64_t> &work);
 
     /** Flush per-run q_gen obs metrics and emit per-stage spans. */
     void observeGenerate(const PipelineResult &result, sim::Tick fin);
@@ -299,6 +304,10 @@ class QuantumController : public sim::Clocked
     std::vector<std::uint64_t> _staleSummary;
     /** Lazily allocated trace-sink process id (0 = none yet). */
     std::uint32_t _tracePid = 0;
+    /** Reused by every q_gen that runs the pipeline without a log. */
+    PipelineResult _ownResult;
+    /** The last q_gen's result: _ownResult or a log entry. */
+    const PipelineResult *_qgenResult = &_ownResult;
     /** The shared q_gen log (none: every q_gen runs the pipeline). */
     QgenLog *_qgenLog = nullptr;
     /** Whether this controller recalls, and the entry it recalls

@@ -8,30 +8,21 @@ namespace qtenon::controller {
 
 PulsePipeline::PulsePipeline(QuantumControllerCache &qcc,
                              SkipLookupTable &slt, PipelineConfig cfg)
-    : _qcc(qcc), _slt(slt), _cfg(cfg)
+    : _qcc(qcc), _slt(slt), _cfg(cfg), _pgus(cfg.numPgus)
 {
     if (cfg.numPgus == 0)
         sim::fatal("pipeline needs at least one PGU");
 }
 
-PipelineResult
-PulsePipeline::runAll()
+void
+PulsePipeline::run(const std::vector<std::uint64_t> &work,
+                   PipelineResult &res)
 {
-    const auto &layout = _qcc.layout();
-    std::vector<std::uint64_t> work;
-    for (std::uint32_t q = 0; q < layout.numQubits; ++q) {
-        const auto len = _qcc.programLength(q);
-        for (std::uint32_t i = 0; i < len; ++i)
-            work.push_back(layout.programAddr(q, i));
-    }
-    return run(work);
-}
-
-PipelineResult
-PulsePipeline::run(const std::vector<std::uint64_t> &work)
-{
-    PipelineResult res;
-    res.dispatchesAtOccupancy.assign(std::size_t(_cfg.numPgus) + 1, 0);
+    // Zero the result but keep the tally's storage.
+    auto tally = std::move(res.dispatchesAtOccupancy);
+    tally.assign(std::size_t(_cfg.numPgus) + 1, 0);
+    res = PipelineResult{};
+    res.dispatchesAtOccupancy = std::move(tally);
     const auto &layout = _qcc.layout();
     const auto reads0 = _qcc.programReads.value();
     const auto writes0 = _qcc.programWrites.value();
@@ -43,18 +34,14 @@ PulsePipeline::run(const std::vector<std::uint64_t> &work)
     bool stage1_valid = false;
     InFlight stage2out{}; // awaiting a PGU in stage 3
     bool stage2_valid = false;
-    std::vector<Pgu> pgus(_cfg.numPgus);
     // Completion horizon: the busy PGU count and the earliest
     // doneCycle among busy PGUs (`never` when none is busy).
     constexpr sim::Cycles never = ~sim::Cycles(0);
     std::size_t busy = 0;
     sim::Cycles next_done = never;
-    // Pulse QAddresses currently being generated (status Pending):
-    // later entries hitting the same parameter must not re-dispatch.
-    std::vector<std::uint64_t> in_flight;
     auto is_in_flight = [&](std::uint64_t qaddr) {
-        return std::find(in_flight.begin(), in_flight.end(), qaddr) !=
-            in_flight.end();
+        return std::find(_inFlight.begin(), _inFlight.end(), qaddr) !=
+            _inFlight.end();
     };
 
     sim::Cycles cycle = 0;
@@ -68,7 +55,7 @@ PulsePipeline::run(const std::vector<std::uint64_t> &work)
         if (next_done <= cycle) {
             Pgu *done = nullptr;
             sim::Cycles following = never;
-            for (auto &p : pgus) {
+            for (auto &p : _pgus) {
                 if (!p.busy)
                     continue;
                 if (!done && p.doneCycle == next_done)
@@ -85,10 +72,10 @@ PulsePipeline::run(const std::vector<std::uint64_t> &work)
             _qcc.writePulse(done->pulseQaddr, pulseKey(e.type, data));
             e.status = EntryStatus::Valid;
             _qcc.writeProgram(done->programQaddr, e);
-            in_flight.erase(std::remove(in_flight.begin(),
-                                        in_flight.end(),
+            _inFlight.erase(std::remove(_inFlight.begin(),
+                                        _inFlight.end(),
                                         done->pulseQaddr),
-                            in_flight.end());
+                            _inFlight.end());
             done->busy = false;
             --busy;
             next_done = following;
@@ -100,9 +87,9 @@ PulsePipeline::run(const std::vector<std::uint64_t> &work)
         // ---- Stage 3: dispatch the stage-2 output to a free PGU.
         bool stall = false;
         if (stage2_valid && stage2out.readyCycle <= cycle) {
-            if (busy < pgus.size()) {
+            if (busy < _pgus.size()) {
                 // Priority encoder: lowest-numbered free PGU.
-                auto it = std::find_if(pgus.begin(), pgus.end(),
+                auto it = std::find_if(_pgus.begin(), _pgus.end(),
                                        [](const Pgu &p) {
                                            return !p.busy;
                                        });
@@ -173,7 +160,7 @@ PulsePipeline::run(const std::vector<std::uint64_t> &work)
                 if (must_generate) {
                     entry.status = EntryStatus::Pending;
                     _qcc.writeProgram(f.programQaddr, entry);
-                    in_flight.push_back(pulse_qaddr);
+                    _inFlight.push_back(pulse_qaddr);
                     f.entry = entry;
                     f.pulseQaddr = pulse_qaddr;
                     f.readyCycle = cycle + slt.cycles;
@@ -221,7 +208,6 @@ PulsePipeline::run(const std::vector<std::uint64_t> &work)
     res.programReads = _qcc.programReads.value() - reads0;
     res.programWrites = _qcc.programWrites.value() - writes0;
     res.pulseWrites = _qcc.pulseWrites.value() - pulses0;
-    return res;
 }
 
 } // namespace qtenon::controller

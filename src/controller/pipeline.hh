@@ -96,16 +96,12 @@ class PulsePipeline
 
     /**
      * Process the given .program QAddresses (one per gate needing
-     * attention) and return the cycle-level result. The QCC's
-     * program/pulse state is updated in place.
+     * attention) and overwrite @p res with the cycle-level result,
+     * reusing its storage. The QCC's program/pulse state is updated
+     * in place.
      */
-    PipelineResult run(const std::vector<std::uint64_t> &work);
-
-    /**
-     * Convenience: process every installed program entry of every
-     * qubit (a full q_gen).
-     */
-    PipelineResult runAll();
+    void run(const std::vector<std::uint64_t> &work,
+             PipelineResult &res);
 
   private:
     /** A decoded entry travelling between stages. */
@@ -129,6 +125,14 @@ class PulsePipeline
     QuantumControllerCache &_qcc;
     SkipLookupTable &_slt;
     PipelineConfig _cfg;
+    /** The PGU pool; every PGU is idle between runs. */
+    std::vector<Pgu> _pgus;
+    /**
+     * Pulse QAddresses being generated (status Pending) during a
+     * run: later entries hitting the same parameter must not
+     * re-dispatch. Empty between runs.
+     */
+    std::vector<std::uint64_t> _inFlight;
 };
 
 } // namespace qtenon::controller

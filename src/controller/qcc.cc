@@ -61,6 +61,16 @@ QuantumControllerCache::programLength(std::uint32_t qubit) const
     return _programLength[qubit];
 }
 
+std::vector<std::uint64_t>
+QuantumControllerCache::installedPrograms() const
+{
+    std::vector<std::uint64_t> work;
+    for (std::uint32_t q = 0; q < _layout.numQubits; ++q)
+        for (std::uint32_t i = 0; i < _programLength[q]; ++i)
+            work.push_back(_layout.programAddr(q, i));
+    return work;
+}
+
 void
 QuantumControllerCache::setProgramLength(std::uint32_t qubit,
                                          std::uint32_t len)

@@ -114,6 +114,10 @@ class QuantumControllerCache : public sim::Clocked
     /** Number of valid program entries installed for @p qubit. */
     std::uint32_t programLength(std::uint32_t qubit) const;
     void setProgramLength(std::uint32_t qubit, std::uint32_t len);
+
+    /** Every installed .program QAddress, qubit by qubit (a full
+     *  q_gen's work list). */
+    std::vector<std::uint64_t> installedPrograms() const;
     /// @}
 
     /** @name .pulse segment (hardware-private) */

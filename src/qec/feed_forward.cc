@@ -142,11 +142,7 @@ FeedForwardHarness::run() const
                     advanceTo(eq, ctrl.roccWrite(
                         layout.regfileAddr(reg), val));
             }
-            controller::PipelineResult pres;
-            ctrl.generate(ctrl.staleProgramEntries(),
-                          [&pres](const controller::PipelineResult &p,
-                                  sim::Tick) { pres = p; });
-            eq.run();
+            advanceTo(eq, ctrl.generate(ctrl.staleProgramEntries()));
         }
         const sim::Tick tight_elapsed = eq.curTick() - t0;
         round.tightNs = static_cast<std::uint64_t>(

@@ -30,6 +30,29 @@ QtenonExecutor::drain()
 }
 
 void
+QtenonExecutor::setPrograms(const isa::ProgramImage &image)
+{
+    // The transfers pipeline on the system bus; each fills its own
+    // tally, which stays put until the drain.
+    std::vector<controller::SetTally> tallies(image.numQubits);
+    std::uint64_t host_off = 0;
+    for (std::uint32_t q = 0; q < image.numQubits; ++q) {
+        _ctrl.dmaSetProgram(_cfg.hostProgramBase + host_off, q,
+                            image.perQubit[q], tallies[q]);
+        host_off += image.perQubit[q].size() *
+            _ctrl.config().programEntryHostBytes;
+    }
+    drain();
+    sim::Tick done = _eq.curTick();
+    for (const auto &t : tallies) {
+        if (t.remaining != 0)
+            sim::panic("q_set transfers did not drain");
+        done = std::max(done, t.done);
+    }
+    advanceTo(done);
+}
+
+void
 QtenonExecutor::observeBreakdown(const char *what,
                                  const TimeBreakdown &bd,
                                  sim::Tick start)
@@ -120,27 +143,14 @@ QtenonExecutor::installProgram(const isa::ProgramImage &image)
     }
     bd.commUpdate += _eq.curTick() - reg_t0;
 
-    // q_set every qubit's program chunk; the transfers pipeline on
-    // the system bus.
+    // q_set every qubit's program chunk.
     const sim::Tick set_t0 = _eq.curTick();
-    std::uint32_t remaining = image.numQubits;
-    std::uint64_t host_off = 0;
-    for (std::uint32_t q = 0; q < image.numQubits; ++q) {
-        _ctrl.dmaSetProgram(
-            _cfg.hostProgramBase + host_off, q, image.perQubit[q],
-            [&remaining](sim::Tick) { --remaining; });
-        host_off += image.perQubit[q].size() *
-            _ctrl.config().programEntryHostBytes;
-    }
-    drain();
-    if (remaining != 0)
-        sim::panic("q_set transfers did not drain");
+    setPrograms(image);
     bd.commSet += _eq.curTick() - set_t0;
 
     // Initial full q_gen.
     const sim::Tick gen_t0 = _eq.curTick();
-    _ctrl.generateAll([](const controller::PipelineResult &, sim::Tick) {});
-    drain();
+    advanceTo(_ctrl.generateAll());
     bd.pulseGen += _eq.curTick() - gen_t0;
 
     bd.comm = bd.commSet + bd.commUpdate;
@@ -248,29 +258,15 @@ QtenonExecutor::executeRound(const RoundRecord &round,
             _ctrl.roccWrite(layout.regfileAddr(reg), val);
 
         const sim::Tick set_t0 = _eq.curTick();
-        std::uint64_t host_off = 0;
-        for (std::uint32_t q = 0; q < image.numQubits; ++q) {
-            _ctrl.dmaSetProgram(
-                _cfg.hostProgramBase + host_off, q, image.perQubit[q],
-                [](sim::Tick) {});
-            host_off += image.perQubit[q].size() *
-                _ctrl.config().programEntryHostBytes;
-        }
-        drain();
+        setPrograms(image);
         bd.commSet += _eq.curTick() - set_t0;
     }
 
     // ---- q_gen of whatever is stale.
     const sim::Tick gen_t0 = _eq.curTick();
-    auto work = (sw.compile != CompileMode::FullRecompile)
-        ? _ctrl.staleProgramEntries()
-        : std::vector<std::uint64_t>{};
-    auto on_gen = [](const controller::PipelineResult &, sim::Tick) {};
-    if (sw.compile != CompileMode::FullRecompile)
-        _ctrl.generate(std::move(work), on_gen);
-    else
-        _ctrl.generateAll(on_gen);
-    drain();
+    advanceTo(sw.compile != CompileMode::FullRecompile
+                  ? _ctrl.generate(_ctrl.staleProgramEntries())
+                  : _ctrl.generateAll());
     bd.pulseGen += _eq.curTick() - gen_t0;
 
     // ---- q_run: shots with scheduled transmission (Algorithm 1).

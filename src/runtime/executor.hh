@@ -93,6 +93,9 @@ class QtenonExecutor
     /** Drain every pending event. */
     void drain();
 
+    /** q_set every qubit's chunk of @p image; wait for the last. */
+    void setPrograms(const isa::ProgramImage &image);
+
     /** Record @p bd into the obs breakdown histograms + a span. */
     void observeBreakdown(const char *what, const TimeBreakdown &bd,
                           sim::Tick start);

@@ -92,10 +92,7 @@ class Event
 class LambdaEvent final : public Event
 {
   public:
-    /**
-     * Inline capture budget, sized for the largest call site (the
-     * q_gen completion: a callback plus a PipelineResult).
-     */
+    /** Inline capture budget; emplace rejects larger captures. */
     static constexpr std::size_t inlineBytes = 144;
 
     ~LambdaEvent() override { clear(); }

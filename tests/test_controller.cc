@@ -56,6 +56,26 @@ struct ControllerFixture : public ::testing::Test {
     std::unique_ptr<QuantumController> ctrl;
 };
 
+/** Death tests build the fixture's controller too. */
+using ControllerDeath = ControllerFixture;
+
+/**
+ * q_set @p entries on @p qubit of @p ctrl and wait for the transfer:
+ * drain the bus, then advance to its finish, which is returned.
+ */
+Tick
+setProgram(EventQueue &eq, QuantumController &ctrl,
+           std::uint64_t host_addr, std::uint32_t qubit,
+           const std::vector<ProgramEntry> &entries)
+{
+    SetTally set;
+    ctrl.dmaSetProgram(host_addr, qubit, entries, set);
+    eq.run();
+    EXPECT_EQ(set.remaining, 0u);
+    eq.run(set.done);
+    return set.done;
+}
+
 } // namespace
 
 TEST_F(ControllerFixture, RoccWriteToRegfileTakesOneCycle)
@@ -100,10 +120,7 @@ TEST_F(ControllerFixture, RoccReadBack)
 TEST_F(ControllerFixture, DmaSetInstallsProgram)
 {
     auto entries = makeEntries(100);
-    Tick done = 0;
-    ctrl->dmaSetProgram(0x10000, 3, entries,
-                        [&](Tick t) { done = t; });
-    eq.run();
+    const Tick done = setProgram(eq, *ctrl, 0x10000, 3, entries);
     EXPECT_GT(done, 0u);
     EXPECT_EQ(ctrl->qcc().programLength(3), 100u);
     const auto &layout = ctrl->config().layout;
@@ -117,15 +134,10 @@ TEST_F(ControllerFixture, DmaSetInstallsProgram)
 TEST_F(ControllerFixture, DmaSetLargerProgramsTakeLonger)
 {
     auto small = makeEntries(10);
-    Tick t_small = 0;
-    ctrl->dmaSetProgram(0x10000, 0, small,
-                        [&](Tick t) { t_small = t; });
-    eq.run();
+    const Tick t_small = setProgram(eq, *ctrl, 0x10000, 0, small);
     const Tick start = eq.curTick();
     auto big = makeEntries(500);
-    Tick t_big = 0;
-    ctrl->dmaSetProgram(0x40000, 1, big, [&](Tick t) { t_big = t; });
-    eq.run();
+    const Tick t_big = setProgram(eq, *ctrl, 0x40000, 1, big);
     EXPECT_GT(t_big - start, t_small);
 }
 
@@ -147,16 +159,11 @@ TEST_F(ControllerFixture, GenerateProducesPulses)
 {
     const auto &layout = ctrl->config().layout;
     auto entries = makeEntries(20);
-    ctrl->dmaSetProgram(0x10000, 0, entries, [](Tick) {});
-    eq.run();
+    setProgram(eq, *ctrl, 0x10000, 0, entries);
 
-    PipelineResult res;
-    Tick done = 0;
-    ctrl->generateAll([&](const PipelineResult &r, Tick t) {
-        res = r;
-        done = t;
-    });
-    eq.run();
+    const Tick done = ctrl->generateAll();
+    eq.run(done);
+    const auto &res = ctrl->qgenResult();
     EXPECT_EQ(res.pulsesGenerated, 20u);
     EXPECT_GT(done, 0u);
     EXPECT_EQ(ctrl->pulsesGenerated.value(), 20u);
@@ -170,26 +177,21 @@ TEST_F(ControllerFixture, GenerateOnlyStaleAfterUpdate)
 {
     const auto &layout = ctrl->config().layout;
     auto entries = makeEntries(10, /*reg_flag=*/true);
-    ctrl->dmaSetProgram(0x10000, 0, entries, [](Tick) {});
-    eq.run();
+    setProgram(eq, *ctrl, 0x10000, 0, entries);
     for (std::uint32_t i = 0; i < 10; ++i)
         ctrl->linkRegfile(i % 4, layout.programAddr(0, i));
     for (std::uint32_t r = 0; r < 4; ++r)
         ctrl->roccWrite(layout.regfileAddr(r), 100 + r);
 
     // Initial full generation.
-    ctrl->generateAll([](const PipelineResult &, Tick) {});
-    eq.run();
+    eq.run(ctrl->generateAll());
 
     // One register update -> only its dependents regenerate.
     ctrl->roccWrite(layout.regfileAddr(2), 0xBEEF);
     auto stale = ctrl->staleProgramEntries();
     EXPECT_EQ(stale.size(), 2u); // entries 2 and 6 (i % 4 == 2)
-    PipelineResult res;
-    ctrl->generate(stale, [&](const PipelineResult &r, Tick) {
-        res = r;
-    });
-    eq.run();
+    eq.run(ctrl->generate(stale));
+    const auto &res = ctrl->qgenResult();
     EXPECT_EQ(res.entriesProcessed, stale.size());
     // Same new value on the same qubit: one fresh pulse, rest SLT.
     EXPECT_EQ(res.pulsesGenerated, 1u);
@@ -272,8 +274,7 @@ checkStaleListAgainstReference(EventQueue &eq, QuantumController &ctrl,
                 ctrl.roccWrite(pq, rng());
                 ref.push_back(pq);
             } else if (r < 95) {
-                ctrl.generate({}, [](const PipelineResult &, Tick) {});
-                eq.run();
+                eq.run(ctrl.generate({}));
                 ref.clear();
             } else {
                 ctrl.clearRegfileLinks();
@@ -320,20 +321,15 @@ installThenUpdate(EventQueue &eq, QuantumController &ctrl,
                   std::uint32_t reg)
 {
     const auto &layout = ctrl.config().layout;
-    ctrl.dmaSetProgram(0x10000, 0, entries, [](Tick) {});
-    eq.run();
+    setProgram(eq, ctrl, 0x10000, 0, entries);
     for (std::uint32_t i = 0; i < entries.size(); ++i)
         ctrl.linkRegfile(i % 4, layout.programAddr(0, i));
     for (std::uint32_t r = 0; r < 4; ++r)
         ctrl.roccWrite(layout.regfileAddr(r), 100 + r);
-    ctrl.generateAll([](const PipelineResult &, Tick) {});
-    eq.run();
+    eq.run(ctrl.generateAll());
     ctrl.roccWrite(layout.regfileAddr(reg), 0xBEEF);
-    PipelineResult res;
-    ctrl.generate(ctrl.staleProgramEntries(),
-                  [&](const PipelineResult &r, Tick) { res = r; });
-    eq.run();
-    return res;
+    eq.run(ctrl.generate(ctrl.staleProgramEntries()));
+    return ctrl.qgenResult();
 }
 
 } // namespace
@@ -388,4 +384,16 @@ TEST_F(ControllerFixture, QgenRecallOfAnotherWorkListPanics)
     EXPECT_DEATH(installThenUpdate(eq, follower, entries, 3),
                  "q_gen recall 1 of 2 does not match the logged work "
                  "list");
+}
+
+TEST_F(ControllerDeath, GenerateWithPendingEventPanics)
+{
+    // Returning q_gen's finish tick is exact only when nothing else
+    // can fire before it: a q_set still on the bus is refused.
+    const auto entries = makeEntries(10);
+    SetTally set;
+    ctrl->dmaSetProgram(0x10000, 0, entries, set);
+    EXPECT_DEATH(ctrl->generateAll(), "q_gen with [0-9]+ events pending");
+    eq.run();
+    EXPECT_EQ(set.remaining, 0u);
 }

@@ -253,6 +253,8 @@ struct ReplayCase {
     Tick shotDuration;
     /** Bus response-error rate (retried on the same tag); 0 = none. */
     double busError = 0;
+    /** Replay under SoftwareConfig::hardwareOnly() (keeps `sync`). */
+    bool hardwareOnly = false;
 };
 
 /**
@@ -276,6 +278,8 @@ replay(const ReplayCase &c,
 
     core::QtenonConfig cfg;
     cfg.numQubits = 8;
+    if (c.hardwareOnly)
+        cfg.software = SoftwareConfig::hardwareOnly();
     cfg.software.sync = c.sync;
     cfg.batchIntervalOverride = c.shotsPerPut;
     if (!spec.empty())
@@ -377,6 +381,21 @@ TEST(ExecutorReplayGolden, JitterTiesPutTimes)
         316, 332, 204, 316, 8248,
         289, 40, 40, 0, 45907005};
     EXPECT_EQ(replay({SyncPolicy::Fence, 2, 6, 1}), golden);
+}
+
+TEST(ExecutorReplayGolden, HardwareOnly)
+{
+    // Full recompile: every round q_sets all eight program chunks
+    // and q_gens every entry, so the round's commSet and end tick
+    // include the last transfer's WBQ drain. Recorded when each q_set
+    // finished through a completion event.
+    const ReplayFingerprint golden{
+        900000000, 7551338, 12492000,
+        41666661, 41666661, 953198999,
+        3642000, 0, 8850000,
+        664, 728, 0, 664, 1144,
+        676, 40, 40, 0, 963849999};
+    EXPECT_EQ(replay({SyncPolicy::Fence, 0, 0, 0, 0, true}), golden);
 }
 
 TEST(ExecutorReplayGolden, PutSharesTickWithBusResponse)

@@ -123,7 +123,8 @@ TEST(SltAblation, DisabledSltRegeneratesEverything)
     controller::PipelineConfig off;
     off.sltEnabled = false;
     controller::PulsePipeline pipe_off(qcc, slt, off);
-    auto r_off = pipe_off.run(work);
+    controller::PipelineResult r_off;
+    pipe_off.run(work, r_off);
     EXPECT_EQ(r_off.pulsesGenerated, 16u);
     EXPECT_EQ(r_off.sltHits, 0u);
 
@@ -134,7 +135,8 @@ TEST(SltAblation, DisabledSltRegeneratesEverything)
         qcc.writeProgram(qaddr, e);
     }
     controller::PulsePipeline pipe_on(qcc, slt);
-    auto r_on = pipe_on.run(work);
+    controller::PipelineResult r_on;
+    pipe_on.run(work, r_on);
     EXPECT_EQ(r_on.pulsesGenerated, 1u);
     EXPECT_LT(r_on.cycles, r_off.cycles);
 }

@@ -60,7 +60,8 @@ TEST_F(PipelineFixture, SingleEntryTakesPguLatencyPlusOverhead)
 {
     PulsePipeline pipe(qcc, slt);
     auto work = install(0, 1);
-    auto r = pipe.run(work);
+    PipelineResult r;
+    pipe.run(work, r);
     EXPECT_EQ(r.entriesProcessed, 1u);
     EXPECT_EQ(r.pulsesGenerated, 1u);
     EXPECT_EQ(r.sltMisses, 1u);
@@ -73,7 +74,8 @@ TEST_F(PipelineFixture, EightEntriesRunOnEightPgusInParallel)
 {
     PulsePipeline pipe(qcc, slt);
     auto work = install(0, 8);
-    auto r = pipe.run(work);
+    PipelineResult r;
+    pipe.run(work, r);
     EXPECT_EQ(r.pulsesGenerated, 8u);
     // All eight fit in the PGU pool: far less than 8 x 1000 cycles.
     EXPECT_LT(r.cycles, 2500u);
@@ -83,7 +85,8 @@ TEST_F(PipelineFixture, NinthEntryStallsOnBusyPgus)
 {
     PulsePipeline pipe(qcc, slt);
     auto work = install(0, 9);
-    auto r = pipe.run(work);
+    PipelineResult r;
+    pipe.run(work, r);
     EXPECT_EQ(r.pulsesGenerated, 9u);
     // The ninth must wait for a PGU: roughly two PGU rounds.
     EXPECT_GE(r.cycles, 2000u);
@@ -96,7 +99,8 @@ TEST_F(PipelineFixture, ThroughputScalesWithPguCount)
     PipelineConfig one;
     one.numPgus = 1;
     PulsePipeline pipe1(qcc, slt, one);
-    auto r1 = pipe1.run(work);
+    PipelineResult r1;
+    pipe1.run(work, r1);
 
     // Fresh state for the second run.
     slt.reset();
@@ -104,7 +108,8 @@ TEST_F(PipelineFixture, ThroughputScalesWithPguCount)
     PipelineConfig eight;
     eight.numPgus = 8;
     PulsePipeline pipe8(qcc, slt, eight);
-    auto r8 = pipe8.run(work);
+    PipelineResult r8;
+    pipe8.run(work, r8);
 
     EXPECT_EQ(r1.pulsesGenerated, 64u);
     EXPECT_EQ(r8.pulsesGenerated, 64u);
@@ -116,7 +121,8 @@ TEST_F(PipelineFixture, RepeatedParameterSkipsViaSlt)
     PulsePipeline pipe(qcc, slt);
     // 32 entries, all the same parameter: one pulse suffices.
     auto work = install(0, 32, /*data_base=*/123, /*distinct=*/false);
-    auto r = pipe.run(work);
+    PipelineResult r;
+    pipe.run(work, r);
     EXPECT_EQ(r.entriesProcessed, 32u);
     EXPECT_EQ(r.pulsesGenerated, 1u);
     EXPECT_EQ(r.sltHits, 31u);
@@ -135,9 +141,11 @@ TEST_F(PipelineFixture, SecondRunSkipsValidEntries)
 {
     PulsePipeline pipe(qcc, slt);
     auto work = install(0, 16);
-    auto first = pipe.run(work);
+    PipelineResult first;
+    pipe.run(work, first);
     EXPECT_EQ(first.pulsesGenerated, 16u);
-    auto second = pipe.run(work);
+    PipelineResult second;
+    pipe.run(work, second);
     EXPECT_EQ(second.pulsesGenerated, 0u);
     EXPECT_EQ(second.skippedValid, 16u);
     // Without PGU work the walk is a few cycles per entry.
@@ -157,14 +165,16 @@ TEST_F(PipelineFixture, RegfileIndirectionFetchesLiveValue)
     qcc.writeProgram(qaddr, e);
     qcc.setProgramLength(0, 1);
 
-    auto r1 = pipe.run({qaddr});
+    PipelineResult r1;
+    pipe.run({qaddr}, r1);
     EXPECT_EQ(r1.pulsesGenerated, 1u);
 
     // Same regfile value again: SLT hit, no new pulse.
     auto e2 = qcc.readProgram(qaddr);
     e2.status = EntryStatus::Invalid;
     qcc.writeProgram(qaddr, e2);
-    auto r2 = pipe.run({qaddr});
+    PipelineResult r2;
+    pipe.run({qaddr}, r2);
     EXPECT_EQ(r2.pulsesGenerated, 0u);
     EXPECT_EQ(r2.sltHits, 1u);
 
@@ -173,7 +183,8 @@ TEST_F(PipelineFixture, RegfileIndirectionFetchesLiveValue)
     auto e3 = qcc.readProgram(qaddr);
     e3.status = EntryStatus::Invalid;
     qcc.writeProgram(qaddr, e3);
-    auto r3 = pipe.run({qaddr});
+    PipelineResult r3;
+    pipe.run({qaddr}, r3);
     EXPECT_EQ(r3.pulsesGenerated, 1u);
 }
 
@@ -185,7 +196,8 @@ TEST_F(PipelineFixture, MultiQubitWorkUsesPerQubitSlts)
         auto w = install(q, 4, /*data_base=*/77, /*distinct=*/false);
         work.insert(work.end(), w.begin(), w.end());
     }
-    auto r = pipe.run(work);
+    PipelineResult r;
+    pipe.run(work, r);
     // One pulse per qubit (same parameter within a qubit).
     EXPECT_EQ(r.pulsesGenerated, 8u);
     EXPECT_EQ(r.sltHits, 24u);
@@ -196,7 +208,8 @@ TEST_F(PipelineFixture, RunAllWalksInstalledPrograms)
     PulsePipeline pipe(qcc, slt);
     install(0, 4);
     install(3, 2, 0x100000);
-    auto r = pipe.runAll();
+    PipelineResult r;
+    pipe.run(qcc.installedPrograms(), r);
     EXPECT_EQ(r.entriesProcessed, 6u);
     EXPECT_EQ(r.pulsesGenerated, 6u);
 }
@@ -204,7 +217,8 @@ TEST_F(PipelineFixture, RunAllWalksInstalledPrograms)
 TEST_F(PipelineFixture, EmptyWorkCompletesInstantly)
 {
     PulsePipeline pipe(qcc, slt);
-    auto r = pipe.run({});
+    PipelineResult r;
+    pipe.run({}, r);
     EXPECT_EQ(r.cycles, 0u);
     EXPECT_EQ(r.entriesProcessed, 0u);
 }
@@ -220,7 +234,8 @@ TEST_F(PipelineFixture, BadTypeCodePanicsAtWriteback)
     qcc.writeProgram(qaddr, e);
     qcc.setProgramLength(0, 1);
     PulsePipeline pipe(qcc, slt);
-    EXPECT_DEATH(pipe.run({qaddr}), "bad gate type code");
+    PipelineResult r;
+    EXPECT_DEATH(pipe.run({qaddr}, r), "bad gate type code");
 }
 
 TEST(Pipeline, MemoizedPulsesMatchSynthesizer)
@@ -313,7 +328,8 @@ TEST(Pipeline, MemoizedPulsesMatchSynthesizer)
         EXPECT_EQ(checked, all.size());
     };
 
-    auto full = pipe.run(all);
+    PipelineResult full;
+    pipe.run(all, full);
     EXPECT_EQ(full.entriesProcessed, all.size());
     check_linked_pulses();
 
@@ -323,7 +339,8 @@ TEST(Pipeline, MemoizedPulsesMatchSynthesizer)
         {0, 1.1}, {2, -0.4}, {0, 0.7}, {3, 2.2}, {1, 0.9}};
     for (const auto &[reg, angle] : rounds) {
         set_reg(reg, ProgramEntry::encodeAngle(angle));
-        auto r = pipe.run(dependents[reg]);
+        PipelineResult r;
+        pipe.run(dependents[reg], r);
         EXPECT_EQ(r.entriesProcessed, dependents[reg].size());
         check_linked_pulses();
     }

@@ -210,7 +210,8 @@ TEST(Property, PipelineConservesEntries)
             work.push_back(qaddr);
         }
 
-        auto r = pipe.run(work);
+        controller::PipelineResult r;
+        pipe.run(work, r);
         // Every entry is processed exactly once.
         EXPECT_EQ(r.entriesProcessed, work.size());
         // Pulses never exceed entries; hits+misses = SLT consults.
