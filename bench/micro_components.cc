@@ -3,7 +3,7 @@
  * Component microbenchmarks (google-benchmark): statevector gate
  * throughput, mean-field evolution, the shot path (raw draws,
  * mean-field sampling, cost scoring), SLT lookups, the pulse pipeline,
- * pulse-entry synthesis, QCC construction, event-queue lambda churn,
+ * pulse-entry synthesis, QCC construction, event-queue hop chains,
  * cache accesses, bus transactions, one q_run round's transmission
  * replay, a whole job on one and two hosts, and entry packing. These
  * measure simulator performance, complementing the modeled-time
@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <new>
 #include <utility>
+#include <vector>
 
 #include <benchmark/benchmark.h>
 
@@ -498,35 +499,38 @@ BM_PulseEntryForReference(benchmark::State &state)
 BENCHMARK(BM_PulseEntryForReference);
 
 static void
-BM_EventQueueLambdaChurn(benchmark::State &state)
+BM_EventQueueHopChains(benchmark::State &state)
 {
-    // Bus-like traffic: 32 chains of one-shot lambdas in flight, each
-    // rescheduling its successor a few ticks later.
-    sim::EventQueue eq;
+    // The bus's fault-path pattern: 32 owner-managed events in
+    // flight, each rescheduling itself from process() a few ticks
+    // later, as a tag's hop event does.
     constexpr int chains = 32;
     constexpr int hops = 64;
-    struct Hop {
-        sim::EventQueue *eq;
-        int left;
-        sim::Tick delay;
+    struct Hop final : public sim::Event {
+        sim::EventQueue *eq = nullptr;
+        int left = 0;
+        sim::Tick delay = 0;
         void
-        operator()() const
+        process() override
         {
-            if (left > 0)
-                eq->scheduleLambda(eq->curTick() + delay,
-                                   Hop{eq, left - 1, delay}, "hop");
+            if (--left > 0)
+                eq->schedule(this, eq->curTick() + delay);
         }
     };
+    sim::EventQueue eq;
+    std::vector<Hop> chain(chains);
     for (auto _ : state) {
-        for (int c = 0; c < chains; ++c)
-            eq.scheduleLambda(eq.curTick() + c,
-                              Hop{&eq, hops - 1, sim::Tick(7 + c % 5)},
-                              "hop");
+        for (int c = 0; c < chains; ++c) {
+            chain[c].eq = &eq;
+            chain[c].left = hops;
+            chain[c].delay = sim::Tick(7 + c % 5);
+            eq.schedule(&chain[c], eq.curTick() + c);
+        }
         eq.run();
     }
     state.SetItemsProcessed(state.iterations() * chains * hops);
 }
-BENCHMARK(BM_EventQueueLambdaChurn);
+BENCHMARK(BM_EventQueueHopChains);
 
 static void
 BM_QccConstruct(benchmark::State &state)

@@ -229,13 +229,11 @@ QuantumController::dmaSetProgram(std::uint64_t host_addr,
 void
 QuantumController::drainSetBeat(const memory::BusResponse &r)
 {
-    // Stage the beat's words in the WBQ; they drain into the SRAM one
-    // word per cycle.
+    // The beat's words queue behind the WBQ backlog and drain into
+    // the SRAM one word per cycle.
     const std::uint32_t words = (r.pkt.size + 3) / 4;
-    _wbq.enqueue(words);
     const sim::Tick start = std::max(r.completed, _wbqDrainFree);
     _wbqDrainFree = start + _sramClock.cyclesToTicks(words);
-    _wbq.drain(words);
     if (obs::metricsEnabled()) {
         static auto &wq_words = obs::counter(
             "controller.wbq.drained_words",

@@ -26,7 +26,6 @@
 #include "qcc.hh"
 #include "rbq.hh"
 #include "slt.hh"
-#include "wbq.hh"
 
 namespace qtenon::controller {
 
@@ -254,7 +253,7 @@ class QuantumController : public sim::Clocked
     /// @}
 
   private:
-    /** Stage one q_set beat in the WBQ (RBQ in-order delivery). */
+    /** Drain one q_set beat through the WBQ (RBQ in-order delivery). */
     void drainSetBeat(const memory::BusResponse &r);
 
     /**
@@ -288,8 +287,10 @@ class QuantumController : public sim::Clocked
     AdiModel _adi;
     AdiChannel _adiIn;
     ReorderBufferQueue<memory::BusResponse> _rbq;
-    WriteBufferQueue _wbq;
-    /** Analytic WBQ drain horizon (tick the staging empties). */
+    /**
+     * The Write Buffer Queue, modelled by its drain horizon: the tick
+     * its eight 32-bit lanes have emptied into the SRAM.
+     */
     sim::Tick _wbqDrainFree = 0;
     /** Dependent program entries, indexed by regfile slot. */
     std::vector<std::vector<std::uint64_t>> _regfileLinks;

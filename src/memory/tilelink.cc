@@ -24,6 +24,8 @@ TileLinkBus::TileLinkBus(sim::EventQueue &eq, std::string name,
     for (std::uint32_t t = 0; t < numTags(); ++t) {
         _inflight[t].response.bus = this;
         _inflight[t].response.tag = static_cast<std::uint8_t>(t);
+        _inflight[t].hop.bus = this;
+        _inflight[t].hop.tag = static_cast<std::uint8_t>(t);
     }
     _port = std::make_unique<TileLinkPort>(*this);
 }
@@ -224,24 +226,37 @@ TileLinkBus::issueDownstream(std::uint8_t tag, sim::Tick arrive)
 {
     // A retry re-enters the downstream device off the request
     // channel, out of issue order, so on this path every request is
-    // timed when it arrives, and its events fire where a request,
-    // a DRAM completion and a hit or fill event used to.
-    eventq().scheduleLambda(arrive,
-        [this, tag, arrive] {
-            const MemTiming t =
-                _downstream->access(_inflight[tag].pkt, arrive);
-            const auto done_at = [this, tag, done = t.done] {
-                eventq().scheduleLambda(done,
-                    [this, tag, done] { downstreamDone(tag, done); },
-                    "downstream done");
-            };
-            if (t.known == arrive)
-                done_at();
-            else
-                eventq().scheduleLambda(t.known, done_at,
-                                        "downstream known");
-        },
-        "bus request");
+    // timed when it arrives, and its hop event fires where a
+    // request, a DRAM completion and a hit or fill event used to.
+    auto &hop = _inflight[tag].hop;
+    hop.phase = HopEvent::Phase::Arrive;
+    eventq().schedule(&hop, arrive);
+}
+
+void
+TileLinkBus::hop(std::uint8_t tag)
+{
+    auto &slot = _inflight[tag];
+    auto &ev = slot.hop;
+    switch (ev.phase) {
+      case HopEvent::Phase::Arrive: {
+        const MemTiming t = _downstream->access(slot.pkt, curTick());
+        ev.done = t.done;
+        if (t.known != curTick()) {
+            ev.phase = HopEvent::Phase::Known;
+            eventq().schedule(&ev, t.known);
+            return;
+        }
+        [[fallthrough]];
+      }
+      case HopEvent::Phase::Known:
+        ev.phase = HopEvent::Phase::Done;
+        eventq().schedule(&ev, ev.done);
+        return;
+      case HopEvent::Phase::Done:
+        downstreamDone(tag, ev.done);
+        return;
+    }
 }
 
 void

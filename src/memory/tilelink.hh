@@ -143,6 +143,27 @@ class TileLinkBus : public sim::Clocked
     };
 
     /**
+     * Fault path: one tag's request on its way downstream. It fires
+     * where the request arrives, where a miss's completion is known,
+     * and where the device answers, rescheduling itself from
+     * process() (the queue clears scheduled() before calling it).
+     */
+    class HopEvent final : public sim::Event
+    {
+      public:
+        enum class Phase { Arrive, Known, Done };
+
+        void process() override { bus->hop(tag); }
+        std::string description() const override { return "bus hop"; }
+
+        TileLinkBus *bus = nullptr;
+        std::uint8_t tag = 0;
+        Phase phase = Phase::Arrive;
+        /** When the device answers; set on arrival. */
+        sim::Tick done = 0;
+    };
+
+    /**
      * An issued transaction. It holds its tag from issue to response
      * (retries included), so its state lives in the tag's slot and
      * the scheduled events carry only the tag.
@@ -161,6 +182,7 @@ class TileLinkBus : public sim::Clocked
         std::uint64_t issueStamp = 0;
         std::uint64_t responseStamp = 0;
         ResponseEvent response;
+        HopEvent hop;
     };
 
     /** Issue waiting requests while tags are free. */
@@ -193,6 +215,9 @@ class TileLinkBus : public sim::Clocked
      * (same tag) until the retry budget is spent.
      */
     void issueDownstream(std::uint8_t tag, sim::Tick arrive);
+
+    /** Fault path: the hop event on @p tag fired. */
+    void hop(std::uint8_t tag);
 
     /** Fault path: the downstream device answered on @p tag. */
     void downstreamDone(std::uint8_t tag, sim::Tick down_done);

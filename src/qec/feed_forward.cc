@@ -1,6 +1,5 @@
 #include "feed_forward.hh"
 
-#include <algorithm>
 #include <cmath>
 
 #include "core/qtenon_system.hh"
@@ -42,12 +41,11 @@ FeedForwardHarness::run() const
     core::QtenonSystem sys(qcfg);
     auto &ctrl = sys.controller();
     auto &eq = sys.eventQueue();
-    const auto &layout = ctrl.config().layout;
 
     // The correction program: one symbolic X rotation per data
     // qubit; a feed-forward correction toggles its angle between 0
-    // and pi, so delivery is exactly the q_update / q_update.v path
-    // a VQA parameter update takes.
+    // and pi, and the executor delivers it exactly as it delivers a
+    // VQA parameter update (q_update, or q_update.v per wave).
     quantum::QuantumCircuit c(code.numQubits());
     for (std::uint32_t q = 0; q < code.numData(); ++q) {
         const auto p = c.addParameter(0.0);
@@ -111,37 +109,7 @@ FeedForwardHarness::run() const
         const auto plan =
             compiler.planUpdates(image, old_angles, angles);
         if (!plan.empty()) {
-            if (_cfg.vectorIsa && image.hasWaves()) {
-                // One q_update.v spanning the changed slots of each
-                // touched wave (interior lanes carry their current
-                // values; write-if-different skips them).
-                for (const auto &wave : image.updateWaves) {
-                    std::uint32_t lo = ~std::uint32_t(0), hi = 0;
-                    for (const auto &[reg, val] : plan) {
-                        (void)val;
-                        if (!wave.contains(reg))
-                            continue;
-                        lo = std::min(lo, reg);
-                        hi = std::max(hi, reg);
-                    }
-                    if (lo > hi)
-                        continue;
-                    std::vector<std::uint32_t> values;
-                    for (std::uint32_t g = lo; g <= hi;
-                         g += wave.stride)
-                        values.push_back(ctrl.qcc().readRegfile(g));
-                    for (const auto &[reg, val] : plan) {
-                        if (reg >= lo && reg <= hi)
-                            values[(reg - lo) / wave.stride] = val;
-                    }
-                    advanceTo(eq, ctrl.roccWriteVector(
-                        layout.regfileAddr(lo), wave.stride, values));
-                }
-            } else {
-                for (const auto &[reg, val] : plan)
-                    advanceTo(eq, ctrl.roccWrite(
-                        layout.regfileAddr(reg), val));
-            }
+            sys.executor().deliverUpdates(image, plan);
             advanceTo(eq, ctrl.generate(ctrl.staleProgramEntries()));
         }
         const sim::Tick tight_elapsed = eq.curTick() - t0;

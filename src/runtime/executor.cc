@@ -119,28 +119,14 @@ QtenonExecutor::installProgram(const isa::ProgramImage &image)
         _ctrl.linkRegfile(l.reg, layout.programAddr(l.qubit, l.entry));
     }
 
-    // Initialize the regfile over RoCC: one q_update per slot, or
-    // one q_update.v per wave under the vector ISA.
+    // Initialize the regfile over RoCC with a plan writing every slot.
+    isa::UpdatePlan init;
+    init.reserve(image.regfileInit.size());
+    for (std::size_t r = 0; r < image.regfileInit.size(); ++r)
+        init.emplace_back(static_cast<std::uint32_t>(r),
+                          image.regfileInit[r]);
     const sim::Tick reg_t0 = _eq.curTick();
-    if (_cfg.software.vectorIsa && image.hasWaves()) {
-        for (const auto &w : image.updateWaves) {
-            std::vector<std::uint32_t> values;
-            values.reserve(w.count);
-            for (std::uint32_t i = 0; i < w.count; ++i)
-                values.push_back(
-                    image.regfileInit[w.baseReg + i * w.stride]);
-            const sim::Tick done = _ctrl.roccWriteVector(
-                layout.regfileAddr(w.baseReg), w.stride, values);
-            advanceTo(done);
-        }
-    } else {
-        for (std::size_t r = 0; r < image.regfileInit.size(); ++r) {
-            const sim::Tick done = _ctrl.roccWrite(
-                layout.regfileAddr(static_cast<std::uint32_t>(r)),
-                image.regfileInit[r]);
-            advanceTo(done);
-        }
-    }
+    deliverUpdates(image, init);
     bd.commUpdate += _eq.curTick() - reg_t0;
 
     // q_set every qubit's program chunk.
@@ -176,25 +162,11 @@ QtenonExecutor::executeRound(const RoundRecord &round,
     // ---- Parameter delivery. Both incremental modes take the
     // q_update path; only FullRecompile re-emits the program.
     if (sw.compile != CompileMode::FullRecompile) {
-        if (sw.vectorIsa && image.hasWaves() &&
-            !round.updates.empty()) {
-            // ---- Vector delivery: one q_update.v per touched wave.
-            // Untouched interior lanes of a wave ride along carrying
-            // their current values (the controller's write-if-
-            // different keeps them from invalidating anything).
-            struct WaveSpan {
-                std::uint32_t lo = ~std::uint32_t(0);
-                std::uint32_t hi = 0;
-            };
-            std::vector<WaveSpan> spans(image.updateWaves.size());
-            for (const auto &[reg, val] : round.updates) {
-                const auto w = image.waveOfReg(reg);
-                if (w == ~std::uint32_t(0))
-                    sim::panic("round update to regfile slot ", reg,
-                               " outside every image wave");
-                spans[w].lo = std::min(spans[w].lo, reg);
-                spans[w].hi = std::max(spans[w].hi, reg);
-            }
+        const auto spans = waveSpans(image, round.updates);
+        double prep_cycles;
+        if (spans.empty()) {
+            prep_cycles = _compiler.incrementalCycles(round.updates.size());
+        } else {
             std::size_t waves = 0, elements = 0;
             for (std::size_t w = 0; w < spans.size(); ++w) {
                 const auto &s = spans[w];
@@ -204,46 +176,17 @@ QtenonExecutor::executeRound(const RoundRecord &round,
                 elements +=
                     (s.hi - s.lo) / image.updateWaves[w].stride + 1;
             }
-            const sim::Tick prep = _cfg.host.timeFor(
-                _compiler.incrementalCyclesVector(waves, elements));
-            bd.host += prep;
-            bd.hostBusy += prep;
-            advanceTo(start + prep);
-
-            const sim::Tick upd_t0 = _eq.curTick();
-            for (std::size_t w = 0; w < spans.size(); ++w) {
-                const auto &s = spans[w];
-                if (s.lo > s.hi)
-                    continue;
-                const auto stride = image.updateWaves[w].stride;
-                std::vector<std::uint32_t> values;
-                values.reserve((s.hi - s.lo) / stride + 1);
-                for (std::uint32_t r = s.lo; r <= s.hi; r += stride)
-                    values.push_back(_ctrl.qcc().readRegfile(r));
-                for (const auto &[reg, val] : round.updates) {
-                    if (reg >= s.lo && reg <= s.hi)
-                        values[(reg - s.lo) / stride] = val;
-                }
-                const sim::Tick done = _ctrl.roccWriteVector(
-                    layout.regfileAddr(s.lo), stride, values);
-                advanceTo(done);
-            }
-            bd.commUpdate += _eq.curTick() - upd_t0;
-        } else {
-            const sim::Tick prep = _cfg.host.timeFor(
-                _compiler.incrementalCycles(round.updates.size()));
-            bd.host += prep;
-            bd.hostBusy += prep;
-            advanceTo(start + prep);
-
-            const sim::Tick upd_t0 = _eq.curTick();
-            for (const auto &[reg, val] : round.updates) {
-                const sim::Tick done =
-                    _ctrl.roccWrite(layout.regfileAddr(reg), val);
-                advanceTo(done);
-            }
-            bd.commUpdate += _eq.curTick() - upd_t0;
+            prep_cycles =
+                _compiler.incrementalCyclesVector(waves, elements);
         }
+        const sim::Tick prep = _cfg.host.timeFor(prep_cycles);
+        bd.host += prep;
+        bd.hostBusy += prep;
+        advanceTo(start + prep);
+
+        const sim::Tick upd_t0 = _eq.curTick();
+        deliverUpdates(image, round.updates, spans);
+        bd.commUpdate += _eq.curTick() - upd_t0;
     } else {
         // Full recompile + full q_set each round, as a system without
         // communication instructions would be forced to do.
@@ -405,6 +348,57 @@ QtenonExecutor::executeRound(const RoundRecord &round,
     bd.wall = _eq.curTick() - start;
     observeBreakdown("round", bd, start);
     return bd;
+}
+
+std::vector<QtenonExecutor::WaveSpan>
+QtenonExecutor::waveSpans(const isa::ProgramImage &image,
+                          const isa::UpdatePlan &updates) const
+{
+    std::vector<WaveSpan> spans;
+    if (!_cfg.software.vectorIsa || !image.hasWaves() || updates.empty())
+        return spans;
+    spans.resize(image.updateWaves.size());
+    for (const auto &[reg, val] : updates) {
+        const auto w = image.waveOfReg(reg);
+        if (w == ~std::uint32_t(0))
+            sim::panic("update to regfile slot ", reg,
+                       " outside every image wave");
+        spans[w].lo = std::min(spans[w].lo, reg);
+        spans[w].hi = std::max(spans[w].hi, reg);
+    }
+    return spans;
+}
+
+void
+QtenonExecutor::deliverUpdates(const isa::ProgramImage &image,
+                               const isa::UpdatePlan &updates,
+                               const std::vector<WaveSpan> &spans)
+{
+    const auto &layout = _ctrl.config().layout;
+    if (spans.empty()) {
+        for (const auto &[reg, val] : updates)
+            advanceTo(_ctrl.roccWrite(layout.regfileAddr(reg), val));
+        return;
+    }
+    // Untouched interior lanes of a wave ride along carrying their
+    // current values (the controller's write-if-different keeps them
+    // from invalidating anything).
+    for (std::size_t w = 0; w < spans.size(); ++w) {
+        const auto &s = spans[w];
+        if (s.lo > s.hi)
+            continue;
+        const auto stride = image.updateWaves[w].stride;
+        std::vector<std::uint32_t> values;
+        values.reserve((s.hi - s.lo) / stride + 1);
+        for (std::uint32_t r = s.lo; r <= s.hi; r += stride)
+            values.push_back(_ctrl.qcc().readRegfile(r));
+        for (const auto &[reg, val] : updates) {
+            if (reg >= s.lo && reg <= s.hi)
+                values[(reg - s.lo) / stride] = val;
+        }
+        advanceTo(_ctrl.roccWriteVector(layout.regfileAddr(s.lo), stride,
+                                        values));
+    }
 }
 
 ExecutionResult

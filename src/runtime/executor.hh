@@ -12,6 +12,7 @@
 #define QTENON_RUNTIME_EXECUTOR_HH
 
 #include <cstdint>
+#include <vector>
 
 #include "breakdown.hh"
 #include "controller/controller.hh"
@@ -86,7 +87,39 @@ class QtenonExecutor
     ExecutionResult execute(const VqaTrace &trace,
                             sim::Tick shot_duration);
 
+    /**
+     * Deliver @p updates to the regfile over RoCC, advancing time
+     * past each transfer: one q_update per update or, under the
+     * vector ISA with a wave-annotated @p image, one q_update.v per
+     * touched wave. Charges no host time. Panics on a vector-path
+     * update outside every image wave.
+     */
+    void
+    deliverUpdates(const isa::ProgramImage &image,
+                   const isa::UpdatePlan &updates)
+    {
+        deliverUpdates(image, updates, waveSpans(image, updates));
+    }
+
   private:
+    /** The regfile slots one q_update.v spans; none when lo > hi. */
+    struct WaveSpan {
+        std::uint32_t lo = ~std::uint32_t(0);
+        std::uint32_t hi = 0;
+    };
+
+    /**
+     * Per image wave, the span of the slots @p updates changes; empty
+     * when the plan goes out as scalar q_updates.
+     */
+    std::vector<WaveSpan> waveSpans(const isa::ProgramImage &image,
+                                    const isa::UpdatePlan &updates) const;
+
+    /** deliverUpdates with @p spans = waveSpans(image, updates). */
+    void deliverUpdates(const isa::ProgramImage &image,
+                        const isa::UpdatePlan &updates,
+                        const std::vector<WaveSpan> &spans);
+
     /** Advance simulated time to @p t, draining due events. */
     void advanceTo(sim::Tick t);
 

@@ -1,5 +1,7 @@
 #include "event_queue.hh"
 
+#include <memory>
+
 #include "logging.hh"
 
 namespace qtenon::sim {
@@ -12,17 +14,17 @@ Event::~Event()
 
 EventQueue::~EventQueue()
 {
-    // Drain the heap, detaching events that never fired and dropping
-    // the captures of pooled lambdas. A cancelled entry's event may
-    // already be destroyed, so only live entries are dereferenced.
+    // Drain the heap, detaching events that never fired and deleting
+    // the lambdas among them. A cancelled entry's event may already
+    // be destroyed, so only live entries are dereferenced.
     while (!_heap.empty()) {
         Entry e = _heap.top();
         _heap.pop();
         if (!_cancelled.erase(e.sequence)) {
             e.event->_scheduled = false;
             e.event->_queue = nullptr;
-            if (e.event->_pooled)
-                static_cast<LambdaEvent *>(e.event)->clear();
+            if (e.event->_queueOwned)
+                delete e.event;
         }
     }
 }
@@ -65,27 +67,6 @@ EventQueue::reschedule(Event *ev, Tick when)
     if (ev->_scheduled)
         deschedule(ev);
     schedule(ev, when);
-}
-
-LambdaEvent *
-EventQueue::acquireLambda()
-{
-    if (LambdaEvent *ev = _freeLambdas) {
-        _freeLambdas = ev->_nextFree;
-        return ev;
-    }
-    _lambdaPool.emplace_back(new LambdaEvent);
-    LambdaEvent *ev = _lambdaPool.back().get();
-    ev->_pooled = true;
-    return ev;
-}
-
-void
-EventQueue::releaseLambda(LambdaEvent *ev)
-{
-    ev->clear();
-    ev->_nextFree = _freeLambdas;
-    _freeLambdas = ev;
 }
 
 void
@@ -139,12 +120,12 @@ EventQueue::step()
     ev->_queue = nullptr;
     _curTick = e.when;
     ++_processed;
+    // A lambda is deleted once it has fired, even if it throws.
+    const std::unique_ptr<Event> lambda(ev->_queueOwned ? ev : nullptr);
     const Entry *outer = _firing;
     _firing = &e;
     ev->process();
     _firing = outer;
-    if (ev->_pooled)
-        releaseLambda(static_cast<LambdaEvent *>(ev));
     return true;
 }
 

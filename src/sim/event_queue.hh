@@ -13,8 +13,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <new>
 #include <queue>
 #include <string>
 #include <type_traits>
@@ -78,68 +76,30 @@ class Event
     std::uint64_t _sequence = 0;
     int _priority;
     bool _scheduled = false;
-    /** A queue-owned LambdaEvent, recycled after it fires. */
-    bool _pooled = false;
+    /** A LambdaEvent, deleted by the queue once it fires. */
+    bool _queueOwned = false;
     EventQueue *_queue = nullptr;
 };
 
 /**
- * A one-shot event that invokes a callable held inline. Only
- * EventQueue::scheduleLambda creates these: the queue recycles the
- * nodes through a free list, so scheduling a lambda allocates
- * nothing once the pool has warmed up.
+ * A one-shot event holding a callable. Only EventQueue::scheduleLambda
+ * creates these; the queue deletes one right after it fires, or at
+ * teardown if it never does.
  */
+template <typename F>
 class LambdaEvent final : public Event
 {
   public:
-    /** Inline capture budget; emplace rejects larger captures. */
-    static constexpr std::size_t inlineBytes = 144;
+    LambdaEvent(F fn, const char *desc, int priority)
+        : Event(priority), _fn(std::move(fn)), _desc(desc)
+    {}
 
-    ~LambdaEvent() override { clear(); }
-
-    void process() override { _invoke(_storage); }
+    void process() override { _fn(); }
     std::string description() const override { return _desc; }
 
   private:
-    friend class EventQueue;
-
-    LambdaEvent() = default;
-
-    template <typename F>
-    void
-    emplace(F &&fn, const char *desc)
-    {
-        using Fn = std::decay_t<F>;
-        static_assert(sizeof(Fn) <= inlineBytes,
-                      "lambda captures exceed LambdaEvent::inlineBytes");
-        static_assert(alignof(Fn) <= alignof(std::max_align_t),
-                      "lambda captures are over-aligned");
-        ::new (static_cast<void *>(_storage)) Fn(std::forward<F>(fn));
-        _invoke = [](void *p) { (*static_cast<Fn *>(p))(); };
-        if constexpr (std::is_trivially_destructible_v<Fn>)
-            _destroy = nullptr;
-        else
-            _destroy = [](void *p) { static_cast<Fn *>(p)->~Fn(); };
-        _desc = desc;
-    }
-
-    /** Destroy the held callable (and its captures). */
-    void
-    clear()
-    {
-        if (_destroy) {
-            auto *destroy = _destroy;
-            _destroy = nullptr;
-            destroy(_storage);
-        }
-    }
-
-    alignas(std::max_align_t) unsigned char _storage[inlineBytes];
-    void (*_invoke)(void *) = nullptr;
-    void (*_destroy)(void *) = nullptr;
-    const char *_desc = "lambda";
-    /** Next node on the queue's free list. */
-    LambdaEvent *_nextFree = nullptr;
+    F _fn;
+    const char *_desc;
 };
 
 /**
@@ -169,20 +129,19 @@ class EventQueue
     void reschedule(Event *ev, Tick when);
 
     /**
-     * Schedule a one-shot callback. The callable is stored inline in
-     * a pooled LambdaEvent and destroyed right after it fires; its
-     * ordering is exactly that of an owner-managed event scheduled
-     * at the same point. @p desc must outlive the event (pass a
-     * string literal).
+     * Schedule a one-shot callback in a queue-owned LambdaEvent,
+     * which is deleted right after it fires; its ordering is exactly
+     * that of an owner-managed event scheduled at the same point.
+     * @p desc must outlive the event (pass a string literal).
      */
     template <typename F>
     void
     scheduleLambda(Tick when, F &&fn, const char *desc = "lambda",
                    int priority = Event::defaultPrio)
     {
-        LambdaEvent *ev = acquireLambda();
-        ev->emplace(std::forward<F>(fn), desc);
-        ev->_priority = priority;
+        auto *ev = new LambdaEvent<std::decay_t<F>>(
+            std::forward<F>(fn), desc, priority);
+        ev->_queueOwned = true;
         schedule(ev, when);
     }
 
@@ -278,11 +237,6 @@ class EventQueue
      */
     void runBefore(const Entry &bound);
 
-    /** A free pooled lambda node, growing the pool when empty. */
-    LambdaEvent *acquireLambda();
-    /** Destroy a fired lambda's callable and recycle its node. */
-    void releaseLambda(LambdaEvent *ev);
-
     std::priority_queue<Entry, std::vector<Entry>, EntryCompare> _heap;
     /** Sequence numbers of descheduled entries still in the heap. */
     std::unordered_set<std::uint64_t> _cancelled;
@@ -292,10 +246,6 @@ class EventQueue
     /** The entry of the event being processed, if any. */
     const Entry *_firing = nullptr;
     std::size_t _live = 0;
-    /** Every lambda node ever created; nodes are never freed early. */
-    std::vector<std::unique_ptr<LambdaEvent>> _lambdaPool;
-    /** Intrusive LIFO list of idle lambda nodes. */
-    LambdaEvent *_freeLambdas = nullptr;
 };
 
 } // namespace qtenon::sim

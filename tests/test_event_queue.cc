@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the discrete-event kernel: ordering, same-tick
- * determinism, deschedule/reschedule, bounded runs, pooled lambda
- * events, and a differential check against a reference queue.
+ * determinism, deschedule/reschedule, bounded runs, queue-owned
+ * lambda events, and a differential check against a reference queue.
  */
 
 #include <gtest/gtest.h>
@@ -354,7 +354,7 @@ TEST(EventQueue, LambdaCapturesReleasedAfterFiringAndAtTeardown)
         // live until the queue is destroyed.
         EXPECT_EQ(*token, 1);
         EXPECT_EQ(token.use_count(), 2);
-        // Recycled nodes take new callables.
+        // A lambda scheduled after a run fires on the next.
         eq.scheduleLambda(15, [token] { ++*token; });
         eq.run(15);
         EXPECT_EQ(*token, 2);
@@ -364,7 +364,7 @@ TEST(EventQueue, LambdaCapturesReleasedAfterFiringAndAtTeardown)
 }
 
 /**
- * Differential test of the pooled queue against a reference built on
+ * Differential test of the EventQueue against a reference built on
  * std::priority_queue. A seeded corpus of schedule / deschedule /
  * reschedule / scheduleLambda calls (lambdas schedule more lambdas)
  * drives both through the same harness interface; each firing logs
@@ -411,7 +411,7 @@ priorityFrom(std::uint64_t h)
     return prios[h % 6];
 }
 
-/** The pooled EventQueue behind the harness interface. */
+/** The EventQueue behind the harness interface. */
 class PooledHarness
 {
   public:

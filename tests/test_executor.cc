@@ -56,6 +56,40 @@ makeTrace(std::uint32_t n, std::uint32_t rounds,
     return trace;
 }
 
+/**
+ * A vector-packed trace on 8 qubits: a 20-layer hardware-efficient
+ * ansatz has 160 parameters, so its regfile spans three q_update.v
+ * waves, and each round changes parameters in every wave (with
+ * untouched slots between them).
+ */
+VqaTrace
+makeVectorTrace(std::uint32_t rounds)
+{
+    const auto c = quantum::ansatz::hardwareEfficient(8, 20);
+    isa::PipelineConfig pipe;
+    pipe.vectorIsa = true;
+    isa::QtenonCompiler comp(isa::CompilerCostModel{}, pipe);
+
+    VqaTrace trace;
+    trace.numQubits = 8;
+    trace.image = comp.compile(c);
+
+    auto params = c.parameters();
+    for (std::uint32_t r = 0; r < rounds; ++r) {
+        auto next = params;
+        for (std::uint32_t u : {3u, 9u, 70u, 100u, 131u, 159u})
+            next[(u + 7 * r) % next.size()] += 0.01 * (r + 1);
+        RoundRecord round;
+        round.updates = comp.planUpdates(trace.image, params, next);
+        round.shots = 200;
+        round.postOpsPerShot = 40;
+        round.optimizerOps = 100;
+        params = next;
+        trace.rounds.push_back(std::move(round));
+    }
+    return trace;
+}
+
 Tick
 shotDur(std::uint32_t n)
 {
@@ -255,15 +289,33 @@ struct ReplayCase {
     double busError = 0;
     /** Replay under SoftwareConfig::hardwareOnly() (keeps `sync`). */
     bool hardwareOnly = false;
+    /** Replay makeVectorTrace under software.vectorIsa. */
+    bool vectorIsa = false;
 };
+
+/** The controller's RoCC counters after a replay. */
+struct RoccCounts {
+    std::uint64_t transfers = 0;
+    std::uint64_t vectorElements = 0;
+
+    bool operator==(const RoccCounts &) const = default;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const RoccCounts &r)
+{
+    return os << "{" << r.transfers << ", " << r.vectorElements << "}";
+}
 
 /**
  * Replay @p c; with @p faults, also export the injector's counters
- * (`fault.<site>.<kind>`) into it.
+ * (`fault.<site>.<kind>`) into it, and with @p rocc the controller's
+ * RoCC counters.
  */
 ReplayFingerprint
 replay(const ReplayCase &c,
-       std::map<std::string, double> *faults = nullptr)
+       std::map<std::string, double> *faults = nullptr,
+       RoccCounts *rocc = nullptr)
 {
     const bool metrics_were_on = obs::metricsEnabled();
     obs::setMetricsEnabled(true);
@@ -281,11 +333,12 @@ replay(const ReplayCase &c,
     if (c.hardwareOnly)
         cfg.software = SoftwareConfig::hardwareOnly();
     cfg.software.sync = c.sync;
+    cfg.software.vectorIsa = c.vectorIsa;
     cfg.batchIntervalOverride = c.shotsPerPut;
     if (!spec.empty())
         cfg.injector = &inj;
     core::QtenonSystem sys(cfg);
-    auto trace = makeTrace(8, 3, 2);
+    auto trace = c.vectorIsa ? makeVectorTrace(3) : makeTrace(8, 3, 2);
     const auto res = sys.executor().execute(
         trace, c.shotDuration ? c.shotDuration : shotDur(8));
 
@@ -304,6 +357,10 @@ replay(const ReplayCase &c,
         sys.eventQueue().curTick()};
     if (faults)
         inj.exportCounters(*faults);
+    if (rocc) {
+        *rocc = {sys.controller().roccTransfers.value(),
+                 sys.controller().roccVectorElements.value()};
+    }
     obs::setMetricsEnabled(metrics_were_on);
     return f;
 }
@@ -457,4 +514,38 @@ TEST(ExecutorReplayGolden, FenceBatchedBusRetries)
     EXPECT_EQ(replay({SyncPolicy::Fence, 0, 0, 0, 0.3}, &faults),
               golden);
     EXPECT_EQ(faults, busRetryFaults);
+}
+
+TEST(ExecutorReplayGolden, VectorIsa)
+{
+    // The install initializes the regfile with one q_update.v per
+    // wave; each round's updates span all three waves, so it sends
+    // three q_update.v whose interior lanes carry current values.
+    const ReplayFingerprint golden{
+        900000000, 3924000, 479669,
+        2012997, 27309996, 906029666,
+        0, 92669, 387000,
+        163, 320, 56, 163, 2647,
+        118, 109, 109, 0, 933726666};
+    RoccCounts rocc;
+    EXPECT_EQ(replay({SyncPolicy::FineGrained, 0, 0, 0, 0, false, true},
+                     nullptr, &rocc),
+              golden);
+    EXPECT_EQ(rocc, (RoccCounts{12, 313}));
+}
+
+TEST(ExecutorDeath, RoundUpdateOutsideEveryWavePanics)
+{
+    core::QtenonConfig cfg;
+    cfg.numQubits = 8;
+    cfg.software.vectorIsa = true;
+    core::QtenonSystem sys(cfg);
+    auto trace = makeVectorTrace(1);
+    const auto slots =
+        static_cast<std::uint32_t>(trace.image.regfileInit.size());
+    trace.rounds[0].updates.push_back({slots + 4, 1});
+    sys.executor().installProgram(trace.image);
+    EXPECT_DEATH(sys.executor().executeRound(trace.rounds[0],
+                                             trace.image, shotDur(8)),
+                 "outside every image wave");
 }

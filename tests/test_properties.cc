@@ -14,7 +14,6 @@
 #include "controller/pipeline.hh"
 #include "controller/program_entry.hh"
 #include "controller/rbq.hh"
-#include "controller/wbq.hh"
 #include "isa/compiler.hh"
 #include "isa/pass/pass_manager.hh"
 #include "isa/pass/swap_routing.hh"
@@ -92,31 +91,6 @@ TEST(Property, RbqReleasesInIssueOrderForAnyPermutation)
         ASSERT_EQ(released.size(), static_cast<std::size_t>(n));
         EXPECT_TRUE(std::is_sorted(released.begin(), released.end()));
         EXPECT_EQ(rbq.pending(), 0u);
-    }
-}
-
-// ---------------------------------------------------------------
-// WBQ: words in == words out (conservation).
-
-TEST(Property, WbqConservesWords)
-{
-    Rng rng(43);
-    for (int trial = 0; trial < 30; ++trial) {
-        controller::WriteBufferQueue wbq(8, 64);
-        std::uint64_t in = 0;
-        std::uint64_t out = 0;
-        for (int step = 0; step < 200; ++step) {
-            const auto words =
-                static_cast<std::uint32_t>(1 + rng.index(8));
-            if (wbq.enqueue(words))
-                in += words;
-            out += wbq.drain(static_cast<std::uint32_t>(rng.index(4)));
-        }
-        out += wbq.drain(10000);
-        EXPECT_EQ(in, out);
-        EXPECT_EQ(wbq.occupancy(), 0u);
-        EXPECT_EQ(wbq.enqueuedWords(), in);
-        EXPECT_EQ(wbq.drainedWords(), out);
     }
 }
 

@@ -1,8 +1,7 @@
 /**
  * @file
  * Tests for the RBQ (in-order release of out-of-order responses),
- * the WBQ (width bridging), the soft memory barrier, and the ADI
- * bandwidth arithmetic.
+ * the soft memory barrier, and the ADI bandwidth arithmetic.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +16,6 @@
 #include "controller/adi.hh"
 #include "controller/barrier.hh"
 #include "controller/rbq.hh"
-#include "controller/wbq.hh"
 
 using namespace qtenon::controller;
 using qtenon::sim::nsTicks;
@@ -81,48 +79,6 @@ TEST(Rbq, TracksMaxOccupancy)
     for (std::uint8_t t = 0; t < 12; ++t)
         rbq.expect(t);
     EXPECT_EQ(rbq.maxOccupancy(), 12u);
-}
-
-TEST(Wbq, EnqueueSpreadsAcrossLanes)
-{
-    WriteBufferQueue wbq(8, 16);
-    EXPECT_TRUE(wbq.enqueue(8)); // one full beat = 8 words
-    EXPECT_EQ(wbq.occupancy(), 8u);
-    for (std::uint32_t l = 0; l < 8; ++l)
-        EXPECT_EQ(wbq.laneOccupancy(l), 1u);
-}
-
-TEST(Wbq, DrainsRequestedWords)
-{
-    WriteBufferQueue wbq;
-    wbq.enqueue(8);
-    EXPECT_EQ(wbq.drain(3), 3u);
-    EXPECT_EQ(wbq.occupancy(), 5u);
-    EXPECT_EQ(wbq.drain(10), 5u); // only what remains
-    EXPECT_EQ(wbq.occupancy(), 0u);
-    EXPECT_EQ(wbq.drainedWords(), 8u);
-}
-
-TEST(Wbq, RejectsWhenLaneFull)
-{
-    WriteBufferQueue wbq(8, 2); // shallow lanes
-    EXPECT_TRUE(wbq.enqueue(8));
-    EXPECT_TRUE(wbq.enqueue(8));
-    EXPECT_FALSE(wbq.enqueue(8)); // every lane at depth 2
-    EXPECT_EQ(wbq.fullRejects(), 1u);
-    wbq.drain(8);
-    EXPECT_TRUE(wbq.enqueue(8));
-}
-
-TEST(Wbq, PartialBeatsRotateLanes)
-{
-    WriteBufferQueue wbq(8, 16);
-    wbq.enqueue(3); // lanes 0..2
-    wbq.enqueue(3); // lanes 3..5
-    EXPECT_EQ(wbq.laneOccupancy(0), 1u);
-    EXPECT_EQ(wbq.laneOccupancy(3), 1u);
-    EXPECT_EQ(wbq.laneOccupancy(6), 0u);
-    EXPECT_EQ(wbq.enqueuedWords(), 6u);
 }
 
 TEST(Barrier, UnsyncedUntilMarked)

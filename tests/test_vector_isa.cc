@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <bit>
 #include <map>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -502,6 +503,65 @@ TEST(FeedForward, MeasurementsInvariantUnderVectorIsa)
     EXPECT_LT(vector.roccTransfers, scalar.roccTransfers);
     EXPECT_GT(vector.roccVectorElements, 0u);
     EXPECT_EQ(scalar.roccVectorElements, 0u);
+}
+
+namespace {
+
+/** Per-round tight-path latencies and the RoCC counters of a run. */
+struct TightPath {
+    std::vector<std::uint64_t> tightNs;
+    std::uint64_t roccTransfers = 0;
+    std::uint64_t roccVectorElements = 0;
+
+    bool operator==(const TightPath &) const = default;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const TightPath &t)
+{
+    os << "{{";
+    for (std::size_t i = 0; i < t.tightNs.size(); ++i)
+        os << (i ? ", " : "") << t.tightNs[i];
+    return os << "}, " << t.roccTransfers << ", "
+              << t.roccVectorElements << "}";
+}
+
+TightPath
+tightPath(const qec::FeedForwardConfig &cfg)
+{
+    const auto res = qec::FeedForwardHarness(cfg).run();
+    TightPath t;
+    for (const auto &r : res.rounds)
+        t.tightNs.push_back(r.tightNs);
+    t.roccTransfers = res.roccTransfers;
+    t.roccVectorElements = res.roccVectorElements;
+    return t;
+}
+
+} // namespace
+
+TEST(FeedForward, TightPathGolden)
+{
+    // The corrections' delivery pinned tick for tick: scalar
+    // q_update, and q_update.v, on a distance-5 code (one wave) and a
+    // distance-70 code (70 correction slots, so two waves).
+    const TightPath scalar{
+        {1460, 1356, 291, 291, 1358, 295, 295, 1356}, 13, 0};
+    const TightPath vector{
+        {1461, 1357, 291, 291, 1358, 296, 296, 1357}, 7, 14};
+    EXPECT_EQ(tightPath(smallQec(false)), scalar);
+    EXPECT_EQ(tightPath(smallQec(true)), vector);
+
+    const TightPath wide_scalar{
+        {4566, 4574, 4448, 4262, 4324, 4389, 4512, 4452}, 106, 0};
+    const TightPath wide_vector{
+        {4579, 4592, 4475, 4263, 4326, 4406, 4536, 4480}, 11, 380};
+    auto wide = smallQec(false);
+    wide.distance = 70;
+    wide.dataErrorRate = 0.05;
+    EXPECT_EQ(tightPath(wide), wide_scalar);
+    wide.vectorIsa = true;
+    EXPECT_EQ(tightPath(wide), wide_vector);
 }
 
 TEST(FeedForward, VqaReplayDistributionInvariantUnderVectorIsa)
