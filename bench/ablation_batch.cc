@@ -52,11 +52,13 @@ main(int argc, char **argv)
     struct Plan {
         std::uint32_t n;
         std::vector<std::uint64_t> ks;
-        std::vector<service::JobHandle> handles;
+        /** The plan's first job in handles. */
+        std::size_t first;
     };
     std::vector<Plan> plans;
+    std::vector<service::JobHandle> handles;
     for (auto n : sizes) {
-        Plan plan{n, kValues(n), {}};
+        Plan plan{n, kValues(n), handles.size()};
 
         auto proto =
             cli.job(vqa::Algorithm::Vqe, vqa::OptimizerKind::Spsa, n);
@@ -73,15 +75,15 @@ main(int argc, char **argv)
                                   s.qtenon.batchIntervalOverride = k;
                               }});
         }
-        plan.handles = sched.submitAll(
-            service::Sweep("ablation-batch")
-                .base(std::move(proto))
-                .qubits({n})
-                .axis(std::move(k_axis))
-                .build());
+        for (auto &spec : service::Sweep("ablation-batch")
+                              .base(std::move(proto))
+                              .qubits({n})
+                              .axis(std::move(k_axis))
+                              .build())
+            handles.push_back(sched.submit(std::move(spec)));
         plans.push_back(std::move(plan));
     }
-    auto &store = sched.wait();
+    const auto store = service::collect(handles);
 
     for (const auto &plan : plans) {
         const std::uint64_t algo1 =
@@ -91,7 +93,7 @@ main(int argc, char **argv)
         std::printf("%8s %16s %16s\n", "K", "bus txns",
                     "acquire time");
         for (std::size_t i = 0; i < plan.ks.size(); ++i) {
-            const auto r = okResult(store, plan.handles[i].id);
+            const auto r = okResult(store, handles[plan.first + i].id);
             const auto &sys = r.systems.at(0);
             std::printf("%8llu %16.0f %16s %s\n",
                         static_cast<unsigned long long>(plan.ks[i]),
@@ -104,6 +106,6 @@ main(int argc, char **argv)
     std::printf("\nexpectation: transactions fall ~1/K until one "
                 "batch fills a bus chunk; Algorithm 1's K sits at "
                 "that knee\n");
-    cli.finish(sched);
+    cli.finish(sched, store);
     return 0;
 }

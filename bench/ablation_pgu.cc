@@ -43,7 +43,7 @@ main(int argc, char **argv)
                                        .qubits({sizes.front()})
                                        .axis(std::move(pgu_axis))
                                        .build());
-    auto &store = sched.wait();
+    const auto store = service::collect(handles);
 
     std::printf("%6s %16s %18s %14s\n", "#PGUs", "initial q_gen",
                 "per-round pulse", "round wall");
@@ -66,6 +66,6 @@ main(int argc, char **argv)
     std::printf("\nexpectation: initial generation scales ~1/PGUs "
                 "until the pipeline front-end bounds it; incremental "
                 "rounds saturate early because few pulses change\n");
-    cli.finish(sched);
+    cli.finish(sched, store);
     return 0;
 }

@@ -53,6 +53,8 @@ routingJob(const SweepCli &cli, vqa::Algorithm alg, std::uint32_t n)
             w.circuit, quantum::CouplingMap::grid(rows, cols));
         const auto grd_t = timing.schedule(grd.circuit).duration;
 
+        // Routing runs no optimizer.
+        ctx.result.optimizer = "none";
         auto &m = ctx.result.metrics;
         m["all2all_ps"] = static_cast<double>(base);
         m["linear_ps"] = static_cast<double>(lin_t);
@@ -82,7 +84,7 @@ main(int argc, char **argv)
         for (auto n : sizes)
             handles.push_back(sched.submit(routingJob(cli, alg, n)));
     }
-    auto &store = sched.wait();
+    const auto store = service::collect(handles);
 
     std::printf("%-6s %4s %10s %34s %34s\n", "algo", "n", "all2all",
                 "linear chain", "square grid");
@@ -117,6 +119,6 @@ main(int argc, char **argv)
                 "neighbour (no swaps); QAOA's chord edges pay "
                 "routing cost on sparse maps, inflating the quantum "
                 "term the paper's all-to-all assumption hides\n");
-    cli.finish(sched);
+    cli.finish(sched, store);
     return 0;
 }

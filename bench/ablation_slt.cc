@@ -62,7 +62,7 @@ main(int argc, char **argv)
                                        .qubits({n})
                                        .axis(std::move(slt_axis))
                                        .build());
-    auto &store = sched.wait();
+    const auto store = service::collect(handles);
 
     std::printf("%-22s %10s %10s %12s %12s\n", "configuration",
                 "pulses", "hit rate", "pulse time", "rounds wall");
@@ -86,6 +86,6 @@ main(int argc, char **argv)
                 "pulses by the per-qubit parameter reuse factor; the "
                 "paper's 2x128 geometry already captures nearly all "
                 "reuse\n");
-    cli.finish(sched);
+    cli.finish(sched, store);
     return 0;
 }

@@ -121,31 +121,37 @@ struct RerunChecked {
     bool rerunMatches = false;
 };
 
+/** A batch run by runWithRerun. */
+struct RerunBatch {
+    /** The first run's results (what --json exports). */
+    service::ResultsStore store;
+    /** Each job, in submission order. */
+    std::vector<RerunChecked> jobs;
+};
+
 /**
  * Run the jobs @p build makes on @p sched, then a fresh copy of them
  * on one worker (otherwise configured as @p cfg), and compare each
- * job's digestToMetrics digest across the two runs. Results come
- * back in submission order; a job of either run that is not Ok is
- * fatal.
+ * job's digestToMetrics digest across the two runs. A job of either
+ * run that is not Ok is fatal.
  */
-inline std::vector<RerunChecked>
+inline RerunBatch
 runWithRerun(service::BatchScheduler &sched,
              service::SchedulerConfig cfg,
              const std::function<std::vector<service::JobSpec>()> &build)
 {
     const auto handles = sched.submitAll(build());
-    const auto &store = sched.wait();
+    RerunBatch out{service::collect(handles), {}};
     cfg.workers = 1;
     service::BatchScheduler rerun(cfg);
     const auto rerunHandles = rerun.submitAll(build());
-    const auto &rerunStore = rerun.wait();
-    std::vector<RerunChecked> out;
+    const auto rerunStore = service::collect(rerunHandles);
     for (std::size_t i = 0; i < handles.size(); ++i) {
-        auto r = okResult(store, handles[i].id);
+        auto r = okResult(out.store, handles[i].id);
         const auto rr = okResult(rerunStore, rerunHandles[i].id);
         const bool matches = digestFromMetrics(r.metrics) ==
             digestFromMetrics(rr.metrics);
-        out.push_back({std::move(r), matches});
+        out.jobs.push_back({std::move(r), matches});
     }
     return out;
 }

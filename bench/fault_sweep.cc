@@ -66,7 +66,7 @@ main(int argc, char **argv)
 
     service::BatchScheduler sched(cli.schedulerConfig());
     auto handles = sched.submitAll(std::move(specs));
-    auto &store = sched.wait();
+    const auto store = service::collect(handles);
 
     std::size_t next = 0;
     for (const auto q : sizes) {
@@ -97,6 +97,6 @@ main(int argc, char **argv)
         }
     }
 
-    cli.finish(sched);
+    cli.finish(sched, store);
     return 0;
 }

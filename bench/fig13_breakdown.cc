@@ -127,10 +127,11 @@ main(int argc, char **argv)
             return exec.total();
         });
 
-    sched.wait();
+    const service::JobHandle handles[] = {ha, hb, hc};
+    const auto store = service::collect(handles);
     auto totalOf = [&](const service::JobHandle &h,
                        const char *label) {
-        const auto r = okResult(sched.results(), h.id);
+        const auto r = okResult(store, h.id);
         const auto *run = r.system(label);
         if (!run)
             sim::fatal("job '", r.name, "' is missing its run");
@@ -185,6 +186,6 @@ main(int argc, char **argv)
                 "pulse 3.7%%]\n"
                 "       (c) 18.1 ms [quantum 89.2%%, host 7%%, pulse "
                 "3.7%%]\n");
-    cli.finish(sched);
+    cli.finish(sched, store);
     return 0;
 }

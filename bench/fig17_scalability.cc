@@ -55,9 +55,12 @@ main(int argc, char **argv)
                          .build();
 
     service::BatchScheduler sched(cli.schedulerConfig());
-    auto scaling = sched.submitAll(std::move(scaling_jobs));
-    auto core_scan = sched.submitAll(std::move(core_jobs));
-    auto &store = sched.wait();
+    // The scaling jobs, then the core scan.
+    auto handles = sched.submitAll(std::move(scaling_jobs));
+    const std::size_t num_scaling = handles.size();
+    for (auto &spec : core_jobs)
+        handles.push_back(sched.submit(std::move(spec)));
+    const auto store = service::collect(handles);
 
     std::size_t next = 0;
     for (auto alg : {vqa::Algorithm::Qaoa, vqa::Algorithm::Vqe}) {
@@ -69,7 +72,7 @@ main(int argc, char **argv)
         runtime::TimeBreakdown breakdown256;
         bool have256 = false;
         for (auto n : sizes) {
-            const auto r = okResult(store, scaling[next++].id);
+            const auto r = okResult(store, handles[next++].id);
             const auto bd = r.systems.at(0).total;
             if (n == sizes.front())
                 base64 = bd;
@@ -99,8 +102,8 @@ main(int argc, char **argv)
 
     banner("Sec. 7.5: more host cores at 256 qubits (VQE + SPSA)");
     std::printf("%8s %14s %12s\n", "#cores", "host busy", "wall");
-    for (std::size_t i = 0; i < core_scan.size(); ++i) {
-        const auto r = okResult(store, core_scan[i].id);
+    for (std::size_t i = 0; i + num_scaling < handles.size(); ++i) {
+        const auto r = okResult(store, handles[num_scaling + i].id);
         const auto bd = r.systems.at(0).total;
         std::printf("%8u %14s %12s\n", 1u << i,
                     core::formatTime(bd.hostBusy).c_str(),
@@ -110,6 +113,6 @@ main(int argc, char **argv)
     std::printf("\npaper: 320q comm 12.5 us (QAOA) / 34.4 us (VQE); "
                 "host 11.8 ms / 6.4 ms;\n256q quantum share 77.5%% / "
                 "76%%, comm below 0.1%%\n");
-    cli.finish(sched);
+    cli.finish(sched, store);
     return 0;
 }

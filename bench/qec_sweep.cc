@@ -134,6 +134,10 @@ buildJobs(const Config &cfg, const SweepCli &cli)
                 const auto res = harness.run();
 
                 auto &r = ctx.result;
+                // The spec's workload only carries the options; the
+                // row names what the job ran.
+                r.algorithm = "repetition-code";
+                r.optimizer = "none";
                 r.rounds = res.rounds.size();
                 r.metrics["loss"] = loss;
                 r.metrics["vector"] = vec ? 1.0 : 0.0;
@@ -217,7 +221,7 @@ main(int argc, char **argv)
                 cfg.dataErrorRate);
 
     service::BatchScheduler sched(cli.schedulerConfig());
-    const auto results = runWithRerun(
+    const auto batch = runWithRerun(
         sched, cli.schedulerConfig(),
         [&] { return buildJobs(cfg, cli); });
 
@@ -228,7 +232,7 @@ main(int argc, char **argv)
     std::size_t idx = 0;
     for (auto loss : cfg.losses) {
         for (bool vec : {false, true}) {
-            const auto &[r, rerunMatches] = results[idx++];
+            const auto &[r, rerunMatches] = batch.jobs[idx++];
             Row row;
             row.loss = loss;
             row.vector = vec;
@@ -367,6 +371,6 @@ main(int argc, char **argv)
     art.criterion("vector_reduces_rocc", vectorReducesRocc);
     art.criterion("vector_moves_elements", vectorMovesElements);
     const int rc = art.finish(cfg.outPath, cfg.smoke);
-    cli.finish(sched);
+    cli.finish(sched, batch.store);
     return rc;
 }

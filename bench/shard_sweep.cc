@@ -261,7 +261,7 @@ main(int argc, char **argv)
                 cfg.qubits.back());
 
     service::BatchScheduler sched(cli.schedulerConfig());
-    const auto results = runWithRerun(
+    const auto batch = runWithRerun(
         sched, cli.schedulerConfig(),
         [&] { return buildJobs(cfg, cli); });
 
@@ -277,7 +277,7 @@ main(int argc, char **argv)
     for (auto n : cfg.qubits) {
         for (auto k : cfg.shards) {
             for (auto loss : cfg.losses) {
-                const auto &[r, rerunMatches] = results[idx++];
+                const auto &[r, rerunMatches] = batch.jobs[idx++];
                 Row row;
                 row.qubits = n;
                 row.shards = k;
@@ -420,6 +420,6 @@ main(int argc, char **argv)
     art.criterion("faults_injected", faultsInjected);
     std::printf("\n");
     const int rc = art.finish(cfg.outPath, cfg.smoke);
-    cli.finish(sched);
+    cli.finish(sched, batch.store);
     return rc;
 }

@@ -79,7 +79,7 @@ printSpeedupFigure(vqa::OptimizerKind opt, const SweepCli &cli)
 
     service::BatchScheduler sched(cli.schedulerConfig());
     auto handles = sched.submitAll(speedupJobs(opt, sizes, cli));
-    auto &store = sched.wait();
+    const auto store = service::collect(handles);
 
     const vqa::Algorithm algos[] = {vqa::Algorithm::Qaoa,
                                     vqa::Algorithm::Vqe,
@@ -110,7 +110,7 @@ printSpeedupFigure(vqa::OptimizerKind opt, const SweepCli &cli)
                         static_cast<double>(sizes.size()),
                     max_e2e);
     }
-    cli.finish(sched);
+    cli.finish(sched, store);
 }
 
 } // namespace qtenon::bench

@@ -147,9 +147,11 @@ struct SweepCli {
         return qubits.empty() ? std::move(fallback) : qubits;
     }
 
-    /** Write the store to --json (if given) and report metrics. */
+    /** Write @p store, the batch's results, to --json (if given)
+     *  and report @p sched's metrics. */
     void
-    finish(const service::BatchScheduler &sched) const
+    finish(const service::BatchScheduler &sched,
+           const service::ResultsStore &store) const
     {
         const auto m = sched.metrics();
         std::printf("\nscheduler: %zu jobs on %u workers in %.2f s "
@@ -166,7 +168,7 @@ struct SweepCli {
             if (!os)
                 sim::fatal("cannot open --json path '", jsonPath,
                            "'");
-            sched.results().toJson(os);
+            store.toJson(os);
             std::printf("results exported to %s\n",
                         jsonPath.c_str());
         }

@@ -2,9 +2,9 @@
  * @file
  * Batch experiment service quickstart: build an 8-job sweep (2
  * algorithms x 2 optimizers x 2 sizes) with the Sweep builder, fan
- * it out on a BatchScheduler worker pool, then read the aggregated
- * ResultsStore and the scheduler's own wall-clock metrics, and
- * export everything as JSON.
+ * it out on a BatchScheduler worker pool, then collect the futures
+ * into a ResultsStore, read it and the scheduler's own wall-clock
+ * metrics, and export everything as JSON.
  *
  *   ./build/examples/batch_sweep            # QTENON_JOBS or all cores
  *   QTENON_JOBS=2 ./build/examples/batch_sweep
@@ -49,8 +49,8 @@ main()
                 first.name.c_str(), first.finalCost,
                 static_cast<unsigned long long>(first.rounds));
 
-    // ... and wait() returns the aggregated, job-id-ordered store.
-    auto &store = sched.wait();
+    // ... and collect() gathers them into a job-id-ordered store.
+    const auto store = service::collect(handles);
 
     std::printf("\n%-16s %8s %10s %12s %12s %10s\n", "job", "status",
                 "final", "sim ticks", "wall [ms]", "e2e wall");
@@ -73,7 +73,8 @@ main()
                 static_cast<double>(m.totalJobWallNs) / 1e9,
                 m.speedup());
 
-    // 4. JSON export round-trips through ResultsStore::fromJson.
+    // 4. JSON export round-trips through
+    //    ResultsStore::fromJsonString.
     const auto json = store.toJsonString();
     const auto reread = service::ResultsStore::fromJsonString(json);
     std::printf("JSON export: %zu bytes, %zu results after "

@@ -2,12 +2,13 @@
  * @file
  * The unified link-model API.
  *
- * The repository grew three classical-quantum link models with three
- * ad-hoc interfaces: `baseline::EthernetLink` (analytic UDP/Ethernet
+ * The classical-quantum links that carry messages share one surface,
+ * `link::Channel`: `baseline::EthernetLink` (analytic UDP/Ethernet
  * one-way latency), `controller::AdiModel` (analog-digital interface
- * bandwidth + latency arithmetic), and `memory::TileLinkBus` (an
- * event-driven bus). `link::Channel` is the one surface they now
- * share:
+ * bandwidth + latency arithmetic) and the inter-chip links of
+ * `shard/interchip.hh`. (`memory::TileLinkBus` is an event-driven
+ * bus that times its own transactions; it takes a fault injector at
+ * site "bus" directly.) The surface:
  *
  *   - `transferLatency(bytes)` — the pure latency model (virtual;
  *     each adapter delegates to its wrapped model);

@@ -27,7 +27,6 @@ TileLinkBus::TileLinkBus(sim::EventQueue &eq, std::string name,
         _inflight[t].hop.bus = this;
         _inflight[t].hop.tag = static_cast<std::uint8_t>(t);
     }
-    _port = std::make_unique<TileLinkPort>(*this);
 }
 
 TileLinkBus::~TileLinkBus()
@@ -45,7 +44,8 @@ void
 TileLinkBus::attachInjector(fault::FaultInjector *inj,
                             fault::RetryPolicy retry)
 {
-    _port->attachInjector(inj);
+    _inj = inj;
+    _site = inj ? inj->site("bus") : 0;
     _retry = retry;
 }
 
@@ -135,13 +135,11 @@ TileLinkBus::issue(const MemPacket &pkt, TaggedCallback cb,
 
     const sim::Tick now = curTick();
     sim::Tick start = std::max(now, _requestChannelFree);
-    auto *inj = _port->injector();
-    const fault::SiteId site = _port->siteId();
-    const bool faults = inj && inj->active(site);
-    if (faults && inj->shouldStall(site)) {
+    const bool faults = _inj && _inj->active(_site);
+    if (faults && _inj->shouldStall(_site)) {
         // An injected stall occupies the request channel, so it
         // back-pressures every queued transaction behind it.
-        start += inj->faults(site).stallTicks;
+        start += _inj->faults(_site).stallTicks;
     }
     _requestChannelFree = start + clockDomain().cyclesToTicks(req_beats);
     const sim::Tick arrive = _requestChannelFree +
@@ -265,11 +263,9 @@ TileLinkBus::downstreamDone(std::uint8_t tag, sim::Tick down_done)
     auto &slot = _inflight[tag];
     const sim::Tick done =
         down_done + clockDomain().cyclesToTicks(_cfg.channelLatency);
-    auto *inj = _port->injector();
-    const fault::SiteId site = _port->siteId();
-    if (inj->shouldError(site)) {
+    if (_inj->shouldError(_site)) {
         if (slot.attempt < std::max(1u, _retry.maxAttempts)) {
-            inj->count(site, "retries");
+            _inj->count(_site, "retries");
             const sim::Tick backoff = _retry.backoffBefore(
                 slot.attempt, slot.issued ^ tag);
             ++slot.attempt;
@@ -278,7 +274,7 @@ TileLinkBus::downstreamDone(std::uint8_t tag, sim::Tick down_done)
         }
         // Budget spent: deliver the (errored) response rather than
         // wedge the tag.
-        inj->count(site, "retry_exhausted");
+        _inj->count(_site, "retry_exhausted");
     }
     scheduleResponse(tag, done);
 }

@@ -16,16 +16,12 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 
 #include "fault/fault.hh"
-#include "link/channel.hh"
 #include "packet.hh"
 #include "sim/sim_object.hh"
 
 namespace qtenon::memory {
-
-class TileLinkPort;
 
 /** Bus parameters. */
 struct TileLinkConfig {
@@ -77,17 +73,11 @@ class TileLinkBus : public sim::Clocked
     ~TileLinkBus() override;
 
     /**
-     * The bus's `link::Channel` view (injection site "bus"): the
-     * uniform attachment point for fault injection, shared with the
-     * Ethernet and ADI adapters.
-     */
-    TileLinkPort &port() { return *_port; }
-
-    /**
-     * Attach fault injection through the port and set the tag-retry
-     * policy: an injected response error re-issues the transaction
-     * downstream on the *same* tag after a deterministic backoff, so
-     * the RBQ still sees exactly one arrival per expected tag.
+     * Attach (or detach with nullptr) fault injection at site "bus"
+     * and set the tag-retry policy: an injected response error
+     * re-issues the transaction downstream on the *same* tag after a
+     * deterministic backoff, so the RBQ still sees exactly one
+     * arrival per expected tag.
      */
     void attachInjector(fault::FaultInjector *inj,
                         fault::RetryPolicy retry = {});
@@ -237,33 +227,10 @@ class TileLinkBus : public sim::Clocked
     bool _delivering = false;
     /** Lazily allocated trace-sink process id (0 = none yet). */
     std::uint32_t _tracePid = 0;
+    fault::FaultInjector *_inj = nullptr;
+    /** The interned "bus" site (valid while _inj is set). */
+    fault::SiteId _site = 0;
     fault::RetryPolicy _retry;
-    std::unique_ptr<TileLinkPort> _port;
-};
-
-/**
- * `link::Channel` adapter over the bus's own channel timing (request
- * serialization + one channel traversal). The event-driven bus model
- * stays authoritative for transaction scheduling; the port is the
- * uniform latency/injection surface.
- */
-class TileLinkPort : public link::Channel
-{
-  public:
-    explicit TileLinkPort(const TileLinkBus &bus)
-        : link::Channel("bus"), _bus(&bus)
-    {}
-
-    sim::Tick
-    transferLatency(std::uint64_t bytes) const override
-    {
-        return _bus->clockDomain().cyclesToTicks(
-            _bus->beatsFor(static_cast<std::uint32_t>(bytes)) +
-            _bus->config().channelLatency);
-    }
-
-  private:
-    const TileLinkBus *_bus;
 };
 
 } // namespace qtenon::memory

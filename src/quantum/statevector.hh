@@ -85,10 +85,10 @@ struct KernelConfig {
 
 /**
  * Process-wide upper bound on per-statevector kernel threads
- * (0 = unbounded). BatchScheduler sets this to
- * hardware_concurrency / workers on construction and clears it on
- * destruction, so a batch of --jobs parallel jobs never multiplies
- * into jobs x threads runnable kernel threads.
+ * (0 = unbounded). BatchScheduler keeps it at
+ * hardware_concurrency / (workers of every live scheduler), and at 0
+ * when none is alive, so a batch of --jobs parallel jobs never
+ * multiplies into jobs x threads runnable kernel threads.
  */
 void setKernelThreadCap(unsigned cap);
 unsigned kernelThreadCap();

@@ -212,16 +212,32 @@ runJobSpec(const JobSpec &spec, std::uint64_t job_id,
     return r;
 }
 
+namespace {
+
+/**
+ * Add @p delta to the workers of every live BatchScheduler and
+ * derive the statevector kernel-thread cap from that count: workers
+ * x kernel threads never exceeds the machine, so enabling threaded
+ * kernels cannot oversubscribe a batch, however many schedulers
+ * are alive. No live worker means no cap.
+ */
+void
+addLiveWorkers(int delta)
+{
+    static std::mutex mutex;
+    static unsigned live = 0;
+    std::lock_guard<std::mutex> guard(mutex);
+    live += static_cast<unsigned>(delta);
+    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+    quantum::setKernelThreadCap(live ? std::max(1u, hw / live) : 0);
+}
+
+} // namespace
+
 BatchScheduler::BatchScheduler(SchedulerConfig cfg)
     : _cfg(cfg), _workers(resolveWorkerCount(cfg.workers))
 {
-    // Budget the statevector kernels' worker threads against the
-    // job pool: workers x kernel threads never exceeds the machine,
-    // so enabling threaded kernels cannot oversubscribe a batch.
-    const unsigned hw = std::thread::hardware_concurrency();
-    quantum::setKernelThreadCap(
-        std::max(1u, (hw ? hw : 1u) / std::max(1u, _workers)));
-
+    addLiveWorkers(static_cast<int>(_workers));
     _metrics.workers = _workers;
     _threads.reserve(_workers);
     for (unsigned i = 0; i < _workers; ++i)
@@ -238,7 +254,7 @@ BatchScheduler::~BatchScheduler()
     _workAvailable.notify_all();
     for (auto &t : _threads)
         t.join();
-    quantum::setKernelThreadCap(0);
+    addLiveWorkers(-static_cast<int>(_workers));
 }
 
 JobHandle
@@ -246,7 +262,6 @@ BatchScheduler::submit(JobSpec spec)
 {
     auto job = std::make_shared<Job>();
     job->spec = std::move(spec);
-    job->future = job->promise.get_future().share();
     job->submitted = std::chrono::steady_clock::now();
     if (obs::metricsEnabled()) {
         static auto &c = obs::counter("service.jobs.submitted",
@@ -254,20 +269,14 @@ BatchScheduler::submit(JobSpec spec)
         c.inc();
     }
 
-    JobHandle handle;
+    JobHandle handle{0, job->promise.get_future().share()};
     {
         std::lock_guard<std::mutex> guard(_mutex);
-        job->id = _nextJobId++;
-        if (!_batchStarted) {
-            _batchStarted = true;
+        if (_nextJobId == 0)
             _batchStart = std::chrono::steady_clock::now();
-        }
+        job->id = handle.id = _nextJobId++;
         _jobs.emplace(job->id, job);
-        _queue.push_back(job);
-        ++_metrics.submitted;
-        ++_inFlight;
-        handle.id = job->id;
-        handle.result = job->future;
+        _queue.push_back(std::move(job));
     }
     _workAvailable.notify_one();
     return handle;
@@ -286,31 +295,20 @@ BatchScheduler::submitAll(std::vector<JobSpec> specs)
 bool
 BatchScheduler::cancel(std::uint64_t job_id)
 {
-    std::shared_ptr<Job> job;
-    {
-        std::lock_guard<std::mutex> guard(_mutex);
-        if (auto it = _jobs.find(job_id); it != _jobs.end())
-            job = it->second;
-    }
-    if (!job || job->done.load())
+    std::lock_guard<std::mutex> guard(_mutex);
+    const auto it = _jobs.find(job_id);
+    if (it == _jobs.end())
         return false;
-    job->cancelRequested.store(true);
+    it->second->cancelRequested.store(true);
     return true;
 }
 
 void
 BatchScheduler::cancelAll()
 {
-    std::vector<std::shared_ptr<Job>> jobs;
-    {
-        std::lock_guard<std::mutex> guard(_mutex);
-        for (const auto &[id, j] : _jobs)
-            jobs.push_back(j);
-    }
-    for (const auto &j : jobs) {
-        if (!j->done.load())
-            j->cancelRequested.store(true);
-    }
+    std::lock_guard<std::mutex> guard(_mutex);
+    for (const auto &[id, job] : _jobs)
+        job->cancelRequested.store(true);
 }
 
 std::size_t
@@ -320,12 +318,20 @@ BatchScheduler::unfinished() const
     return _jobs.size();
 }
 
-ResultsStore &
+void
 BatchScheduler::wait()
 {
     std::unique_lock<std::mutex> lock(_mutex);
-    _batchDone.wait(lock, [this] { return _inFlight == 0; });
-    return _store;
+    _batchDone.wait(lock, [this] { return _jobs.empty(); });
+}
+
+ResultsStore
+collect(std::span<const JobHandle> handles)
+{
+    ResultsStore store;
+    for (const auto &h : handles)
+        store.add(h.result.get());
+    return store;
 }
 
 BatchMetrics
@@ -333,8 +339,9 @@ BatchScheduler::metrics() const
 {
     std::lock_guard<std::mutex> guard(_mutex);
     BatchMetrics m = _metrics;
-    if (_batchStarted) {
-        const auto end = _inFlight == 0
+    m.submitted = _nextJobId;
+    if (_nextJobId > 0) {
+        const auto end = _jobs.empty()
             ? _batchEnd : std::chrono::steady_clock::now();
         m.batchWallNs = static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -514,13 +521,12 @@ executeJob(const JobSpec &spec, std::uint64_t job_id,
 void
 BatchScheduler::finishJob(Job &job, JobResult r)
 {
-    _store.add(r);
-    job.done.store(true);
-
     bool batch_finished = false;
     {
+        // Booking, fulfilling and leaving _jobs happen under one
+        // lock: a ready future implies metrics() counts its job, and
+        // a job cancel() still finds has not finished.
         std::lock_guard<std::mutex> guard(_mutex);
-        _jobs.erase(job.id);
         ++_metrics.completed;
         switch (r.status) {
           case JobStatus::Ok: ++_metrics.ok; break;
@@ -531,13 +537,13 @@ BatchScheduler::finishJob(Job &job, JobResult r)
         }
         _metrics.totalJobWallNs += r.wallNs;
         _metrics.totalSimTicks += r.simTicks;
-        if (--_inFlight == 0) {
+        job.promise.set_value(std::move(r));
+        _jobs.erase(job.id);
+        if (_jobs.empty()) {
             _batchEnd = std::chrono::steady_clock::now();
             batch_finished = true;
         }
     }
-
-    job.promise.set_value(std::move(r));
     if (batch_finished)
         _batchDone.notify_all();
 }

@@ -2,9 +2,10 @@
  * @file
  * The batch experiment scheduler: a fixed pool of worker threads
  * draining a shared FIFO of jobs (one self-contained VQA experiment
- * each, see job.hh). Submission returns a future; finished results
- * also land in a merge-safe ResultsStore keyed by job id, so the
- * aggregate is deterministic regardless of worker count or
+ * each, see job.hh). Submission returns a future, the only way a
+ * result leaves the scheduler: it keeps no finished job. collect()
+ * gathers a batch's futures into a ResultsStore keyed by job id, so
+ * the aggregate is deterministic regardless of worker count or
  * completion order.
  *
  * Worker count comes from (highest priority first) the explicit
@@ -28,6 +29,7 @@
 #include <future>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -164,12 +166,8 @@ class BatchScheduler
     /** Jobs submitted and not yet finished. Thread-safe. */
     std::size_t unfinished() const;
 
-    /** Block until every submitted job finished; returns the store. */
-    ResultsStore &wait();
-
-    /** The (live) aggregated results. */
-    ResultsStore &results() { return _store; }
-    const ResultsStore &results() const { return _store; }
+    /** Block until every submitted job finished. */
+    void wait();
 
     /** Snapshot of the batch accounting. */
     BatchMetrics metrics() const;
@@ -179,9 +177,7 @@ class BatchScheduler
         std::uint64_t id = 0;
         JobSpec spec;
         std::promise<JobResult> promise;
-        std::shared_future<JobResult> future;
         std::atomic<bool> cancelRequested{false};
-        std::atomic<bool> done{false};
         /** Enqueue time, for the queue-wait histogram. */
         std::chrono::steady_clock::time_point submitted{};
     };
@@ -198,22 +194,22 @@ class BatchScheduler
     std::condition_variable _batchDone;
     std::deque<std::shared_ptr<Job>> _queue;
     /**
-     * Unfinished jobs by id, for cancel(). A job leaves when it
-     * finishes, so a long-lived scheduler does not keep every spec
-     * it ever ran.
+     * Unfinished jobs by id: a job is unfinished exactly while it is
+     * here. It leaves when its future is fulfilled, so a long-lived
+     * scheduler keeps neither the specs nor the results it ran.
      */
     std::unordered_map<std::uint64_t, std::shared_ptr<Job>> _jobs;
     bool _stopping = false;
+    /** Also the submitted count. */
     std::uint64_t _nextJobId = 0;
-    std::size_t _inFlight = 0;
 
     BatchMetrics _metrics;
     std::chrono::steady_clock::time_point _batchStart{};
     std::chrono::steady_clock::time_point _batchEnd{};
-    bool _batchStarted = false;
-
-    ResultsStore _store;
 };
+
+/** Wait on each of @p handles and gather its result. */
+ResultsStore collect(std::span<const JobHandle> handles);
 
 /** The SchedulerConfig / QTENON_JOBS / hardware resolution rule. */
 unsigned resolveWorkerCount(unsigned requested);

@@ -1,6 +1,5 @@
 #include "results_store.hh"
 
-#include <istream>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -168,45 +167,12 @@ jobResultFromJson(const json::Value &v)
 void
 ResultsStore::add(JobResult r)
 {
-    std::lock_guard<std::mutex> guard(_mutex);
     _byId[r.jobId] = std::move(r);
-}
-
-void
-ResultsStore::mergeLocked(const ResultsStore &other)
-{
-    std::lock_guard<std::mutex> guard(other._mutex);
-    for (const auto &[id, r] : other._byId)
-        _byId[id] = r;
-}
-
-void
-ResultsStore::merge(const ResultsStore &other)
-{
-    if (this == &other)
-        return;
-    std::lock_guard<std::mutex> guard(_mutex);
-    mergeLocked(other);
-}
-
-std::size_t
-ResultsStore::size() const
-{
-    std::lock_guard<std::mutex> guard(_mutex);
-    return _byId.size();
-}
-
-void
-ResultsStore::erase(std::uint64_t job_id)
-{
-    std::lock_guard<std::mutex> guard(_mutex);
-    _byId.erase(job_id);
 }
 
 JobResult
 ResultsStore::get(std::uint64_t job_id) const
 {
-    std::lock_guard<std::mutex> guard(_mutex);
     auto it = _byId.find(job_id);
     if (it == _byId.end())
         throw std::out_of_range("ResultsStore: no job " +
@@ -214,32 +180,13 @@ ResultsStore::get(std::uint64_t job_id) const
     return it->second;
 }
 
-bool
-ResultsStore::contains(std::uint64_t job_id) const
-{
-    std::lock_guard<std::mutex> guard(_mutex);
-    return _byId.count(job_id) != 0;
-}
-
 std::vector<JobResult>
 ResultsStore::sorted() const
 {
-    std::lock_guard<std::mutex> guard(_mutex);
     std::vector<JobResult> out;
     out.reserve(_byId.size());
     for (const auto &[id, r] : _byId)
         out.push_back(r);
-    return out;
-}
-
-std::vector<JobResult>
-ResultsStore::withStatus(JobStatus s) const
-{
-    std::vector<JobResult> out;
-    for (auto &r : sorted()) {
-        if (r.status == s)
-            out.push_back(std::move(r));
-    }
     return out;
 }
 
@@ -281,14 +228,6 @@ ResultsStore::fromJsonString(const std::string &text)
     for (const auto &r : doc.at("results").asArray())
         store.add(jobResultFromJson(r));
     return store;
-}
-
-ResultsStore
-ResultsStore::fromJson(std::istream &is)
-{
-    std::ostringstream buf;
-    buf << is.rdbuf();
-    return fromJsonString(buf.str());
 }
 
 std::uint64_t

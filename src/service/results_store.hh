@@ -1,10 +1,11 @@
 /**
  * @file
- * The aggregated, merge-safe results store of the batch experiment
- * service. Worker threads add finished JobResults concurrently; the
- * store keys them by job id, so iteration order — and therefore the
- * JSON export — is deterministic no matter which worker finished
- * first. Stores round-trip through JSON losslessly.
+ * The results of a batch of experiments, owned by the caller that
+ * gathered them (service::collect). The store keys JobResults by job
+ * id, so iteration order — and therefore the JSON export — is
+ * deterministic no matter which worker finished first. Stores
+ * round-trip through JSON losslessly. A plain value: it is filled
+ * and read on one thread.
  */
 
 #ifndef QTENON_SERVICE_RESULTS_STORE_HH
@@ -12,7 +13,6 @@
 
 #include <iosfwd>
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -36,45 +36,24 @@ json::Value jobResultToJson(const JobResult &r,
 /** Re-import one jobResultToJson() object. */
 JobResult jobResultFromJson(const json::Value &v);
 
-/** Thread-safe collection of JobResults keyed by job id. */
+/** JobResults keyed by job id. */
 class ResultsStore
 {
   public:
-    ResultsStore() = default;
-
-    ResultsStore(const ResultsStore &o) { merge(o); }
-    ResultsStore &
-    operator=(const ResultsStore &o)
-    {
-        if (this != &o) {
-            std::lock_guard<std::mutex> guard(_mutex);
-            _byId.clear();
-            mergeLocked(o);
-        }
-        return *this;
-    }
-
     /** Insert or replace the result for its job id. */
     void add(JobResult r);
 
-    /** Copy every result of @p other into this store (same-id
-     *  entries are replaced — last merge wins). */
-    void merge(const ResultsStore &other);
-
-    std::size_t size() const;
-
-    /** Drop the result for @p job_id, if present. */
-    void erase(std::uint64_t job_id);
+    std::size_t size() const { return _byId.size(); }
 
     /** Copy of the result for @p job_id; throws if absent. */
     JobResult get(std::uint64_t job_id) const;
-    bool contains(std::uint64_t job_id) const;
+    bool contains(std::uint64_t job_id) const
+    {
+        return _byId.count(job_id) != 0;
+    }
 
-    /** Snapshot of all results, ascending job id. */
+    /** Copy of all results, ascending job id. */
     std::vector<JobResult> sorted() const;
-
-    /** Results with the given status, ascending job id. */
-    std::vector<JobResult> withStatus(JobStatus s) const;
 
     /**
      * Export as a versioned JSON document. Wall-clock fields are
@@ -86,7 +65,6 @@ class ResultsStore
 
     /** Re-import a toJson() document; throws on malformed input. */
     static ResultsStore fromJsonString(const std::string &text);
-    static ResultsStore fromJson(std::istream &is);
 
     /**
      * FNV-1a hash over the deterministic JSON export: equal digests
@@ -96,9 +74,6 @@ class ResultsStore
     std::uint64_t deterministicDigest() const;
 
   private:
-    void mergeLocked(const ResultsStore &other);
-
-    mutable std::mutex _mutex;
     std::map<std::uint64_t, JobResult> _byId;
 };
 

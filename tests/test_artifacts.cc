@@ -362,6 +362,29 @@ TEST(ArtifactGate, SeedReachesJobs)
         GTEST_SKIP() << "no seed pair listed in QTENON_ARTIFACTS";
 }
 
+TEST(ArtifactGate, QecExportLabelsItsWorkload)
+{
+    // The qec fixture also writes its --json export beside its
+    // artifact. Each row must name what the job ran (a repetition
+    // code, no optimizer), not the VQA workload its spec carries.
+    std::size_t rows = 0;
+    for (const auto &path : listedArtifacts()) {
+        const auto dir = path.substr(0, path.find_last_of('/') + 1);
+        if (path != dir + "qec_sweep.json")
+            continue;
+        const Value doc = readDocument(dir + "qec_sweep_results.json");
+        for (const auto &row : doc.at("results").asArray()) {
+            const auto r = service::jobResultFromJson(row);
+            EXPECT_EQ(r.algorithm, "repetition-code") << r.name;
+            EXPECT_EQ(r.optimizer, "none") << r.name;
+            ++rows;
+        }
+        EXPECT_GT(rows, 0u) << "the qec export holds no job";
+        return;
+    }
+    GTEST_SKIP() << "qec_sweep.json not listed in QTENON_ARTIFACTS";
+}
+
 // -----------------------------------------------------------------
 // Mutations: from a known-good document, each mutation must make
 // its checker report an error.

@@ -276,10 +276,10 @@ TEST(CompileModeJson, WrittenOnlyWhenNonDefaultAndRoundTrips)
     auto cached = smallJob("cached-mode");
     cached.qtenon.software.compile =
         runtime::CompileMode::CachedIncremental;
-    sched.submit(def);
-    sched.submit(cached);
-    const auto json = sched.wait().toJsonString(
-        /*deterministic_only=*/true);
+    const auto json =
+        service::collect(std::vector{sched.submit(def),
+                                     sched.submit(cached)})
+            .toJsonString(/*deterministic_only=*/true);
 
     // The default mode is never written (stored batch results stay
     // byte-stable); the non-default mode is.
@@ -314,9 +314,8 @@ TEST(CompileCacheScheduler, SharedCacheIsByteIdenticalAcrossJobs)
             spec.driver.compileCache = cache;
             jobs.push_back(std::move(spec));
         }
-        sched.submitAll(std::move(jobs));
-        return sched.wait().toJsonString(
-            /*deterministic_only=*/true);
+        return service::collect(sched.submitAll(std::move(jobs)))
+            .toJsonString(/*deterministic_only=*/true);
     };
 
     CompileCache serial_cache(16), parallel_cache(16);

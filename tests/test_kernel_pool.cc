@@ -355,7 +355,7 @@ TEST(KernelPoolLifecycle, SurvivesConcurrentBatchJobs)
         };
         handles.push_back(sched.submit(std::move(spec)));
     }
-    auto &store = sched.wait();
+    const auto store = service::collect(handles);
     for (const auto &h : handles) {
         const auto r = store.get(h.id);
         EXPECT_EQ(r.status, service::JobStatus::Ok)

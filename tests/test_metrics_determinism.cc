@@ -50,7 +50,7 @@ observeSweep(unsigned workers)
     SchedulerConfig cfg;
     cfg.workers = workers;
     BatchScheduler sched(cfg);
-    sched.submitAll(Sweep("det")
+    const auto handles = sched.submitAll(Sweep("det")
                         .algorithms({vqa::Algorithm::Qaoa,
                                      vqa::Algorithm::Vqe,
                                      vqa::Algorithm::Qnn})
@@ -67,7 +67,7 @@ observeSweep(unsigned workers)
                             s.workload.qnnLayers = 1;
                         })
                         .build());
-    auto &store = sched.wait();
+    const auto store = collect(handles);
 
     SweepObservation seen;
     seen.resultsJson =

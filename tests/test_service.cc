@@ -65,9 +65,7 @@ runSweepWith(unsigned workers)
     SchedulerConfig cfg;
     cfg.workers = workers;
     BatchScheduler sched(cfg);
-    sched.submitAll(smallSweep());
-    // Copy the store so it outlives the scheduler.
-    return sched.wait();
+    return collect(sched.submitAll(smallSweep()));
 }
 
 } // namespace
@@ -210,6 +208,34 @@ TEST(Scheduler, KernelThreadBudgetPreventsOversubscription)
         << "cap must be cleared when the batch is torn down";
 }
 
+TEST(Scheduler, KernelThreadBudgetCountsEveryLiveScheduler)
+{
+    namespace quantum = qtenon::quantum;
+    // The cap follows the workers of every live scheduler: building
+    // and destroying a second one (as bench::runWithRerun's
+    // one-worker rerun does) leaves the first one's budget in place.
+    ASSERT_EQ(quantum::kernelThreadCap(), 0u);
+    SchedulerConfig outer_cfg;
+    outer_cfg.workers = 2;
+    {
+        BatchScheduler outer(outer_cfg);
+        const unsigned outer_cap = quantum::kernelThreadCap();
+        EXPECT_GT(outer_cap, 0u);
+        {
+            SchedulerConfig inner_cfg;
+            inner_cfg.workers = 1;
+            BatchScheduler inner(inner_cfg);
+            EXPECT_GT(quantum::kernelThreadCap(), 0u);
+            EXPECT_LE(quantum::kernelThreadCap(), outer_cap)
+                << "two live schedulers budget their workers together";
+        }
+        EXPECT_EQ(quantum::kernelThreadCap(), outer_cap)
+            << "destroying the inner scheduler dropped the outer "
+               "scheduler's cap";
+    }
+    EXPECT_EQ(quantum::kernelThreadCap(), 0u);
+}
+
 TEST(Scheduler, ResultsAreBitIdenticalAcrossWorkerCounts)
 {
     const auto one = runSweepWith(1);
@@ -244,11 +270,10 @@ TEST(Scheduler, SchedulerSeedingMatchesStandaloneRun)
     cfg.workers = 2;
     BatchScheduler sched(cfg);
     auto handles = sched.submitAll(jobs);
-    sched.wait();
 
     // Job 3 run inline, outside any scheduler, with its batch id.
     const auto inline_r = runJobSpec(jobs[3], handles[3].id);
-    const auto pooled_r = sched.results().get(handles[3].id);
+    const auto pooled_r = handles[3].result.get();
     EXPECT_EQ(inline_r.seed, pooled_r.seed);
     EXPECT_EQ(inline_r.costHistory, pooled_r.costHistory);
     EXPECT_EQ(inline_r.simTicks, pooled_r.simTicks);
@@ -470,7 +495,7 @@ TEST(Scheduler, FailingJobIsIsolated)
     auto ok0 = sched.submit(jobs[0]);
     auto boom = sched.submit(bomb);
     auto ok1 = sched.submit(jobs[1]);
-    auto &store = sched.wait();
+    const auto store = collect(std::vector{ok0, boom, ok1});
 
     EXPECT_EQ(store.get(ok0.id).status, JobStatus::Ok);
     EXPECT_EQ(store.get(ok1.id).status, JobStatus::Ok);
@@ -694,9 +719,8 @@ TEST(Scheduler, RetryOutcomeIsIdenticalAcrossWorkerCounts)
             };
             jobs.push_back(std::move(spec));
         }
-        sched.submitAll(std::move(jobs));
-        return sched.wait().toJsonString(
-            /*deterministic_only=*/true);
+        return collect(sched.submitAll(std::move(jobs)))
+            .toJsonString(/*deterministic_only=*/true);
     };
     EXPECT_EQ(run(1), run(4));
 }
@@ -738,9 +762,8 @@ TEST(Scheduler, CancelPendingAndRunningJobs)
     }
     cv.notify_all();
 
-    auto &store = sched.wait();
-    EXPECT_EQ(store.get(h_blocker.id).status, JobStatus::Cancelled);
-    EXPECT_EQ(store.get(h_queued.id).status, JobStatus::Cancelled);
+    EXPECT_EQ(h_blocker.result.get().status, JobStatus::Cancelled);
+    EXPECT_EQ(h_queued.result.get().status, JobStatus::Cancelled);
     EXPECT_EQ(sched.metrics().cancelled, 2u);
 
     // Cancelling a finished job reports false.
@@ -753,8 +776,8 @@ TEST(Scheduler, FinishedJobsLeaveTheJobTable)
     cfg.workers = 2;
     BatchScheduler sched(cfg);
     const auto handles = sched.submitAll(smallSweep());
-    auto &store = sched.wait();
-    EXPECT_EQ(store.size(), handles.size());
+    sched.wait();
+    EXPECT_EQ(collect(handles).size(), handles.size());
     EXPECT_EQ(sched.unfinished(), 0u);
     for (const auto &h : handles)
         EXPECT_FALSE(sched.cancel(h.id));
@@ -809,8 +832,7 @@ TEST(Scheduler, FaultInjectionIsByteIdenticalAcrossWorkerCounts)
             j.faultSpec = spec;
             j.runBaseline = true;
         }
-        sched.submitAll(std::move(jobs));
-        return sched.wait();
+        return collect(sched.submitAll(std::move(jobs)));
     };
     const auto one = run(1);
     const auto eight = run(8);
@@ -899,44 +921,6 @@ TEST(ResultsStore, RejectsForeignDocuments)
                  std::runtime_error);
     EXPECT_THROW(ResultsStore::fromJsonString("not json"),
                  std::runtime_error);
-}
-
-TEST(ResultsStore, MergeIsLastWriterWins)
-{
-    ResultsStore a;
-    ResultsStore b;
-    JobResult r1;
-    r1.jobId = 1;
-    r1.name = "one";
-    JobResult r1b = r1;
-    r1b.name = "one-updated";
-    JobResult r2;
-    r2.jobId = 2;
-    r2.name = "two";
-
-    a.add(r1);
-    b.add(r1b);
-    b.add(r2);
-    a.merge(b);
-    EXPECT_EQ(a.size(), 2u);
-    EXPECT_EQ(a.get(1).name, "one-updated");
-    EXPECT_EQ(a.get(2).name, "two");
-}
-
-TEST(ResultsStore, EraseDropsOnlyThatJob)
-{
-    ResultsStore store;
-    JobResult r1;
-    r1.jobId = 1;
-    JobResult r2;
-    r2.jobId = 2;
-    store.add(r1);
-    store.add(r2);
-    store.erase(1);
-    store.erase(7); // absent: no effect
-    EXPECT_EQ(store.size(), 1u);
-    EXPECT_FALSE(store.contains(1));
-    EXPECT_TRUE(store.contains(2));
 }
 
 TEST(Json, ValuesSurviveRoundTrip)

@@ -388,7 +388,7 @@ shardedJobMetrics(unsigned workers)
     cfg.workers = workers;
     service::BatchScheduler sched(cfg);
     const auto handles = sched.submitAll(std::move(jobs));
-    auto &store = sched.wait();
+    const auto store = service::collect(handles);
     std::map<std::string, double> merged;
     for (std::size_t i = 0; i < handles.size(); ++i) {
         const auto r = store.get(handles[i].id);
